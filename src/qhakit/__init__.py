@@ -10,8 +10,7 @@ equality of tensors, never a numerical approximation.
 from .scalars import Cyclo, Field, RATIONAL, cyclotomic_field
 from .tensor import (Algebra, AlgElement, LinearMap, TensorElement, contract,
                      contract_element, tensor_of)
-from .structures import (QuasiAntipode, QuasiBialgebra, QuasiHopf,
-                         QuasiTriangularQHA, check_qqybe, opposite_structure,
+from .structures import (QuasiAntipode, QuasiBialgebra, check_qqybe, opposite_structure,
                          primed_structure, verify_qba, verify_quasi_antipode,
                          verify_rmatrix, zero_structure)
 from .twists import (Twist, central_to_compatible, compatible_to_central,

@@ -9,8 +9,8 @@ tensor kernel.
 
 from __future__ import annotations
 
-from .errors import ConsistencyError, StructureError
-from .structures import QuasiAntipode, QuasiHopf, verify_quasi_antipode
+from .errors import ConsistencyError
+from .structures import QuasiAntipode, QuasiBialgebra, _require, verify_quasi_antipode
 from .tensor import contract_element
 from .twists import Twist, twist_structure
 
@@ -20,16 +20,12 @@ __all__ = ["AntipodePair", "compute_v", "antipode_from_v", "check_v_universality
 class AntipodePair:
     """A quasi-Hopf structure plus an alternative quasi-antipode on the same base."""
 
-    def __init__(self, base: QuasiHopf, alt: QuasiAntipode, verify=True):
+    def __init__(self, base: QuasiBialgebra, alt: QuasiAntipode, verify=True):
         self.base = base
         self.alt = alt
         if verify:
-            alt_h = QuasiHopf(base.qba(), alt, verify=False)
-            report = verify_quasi_antipode(alt_h)
-            if not report.ok:
-                raise StructureError(
-                    "alternative quasi-antipode fails: " + ", ".join(report.failure_ids()),
-                    report)
+            _require(verify_quasi_antipode(base.with_antipode(alt, verify=False)),
+                     "alternative quasi-antipode fails")
 
     @property
     def algebra(self):
@@ -80,7 +76,7 @@ def compute_v(pair: AntipodePair):
     return v
 
 
-def antipode_from_v(h: QuasiHopf, w) -> QuasiAntipode:
+def antipode_from_v(h: QuasiBialgebra, w) -> QuasiAntipode:
     """The quasi-antipode (w S(.) w^{-1}, w alpha, beta w^{-1}) attached to invertible w.
 
     The constructed triple is verified, and the round trip through

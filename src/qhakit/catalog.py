@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .errors import CatalogError
 from .scalars import RATIONAL, cyclotomic_field
-from .structures import (QuasiAntipode, QuasiBialgebra, QuasiHopf,
-                         QuasiTriangularQHA)
+from .structures import QuasiAntipode, QuasiBialgebra
 from .tensor import Algebra, LinearMap, tensor_of
 
 _GROUP_RE = re.compile(r"^group_z(\d+)$")
@@ -27,7 +26,7 @@ BUILTIN_NAMES = ("trivial", "group_zn", "z2_triangular", "sweedler_h4", "semion"
 @dataclass
 class CatalogEntry:
     name: str
-    structure: object  # QuasiHopf or QuasiTriangularQHA
+    structure: QuasiBialgebra  # with a quasi-antipode, and an R-matrix or none
     notes: str = ""
     dynamical: object | None = None  # optional DynamicalTwist family
 
@@ -61,7 +60,7 @@ def default_entries() -> list[CatalogEntry]:
 
 def quasitriangular_entries() -> list[CatalogEntry]:
     return [e for e in default_entries()
-            if isinstance(e.structure, QuasiTriangularQHA)]
+            if e.structure.r is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +84,13 @@ def _group_hopf(n: int, field):
                   anti=True)
     qba = QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3))
     anti = QuasiAntipode(s, alg.unit_element, alg.unit_element, s_inv=s)
-    return QuasiHopf(qba, anti)
+    return qba.with_antipode(anti)
 
 
 def _trivial() -> CatalogEntry:
     h = _group_hopf(1, RATIONAL)
     alg = h.algebra
-    qt = QuasiTriangularQHA(h, alg.tensor_unit(2), alg.tensor_unit(2))
+    qt = h.with_r(alg.tensor_unit(2), alg.tensor_unit(2))
     return CatalogEntry("trivial", qt,
                         "one-dimensional structure; every derived operator equals 1")
 
@@ -109,7 +108,7 @@ def _z2_triangular() -> CatalogEntry:
     one, g = alg.unit_element, alg.basis_element(1)
     r = (tensor_of(one, one) + tensor_of(one, g) + tensor_of(g, one)
          - tensor_of(g, g)).scale(half)
-    qt = QuasiTriangularQHA(h, r)
+    qt = h.with_r(r)
     entry = CatalogEntry("z2_triangular", qt,
                          "k[Z/2] with the nontrivial triangular R-matrix")
     entry.dynamical = _z2_dynamical(qt)
@@ -139,7 +138,7 @@ def _sweedler_h4() -> CatalogEntry:
                   anti=True)
     qba = QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3))
     anti = QuasiAntipode(s, one, one)
-    h = QuasiHopf(qba, anti)
+    h = qba.with_antipode(anti)
 
     # the standard one-parameter R-matrix family, frozen at parameter 1
     lam = Fraction(1)
@@ -148,7 +147,7 @@ def _sweedler_h4() -> CatalogEntry:
           - tensor_of(g, g)).scale(half)
     r1 = (tensor_of(x, x) - tensor_of(x, gx) + tensor_of(gx, x)
           + tensor_of(gx, gx)).scale(half * lam)
-    qt = QuasiTriangularQHA(h, r0 + r1)
+    qt = h.with_r(r0 + r1)
     return CatalogEntry("sweedler_h4", qt,
                         "four-dimensional structure with S^2 != id and its standard "
                         "R-matrix at parameter 1")
@@ -170,15 +169,15 @@ def _semion() -> CatalogEntry:
     phi = alg.tensor_unit(3) - tensor_of(p, p, p).scale(2)
     qba = QuasiBialgebra(alg, delta, counit, phi, phi)
     anti = QuasiAntipode(s, g, one, s_inv=s)
-    h = QuasiHopf(qba, anti)
+    h = qba.with_antipode(anti)
     r = alg.tensor_unit(2) + tensor_of(p, p).scale(field.zeta - 1)
-    qt = QuasiTriangularQHA(h, r)
+    qt = h.with_r(r)
     return CatalogEntry("semion", qt,
                         "genuinely quasi: nontrivial coassociator with Phi^2 = 1 and "
                         "an R-matrix entry at a primitive fourth root of unity")
 
 
-def _z2_dynamical(qt: QuasiTriangularQHA):
+def _z2_dynamical(qt: QuasiBialgebra):
     """A one-parameter twist family on k[Z/2] solving the shifted cocycle condition.
 
     The shift acts through the idempotents (1+g)/2, (1-g)/2 with weights

@@ -22,11 +22,21 @@ from .errors import CatalogError, QhaError, SchemaError, StructureError
 from .qtriangular import altschuler_coste_operator, compute_u
 from .randgen import random_invertible_element, random_twist
 from .serial import parse_structure, parse_twist, serialize_structure
-from .structures import QuasiTriangularQHA
 from .suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites
 from .twists import quadratic_invariants, twist_structure
 
 PROG = "qhakit"
+
+
+def _trial_count(text: str) -> int:
+    """The value of --trials: an integer of at least 1, so no randomized check is dropped."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           choices=SUITE_NAMES + ("all",),
                           help="which suite to run (default: all)")
-    p_verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    p_verify.add_argument("--trials", type=_trial_count, default=DEFAULT_TRIALS,
                           help="random trials per seeded check")
 
     p_compute = sub.add_parser("compute", parents=[common],
@@ -133,11 +143,10 @@ def cmd_compute(args) -> int:
     entry = _load_input(args.input)
     seed = _resolve_seed(args)
     s = entry.structure
-    h = s.qha if isinstance(s, QuasiTriangularQHA) else s
-    field = h.algebra.field
+    field = s.algebra.field
     what = args.what
     needs_r = what in ("u", "invariants", "ac-operator")
-    if needs_r and not isinstance(s, QuasiTriangularQHA):
+    if needs_r and s.r is None:
         print(f"error: '{what}' needs an R-matrix and {entry.name} has none",
               file=sys.stderr)
         return 2
@@ -148,16 +157,16 @@ def cmd_compute(args) -> int:
     values = {}
     post = "all postconditions verified"
     if what == "drinfeld":
-        data = compute_drinfeld_data(h)
+        data = compute_drinfeld_data(s)
         values["f_delta"] = _enc_tensor(field, data.f_delta.f)
     elif what == "second-drinfeld":
-        data = compute_drinfeld_data(h)
+        data = compute_drinfeld_data(s)
         values["f_zero"] = _enc_tensor(field, data.f_zero.f)
     elif what == "gamma":
-        data = compute_drinfeld_data(h)
+        data = compute_drinfeld_data(s)
         values["gamma"] = _enc_tensor(field, data.gamma)
     elif what == "gammabar":
-        data = compute_drinfeld_data(h)
+        data = compute_drinfeld_data(s)
         values["gamma_bar"] = _enc_tensor(field, data.gamma_bar)
     elif what == "u":
         ops = compute_u(s, check=True)
@@ -165,8 +174,8 @@ def cmd_compute(args) -> int:
         values["u_tilde"] = _enc_element(field, ops.u_tilde)
     elif what == "v":
         rng = random.Random(f"{seed}:compute-v:{entry.name}")
-        w = random_invertible_element(rng, h.algebra)
-        antipode_from_v(h, w)  # verifies the triple and the round trip
+        w = random_invertible_element(rng, s.algebra)
+        antipode_from_v(s, w)  # verifies the triple and the round trip
         values["v"] = _enc_element(field, w)
         post = "antipode round trip recovered the generator exactly"
     elif what == "invariants":
@@ -198,7 +207,7 @@ def cmd_twist(args) -> int:
             tw = parse_twist(fh.read(), s)
     else:
         rng = random.Random(f"{args.generate_seed}:twist:{entry.name}")
-        tw = random_twist(rng, s.qba())
+        tw = random_twist(rng, s)
     twisted = twist_structure(s, tw, verify=True)
     text = serialize_structure(twisted, name=f"{entry.name}-twisted")
     _emit(text, args.output)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .structures import QuasiHopf, opposite_structure
+from .structures import (QuasiBialgebra, _mapped_structure, _memoized,
+                         opposite_structure)
 from .tensor import LinearMap, TensorElement, contract
-from .twists import (Twist, twist_structure, twisted_alpha, twisted_beta,
-                     twisted_coassociator)
+from .twists import Twist, twisted_alpha, twisted_beta, twisted_coassociator
 
 __all__ = [
     "DrinfeldData", "compute_gamma", "compute_gamma_bar", "compute_drinfeld_twist",
@@ -33,6 +33,7 @@ class DrinfeldData:
     f_zero: Twist
 
 
+@_memoized
 def _sdt_map(h) -> LinearMap:
     """a -> (S (x) S) Delta^T(a), materialized on the basis."""
     alg = h.algebra
@@ -40,21 +41,8 @@ def _sdt_map(h) -> LinearMap:
     return LinearMap(alg, cols)
 
 
-def _delta_prime_map(h) -> LinearMap:
-    alg = h.algebra
-    cols = [h.s.map_tensor(h.coproduct_t(h.s_inv(alg.basis_element(i))))
-            for i in range(alg.dim)]
-    return LinearMap(alg, cols)
-
-
-def _delta_zero_map(h) -> LinearMap:
-    alg = h.algebra
-    cols = [h.s_inv.map_tensor(h.coproduct_t(h.s(alg.basis_element(i))))
-            for i in range(alg.dim)]
-    return LinearMap(alg, cols)
-
-
-def compute_gamma(h: QuasiHopf) -> TensorElement:
+@_memoized
+def compute_gamma(h: QuasiBialgebra) -> TensorElement:
     """gamma = sum S(B)alpha C (x) S(A)alpha D over either four-leg expansion.
 
     The two expansion choices of A (x) B (x) C (x) D must give the same
@@ -83,7 +71,8 @@ def compute_gamma(h: QuasiHopf) -> TensorElement:
     return gamma
 
 
-def compute_gamma_bar(h: QuasiHopf) -> TensorElement:
+@_memoized
+def compute_gamma_bar(h: QuasiBialgebra) -> TensorElement:
     """gamma-bar = sum A beta S(D) (x) B beta S(C), with the mirrored checks."""
     delta = h.coproduct
     w1 = delta.on_leg(h.phi_inv, 1) * h.phi.embed((1, 2, 3), 4)
@@ -107,7 +96,8 @@ def compute_gamma_bar(h: QuasiHopf) -> TensorElement:
     return gb
 
 
-def compute_drinfeld_twist(h: QuasiHopf, _gamma=None, _gamma_bar=None) -> Twist:
+@_memoized
+def compute_drinfeld_twist(h: QuasiBialgebra) -> Twist:
     """F_delta, from both closed forms, with its full postcondition battery.
 
     Asserted: both forms of F_delta and of its inverse agree; F_delta
@@ -119,10 +109,11 @@ def compute_drinfeld_twist(h: QuasiHopf, _gamma=None, _gamma_bar=None) -> Twist:
     alg = h.algebra
     delta = h.coproduct
     s = h.s
-    gamma = _gamma if _gamma is not None else compute_gamma(h)
-    gamma_bar = _gamma_bar if _gamma_bar is not None else compute_gamma_bar(h)
+    gamma = compute_gamma(h)
+    gamma_bar = compute_gamma_bar(h)
     sdt = _sdt_map(h)
-    dprime = _delta_prime_map(h)
+    primed = _mapped_structure(h, s, verify=False)
+    dprime = primed.coproduct
 
     f = alg.tensor_zero(2)
     for (i1, i2, i3), c in h.phi.entries.items():
@@ -153,74 +144,76 @@ def compute_drinfeld_twist(h: QuasiHopf, _gamma=None, _gamma_bar=None) -> Twist:
             raise ConsistencyError(
                 "F_delta does not conjugate the coproduct onto the primed coproduct "
                 f"at basis element {alg.basis_names[i]}")
-    phi_prime = s.map_tensor(h.phi.perm((3, 2, 1)))
-    if twisted_coassociator(h.qba(), f, f_inv) != phi_prime:
+    if twisted_coassociator(h, f, f_inv) != primed.phi:
         raise ConsistencyError("the coassociator does not twist onto its primed form")
     if f * delta(h.alpha) != gamma:
         raise ConsistencyError("F_delta Delta(alpha) != gamma")
     if delta(h.beta) * f_inv != gamma_bar:
         raise ConsistencyError("Delta(beta) F_delta^{-1} != gamma-bar")
-    if twisted_alpha(h, twist) != s(h.beta) or twisted_beta(h, twist) != s(h.alpha):
+    if twisted_alpha(h, twist) != primed.alpha or twisted_beta(h, twist) != primed.beta:
         raise ConsistencyError("twisted canonical elements are not (S(beta), S(alpha))")
     return twist
 
 
-def compute_second_drinfeld(h: QuasiHopf, _f_delta=None) -> Twist:
+@_memoized
+def compute_second_drinfeld(h: QuasiBialgebra) -> Twist:
     """F_0 = (S^{-1} (x) S^{-1}) F_delta^T, checked against the zero structure."""
-    f_delta = _f_delta if _f_delta is not None else compute_drinfeld_twist(h)
+    f_delta = compute_drinfeld_twist(h)
     s_inv = h.s_inv
     f0 = s_inv.map_tensor(f_delta.f.transpose())
     f0_inv = s_inv.map_tensor(f_delta.f_inv.transpose())
     twist = Twist(f0, h.counit, f0_inv)
 
     alg = h.algebra
-    dzero = _delta_zero_map(h)
+    zero = _mapped_structure(h, s_inv, verify=False)
     for i in range(alg.dim):
-        if dzero.col(i) != f0 * h.coproduct.col(i) * f0_inv:
+        if zero.coproduct.col(i) != f0 * h.coproduct.col(i) * f0_inv:
             raise ConsistencyError(
                 "F_0 does not conjugate the coproduct onto the zero coproduct "
                 f"at basis element {alg.basis_names[i]}")
-    phi_zero = s_inv.map_tensor(h.phi.perm((3, 2, 1)))
-    if twisted_coassociator(h.qba(), f0, f0_inv) != phi_zero:
+    if twisted_coassociator(h, f0, f0_inv) != zero.phi:
         raise ConsistencyError("the coassociator does not twist onto its zero form")
-    if twisted_alpha(h, twist) != s_inv(h.beta) or twisted_beta(h, twist) != s_inv(h.alpha):
+    if twisted_alpha(h, twist) != zero.alpha or twisted_beta(h, twist) != zero.beta:
         raise ConsistencyError(
             "twisted canonical elements are not (S^{-1}(beta), S^{-1}(alpha))")
     return twist
 
 
-def opposite_drinfeld(h: QuasiHopf, _f_delta=None) -> Twist:
+def opposite_drinfeld(h: QuasiBialgebra) -> Twist:
     """The Drinfeld twist of the opposite structure, by two independent routes.
 
-    Route (a) runs the closed-form computation on the opposite structure;
-    route (b) applies S^{-1} legwise to F_delta.  Both must agree, and
-    both must equal the transpose of F_0; the second Drinfeld twist of the
-    opposite structure must likewise be F_delta^T.
+    Route (a) runs the closed-form computation on the opposite structure,
+    a new bundle that computes its own F_delta; route (b) applies S^{-1}
+    legwise to F_delta.  Both must agree, and both must equal the
+    transpose of F_0; the second Drinfeld twist of the opposite structure
+    must likewise be F_delta^T.
     """
-    f_delta = _f_delta if _f_delta is not None else compute_drinfeld_twist(h)
+    f_delta = compute_drinfeld_twist(h)
     h_op = opposite_structure(h)
     via_opposite = compute_drinfeld_twist(h_op)
     closed = h.s_inv.map_tensor(f_delta.f)
     if via_opposite.f != closed:
         raise ConsistencyError(
             "opposite-structure Drinfeld twist disagrees with (S^{-1} (x) S^{-1})F_delta")
-    f0 = compute_second_drinfeld(h, _f_delta=f_delta)
+    f0 = compute_second_drinfeld(h)
     if via_opposite.f != f0.f.transpose():
         raise ConsistencyError("opposite-structure Drinfeld twist is not F_0^T")
-    second_op = compute_second_drinfeld(h_op, _f_delta=via_opposite)
+    second_op = compute_second_drinfeld(h_op)
     if second_op.f != f_delta.f.transpose():
         raise ConsistencyError(
             "second Drinfeld twist of the opposite structure is not F_delta^T")
     return via_opposite
 
 
-def gamma_bar_under_twist(h: QuasiHopf, g: Twist, _gamma_bar=None,
-                          _twisted=None) -> TensorElement:
-    """gamma-bar of the twisted structure, closed form against recomputation."""
-    twisted = _twisted if _twisted is not None else twist_structure(h, g)
+def gamma_bar_under_twist(h: QuasiBialgebra, g: Twist, twisted) -> TensorElement:
+    """gamma-bar of the twisted structure, closed form against recomputation.
+
+    ``twisted`` is ``twist_structure(h, g)``, built (verified or not) by the
+    caller; its gamma-bar is the recomputation route.
+    """
     recomputed = compute_gamma_bar(twisted)
 
-    gamma_bar = _gamma_bar if _gamma_bar is not None else compute_gamma_bar(h)
+    gamma_bar = compute_gamma_bar(h)
     alg = h.algebra
     closed = alg.tensor_zero(2)
     gt = g.f.transpose()
@@ -233,14 +226,14 @@ def gamma_bar_under_twist(h: QuasiHopf, g: Twist, _gamma_bar=None,
     return closed
 
 
-def drinfeld_under_twist(h: QuasiHopf, g: Twist, _f_delta=None,
-                         _twisted=None) -> Twist:
+def drinfeld_under_twist(h: QuasiBialgebra, g: Twist, twisted) -> Twist:
     """F_delta of the twisted structure, closed form against recomputation.
 
-    Also checks the inverse form and the matching closed form for F_0.
+    ``twisted`` is ``twist_structure(h, g)``, built (verified or not) by the
+    caller; its F_delta is the recomputation route.  Also checks the
+    inverse form and the matching closed form for F_0.
     """
-    f_delta = _f_delta if _f_delta is not None else compute_drinfeld_twist(h)
-    twisted = _twisted if _twisted is not None else twist_structure(h, g)
+    f_delta = compute_drinfeld_twist(h)
     recomputed = compute_drinfeld_twist(twisted)
 
     s, s_inv = h.s, h.s_inv
@@ -251,18 +244,16 @@ def drinfeld_under_twist(h: QuasiHopf, g: Twist, _f_delta=None,
     if recomputed.f_inv != closed_inv:
         raise ConsistencyError("twisted inverse Drinfeld twist disagrees with its closed form")
 
-    f0_twisted = compute_second_drinfeld(twisted, _f_delta=recomputed)
-    f0 = compute_second_drinfeld(h, _f_delta=f_delta)
+    f0_twisted = compute_second_drinfeld(twisted)
+    f0 = compute_second_drinfeld(h)
     f0_closed = s_inv.map_tensor(g.f_inv.transpose()) * f0.f * g.f_inv
     if f0_twisted.f != f0_closed:
         raise ConsistencyError("twisted second Drinfeld twist disagrees with its closed form")
     return recomputed
 
 
-def compute_drinfeld_data(h: QuasiHopf) -> DrinfeldData:
-    """gamma, gamma-bar, F_delta, F_0 in one pass (shared subcomputations)."""
-    gamma = compute_gamma(h)
-    gamma_bar = compute_gamma_bar(h)
-    f_delta = compute_drinfeld_twist(h, _gamma=gamma, _gamma_bar=gamma_bar)
-    f_zero = compute_second_drinfeld(h, _f_delta=f_delta)
-    return DrinfeldData(gamma, gamma_bar, f_delta, f_zero)
+@_memoized
+def compute_drinfeld_data(h: QuasiBialgebra) -> DrinfeldData:
+    """gamma, gamma-bar, F_delta, F_0 of one bundle, each computed once."""
+    return DrinfeldData(compute_gamma(h), compute_gamma_bar(h), compute_drinfeld_twist(h),
+                        compute_second_drinfeld(h))

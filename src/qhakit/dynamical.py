@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import (ArityMismatch, ConsistencyError, DomainError,
                      StructureError, TwistError)
 from .report import Report
-from .structures import QuasiTriangularQHA
+from .structures import QuasiBialgebra, _mapped_structure
 from .tensor import LinearMap, TensorElement
 from .twists import (Twist, twisted_coassociator, twisted_coassociator_inv)
 
@@ -129,12 +129,6 @@ def shifted_insert(dyn: DynamicalTwist, lam, leg: int, arity: int = 3) -> Tensor
     return _insert_shifted(dyn.shift, lam, leg, arity, dyn.f)
 
 
-def shifted_insert_inv(dyn: DynamicalTwist, lam, leg: int, arity: int = 3) -> TensorElement:
-    """The blockwise inverse F(lambda + h^(leg))^{-1}."""
-    lam = Fraction(lam)
-    return _insert_shifted(dyn.shift, lam, leg, arity, dyn.f_inv)
-
-
 def shifted_cocycle_sides(dyn: DynamicalTwist, q, lam):
     lam = Fraction(lam)
     f = dyn.f(lam)
@@ -162,23 +156,22 @@ def dynamical_coassociator(dyn: DynamicalTwist, h, lam) -> TensorElement:
     holds precisely when the family satisfies the shifted condition there.
     """
     lam = Fraction(lam)
-    q = h.qba()
     f, f_inv = dyn.f(lam), dyn.f_inv(lam)
-    direct = twisted_coassociator(q, f, f_inv)
-    closed = (q.phi * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f)
+    direct = twisted_coassociator(h, f, f_inv)
+    closed = (h.phi * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f)
               * f_inv.embed((2, 3), 3))
     if direct != closed:
         raise ConsistencyError(
             f"coassociator routes disagree at {lam} (shifted condition fails there?)")
-    direct_inv = twisted_coassociator_inv(q, f, f_inv)
+    direct_inv = twisted_coassociator_inv(h, f, f_inv)
     closed_inv = (f.embed((2, 3), 3)
-                  * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f_inv) * q.phi_inv)
+                  * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f_inv) * h.phi_inv)
     if direct_inv != closed_inv:
         raise ConsistencyError(f"inverse coassociator routes disagree at {lam}")
     return closed
 
 
-def _dynamical_pieces(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam):
+def _dynamical_pieces(dyn: DynamicalTwist, t: QuasiBialgebra, lam):
     lam = Fraction(lam)
     tw = dyn.twist(lam)
 
@@ -196,7 +189,7 @@ def _dynamical_pieces(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam):
     return r_at, r_lam, delta_lam, phi_lam, phi_lam_inv
 
 
-def check_dynamical_coproduct(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam) -> Report:
+def check_dynamical_coproduct(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> Report:
     """The four coproduct identities of the dynamical R-matrix at one grid point."""
     lam = Fraction(lam)
     rep = Report("dynamical-coproduct")
@@ -232,7 +225,7 @@ def check_dynamical_coproduct(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam) -
     return rep
 
 
-def qdqybe_sides(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam):
+def qdqybe_sides(dyn: DynamicalTwist, t: QuasiBialgebra, lam):
     lam = Fraction(lam)
     r_at, r_lam, _, _, _ = _dynamical_pieces(dyn, t, lam)
     phi, phi_inv = t.phi, t.phi_inv
@@ -250,13 +243,13 @@ def qdqybe_sides(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam):
     return lhs, rhs
 
 
-def check_qdqybe(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam) -> bool:
+def check_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> bool:
     """The quasi-dynamical QYBE at one grid point, exactly."""
     lhs, rhs = qdqybe_sides(dyn, t, lam)
     return lhs == rhs
 
 
-def check_classical_dqybe(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam) -> bool:
+def check_classical_dqybe(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> bool:
     """The plain dynamical QYBE (no coassociators), for trivial-coassociator reductions."""
     lam = Fraction(lam)
     r_at, r_lam, _, _, _ = _dynamical_pieces(dyn, t, lam)
@@ -271,7 +264,7 @@ def check_classical_dqybe(dyn: DynamicalTwist, t: QuasiTriangularQHA, lam) -> bo
 _OPPOSITE_VARIANTS = ("primed", "zero", "transpose")
 
 
-def check_opposite_qdqybe(dyn: DynamicalTwist, t: QuasiTriangularQHA,
+def check_opposite_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra,
                           variant: str, lam) -> bool:
     """The opposite quasi-dynamical QYBE for the primed, zero, or transposed family.
 
@@ -284,23 +277,17 @@ def check_opposite_qdqybe(dyn: DynamicalTwist, t: QuasiTriangularQHA,
     lam = Fraction(lam)
     r_at, _, _, _, _ = _dynamical_pieces(dyn, t, lam)
 
-    if variant == "primed":
-        mapper = t.s
-        phi_t = mapper.map_tensor(t.phi.perm((3, 2, 1)))
-        phi_t_inv = mapper.map_tensor(t.phi_inv.perm((3, 2, 1)))
-        table = lambda mu: mapper.map_tensor(r_at(mu))
-        shift = dyn.shift.mapped(mapper)
-    elif variant == "zero":
-        mapper = t.s_inv
-        phi_t = mapper.map_tensor(t.phi.perm((3, 2, 1)))
-        phi_t_inv = mapper.map_tensor(t.phi_inv.perm((3, 2, 1)))
-        table = lambda mu: mapper.map_tensor(r_at(mu))
-        shift = dyn.shift.mapped(mapper)
-    else:
+    if variant == "transpose":
         phi_t = t.phi_inv.perm((3, 2, 1))
         phi_t_inv = t.phi.perm((3, 2, 1))
         table = lambda mu: r_at(mu).transpose()
         shift = dyn.shift
+    else:
+        mapper = t.s if variant == "primed" else t.s_inv
+        mapped = _mapped_structure(t, mapper, verify=False)
+        phi_t, phi_t_inv = mapped.phi, mapped.phi_inv
+        table = lambda mu: mapper.map_tensor(r_at(mu))
+        shift = dyn.shift.mapped(mapper)
 
     rt_lam = table(lam)
     rt23_h1 = _insert_shifted(shift, lam, 1, 3, table)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .antipode import AntipodePair, compute_v
 from .errors import ConsistencyError, QhaError
 from .report import Report
-from .structures import (QuasiAntipode, QuasiTriangularQHA, opposite_structure,
+from .structures import (QuasiAntipode, QuasiBialgebra, _memoized, opposite_structure,
                          primed_structure)
 from .tensor import TensorElement, contract_element, tensor_of
 from .twists import Twist, is_compatible, twist_structure
@@ -35,12 +35,12 @@ class UOperators:
     u_tilde_inv: object
 
 
-def r_tilde(t: QuasiTriangularQHA) -> tuple[TensorElement, TensorElement]:
+def r_tilde(t: QuasiBialgebra) -> tuple[TensorElement, TensorElement]:
     """(R^T)^{-1} and its inverse R^T; itself an R-matrix for the same structure."""
     return t.r_inv.transpose(), t.r.transpose()
 
 
-def canonical_r_elements(t: QuasiTriangularQHA, which: str = "r", check=True):
+def canonical_r_elements(t: QuasiBialgebra, which: str = "r", check=True):
     """(alpha_R, beta_R) for R or for (R^T)^{-1}.
 
     With ``check`` on, asserts that twisting by the chosen R-matrix lands
@@ -59,7 +59,7 @@ def canonical_r_elements(t: QuasiTriangularQHA, which: str = "r", check=True):
     beta_r = contract_element(r, [(1, None), t.beta, (2, s)])
     if check:
         twist = Twist(r, t.counit, r_inv, check=False)
-        twisted = twist_structure(t.qha, twist, verify=True)
+        twisted = twist_structure(t.with_r(None), twist, verify=True)
         if twisted.coproduct != t.coproduct_t:
             raise ConsistencyError("twisting by the R-matrix does not reverse the coproduct")
         if twisted.phi != t.phi_inv.perm((3, 2, 1)):
@@ -70,7 +70,14 @@ def canonical_r_elements(t: QuasiTriangularQHA, which: str = "r", check=True):
     return alpha_r, beta_r
 
 
-def compute_u(t: QuasiTriangularQHA, check=True) -> UOperators:
+@_memoized
+def _s_squared(h):
+    """S o S, materialized on the basis."""
+    return h.s.compose(h.s)
+
+
+@_memoized
+def compute_u(t: QuasiBialgebra, check=True) -> UOperators:
     """u, u^{-1}, u~, u~^{-1} with the full relation battery asserted.
 
     Each of the four elements is evaluated from both of its closed forms;
@@ -83,7 +90,7 @@ def compute_u(t: QuasiTriangularQHA, check=True) -> UOperators:
     phi, phi_inv = t.phi, t.phi_inv
     alpha_r, beta_r = canonical_r_elements(t, "r", check=check)
     alpha_rt, beta_rt = canonical_r_elements(t, "r_tilde", check=check)
-    s2 = s.compose(s)
+    s2 = _s_squared(t)
 
     def u_forms(a_r, b_r):
         u = contract_element(phi, [(3, s2), s(t.beta), (2, s), a_r, (1, None)])
@@ -128,7 +135,7 @@ def compute_u(t: QuasiTriangularQHA, check=True) -> UOperators:
     return ops
 
 
-def check_u_universality(t: QuasiTriangularQHA, f: Twist) -> bool:
+def check_u_universality(t: QuasiBialgebra, f: Twist) -> bool:
     """u and u~ recomputed on the twisted structure equal the originals."""
     base = compute_u(t, check=False)
     twisted = compute_u(twist_structure(t, f, verify=False), check=False)
@@ -137,14 +144,14 @@ def check_u_universality(t: QuasiTriangularQHA, f: Twist) -> bool:
             and base.u_tilde_inv == twisted.u_tilde_inv)
 
 
-def check_ssr_identity(t: QuasiTriangularQHA, _drinfeld=None) -> Report:
+def check_ssr_identity(t: QuasiBialgebra) -> Report:
     """(S (x) S)R against the Drinfeld twist conjugate, plus the gamma intertwiners.
 
     Also verifies that the primed structure is quasi-triangular with
     (S (x) S)R as its R-matrix.
     """
     rep = Report("ssr")
-    data = _drinfeld if _drinfeld is not None else compute_drinfeld_data(t.qha)
+    data = compute_drinfeld_data(t)
     ssr = t.s.map_tensor(t.r)
     rep.add_equal("E16", ssr, data.f_delta.f.transpose() * t.r * data.f_delta.f_inv)
     rep.add_equal("E16.gamma", ssr * data.gamma, data.gamma.transpose() * t.r)
@@ -159,15 +166,14 @@ def check_ssr_identity(t: QuasiTriangularQHA, _drinfeld=None) -> Report:
     return rep
 
 
-def altschuler_coste_operator(t: QuasiTriangularQHA, _drinfeld=None,
-                              _u=None) -> TensorElement:
+def altschuler_coste_operator(t: QuasiBialgebra) -> TensorElement:
     """A = Delta(u^{-1}) F_delta^{-1} (u (x) u) F_0, both orderings asserted equal.
 
     A commutes with the coproduct and its counit-normalized form is a
     compatible twist; both are asserted.
     """
-    data = _drinfeld if _drinfeld is not None else compute_drinfeld_data(t.qha)
-    ops = _u if _u is not None else compute_u(t, check=False)
+    data = compute_drinfeld_data(t)
+    ops = compute_u(t, check=False)
     u, u_inv = ops.u, ops.u_inv
     core = data.f_delta.f_inv * tensor_of(u, u) * data.f_zero.f
     a = t.delta(u_inv) * core
@@ -186,12 +192,12 @@ def altschuler_coste_operator(t: QuasiTriangularQHA, _drinfeld=None,
     if eps_a != unit1.scale(eps_u) or t.counit.on_leg(a, 2) != unit1.scale(eps_u):
         raise ConsistencyError("operator counit is not the expected scalar")
     normalized = Twist(a.scale(alg.field.inv(eps_u)), t.counit)
-    if not is_compatible(normalized, t.qba()):
+    if not is_compatible(normalized, t):
         raise ConsistencyError("normalized operator is not a compatible twist")
     return a
 
 
-def opposite_by_r_vs_cop(t: QuasiTriangularQHA, _u=None) -> Report:
+def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
     """u re-derived as the antipode-connecting operator on the opposite structure.
 
     The opposite structure carries the native quasi-antipode
@@ -200,9 +206,9 @@ def opposite_by_r_vs_cop(t: QuasiTriangularQHA, _u=None) -> Report:
     exactly u.
     """
     rep = Report("u-origin")
-    ops = _u if _u is not None else compute_u(t, check=False)
+    ops = compute_u(t, check=False)
     alpha_r, beta_r = canonical_r_elements(t, "r", check=False)
-    h_op = opposite_structure(t.qha)
+    h_op = opposite_structure(t.with_r(None))
     alt = QuasiAntipode(t.s, alpha_r, beta_r, s_inv=t.s_inv)
     pair = AntipodePair(h_op, alt)
     v = compute_v(pair)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .tensor import TensorElement, first_difference
+
 
 @dataclass(frozen=True)
 class Check:
@@ -78,13 +80,9 @@ class Report:
 
 
 def _diff_witness(left, right):
-    try:
-        from .tensor import TensorElement, first_difference
-        if isinstance(left, TensorElement) and isinstance(right, TensorElement):
-            diff = first_difference(left, right)
-            if diff:
-                key, va, vb = diff
-                return f"at {key}: {va} != {vb}"
-    except Exception:
-        pass
+    if isinstance(left, TensorElement) and isinstance(right, TensorElement):
+        diff = first_difference(left, right)
+        if diff:
+            key, va, vb = diff
+            return f"at {key}: {va} != {vb}"
     return f"{left!r} != {right!r}"

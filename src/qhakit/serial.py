@@ -26,8 +26,7 @@ from fractions import Fraction
 from .catalog import CatalogEntry
 from .errors import SchemaError
 from .scalars import RATIONAL, Field, cyclotomic_field
-from .structures import (QuasiAntipode, QuasiBialgebra, QuasiHopf,
-                         QuasiTriangularQHA)
+from .structures import QuasiAntipode, QuasiBialgebra
 from .dynamical import DynamicalTwist, ShiftSystem
 from .tensor import Algebra, LinearMap, TensorElement
 from .twists import Twist
@@ -62,12 +61,7 @@ def _enc_matrix(field, m: LinearMap):
 def structure_to_dict(obj, name=None, dynamical=None) -> dict:
     if isinstance(obj, CatalogEntry):
         return structure_to_dict(obj.structure, name=obj.name, dynamical=obj.dynamical)
-    r = None
-    if isinstance(obj, QuasiTriangularQHA):
-        r = obj.r
-        h = obj.qha
-    else:
-        h = obj
+    h = obj
     alg = h.algebra
     field = alg.field
     doc = {}
@@ -94,8 +88,8 @@ def structure_to_dict(obj, name=None, dynamical=None) -> dict:
     doc["alpha"] = _enc_vector(field, h.alpha.coeffs)
     doc["beta"] = _enc_vector(field, h.beta.coeffs)
     doc["phi"] = _enc_sparse3(field, h.phi)
-    if r is not None:
-        doc["r_matrix"] = _enc_sparse2(field, r)
+    if h.r is not None:
+        doc["r_matrix"] = _enc_sparse2(field, h.r)
     if dynamical is not None:
         doc["dynamical"] = {
             "domain": [str(x) for x in dynamical.domain],
@@ -229,12 +223,11 @@ def parse_structure(text: str) -> CatalogEntry:
 
     # constructors verify; StructureError propagates with its report
     qba = QuasiBialgebra(alg, coproduct, counit, phi)
-    h = QuasiHopf(qba, QuasiAntipode(s, alpha, beta, s_inv=s_inv))
-    structure = h
+    structure = qba.with_antipode(QuasiAntipode(s, alpha, beta, s_inv=s_inv))
     if "r_matrix" in doc:
         r = _dec_sparse(field, alg, _expect(doc, "r_matrix", list, "r_matrix"),
                         2, "r_matrix")
-        structure = QuasiTriangularQHA(h, r)
+        structure = structure.with_r(r)
 
     dynamical = None
     if "dynamical" in doc:

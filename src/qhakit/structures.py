@@ -1,63 +1,72 @@
-"""Quasi-bialgebra / quasi-Hopf / quasi-triangular structure bundles.
+"""The structure bundle: a quasi-bialgebra with an optional quasi-antipode and R-matrix.
 
-Every bundle is verified against its defining identities at construction
-(unless explicitly deferred with ``verify=False``), and the verifiers
-return structured reports that localize a failing identity to a basis
-element or multi-index rather than throwing.
+One class, :class:`QuasiBialgebra`, carries every kind of structure; its
+kind is simply which of ``antipode`` and ``r`` are set.  A bundle is
+verified against its defining identities at construction (unless
+explicitly deferred with ``verify=False``), and the verifiers return
+structured reports that localize a failing identity to a basis element or
+multi-index rather than throwing.
+
+Data derived from one bundle alone (the opposite coproduct, the Drinfeld
+data, the u-operators, ...) is cached in that bundle's own memo by the
+functions decorated with :func:`_memoized`.  Every bundle object starts
+with an empty memo, and no memo is ever copied to another bundle, so a
+check that recomputes a value on a derived or twisted bundle really
+recomputes it.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import itertools
+
 from .errors import SingularError, StructureError
 from .report import Report
-from .tensor import LinearMap, TensorElement, contract_element
+from .tensor import LinearMap, contract_element
 
 __all__ = [
-    "QuasiBialgebra", "QuasiAntipode", "QuasiHopf", "QuasiTriangularQHA",
+    "QuasiBialgebra", "QuasiAntipode",
     "verify_qba", "verify_quasi_antipode", "verify_rmatrix",
     "opposite_structure", "primed_structure", "zero_structure", "check_qqybe",
 ]
 
 
-class QuasiBialgebra:
-    """(H, coproduct, counit, coassociator) with the coassociator inverse cached."""
+def _memoized(fn):
+    """Cache ``fn(h, ...)`` in the memo of the bundle ``h``, keyed by the other arguments.
 
-    def __init__(self, algebra, coproduct, counit, phi, phi_inv=None, verify=True):
-        self.algebra = algebra
-        self.coproduct = coproduct
-        self.counit = counit
-        self.phi = phi
-        if phi_inv is None:
-            try:
-                phi_inv = phi.invert()
-            except SingularError as exc:
-                report = Report("qba")
-                report.add("phi-invertible", False, str(exc))
-                raise StructureError("coassociator is not invertible", report) from exc
-        self.phi_inv = phi_inv
-        self._coproduct_t = None
-        self.verified = False
-        if verify:
-            report = verify_qba(self)
-            if not report.ok:
-                raise StructureError(
-                    f"quasi-bialgebra axioms fail: {', '.join(report.failure_ids())}", report)
-            self.verified = True
+    Only data computed from ``h`` alone belongs here: nothing keyed by a
+    twist and no tensor product of two bundles.
+    """
+    signature = inspect.signature(fn)
 
-    @property
-    def coproduct_t(self) -> LinearMap:
-        if self._coproduct_t is None:
-            self._coproduct_t = self.coproduct.swapped()
-        return self._coproduct_t
+    @functools.wraps(fn)
+    def wrapper(h, *args, **kwargs):
+        key = (fn,)
+        if args or kwargs:
+            bound = signature.bind(h, *args, **kwargs)
+            bound.apply_defaults()
+            key += tuple(bound.arguments.values())[1:]
+        if key not in h._memo:
+            h._memo[key] = fn(h, *args, **kwargs)
+        return h._memo[key]
 
-    def delta(self, x) -> TensorElement:
-        return self.coproduct(x)
+    return wrapper
 
-    def eps(self, x):
-        return self.counit(x)
 
-    def qba(self):
-        return self
+def _inverse(t, report_name: str, check_id: str, message: str):
+    """The inverse of ``t``, or a StructureError whose report names the failed check."""
+    try:
+        return t.invert()
+    except SingularError as exc:
+        report = Report(report_name)
+        report.add(check_id, False, str(exc))
+        raise StructureError(message, report) from exc
+
+
+def _require(report: Report, message: str) -> None:
+    if not report.ok:
+        raise StructureError(f"{message}: {', '.join(report.failure_ids())}", report)
 
 
 class QuasiAntipode:
@@ -81,53 +90,70 @@ class QuasiAntipode:
         return QuasiAntipode(s_new, w * self.alpha, self.beta * w_inv, s_inv=s_new_inv)
 
 
-class QuasiHopf:
-    """A quasi-bialgebra together with a quasi-antipode."""
+class QuasiBialgebra:
+    """(H, coproduct, counit, coassociator), optionally with a quasi-antipode and an R-matrix.
 
-    def __init__(self, qba, antipode, verify=True):
-        self._qba = qba
+    The inverses of the coassociator and of R are cached.  Verification
+    runs in a fixed order: the quasi-bialgebra axioms, the quasi-antipode,
+    invertibility of R, the R-matrix identities.
+    """
+
+    def __init__(self, algebra, coproduct, counit, phi, phi_inv=None, antipode=None,
+                 r=None, r_inv=None, verify=True):
+        self.algebra = algebra
+        self.coproduct = coproduct
+        self.counit = counit
+        self.phi = phi
+        if phi_inv is None:
+            phi_inv = _inverse(phi, "qba", "phi-invertible", "coassociator is not invertible")
+        self.phi_inv = phi_inv
         self.antipode = antipode
-        self.verified = False
+        self._memo = {}
         if verify:
-            report = verify_quasi_antipode(self)
-            if not report.ok:
-                raise StructureError(
-                    f"quasi-antipode axioms fail: {', '.join(report.failure_ids())}", report)
-            self.verified = qba.verified
+            _require(verify_qba(self), "quasi-bialgebra axioms fail")
+            if antipode is not None:
+                _require(verify_quasi_antipode(self), "quasi-antipode axioms fail")
+        if r is not None and r_inv is None:
+            r_inv = _inverse(r, "rmatrix", "R-invertible", "R-matrix is not invertible")
+        self.r, self.r_inv = r, r_inv
+        if verify and r is not None:
+            _require(verify_rmatrix(self), "R-matrix axioms fail")
+        self.verified = verify
 
-    def qba(self):
-        return self._qba
+    def with_antipode(self, antipode, verify=True) -> "QuasiBialgebra":
+        """This quasi-bialgebra with ``antipode`` and no R-matrix.
 
-    # delegate the bialgebra surface
+        Only the antipode is verified; the quasi-bialgebra is taken as it is.
+        """
+        out = QuasiBialgebra(self.algebra, self.coproduct, self.counit, self.phi,
+                             self.phi_inv, antipode, verify=False)
+        if verify:
+            _require(verify_quasi_antipode(out), "quasi-antipode axioms fail")
+        out.verified = self.verified and verify
+        return out
+
+    def with_r(self, r, r_inv=None, verify=True) -> "QuasiBialgebra":
+        """This bundle with R-matrix ``r``, or with none for ``r=None``.
+
+        Only the R-matrix is verified; the rest is taken as it is.
+        """
+        out = QuasiBialgebra(self.algebra, self.coproduct, self.counit, self.phi,
+                             self.phi_inv, self.antipode, r, r_inv, verify=False)
+        if verify and r is not None:
+            _require(verify_rmatrix(out), "R-matrix axioms fail")
+        out.verified = self.verified and verify
+        return out
+
     @property
-    def algebra(self):
-        return self._qba.algebra
-
-    @property
-    def coproduct(self):
-        return self._qba.coproduct
-
-    @property
-    def coproduct_t(self):
-        return self._qba.coproduct_t
-
-    @property
-    def counit(self):
-        return self._qba.counit
-
-    @property
-    def phi(self):
-        return self._qba.phi
-
-    @property
-    def phi_inv(self):
-        return self._qba.phi_inv
+    @_memoized
+    def coproduct_t(self) -> LinearMap:
+        return self.coproduct.swapped()
 
     def delta(self, x):
-        return self._qba.delta(x)
+        return self.coproduct(x)
 
     def eps(self, x):
-        return self._qba.eps(x)
+        return self.counit(x)
 
     @property
     def s(self):
@@ -146,91 +172,30 @@ class QuasiHopf:
         return self.antipode.beta
 
 
-class QuasiTriangularQHA:
-    """A quasi-Hopf algebra with an R-matrix (inverse cached)."""
-
-    def __init__(self, qha, r, r_inv=None, verify=True):
-        self.qha = qha
-        self.r = r
-        if r_inv is None:
-            try:
-                r_inv = r.invert()
-            except SingularError as exc:
-                report = Report("rmatrix")
-                report.add("R-invertible", False, str(exc))
-                raise StructureError("R-matrix is not invertible", report) from exc
-        self.r_inv = r_inv
-        self.verified = False
-        if verify:
-            report = verify_rmatrix(self)
-            if not report.ok:
-                raise StructureError(
-                    f"R-matrix axioms fail: {', '.join(report.failure_ids())}", report)
-            self.verified = qha.verified
-
-    def qba(self):
-        return self.qha.qba()
-
-    @property
-    def algebra(self):
-        return self.qha.algebra
-
-    @property
-    def coproduct(self):
-        return self.qha.coproduct
-
-    @property
-    def coproduct_t(self):
-        return self.qha.coproduct_t
-
-    @property
-    def counit(self):
-        return self.qha.counit
-
-    @property
-    def phi(self):
-        return self.qha.phi
-
-    @property
-    def phi_inv(self):
-        return self.qha.phi_inv
-
-    def delta(self, x):
-        return self.qha.delta(x)
-
-    def eps(self, x):
-        return self.qha.eps(x)
-
-    @property
-    def antipode(self):
-        return self.qha.antipode
-
-    @property
-    def s(self):
-        return self.qha.s
-
-    @property
-    def s_inv(self):
-        return self.qha.s_inv
-
-    @property
-    def alpha(self):
-        return self.qha.alpha
-
-    @property
-    def beta(self):
-        return self.qha.beta
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
+
+def _add_scan(rep: Report, check_id: str, alg, fails, pairs=False) -> None:
+    """Record ``check_id`` as passed unless ``fails`` holds on some basis element.
+
+    With ``pairs`` the cases are the ordered pairs of basis elements.  The
+    first failing case, in basis order, is the witness.
+    """
+    witness = None
+    for idx in itertools.product(range(alg.dim), repeat=2 if pairs else 1):
+        if fails(*(alg.basis_element(i) for i in idx)):
+            names = [alg.basis_names[i] for i in idx]
+            witness = (f"pair ({names[0]}, {names[1]})" if pairs
+                       else f"basis element {names[0]}")
+            break
+    rep.add(check_id, witness is None, witness)
+
 
 def verify_qba(q) -> Report:
     """Check the quasi-bialgebra axioms, each as an exact tensor equality."""
     alg = q.algebra
     rep = Report("qba")
-    unit1 = alg.tensor_unit(1)
     unit2 = alg.tensor_unit(2)
     delta, eps, phi, phi_inv = q.coproduct, q.counit, q.phi, q.phi_inv
 
@@ -239,50 +204,23 @@ def verify_qba(q) -> Report:
     rep.add("eps-unital", eps(alg.unit_element) == one,
             f"eps(1) = {eps(alg.unit_element)}")
 
-    ok, witness = True, None
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ei, ej = alg.basis_element(i), alg.basis_element(j)
-            if delta(ei * ej) != delta(ei) * delta(ej):
-                ok, witness = False, f"pair ({alg.basis_names[i]}, {alg.basis_names[j]})"
-                break
-        if not ok:
-            break
-    rep.add("delta-hom", ok, witness)
+    _add_scan(rep, "delta-hom", alg, lambda a, b: delta(a * b) != delta(a) * delta(b),
+              pairs=True)
+    _add_scan(rep, "eps-hom", alg, lambda a, b: eps(a * b) != eps(a) * eps(b), pairs=True)
 
-    ok, witness = True, None
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ei, ej = alg.basis_element(i), alg.basis_element(j)
-            if eps(ei * ej) != eps(ei) * eps(ej):
-                ok, witness = False, f"pair ({alg.basis_names[i]}, {alg.basis_names[j]})"
-                break
-        if not ok:
-            break
-    rep.add("eps-hom", ok, witness)
-
-    ok, witness = True, None
-    for i in range(alg.dim):
-        d = delta(alg.basis_element(i))
-        if eps.on_leg(d, 1).as_element() != alg.basis_element(i) or \
-           eps.on_leg(d, 2).as_element() != alg.basis_element(i):
-            ok, witness = False, f"basis element {alg.basis_names[i]}"
-            break
-    rep.add("counit", ok, witness)
+    def counit_fails(e):
+        d = delta(e)
+        return eps.on_leg(d, 1).as_element() != e or eps.on_leg(d, 2).as_element() != e
+    _add_scan(rep, "counit", alg, counit_fails)
 
     rep.add("phi-invertible",
             phi * phi_inv == alg.tensor_unit(3) and phi_inv * phi == alg.tensor_unit(3),
             "product with cached inverse is not the unit")
 
-    ok, witness = True, None
-    for i in range(alg.dim):
-        d = delta(alg.basis_element(i))
-        lhs = delta.on_leg(d, 2)
-        rhs = phi_inv * delta.on_leg(d, 1) * phi
-        if lhs != rhs:
-            ok, witness = False, f"basis element {alg.basis_names[i]}"
-            break
-    rep.add("qco", ok, witness)
+    def qco_fails(e):
+        d = delta(e)
+        return delta.on_leg(d, 2) != phi_inv * delta.on_leg(d, 1) * phi
+    _add_scan(rep, "qco", alg, qco_fails)
 
     pent_lhs = delta.on_leg(phi, 1) * delta.on_leg(phi, 3)
     pent_rhs = phi.embed((1, 2, 3), 4) * delta.on_leg(phi, 2) * phi.embed((2, 3, 4), 4)
@@ -295,7 +233,7 @@ def verify_qba(q) -> Report:
     return rep
 
 
-def verify_quasi_antipode(h: QuasiHopf) -> Report:
+def verify_quasi_antipode(h: QuasiBialgebra) -> Report:
     """Check the quasi-antipode triple against its quasi-bialgebra."""
     alg = h.algebra
     rep = Report("antipode")
@@ -304,64 +242,30 @@ def verify_quasi_antipode(h: QuasiHopf) -> Report:
     one = alg.unit_element
 
     rep.add_equal("S-unital", s(one), one)
-    ok, witness = True, None
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ei, ej = alg.basis_element(i), alg.basis_element(j)
-            if s(ei * ej) != s(ej) * s(ei):
-                ok, witness = False, f"pair ({alg.basis_names[i]}, {alg.basis_names[j]})"
-                break
-        if not ok:
-            break
-    rep.add("S-antihom", ok, witness)
-
-    ok, witness = True, None
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        if s_inv(s(e)) != e or s(s_inv(e)) != e:
-            ok, witness = False, f"basis element {alg.basis_names[i]}"
-            break
-    rep.add("S-inverse", ok, witness)
+    _add_scan(rep, "S-antihom", alg, lambda a, b: s(a * b) != s(b) * s(a), pairs=True)
+    _add_scan(rep, "S-inverse", alg, lambda e: s_inv(s(e)) != e or s(s_inv(e)) != e)
 
     zig = contract_element(phi, [(1, s), alpha, (2, None), beta, (3, s)])
     rep.add_equal("Sphi", zig, one)
     zag = contract_element(phi_inv, [(1, None), beta, (2, s), alpha, (3, None)])
     rep.add_equal("Sphi-inv", zag, one)
 
-    ok, witness = True, None
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        d = h.delta(e)
-        left = contract_element(d, [(1, s), alpha, (2, None)])
-        if left != eps(e) * alpha:
-            ok, witness = False, f"basis element {alg.basis_names[i]}"
-            break
-    rep.add("Sab-alpha", ok, witness)
-
-    ok, witness = True, None
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        d = h.delta(e)
-        right = contract_element(d, [(1, None), beta, (2, s)])
-        if right != eps(e) * beta:
-            ok, witness = False, f"basis element {alg.basis_names[i]}"
-            break
-    rep.add("Sab-beta", ok, witness)
+    _add_scan(rep, "Sab-alpha", alg,
+              lambda e: contract_element(h.delta(e), [(1, s), alpha, (2, None)])
+              != eps(e) * alpha)
+    _add_scan(rep, "Sab-beta", alg,
+              lambda e: contract_element(h.delta(e), [(1, None), beta, (2, s)])
+              != eps(e) * beta)
 
     rep.add("eps-alpha-beta", eps(alpha) * eps(beta) == alg.field.one,
             f"eps(alpha)*eps(beta) = {eps(alpha) * eps(beta)}")
 
-    ok, witness = True, None
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        if eps(s(e)) != eps(e) or eps(s_inv(e)) != eps(e):
-            ok, witness = False, f"basis element {alg.basis_names[i]}"
-            break
-    rep.add("eps-S", ok, witness)
+    _add_scan(rep, "eps-S", alg,
+              lambda e: eps(s(e)) != eps(e) or eps(s_inv(e)) != eps(e))
     return rep
 
 
-def verify_rmatrix(t: QuasiTriangularQHA) -> Report:
+def verify_rmatrix(t: QuasiBialgebra) -> Report:
     """Check quasi-triangularity of the R-matrix, plus its twist credentials."""
     alg = t.algebra
     rep = Report("rmatrix")
@@ -373,13 +277,7 @@ def verify_rmatrix(t: QuasiTriangularQHA) -> Report:
     rep.add("R-invertible", r * r_inv == unit2 and r_inv * r == unit2,
             "product with cached inverse is not the unit")
 
-    ok, witness = True, None
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        if t.coproduct_t(e) * r != r * delta(e):
-            ok, witness = False, f"basis element {alg.basis_names[i]}"
-            break
-    rep.add("E14.i", ok, witness)
+    _add_scan(rep, "E14.i", alg, lambda e: t.coproduct_t(e) * r != r * delta(e))
 
     lhs = delta.on_leg(r, 1)
     rhs = (phi_inv.perm((2, 3, 1)) * r.embed((1, 3), 3) * phi.perm((1, 3, 2))
@@ -404,81 +302,59 @@ def verify_rmatrix(t: QuasiTriangularQHA) -> Report:
 def opposite_structure(h, verify=True):
     """The opposite structure: coproduct and coassociator reversed, antipode inverted.
 
-    Quasi-triangular input yields the opposite R-matrix as well.
+    An R-matrix, if present, becomes the opposite R-matrix R^T.
     """
-    if isinstance(h, QuasiTriangularQHA):
-        base = opposite_structure(h.qha, verify=verify)
-        return QuasiTriangularQHA(base, h.r.transpose(), h.r_inv.transpose(), verify=verify)
-    qba = h.qba()
-    qba_op = QuasiBialgebra(
-        qba.algebra, qba.coproduct.swapped(), qba.counit,
-        qba.phi_inv.perm((3, 2, 1)), qba.phi.perm((3, 2, 1)), verify=verify)
+    r, r_inv = (h.r.transpose(), h.r_inv.transpose()) if h.r is not None else (None, None)
     anti = QuasiAntipode(h.s_inv, h.s_inv(h.alpha), h.s_inv(h.beta), s_inv=h.s)
-    return QuasiHopf(qba_op, anti, verify=verify)
+    return QuasiBialgebra(h.algebra, h.coproduct.swapped(), h.counit,
+                          h.phi_inv.perm((3, 2, 1)), h.phi.perm((3, 2, 1)), anti,
+                          r, r_inv, verify=verify)
+
+
+@_memoized
+def _mapped_coproduct(h, primed: bool) -> LinearMap:
+    """a -> (m (x) m) Delta^T(m^{-1}(a)) for m = S (primed) or m = S^{-1}."""
+    m, m_inv = (h.s, h.s_inv) if primed else (h.s_inv, h.s)
+    alg = h.algebra
+    return LinearMap(alg, [m.map_tensor(h.coproduct_t(m_inv(alg.basis_element(i))))
+                           for i in range(alg.dim)])
+
+
+def _mapped_structure(h, m, verify=True) -> QuasiBialgebra:
+    """The structure transported by m = S (the primed one) or m = S^{-1} (the zero one).
+
+    Coproduct a -> (m (x) m) Delta^T(m^{-1}(a)), coassociator m(Phi^{321}),
+    canonical elements (m(beta), m(alpha)), R-matrix (m (x) m)R; the
+    antipode map stays S.
+    """
+    r, r_inv = (m.map_tensor(h.r), m.map_tensor(h.r_inv)) if h.r is not None else (None, None)
+    anti = QuasiAntipode(h.s, m(h.beta), m(h.alpha), s_inv=h.s_inv)
+    return QuasiBialgebra(h.algebra, _mapped_coproduct(h, m is h.s), h.counit,
+                          m.map_tensor(h.phi.perm((3, 2, 1))),
+                          m.map_tensor(h.phi_inv.perm((3, 2, 1))), anti,
+                          r, r_inv, verify=verify)
 
 
 def primed_structure(h, verify=True):
     """The structure carried by the coproduct a -> (S (x) S) Delta^T(S^{-1}(a))."""
-    if isinstance(h, QuasiTriangularQHA):
-        base = primed_structure(h.qha, verify=verify)
-        return QuasiTriangularQHA(base, h.s.map_tensor(h.r), h.s.map_tensor(h.r_inv),
-                                  verify=verify)
-    qba = h.qba()
-    alg = qba.algebra
-    s, s_inv = h.s, h.s_inv
-    cols = [s.map_tensor(qba.coproduct_t(s_inv(alg.basis_element(i))))
-            for i in range(alg.dim)]
-    delta_prime = LinearMap(alg, cols)
-    phi_prime = s.map_tensor(qba.phi.perm((3, 2, 1)))
-    phi_prime_inv = s.map_tensor(qba.phi_inv.perm((3, 2, 1)))
-    qba_p = QuasiBialgebra(alg, delta_prime, qba.counit, phi_prime, phi_prime_inv,
-                           verify=verify)
-    anti = QuasiAntipode(s, s(h.beta), s(h.alpha), s_inv=s_inv)
-    return QuasiHopf(qba_p, anti, verify=verify)
+    return _mapped_structure(h, h.s, verify=verify)
 
 
 def zero_structure(h, verify=True):
     """The mirror of the primed structure built from S^{-1} instead of S."""
-    if isinstance(h, QuasiTriangularQHA):
-        base = zero_structure(h.qha, verify=verify)
-        return QuasiTriangularQHA(base, h.s_inv.map_tensor(h.r), h.s_inv.map_tensor(h.r_inv),
-                                  verify=verify)
-    qba = h.qba()
-    alg = qba.algebra
-    s, s_inv = h.s, h.s_inv
-    cols = [s_inv.map_tensor(qba.coproduct_t(s(alg.basis_element(i))))
-            for i in range(alg.dim)]
-    delta_zero = LinearMap(alg, cols)
-    phi_zero = s_inv.map_tensor(qba.phi.perm((3, 2, 1)))
-    phi_zero_inv = s_inv.map_tensor(qba.phi_inv.perm((3, 2, 1)))
-    qba_z = QuasiBialgebra(alg, delta_zero, qba.counit, phi_zero, phi_zero_inv,
-                           verify=verify)
-    anti = QuasiAntipode(s, s_inv(h.beta), s_inv(h.alpha), s_inv=s_inv)
-    return QuasiHopf(qba_z, anti, verify=verify)
+    return _mapped_structure(h, h.s_inv, verify=verify)
 
 
 def structures_equal(a, b) -> bool:
     """Component-wise equality of two structure bundles of the same kind."""
-    if isinstance(a, QuasiTriangularQHA) != isinstance(b, QuasiTriangularQHA):
+    if (a.antipode is None) != (b.antipode is None) or a.r != b.r:
         return False
-    if isinstance(a, QuasiTriangularQHA):
-        if a.r != b.r:
-            return False
-        a, b = a.qha, b.qha
-    has_antipode = isinstance(a, QuasiHopf)
-    if has_antipode != isinstance(b, QuasiHopf):
+    if not (a.coproduct == b.coproduct and a.counit == b.counit and a.phi == b.phi):
         return False
-    qa, qb = a.qba(), b.qba()
-    if not (qa.coproduct == qb.coproduct and qa.counit == qb.counit
-            and qa.phi == qb.phi):
-        return False
-    if has_antipode:
-        if not (a.s == b.s and a.alpha == b.alpha and a.beta == b.beta):
-            return False
-    return True
+    return a.antipode is None or (a.s == b.s and a.alpha == b.alpha and a.beta == b.beta)
 
 
-def qqybe_sides(t: QuasiTriangularQHA):
+def qqybe_sides(t: QuasiBialgebra):
     """Both arity-3 products whose equality is the quasi-QYBE."""
     r, phi, phi_inv = t.r, t.phi, t.phi_inv
     r12 = r.embed((1, 2), 3)
@@ -490,7 +366,7 @@ def qqybe_sides(t: QuasiTriangularQHA):
     return lhs, rhs
 
 
-def check_qqybe(t: QuasiTriangularQHA) -> bool:
+def check_qqybe(t: QuasiBialgebra) -> bool:
     """Exact check of the quasi-QYBE."""
     lhs, rhs = qqybe_sides(t)
     return lhs == rhs

@@ -27,10 +27,9 @@ from .qtriangular import (altschuler_coste_operator, canonical_r_elements,
                           opposite_by_r_vs_cop, r_tilde)
 from .randgen import random_invertible_element, random_twist
 from .report import Report
-from .structures import (QuasiTriangularQHA, check_qqybe, opposite_structure,
-                         primed_structure, qqybe_sides, structures_equal,
-                         verify_qba, verify_quasi_antipode, verify_rmatrix,
-                         zero_structure)
+from .structures import (check_qqybe, opposite_structure, primed_structure,
+                         qqybe_sides, structures_equal, verify_qba,
+                         verify_quasi_antipode, verify_rmatrix, zero_structure)
 from .twists import (Twist, central_to_compatible, compatible_to_central,
                      compose_twists, is_compatible, is_quasi_cocycle,
                      quadratic_invariants, quasi_cocycle_sides, twist_structure,
@@ -45,11 +44,6 @@ def _rng(seed, suite, name):
     return random.Random(f"{seed}:{suite}:{name}")
 
 
-def _hopf(entry):
-    s = entry.structure
-    return s.qha if isinstance(s, QuasiTriangularQHA) else s
-
-
 def _guard(rep: Report, check_id: str, fn):
     """Run an asserting operation; record pass/fail with the failure message."""
     try:
@@ -62,10 +56,9 @@ def _guard(rep: Report, check_id: str, fn):
 def suite_axioms(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("axioms")
     s = entry.structure
-    h = _hopf(entry)
-    rep.extend(verify_qba(h.qba()), prefix="qba")
-    rep.extend(verify_quasi_antipode(h), prefix="antipode")
-    if isinstance(s, QuasiTriangularQHA):
+    rep.extend(verify_qba(s), prefix="qba")
+    rep.extend(verify_quasi_antipode(s), prefix="antipode")
+    if s.r is not None:
         rep.extend(verify_rmatrix(s), prefix="rmatrix")
     _guard(rep, "P1", lambda: opposite_structure(s))
     _guard(rep, "P2", lambda: primed_structure(s))
@@ -79,17 +72,16 @@ def suite_axioms(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
 def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("twist")
     s = entry.structure
-    h = _hopf(entry)
-    q = h.qba()
+    h = s.with_r(None)  # the antipode checks twist no R-matrix
     rng = _rng(seed, "twist", entry.name)
 
-    identity = Twist.identity(q)
-    rep.add("E23.identity", is_quasi_cocycle(identity, q),
+    identity = Twist.identity(s)
+    rep.add("E23.identity", is_quasi_cocycle(identity, s),
             "identity twist fails the quasi-cocycle condition")
 
     for k in range(trials):
-        f = random_twist(rng, q)
-        g = random_twist(rng, q)
+        f = random_twist(rng, s)
+        g = random_twist(rng, s)
         w = random_invertible_element(rng, h.algebra)
 
         _guard(rep, f"E6.verify@{k}", lambda: twist_structure(s, f))
@@ -103,7 +95,7 @@ def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
                 structures_equal(twist_structure(ts, f.inverse(), verify=False), s),
                 "twisting then untwisting does not return the original")
         rep.add(f"E23.equiv@{k}",
-                is_quasi_cocycle(f, q) == (twisted_coassociator(q, f.f, f.f_inv) == q.phi),
+                is_quasi_cocycle(f, s) == (twisted_coassociator(s, f.f, f.f_inv) == s.phi),
                 "quasi-cocycle check disagrees with coassociator invariance")
 
         _guard(rep, f"T1.roundtrip@{k}", lambda: antipode_from_v(h, w))
@@ -114,14 +106,14 @@ def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
 
         # compatible twists: P7 in both directions, P8 recovery
         z = h.algebra.scalar_element(rng.choice([2, 3, Fraction(1, 2)]))
-        c = central_to_compatible(z, q)
-        rep.add(f"L4@{k}", is_compatible(c, q), "central construction is not compatible")
+        c = central_to_compatible(z, s)
+        rep.add(f"L4@{k}", is_compatible(c, s), "central construction is not compatible")
         g_fc = compose_twists(f, c)
         rep.add(f"P7.fwd@{k}",
                 structures_equal(twist_structure(s, g_fc, verify=False), ts),
                 "twisting by F and by FC differ")
         residual = compose_twists(f.inverse(), g_fc)
-        rep.add(f"P7.rev@{k}", is_compatible(residual, q),
+        rep.add(f"P7.rev@{k}", is_compatible(residual, s),
                 "F^{-1}G of structure-equal twists is not compatible")
         _guard(rep, f"P8@{k}", lambda: compatible_to_central(c, h))
     return rep
@@ -129,37 +121,28 @@ def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
 
 def suite_drinfeld(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("drinfeld")
-    h = _hopf(entry)
+    h = entry.structure.with_r(None)  # the opposite and twisted bundles need no R-matrix
     rng = _rng(seed, "drinfeld", entry.name)
 
-    data = None
-
-    def compute_all():
-        nonlocal data
-        data = compute_drinfeld_data(h)
-
-    _guard(rep, "E9+E10+E11+P2+P3", compute_all)
-    if data is None:
+    _guard(rep, "E9+E10+E11+P2+P3", lambda: compute_drinfeld_data(h))
+    if not rep.ok:
         return rep
-    _guard(rep, "P4", lambda: opposite_drinfeld(h, _f_delta=data.f_delta))
+    _guard(rep, "P4", lambda: opposite_drinfeld(h))
     for k in range(trials):
-        g = random_twist(rng, h.qba())
+        g = random_twist(rng, h)
         tw = twist_structure(h, g, verify=False)
-        _guard(rep, f"P9@{k}",
-               lambda: gamma_bar_under_twist(h, g, _gamma_bar=data.gamma_bar, _twisted=tw))
-        _guard(rep, f"T4@{k}",
-               lambda: drinfeld_under_twist(h, g, _f_delta=data.f_delta, _twisted=tw))
+        _guard(rep, f"P9@{k}", lambda: gamma_bar_under_twist(h, g, tw))
+        _guard(rep, f"T4@{k}", lambda: drinfeld_under_twist(h, g, tw))
     return rep
 
 
 def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("qtriangular")
     s = entry.structure
-    if not isinstance(s, QuasiTriangularQHA):
+    if s.r is None:
         rep.add("skip", True, None)
         return rep
     rng = _rng(seed, "qtriangular", entry.name)
-    q = s.qba()
 
     ops = None
 
@@ -174,16 +157,14 @@ def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Rep
     rep.add("u-central-product", (ops.u * s.s(ops.u)).is_central(),
             "u S(u) is not central")
 
-    data = compute_drinfeld_data(s.qha)
-    rep.extend(check_ssr_identity(s, _drinfeld=data))
-    _guard(rep, "E24AC", lambda: altschuler_coste_operator(s, _drinfeld=data, _u=ops))
-    rep.extend(opposite_by_r_vs_cop(s, _u=ops))
+    data = compute_drinfeld_data(s)
+    rep.extend(check_ssr_identity(s))
+    _guard(rep, "E24AC", lambda: altschuler_coste_operator(s))
+    rep.extend(opposite_by_r_vs_cop(s))
 
     rt, rt_inv = r_tilde(s)
-    _guard(rep, "Rtilde-E14", lambda: QuasiTriangularQHA(s.qha, rt, rt_inv))
-    _guard(rep, "P1'-E14",
-           lambda: QuasiTriangularQHA(opposite_structure(s.qha),
-                                      s.r.transpose(), s.r_inv.transpose()))
+    _guard(rep, "Rtilde-E14", lambda: s.with_r(rt, rt_inv))
+    _guard(rep, "P1'-E14", lambda: opposite_structure(s))
 
     combos = {
         "QinvR": rt_inv * s.r,
@@ -193,7 +174,7 @@ def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Rep
         "RtR": s.r.transpose() * s.r,
     }
     for label, f_c in combos.items():
-        rep.add(f"compat.{label}", is_compatible(Twist(f_c, s.counit), q),
+        rep.add(f"compat.{label}", is_compatible(Twist(f_c, s.counit), s),
                 f"{label} is not a compatible twist")
 
     for m in (0, 1, 2):
@@ -206,13 +187,13 @@ def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Rep
 
     rep.add("E42", check_qqybe(s), "quasi-QYBE fails")
     r_as_twist = Twist(s.r, s.counit, s.r_inv, check=False)
-    fdr = drinfeld_under_twist(s.qha, r_as_twist, _f_delta=data.f_delta,
-                               _twisted=twist_structure(s.qha, r_as_twist, verify=False))
+    fdr = drinfeld_under_twist(s, r_as_twist,
+                               twist_structure(s.with_r(None), r_as_twist, verify=False))
     rep.add_equal("FdR", fdr.f,
                   data.f_delta.f.transpose() * s.r_inv.transpose() * s.r_inv)
 
     for k in range(trials):
-        f = random_twist(rng, q)
+        f = random_twist(rng, s)
         rep.add(f"uni-u@{k}", check_u_universality(s, f), "u changed under a twist")
     return rep
 
@@ -220,26 +201,24 @@ def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Rep
 def suite_dynamical(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("dynamical")
     s = entry.structure
-    h = _hopf(entry)
-    q = h.qba()
     rng = _rng(seed, "dynamical", entry.name)
 
     # degeneration: a constant zero-weight family reduces the shifted condition
     # to the plain quasi-cocycle condition, term by term (any twist)
-    f = random_twist(rng, q)
-    const = constant_family(q, f)
-    lhs, rhs = shifted_cocycle_sides(const, q, 0)
-    plain_lhs, plain_rhs = quasi_cocycle_sides(f, q)
+    f = random_twist(rng, s)
+    const = constant_family(s, f)
+    lhs, rhs = shifted_cocycle_sides(const, s, 0)
+    plain_lhs, plain_rhs = quasi_cocycle_sides(f, s)
     rep.add("E43-to-E23", (lhs, rhs) == (plain_lhs, plain_rhs),
             "zero-weight shifted condition does not reduce to the plain one")
 
-    if isinstance(s, QuasiTriangularQHA):
+    if s.r is not None:
         # the semantic reduction to the plain quasi-QYBE of the twisted
         # structure needs a twist that fixes the coassociator; R^T R is
         # always such a twist
         f_qc = Twist(s.r.transpose() * s.r, s.counit,
                      s.r_inv * s.r_inv.transpose(), check=False)
-        const_qc = constant_family(q, f_qc)
+        const_qc = constant_family(s, f_qc)
         twisted = twist_structure(s, f_qc, verify=False)
         d_lhs, d_rhs = qdqybe_sides(const_qc, s, 0)
         p_lhs, p_rhs = qqybe_sides(twisted)
@@ -252,10 +231,10 @@ def suite_dynamical(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Repor
 
     dyn = entry.dynamical
     if dyn is not None:
-        rep.extend(check_shifted_quasi_cocycle(dyn, q))
+        rep.extend(check_shifted_quasi_cocycle(dyn, s))
         for lam in dyn.checkable():
-            _guard(rep, f"E45@{lam}", lambda lam=lam: dynamical_coassociator(dyn, h, lam))
-            if isinstance(s, QuasiTriangularQHA):
+            _guard(rep, f"E45@{lam}", lambda lam=lam: dynamical_coassociator(dyn, s, lam))
+            if s.r is not None:
                 rep.extend(check_dynamical_coproduct(dyn, s, lam), prefix=f"{lam}")
                 rep.add(f"E47@{lam}", check_qdqybe(dyn, s, lam),
                         "quasi-dynamical QYBE fails")
@@ -263,7 +242,7 @@ def suite_dynamical(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Repor
                     rep.add(f"op-qdqybe.{variant}@{lam}",
                             check_opposite_qdqybe(dyn, s, variant, lam),
                             f"opposite dynamical QYBE ({variant}) fails")
-    elif isinstance(s, QuasiTriangularQHA):
+    elif s.r is not None:
         # no attached family: exercise the identities on the constant family
         # built on the R^T R twist, which satisfies the zero-shift condition
         rep.extend(check_dynamical_coproduct(const_qc, s, 0), prefix="const")

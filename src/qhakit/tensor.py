@@ -359,14 +359,6 @@ class TensorElement:
                 _acc(out, I + J, u * v)
         return TensorElement(self.algebra, self.arity + other.arity, out, clean=True)
 
-    def pow(self, n) -> "TensorElement":
-        if n < 0:
-            return self.invert().pow(-n)
-        result = self.algebra.tensor_unit(self.arity)
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- leg operations --
 
     def perm(self, sigma) -> "TensorElement":

@@ -9,8 +9,7 @@ the R-matrix by F^T R F^{-1}.
 from __future__ import annotations
 
 from .errors import SingularError, TwistError
-from .structures import (QuasiAntipode, QuasiBialgebra, QuasiHopf,
-                         QuasiTriangularQHA)
+from .structures import QuasiAntipode, QuasiBialgebra
 from .tensor import LinearMap, TensorElement, contract_element, tensor_of
 
 __all__ = [
@@ -69,15 +68,10 @@ class Twist:
     def power(self, m: int) -> "Twist":
         if m < 0:
             return self.inverse().power(-m)
-        out = Twist.identity_like(self)
+        out = Twist.identity(self)
         for _ in range(m):
             out = compose_twists(out, self)
         return out
-
-    @classmethod
-    def identity_like(cls, twist: "Twist") -> "Twist":
-        unit2 = twist.algebra.tensor_unit(2)
-        return cls(unit2, twist.counit, unit2, check=False)
 
     def __eq__(self, other):
         if not isinstance(other, Twist):
@@ -119,25 +113,22 @@ def twist_structure(h, f: Twist, verify=True):
     """Transport a structure bundle along a twist; returns the same kind.
 
     The output keeps the counit and the antipode map; only the coproduct,
-    coassociator, canonical elements, and R-matrix move.
+    coassociator, canonical elements, and R-matrix move.  It is a new
+    bundle with an empty memo.
     """
-    if isinstance(h, QuasiTriangularQHA):
-        base = twist_structure(h.qha, f, verify=verify)
+    alg = h.algebra
+    cols = [f.f * h.coproduct.col(i) * f.f_inv for i in range(alg.dim)]
+    phi_f = twisted_coassociator(h, f.f, f.f_inv)
+    phi_f_inv = twisted_coassociator_inv(h, f.f, f.f_inv)
+    anti = None
+    if h.antipode is not None:
+        anti = QuasiAntipode(h.s, twisted_alpha(h, f), twisted_beta(h, f), s_inv=h.s_inv)
+    r_f = r_f_inv = None
+    if h.r is not None:
         r_f = f.f.transpose() * h.r * f.f_inv
         r_f_inv = f.f * h.r_inv * f.f_inv.transpose()
-        return QuasiTriangularQHA(base, r_f, r_f_inv, verify=verify)
-
-    q = h.qba()
-    alg = q.algebra
-    cols = [f.f * q.coproduct.col(i) * f.f_inv for i in range(alg.dim)]
-    delta_f = LinearMap(alg, cols)
-    phi_f = twisted_coassociator(q, f.f, f.f_inv)
-    phi_f_inv = twisted_coassociator_inv(q, f.f, f.f_inv)
-    qba_f = QuasiBialgebra(alg, delta_f, q.counit, phi_f, phi_f_inv, verify=verify)
-    if isinstance(h, QuasiBialgebra):
-        return qba_f
-    anti = QuasiAntipode(h.s, twisted_alpha(h, f), twisted_beta(h, f), s_inv=h.s_inv)
-    return QuasiHopf(qba_f, anti, verify=verify)
+    return QuasiBialgebra(alg, LinearMap(alg, cols), h.counit, phi_f, phi_f_inv, anti,
+                          r_f, r_f_inv, verify=verify)
 
 
 def quasi_cocycle_sides(f: Twist, q):
@@ -184,8 +175,7 @@ def compatible_to_central(c: Twist, h):
     Both closed forms of z and of z^{-1} are evaluated and compared, and
     every defining relation is asserted; any mismatch raises.
     """
-    q = h.qba()
-    if not is_compatible(c, q):
+    if not is_compatible(c, h):
         raise TwistError("twist is not compatible")
     s = h.s
     alpha_c = twisted_alpha(h, c)
@@ -215,4 +205,4 @@ def quadratic_invariants(t, m: int):
     rtr = t.r.transpose() * t.r
     rtr_inv = t.r_inv * t.r_inv.transpose()
     base = Twist(rtr, t.counit, rtr_inv)
-    return compatible_to_central(base.power(m), t.qha)
+    return compatible_to_central(base.power(m), t)

@@ -1,4 +1,4 @@
-"""Shared fixtures: catalog entries and per-entry cached derived data."""
+"""Shared fixtures: catalog entries, built once so each bundle's memo is shared."""
 
 from __future__ import annotations
 
@@ -6,13 +6,11 @@ import pytest
 
 from qhakit.catalog import builtin
 from qhakit.drinfeld import compute_drinfeld_data
-from qhakit.structures import QuasiTriangularQHA
 
 ENTRY_NAMES = ("trivial", "group_z3", "z2_triangular", "sweedler_h4", "semion")
 QT_NAMES = ("trivial", "z2_triangular", "sweedler_h4", "semion")
 
 _entries = {}
-_drinfeld = {}
 
 
 def entry(name):
@@ -22,14 +20,12 @@ def entry(name):
 
 
 def hopf(name):
-    s = entry(name).structure
-    return s.qha if isinstance(s, QuasiTriangularQHA) else s
+    """The entry's structure bundle; its derived data is cached in its own memo."""
+    return entry(name).structure
 
 
 def drinfeld_data(name):
-    if name not in _drinfeld:
-        _drinfeld[name] = compute_drinfeld_data(hopf(name))
-    return _drinfeld[name]
+    return compute_drinfeld_data(hopf(name))
 
 
 @pytest.fixture(params=ENTRY_NAMES)

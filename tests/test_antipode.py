@@ -8,7 +8,7 @@ import pytest
 from qhakit.antipode import (AntipodePair, antipode_from_v, check_v_universality,
                              compute_v)
 from qhakit.randgen import random_invertible_element, random_twist
-from qhakit.structures import QuasiHopf, verify_quasi_antipode
+from qhakit.structures import verify_quasi_antipode
 
 from conftest import ENTRY_NAMES, entry, hopf
 
@@ -67,7 +67,7 @@ class TestComputeV:
                 break
         else:
             pytest.skip("no conjugation-moving sample drawn")
-        rep = verify_quasi_antipode(QuasiHopf(h.qba(), alt, verify=False))
+        rep = verify_quasi_antipode(h.with_antipode(alt, verify=False))
         assert rep.ok
         assert compute_v(AntipodePair(h, alt)) == w
 
@@ -117,7 +117,7 @@ class TestUniversality:
         from qhakit.twists import Twist
         w = random_invertible_element(random.Random(9), h.algebra)
         pair = AntipodePair(h, h.antipode.conjugated(w))
-        assert check_v_universality(pair, Twist.identity(h.qba()))
+        assert check_v_universality(pair, Twist.identity(h))
 
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_random_twists(self, name):
@@ -125,6 +125,6 @@ class TestUniversality:
         rng = random.Random(f"uni:{name}")
         for _ in range(5):
             w = random_invertible_element(rng, h.algebra)
-            f = random_twist(rng, h.qba())
+            f = random_twist(rng, h)
             pair = AntipodePair(h, h.antipode.conjugated(w))
             assert check_v_universality(pair, f)

@@ -67,14 +67,14 @@ class TestRoundTrip:
         for name in ("sweedler_h4", "semion"):
             s = entry(name).structure
             from qhakit.twists import twist_structure
-            f = random_twist(random.Random(f"rt:{name}"), s.qba())
+            f = random_twist(random.Random(f"rt:{name}"), s)
             ts = twist_structure(s, f)
             back = parse_structure(serialize_structure(ts, name="tw"))
             assert structures_equal(back.structure, ts)
 
     def test_twist_file_roundtrip(self, any_entry):
         s = any_entry.structure
-        f = random_twist(random.Random(f"tw:{any_entry.name}"), s.qba())
+        f = random_twist(random.Random(f"tw:{any_entry.name}"), s)
         text = serialize_twist(s.algebra.field, f)
         back = parse_twist(text, s)
         assert back.f == f.f

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from qhakit.cli import main
 from qhakit.serial import parse_structure, serialize_structure, serialize_twist
 from qhakit.structures import structures_equal
@@ -49,6 +51,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(bad))
         assert code == 2
         assert "pentagon" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_2(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "group_z3", "--suite", "twist", "--trials", trials])
+        assert exc.value.code == 2
+        assert "argument --trials: must be at least 1" in capsys.readouterr().err
 
     def test_unknown_input_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "no_such_entry")
@@ -138,7 +147,7 @@ class TestTwist:
     def test_identity_twist_is_canonical_identity(self, capsys, tmp_path):
         s = entry("semion").structure
         tw_file = tmp_path / "id.json"
-        tw_file.write_text(serialize_twist(s.algebra.field, Twist.identity(s.qba())))
+        tw_file.write_text(serialize_twist(s.algebra.field, Twist.identity(s)))
         out_file = tmp_path / "out.json"
         code, _, _ = run(capsys, "twist", "semion", "--twist", str(tw_file),
                          "--output", str(out_file))
@@ -167,7 +176,7 @@ class TestTwist:
         s = entry("sweedler_h4").structure
         from qhakit.randgen import random_twist
         import random as _random
-        f = random_twist(_random.Random(23), s.qba())
+        f = random_twist(_random.Random(23), s)
         step1 = tmp_path / "step1.json"
         fwd = tmp_path / "f.json"
         bwd = tmp_path / "finv.json"

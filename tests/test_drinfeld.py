@@ -4,11 +4,15 @@ import random
 
 import pytest
 
-from qhakit.drinfeld import (compute_gamma, compute_gamma_bar,
+from qhakit.drinfeld import (compute_drinfeld_data, compute_drinfeld_twist,
+                             compute_gamma, compute_gamma_bar,
                              drinfeld_under_twist, gamma_bar_under_twist,
                              opposite_drinfeld)
+from qhakit.errors import ConsistencyError
 from qhakit.randgen import random_twist
+from qhakit.structures import opposite_structure, primed_structure, zero_structure
 from qhakit.tensor import tensor_of
+from qhakit.twists import Twist, twist_structure
 
 from conftest import ENTRY_NAMES, drinfeld_data, entry, hopf
 
@@ -30,11 +34,10 @@ class TestGamma:
     def test_hopf_collapse_general_alpha(self):
         """Same collapse on a trivial-coassociator structure whose canonical
         elements are nontrivial (conjugated antipode triple on k[Z/2])."""
-        from qhakit.structures import QuasiHopf
         h = hopf("z2_triangular")
         g = h.algebra.basis_element(1)
         alt = h.antipode.conjugated(g)  # alpha~ = beta~ = g
-        h2 = QuasiHopf(h.qba(), alt)
+        h2 = h.with_antipode(alt)
         assert alt.alpha == g
         assert compute_gamma(h2) == tensor_of(g, g)
         assert compute_gamma_bar(h2) == tensor_of(g, g)
@@ -101,7 +104,7 @@ class TestOppositeDrinfeld:
     def test_route_equality(self, name):
         # route (a): recomputation on the opposite structure
         # route (b): legwise inverse antipode, also compared to F_0 transposed
-        f_op = opposite_drinfeld(hopf(name), _f_delta=drinfeld_data(name).f_delta)
+        f_op = opposite_drinfeld(hopf(name))
         assert f_op.f == drinfeld_data(name).f_zero.f.transpose()
 
     def test_self_opposite_hopf(self):
@@ -115,13 +118,13 @@ class TestUnderTwist:
         h = hopf(name)
         rng = random.Random(f"p9:{name}")
         for _ in range(3):
-            g = random_twist(rng, h.qba())
-            gamma_bar_under_twist(h, g, _gamma_bar=drinfeld_data(name).gamma_bar)
+            g = random_twist(rng, h)
+            gamma_bar_under_twist(h, g, twist_structure(h, g))
 
     def test_gamma_bar_identity_twist(self, any_entry):
-        from qhakit.twists import Twist
         h = hopf(any_entry.name)
-        gb = gamma_bar_under_twist(h, Twist.identity(h.qba()))
+        f = Twist.identity(h)
+        gb = gamma_bar_under_twist(h, f, twist_structure(h, f))
         assert gb == drinfeld_data(any_entry.name).gamma_bar
 
     @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -129,12 +132,42 @@ class TestUnderTwist:
         h = hopf(name)
         rng = random.Random(f"t4:{name}")
         for _ in range(3):
-            g = random_twist(rng, h.qba())
-            drinfeld_under_twist(h, g, _f_delta=drinfeld_data(name).f_delta)
+            g = random_twist(rng, h)
+            drinfeld_under_twist(h, g, twist_structure(h, g))
 
     def test_identity_twist_fixes_f_delta(self, any_entry):
-        from qhakit.twists import Twist
         h = hopf(any_entry.name)
         data = drinfeld_data(any_entry.name)
-        out = drinfeld_under_twist(h, Twist.identity(h.qba()), _f_delta=data.f_delta)
+        f = Twist.identity(h)
+        out = drinfeld_under_twist(h, f, twist_structure(h, f))
         assert out.f == data.f_delta.f
+
+
+class TestBundleMemo:
+    """Derived data is cached per bundle object, never across bundles."""
+
+    def test_computed_once(self, any_entry):
+        h = hopf(any_entry.name)
+        assert compute_drinfeld_data(h).f_delta is compute_drinfeld_twist(h)
+
+    @pytest.mark.parametrize("name", ("group_z3", "sweedler_h4", "semion"))
+    def test_recomputation_route_stays_independent(self, name):
+        """A structure twisted by another twist is caught although F_delta of h is cached."""
+        h = hopf(name)
+        compute_drinfeld_data(h)
+        rng = random.Random(f"memo:{name}")
+        g, g2 = random_twist(rng, h), random_twist(rng, h)
+        assert g != g2
+        wrong = twist_structure(h, g2)
+        with pytest.raises(ConsistencyError):
+            drinfeld_under_twist(h, g, wrong)
+        with pytest.raises(ConsistencyError):
+            gamma_bar_under_twist(h, g, wrong)
+
+    @pytest.mark.parametrize("derive", (
+        opposite_structure, primed_structure, zero_structure,
+        lambda h: h.with_r(None), lambda h: twist_structure(h, Twist.identity(h))))
+    def test_derived_bundle_computes_its_own(self, derive):
+        h = hopf("semion")
+        f_delta = compute_drinfeld_twist(h)
+        assert compute_drinfeld_twist(derive(h)) is not f_delta

@@ -101,8 +101,8 @@ class TestShiftedInsert:
     def test_degenerate_shift_is_plain_embedding(self):
         t = entry("semion").structure
         rng = random.Random(1)
-        f = random_twist(rng, t.qba())
-        fam = constant_family(t.qba(), f, domain=[0, 1])
+        f = random_twist(rng, t)
+        fam = constant_family(t, f, domain=[0, 1])
         for leg in (1, 2, 3):
             rest = tuple(p for p in (1, 2, 3) if p != leg)
             assert shifted_insert(fam, 0, leg, 3) == f.f.embed(rest, 3)
@@ -116,7 +116,7 @@ class TestShiftedInsert:
 class TestShiftedCocycle:
     def test_builtin_family_passes(self):
         z2 = entry("z2_triangular")
-        rep = check_shifted_quasi_cocycle(z2.dynamical, z2.structure.qba())
+        rep = check_shifted_quasi_cocycle(z2.dynamical, z2.structure)
         assert rep.ok
         assert len(rep.checks) == 3  # lambda in {0, 1/2, 1}
 
@@ -132,13 +132,13 @@ class TestShiftedCocycle:
 
     def test_nonperiodic_family_fails(self):
         t, dyn, _ = z2_family({0: 2, 1: 3, 2: 5})
-        rep = check_shifted_quasi_cocycle(dyn, t.qba())
+        rep = check_shifted_quasi_cocycle(dyn, t)
         assert not rep.ok
 
     def test_zero_weight_reduction_to_plain_cocycle(self):
         """Term-for-term, the zero-shift condition is the plain one."""
         for name in ("sweedler_h4", "semion"):
-            q = hopf(name).qba()
+            q = hopf(name)
             rng = random.Random(f"red:{name}")
             for _ in range(3):
                 f = random_twist(rng, q)
@@ -148,8 +148,8 @@ class TestShiftedCocycle:
     def test_compatible_constant_family_passes_everywhere(self):
         s = entry("semion").structure
         rtr = Twist(s.r.transpose() * s.r, s.counit)
-        fam = constant_family(s.qba(), rtr, domain=[0, 1])
-        rep = check_shifted_quasi_cocycle(fam, s.qba())
+        fam = constant_family(s, rtr, domain=[0, 1])
+        rep = check_shifted_quasi_cocycle(fam, s)
         assert rep.ok and len(rep.checks) == 2
 
     def test_noncocycle_constant_family_fails_everywhere(self):
@@ -157,8 +157,8 @@ class TestShiftedCocycle:
         alg = h.algebra
         x, gx = alg.basis_element(2), alg.basis_element(3)
         f = Twist(alg.tensor_unit(2) + tensor_of(x, gx), h.counit)
-        fam = constant_family(h.qba(), f, domain=[0, 1])
-        rep = check_shifted_quasi_cocycle(fam, h.qba())
+        fam = constant_family(h, f, domain=[0, 1])
+        rep = check_shifted_quasi_cocycle(fam, h)
         assert all(not c.ok for c in rep.checks)
 
 
@@ -166,7 +166,7 @@ class TestDynamicalCoassociator:
     def test_builtin_family_routes_agree(self):
         z2 = entry("z2_triangular")
         for lam in z2.dynamical.checkable():
-            phi_lam = dynamical_coassociator(z2.dynamical, z2.structure.qha, lam)
+            phi_lam = dynamical_coassociator(z2.dynamical, z2.structure, lam)
             # the solved family is blockwise 1-periodic, so the closed form
             # telescopes back to the static coassociator
             assert phi_lam == z2.structure.phi
@@ -174,15 +174,15 @@ class TestDynamicalCoassociator:
     def test_constant_quasi_cocycle_family_is_static(self):
         s = entry("semion").structure
         rtr = Twist(s.r.transpose() * s.r, s.counit)
-        fam = constant_family(s.qba(), rtr)
-        assert dynamical_coassociator(fam, s.qha, 0) == s.phi
+        fam = constant_family(s, rtr)
+        assert dynamical_coassociator(fam, s, 0) == s.phi
 
     def test_constant_family_matches_plain_twist(self):
         s = entry("sweedler_h4").structure
-        f = random_twist(random.Random(3), s.qba())
-        fam = constant_family(s.qba(), f)
-        assert dynamical_coassociator(fam, s.qha, 0) == twist_structure(
-            s.qha, f, verify=False).phi
+        f = random_twist(random.Random(3), s)
+        fam = constant_family(s, f)
+        assert dynamical_coassociator(fam, s, 0) == twist_structure(
+            s, f, verify=False).phi
 
 
 class TestDynamicalCoproduct:
@@ -194,17 +194,17 @@ class TestDynamicalCoproduct:
 
     def test_trivial_r(self):
         s = entry("trivial").structure
-        f = Twist.identity(s.qba())
-        fam = constant_family(s.qba(), f, domain=[0])
+        f = Twist.identity(s)
+        fam = constant_family(s, f, domain=[0])
         assert check_dynamical_coproduct(fam, s, 0).ok
 
     def test_constant_family_on_quasi_entry(self):
         # every counital twist on the two-dimensional entry is a cocycle,
         # so a random constant family satisfies the zero-shift condition
         s = entry("semion").structure
-        f = random_twist(random.Random(7), s.qba())
-        assert check_shifted_quasi_cocycle(constant_family(s.qba(), f), s.qba()).ok
-        fam = constant_family(s.qba(), f)
+        f = random_twist(random.Random(7), s)
+        assert check_shifted_quasi_cocycle(constant_family(s, f), s).ok
+        fam = constant_family(s, f)
         assert check_dynamical_coproduct(fam, s, 0).ok
 
     def test_noncocycle_constant_family_fails_coproduct_identities(self):
@@ -214,7 +214,7 @@ class TestDynamicalCoproduct:
         alg = h.algebra
         x, gx = alg.basis_element(2), alg.basis_element(3)
         f = Twist(alg.tensor_unit(2) + tensor_of(x, gx), h.counit)
-        fam = constant_family(h.qba(), f, domain=[0, 1])
+        fam = constant_family(h, f, domain=[0, 1])
         assert not check_dynamical_coproduct(fam, s, 0).ok
 
 
@@ -231,14 +231,14 @@ class TestQDQYBE:
         for name in ("z2_triangular", "semion", "sweedler_h4"):
             s = entry(name).structure
             f = Twist(s.r.transpose() * s.r, s.counit)
-            fam = constant_family(s.qba(), f)
+            fam = constant_family(s, f)
             twisted = twist_structure(s, f, verify=False)
             assert qdqybe_sides(fam, s, 0) == qqybe_sides(twisted)
 
     def test_trivial_coassociator_reduction_to_classical(self):
         s = entry("z2_triangular").structure
-        f = random_twist(random.Random(19), s.qba())
-        fam = constant_family(s.qba(), f)
+        f = random_twist(random.Random(19), s)
+        fam = constant_family(s, f)
         assert s.phi == s.algebra.tensor_unit(3)
         assert check_qdqybe(fam, s, 0) == check_classical_dqybe(fam, s, 0) is True
 
@@ -252,7 +252,7 @@ class TestQDQYBE:
         for name in ("sweedler_h4", "semion"):
             s = entry(name).structure
             f = Twist(s.r.transpose() * s.r, s.counit)
-            fam = constant_family(s.qba(), f)
+            fam = constant_family(s, f)
             for variant in ("primed", "zero", "transpose"):
                 assert check_opposite_qdqybe(fam, s, variant, 0), (name, variant)
 
@@ -276,5 +276,5 @@ class TestDomainValidation:
         half = Fraction(1, 2)
         p0, p1 = half * one + half * g, half * one - half * g
         with pytest.raises(StructureError, match="shifted parameters"):
-            DynamicalTwist([Fraction(0)], {Fraction(0): Twist.identity(t.qba())},
+            DynamicalTwist([Fraction(0)], {Fraction(0): Twist.identity(t)},
                            ShiftSystem([p0, p1], [Fraction(0), Fraction(1)]))

@@ -11,8 +11,7 @@ import itertools
 from fractions import Fraction
 
 from qhakit.dynamical import check_shifted_quasi_cocycle
-from qhakit.structures import (QuasiBialgebra, QuasiTriangularQHA, verify_qba,
-                               verify_rmatrix)
+from qhakit.structures import QuasiBialgebra, verify_qba, verify_rmatrix
 from qhakit.tensor import TensorElement, tensor_of
 from qhakit.twists import Twist, is_quasi_cocycle
 
@@ -70,9 +69,8 @@ class TestSemionScalarOracles:
         phi_{abc}, forcing the projector-block coefficient to square to -1.
         """
         s = entry("semion").structure
-        h = s.qha
         alg = s.algebra
-        phi = phi_table(h)
+        phi = phi_table(s)
         p = idempotents(alg)
         r = {}
         for a, b in itertools.product((0, 1), repeat=2):
@@ -97,8 +95,7 @@ class TestSemionScalarOracles:
         # r11 = 1 satisfies neither the scalar relation nor the verifier
         assert Fraction(1) * Fraction(1) != -1
         rep = verify_rmatrix(
-            QuasiTriangularQHA(s.qha, alg.tensor_unit(2), alg.tensor_unit(2),
-                               verify=False))
+            s.with_r(alg.tensor_unit(2), alg.tensor_unit(2), verify=False))
         assert "E14.ii" in rep.failure_ids()
 
 
@@ -140,7 +137,7 @@ class TestZ2FamilyScalarOracle:
                 * alg.field.inv(block.entries[key])
         oracle = self.brute_force_condition(coeffs, dyn.shift.weights, domain)
         assert all(oracle.values())
-        rep = check_shifted_quasi_cocycle(dyn, z2.structure.qba())
+        rep = check_shifted_quasi_cocycle(dyn, z2.structure)
         kernel = {lam: c.ok for lam, c in zip(dyn.checkable(), rep.checks)}
         assert kernel == oracle
 
@@ -158,7 +155,7 @@ class TestZ2FamilyScalarOracle:
                   for lam, c in coeffs.items()}
         dyn = DynamicalTwist(domain, twists, shift)
         oracle = self.brute_force_condition(coeffs, shift.weights, domain)
-        rep = check_shifted_quasi_cocycle(dyn, z2.qba())
+        rep = check_shifted_quasi_cocycle(dyn, z2)
         kernel = {lam: c.ok for lam, c in zip(dyn.checkable(), rep.checks)}
         assert kernel == oracle
         # t(0) = 2 but t(0 + 1) = 3 breaks the condition at 0, while at 1 the
@@ -169,7 +166,7 @@ class TestZ2FamilyScalarOracle:
         """Scalar proof of the two-dimensional rigidity: counitality pins
         three of the four block coefficients, and every remaining table
         satisfies the cocycle identity."""
-        q = hopf("z2_triangular").qba()
+        q = hopf("z2_triangular")
         alg = q.algebra
         p = idempotents(alg)
         for t in (Fraction(2), Fraction(-3), Fraction(1, 5)):

@@ -9,7 +9,7 @@ from qhakit.qtriangular import (altschuler_coste_operator, canonical_r_elements,
                                 check_ssr_identity, check_u_universality,
                                 compute_u, opposite_by_r_vs_cop, r_tilde)
 from qhakit.randgen import random_twist
-from qhakit.structures import QuasiTriangularQHA, opposite_structure
+from qhakit.structures import opposite_structure
 from qhakit.twists import Twist, is_compatible
 
 from conftest import QT_NAMES, drinfeld_data, entry, hopf
@@ -92,20 +92,20 @@ class TestComputeU:
 class TestUniversality:
     def test_identity_twist(self, qt_entry):
         assert check_u_universality(qt_entry.structure,
-                                    Twist.identity(qt_entry.structure.qba()))
+                                    Twist.identity(qt_entry.structure))
 
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_random_twists(self, name):
         s = entry(name).structure
         rng = random.Random(f"uni-u:{name}")
         for _ in range(5):
-            assert check_u_universality(s, random_twist(rng, s.qba()))
+            assert check_u_universality(s, random_twist(rng, s))
 
 
 class TestSSRIdentity:
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_all(self, name):
-        rep = check_ssr_identity(entry(name).structure, _drinfeld=drinfeld_data(name))
+        rep = check_ssr_identity(entry(name).structure)
         assert rep.ok, rep.failure_ids()
 
 
@@ -124,8 +124,7 @@ class TestAltschulerCoste:
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_compatibility(self, name):
         # compatibility of the normalized operator is asserted internally
-        altschuler_coste_operator(entry(name).structure,
-                                  _drinfeld=drinfeld_data(name))
+        altschuler_coste_operator(entry(name).structure)
 
 
 class TestUOrigin:
@@ -140,7 +139,7 @@ class TestRTilde:
     def test_r_tilde_is_rmatrix(self, name):
         s = entry(name).structure
         rt, rt_inv = r_tilde(s)
-        assert QuasiTriangularQHA(s.qha, rt, rt_inv).verified
+        assert s.with_r(rt, rt_inv).verified
 
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_opposite_r_matrix(self, name):
@@ -150,7 +149,7 @@ class TestRTilde:
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_compatible_combinations(self, name):
         s = entry(name).structure
-        q = s.qba()
+        q = s
         rt, rt_inv = r_tilde(s)
         for label, f in {
             "QinvR": rt_inv * s.r,
@@ -170,18 +169,18 @@ class TestRibbonFormObservation:
     def test_hopf_entries_have_trivial_a(self):
         for name in ("trivial", "z2_triangular", "sweedler_h4"):
             s = entry(name).structure
-            a = altschuler_coste_operator(s, _drinfeld=drinfeld_data(name))
+            a = altschuler_coste_operator(s)
             assert a == s.algebra.tensor_unit(2)  # v = 1 realizes the form
 
     def test_semion_a_generated_by_u(self):
         from qhakit.twists import central_to_compatible
         s = entry("semion").structure
         alg = s.algebra
-        a = altschuler_coste_operator(s, _drinfeld=drinfeld_data("semion"))
+        a = altschuler_coste_operator(s)
         eps_u = s.counit.on_leg(a, 1).entries[(0,)]
         normalized = a.scale(alg.field.inv(eps_u))
         u = compute_u(s, check=False).u  # central here (commutative algebra)
-        assert central_to_compatible(u, s.qba()).f == normalized
+        assert central_to_compatible(u, s).f == normalized
 
 
 class TestFdeltaUnderR:
@@ -193,8 +192,7 @@ class TestFdeltaUnderR:
         s = entry(name).structure
         data = drinfeld_data(name)
         r_twist = Twist(s.r, s.counit, s.r_inv, check=False)
-        out = drinfeld_under_twist(s.qha, r_twist, _f_delta=data.f_delta,
-                                   _twisted=twist_structure(s.qha, r_twist,
-                                                            verify=False))
+        out = drinfeld_under_twist(s, r_twist, twist_structure(s.with_r(None), r_twist,
+                                                               verify=False))
         rrt_inv = s.r_inv.transpose() * s.r_inv
         assert out.f == data.f_delta.f.transpose() * rrt_inv

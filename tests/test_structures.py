@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qhakit.errors import StructureError
-from qhakit.structures import (QuasiAntipode, QuasiBialgebra, QuasiHopf,
-                               QuasiTriangularQHA, check_qqybe,
+from qhakit.structures import (QuasiAntipode, QuasiBialgebra, check_qqybe,
                                opposite_structure, primed_structure,
                                structures_equal, verify_qba,
                                verify_quasi_antipode, verify_rmatrix,
@@ -19,9 +18,8 @@ from conftest import ENTRY_NAMES, entry, hopf
 class TestVerifiers:
     def test_all_entries_pass(self, any_entry):
         s = any_entry.structure
-        h = s.qha if isinstance(s, QuasiTriangularQHA) else s
-        assert verify_qba(h.qba()).ok
-        assert verify_quasi_antipode(h).ok
+        assert verify_qba(s).ok
+        assert verify_quasi_antipode(s).ok
 
     def test_rmatrix_entries_pass(self, qt_entry):
         assert verify_rmatrix(qt_entry.structure).ok
@@ -41,7 +39,7 @@ class TestNegativeControls:
         alg = h.algebra
         p = Fraction(1, 2) * alg.unit_element - Fraction(1, 2) * alg.basis_element(1)
         bad = QuasiAntipode(h.s, p, h.beta, s_inv=h.s_inv)
-        rep = verify_quasi_antipode(QuasiHopf(h.qba(), bad, verify=False))
+        rep = verify_quasi_antipode(h.with_antipode(bad, verify=False))
         assert not rep.ok
         failed = set(rep.failure_ids())
         assert "Sab-alpha" in failed or "Sphi" in failed
@@ -68,7 +66,7 @@ class TestNegativeControls:
         alg = s.algebra
         p = Fraction(1, 2) * alg.unit_element - Fraction(1, 2) * alg.basis_element(1)
         bad_r = alg.tensor_unit(2)  # the zeta-1 coefficient replaced by 0
-        rep = verify_rmatrix(QuasiTriangularQHA(s.qha, bad_r, bad_r, verify=False))
+        rep = verify_rmatrix(s.with_r(bad_r, bad_r, verify=False))
         assert not rep.ok
         assert "E14.ii" in rep.failure_ids()
 
@@ -90,8 +88,9 @@ class TestDerivedStructures:
 
     def test_hopf_z2_self_opposite(self):
         s = entry("z2_triangular").structure
-        op = opposite_structure(s.qha)
-        assert structures_equal(op, s.qha)
+        h = s.with_r(None)
+        op = opposite_structure(h)
+        assert structures_equal(op, h)
 
     def test_semion_opposite_components(self):
         h = hopf("semion")

@@ -41,13 +41,13 @@ class TestTwistValidation:
 class TestTwistStructure:
     def test_identity_twist_fixes_everything(self, any_entry):
         s = any_entry.structure
-        ts = twist_structure(s, Twist.identity(s.qba()))
+        ts = twist_structure(s, Twist.identity(s))
         assert structures_equal(ts, s)
 
     def test_untwist_roundtrip(self, any_entry):
         s = any_entry.structure
         rng = random.Random(21)
-        f = random_twist(rng, s.qba())
+        f = random_twist(rng, s)
         ts = twist_structure(s, f)
         assert ts.verified
         assert structures_equal(twist_structure(ts, f.inverse()), s)
@@ -56,7 +56,7 @@ class TestTwistStructure:
         s = any_entry.structure
         rng = random.Random(33)
         for _ in range(3):
-            f = random_twist(rng, s.qba())
+            f = random_twist(rng, s)
             assert twist_structure(s, f).verified  # constructor re-runs all verifiers
 
     def test_semion_projector_twist(self):
@@ -70,12 +70,12 @@ class TestTwistStructure:
 
 class TestComposition:
     def test_compose_with_inverse_is_identity(self, any_entry):
-        q = hopf(any_entry.name).qba()
+        q = hopf(any_entry.name)
         f = random_twist(random.Random(5), q)
         assert compose_twists(f, f.inverse()) == Twist.identity(q)
 
     def test_identity_neutral(self, any_entry):
-        q = hopf(any_entry.name).qba()
+        q = hopf(any_entry.name)
         g = random_twist(random.Random(6), q)
         assert compose_twists(Twist.identity(q), g) == g
 
@@ -83,7 +83,7 @@ class TestComposition:
     def test_group_law_on_structures(self, name):
         s = entry(name).structure
         rng = random.Random(17)
-        f, g = random_twist(rng, s.qba()), random_twist(rng, s.qba())
+        f, g = random_twist(rng, s), random_twist(rng, s)
         assert structures_equal(
             twist_structure(s, compose_twists(f, g)),
             twist_structure(twist_structure(s, g), f))
@@ -91,11 +91,11 @@ class TestComposition:
 
 class TestQuasiCocycle:
     def test_identity_twist(self, any_entry):
-        q = hopf(any_entry.name).qba()
+        q = hopf(any_entry.name)
         assert is_quasi_cocycle(Twist.identity(q), q)
 
     def test_equivalence_with_fixed_coassociator(self, any_entry):
-        q = hopf(any_entry.name).qba()
+        q = hopf(any_entry.name)
         rng = random.Random(8)
         for _ in range(4):
             f = random_twist(rng, q)
@@ -104,7 +104,7 @@ class TestQuasiCocycle:
 
     def test_semion_rtr(self):
         s = entry("semion").structure
-        q = s.qba()
+        q = s
         rtr = Twist(s.r.transpose() * s.r, s.counit)
         assert is_quasi_cocycle(rtr, q)
         assert is_compatible(rtr, q)
@@ -114,7 +114,7 @@ class TestQuasiCocycle:
         which for the symmetric self-inverse semion coassociator equals the
         original, so R is itself a quasi-cocycle here."""
         s = entry("semion").structure
-        q = s.qba()
+        q = s
         r_twist = Twist(s.r, s.counit, s.r_inv, check=False)
         assert twisted_coassociator(q, s.r, s.r_inv) == q.phi_inv.perm((3, 2, 1))
         assert q.phi_inv.perm((3, 2, 1)) == q.phi
@@ -127,38 +127,38 @@ class TestQuasiCocycle:
         alg = h.algebra
         x, gx = alg.basis_element(2), alg.basis_element(3)
         f = Twist(alg.tensor_unit(2) + tensor_of(x, gx), h.counit)
-        assert not is_quasi_cocycle(f, h.qba())
-        assert not is_compatible(f, h.qba())
+        assert not is_quasi_cocycle(f, h)
+        assert not is_compatible(f, h)
 
 
 class TestCompatible:
     def test_identity_compatible(self, any_entry):
-        q = hopf(any_entry.name).qba()
+        q = hopf(any_entry.name)
         assert is_compatible(Twist.identity(q), q)
 
     def test_central_construction(self, any_entry):
         h = hopf(any_entry.name)
-        q = h.qba()
+        q = h
         z = h.algebra.scalar_element(Fraction(5, 2))
         c = central_to_compatible(z, q)
         assert is_compatible(c, q)
 
     def test_unit_gives_identity_twist(self, any_entry):
         h = hopf(any_entry.name)
-        c = central_to_compatible(h.algebra.unit_element, h.qba())
-        assert c == Twist.identity(h.qba())
+        c = central_to_compatible(h.algebra.unit_element, h)
+        assert c == Twist.identity(h)
 
     def test_grouplike_collapse(self):
         h = hopf("z2_triangular")
         g = h.algebra.basis_element(1)
-        c = central_to_compatible(g, h.qba())
-        assert c == Twist.identity(h.qba())  # (g (x) g) Delta(g) = 1 (x) 1
+        c = central_to_compatible(g, h)
+        assert c == Twist.identity(h)  # (g (x) g) Delta(g) = 1 (x) 1
 
     def test_semion_one_plus_p(self):
         h = hopf("semion")
         z = h.algebra.unit_element + semion_p()
-        c = central_to_compatible(z, h.qba())
-        assert is_compatible(c, h.qba())
+        c = central_to_compatible(z, h)
+        assert is_compatible(c, h)
         # compatible_to_central asserts the defining relations internally
         back = compatible_to_central(c, h)
         assert back.is_central() and back.is_invertible()
@@ -166,20 +166,20 @@ class TestCompatible:
     def test_non_central_rejected(self):
         h = hopf("sweedler_h4")
         with pytest.raises(TwistError, match="central"):
-            central_to_compatible(h.algebra.basis_element(1), h.qba())
+            central_to_compatible(h.algebra.basis_element(1), h)
 
 
 class TestCompatibleToCentral:
     def test_identity_gives_one(self, any_entry):
         """The zigzag of the coassociator collapses the identity twist to 1."""
         h = hopf(any_entry.name)
-        z = compatible_to_central(Twist.identity(h.qba()), h)
+        z = compatible_to_central(Twist.identity(h), h)
         assert z == h.algebra.unit_element
 
     def test_roundtrip_defining_relations(self, any_entry):
         h = hopf(any_entry.name)
         z0 = h.algebra.scalar_element(Fraction(3))
-        c = central_to_compatible(z0, h.qba())
+        c = central_to_compatible(z0, h)
         z = compatible_to_central(c, h)  # raises unless all relations hold
         assert z.is_central()
 
@@ -197,7 +197,7 @@ class TestUniquenessOfTwistedStructures:
     def test_both_directions(self, name):
         """Twists give equal structures exactly when they differ by a compatible one."""
         s = entry(name).structure
-        q = s.qba()
+        q = s
         h = hopf(name)
         rng = random.Random(12)
         f = random_twist(rng, q)
@@ -215,6 +215,17 @@ class TestUniquenessOfTwistedStructures:
         if not is_compatible(compose_twists(f.inverse(), other), q):
             assert not structures_equal(twist_structure(s, other, verify=False),
                                         twist_structure(s, f, verify=False))
+
+    def test_twisted_structures_are_not_cached(self):
+        """The scalar-built compatible C is exactly 1 (x) 1, so FC equals F as a twist;
+        twisting by it must still build a new structure, or P7 would compare one
+        object with itself."""
+        s = entry("sweedler_h4").structure
+        f = random_twist(random.Random(12), s)
+        c = central_to_compatible(s.algebra.scalar_element(2), s)
+        g = compose_twists(f, c)
+        assert g == f
+        assert twist_structure(s, g) is not twist_structure(s, f)
 
 
 class TestQuadraticInvariants:
@@ -237,9 +248,9 @@ class TestQuadraticInvariants:
     def test_alpha_roundtrip_under_inverse_twist(self, qt_entry):
         """Twisting the canonical elements by F then F^{-1} restores them."""
         from qhakit.twists import twisted_alpha, twisted_beta
-        h = qt_entry.structure.qha
+        h = qt_entry.structure
         rng = random.Random(14)
-        f = random_twist(rng, h.qba())
+        f = random_twist(rng, h)
         tw = twist_structure(h, f, verify=False)
         assert twisted_alpha(tw, f.inverse()) == h.alpha
         assert twisted_beta(tw, f.inverse()) == h.beta
