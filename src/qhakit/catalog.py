@@ -18,7 +18,8 @@ from .scalars import RATIONAL, cyclotomic_field
 from .structures import QuasiAntipode, QuasiBialgebra
 from .tensor import Algebra, LinearMap, tensor_of
 
-_GROUP_RE = re.compile(r"^group_z(\d+)$")
+# canonical spelling only: ASCII digits, no leading zero, nothing after them
+_GROUP_RE = re.compile(r"group_z(0|[1-9][0-9]*)")
 
 BUILTIN_NAMES = ("trivial", "group_zn", "z2_triangular", "sweedler_h4", "semion")
 
@@ -35,7 +36,7 @@ def builtin(name: str) -> CatalogEntry:
     """Look up a built-in entry; group algebras parametrize as group_z<n>."""
     if name == "trivial":
         return _trivial()
-    match = _GROUP_RE.match(name)
+    match = _GROUP_RE.fullmatch(name)
     if match:
         n = int(match.group(1))
         if n < 1:
@@ -56,11 +57,6 @@ def default_entries() -> list[CatalogEntry]:
     """The standard five-entry catalog used by the test suites."""
     return [builtin(n) for n in
             ("trivial", "group_z3", "z2_triangular", "sweedler_h4", "semion")]
-
-
-def quasitriangular_entries() -> list[CatalogEntry]:
-    return [e for e in default_entries()
-            if e.structure.r is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ class ShiftSystem:
         """Transport the idempotents along an (anti)automorphism, keeping weights."""
         return ShiftSystem([m(p) for p in self.idempotents], self.weights)
 
-    def is_zero_shift(self) -> bool:
-        return all(w == 0 for w in self.weights)
-
 
 class DynamicalTwist:
     """A finite family of twists lambda -> F(lambda) with a shift system."""

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a coefficient field.
 
-Plain Gaussian elimination with first-nonzero pivoting; every division is
-an exact field inversion, so results are exact and a singular system is
-detected, never approximated.
+``solve`` and ``invert_matrix`` share one elimination: forward elimination
+with first-nonzero pivoting, then back-substitution, for any number of
+right-hand sides.  Every division is an exact field inversion, so results
+are exact and a singular system is detected, never approximated.
 """
 
 from __future__ import annotations
@@ -10,15 +11,20 @@ from __future__ import annotations
 from .errors import SingularError
 
 
-def solve(field, matrix, rhs):
-    """Solve M x = b exactly.  Raises SingularError if M is singular."""
+def _solve_columns(field, matrix, columns):
+    """Solve M x = b exactly for each b in ``columns``; returns the solutions in order.
+
+    One elimination serves every column, and each pivot is inverted once.
+    Raises SingularError if M is singular.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if len(rhs) != n:
+    if any(len(col) != n for col in columns):
         raise ValueError("right-hand side has wrong length")
     m = [list(row) for row in matrix]
-    b = list(rhs)
+    b = [[col[r] for col in columns] for r in range(n)]
+    inverses = []
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
@@ -27,45 +33,34 @@ def solve(field, matrix, rhs):
             m[col], m[pivot] = m[pivot], m[col]
             b[col], b[pivot] = b[pivot], b[col]
         inv = field.inv(m[col][col])
+        inverses.append(inv)
         for r in range(col + 1, n):
             factor = m[r][col] * inv
             if not factor:
                 continue
             for c in range(col, n):
                 m[r][c] = m[r][c] - factor * m[col][c]
-            b[r] = b[r] - factor * b[col]
-    x = [field.zero] * n
+            b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
+    x = [None] * n
     for row in range(n - 1, -1, -1):
         acc = b[row]
         for c in range(row + 1, n):
-            if m[row][c] and x[c]:
-                acc = acc - m[row][c] * x[c]
-        x[row] = acc * field.inv(m[row][row])
-    return x
+            if m[row][c]:
+                acc = [a - m[row][c] * v if v else a for a, v in zip(acc, x[c])]
+        x[row] = [a * inverses[row] for a in acc]
+    return [[x[r][k] for r in range(n)] for k in range(len(columns))]
+
+
+def solve(field, matrix, rhs):
+    """Solve M x = b exactly.  Raises SingularError if M is singular."""
+    return _solve_columns(field, matrix, [rhs])[0]
 
 
 def invert_matrix(field, matrix):
-    """Exact matrix inverse via Gauss-Jordan elimination."""
+    """Exact matrix inverse: M x = e_j solved for every unit column e_j."""
     n = len(matrix)
-    m = [list(row) for row in matrix]
-    aug = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise SingularError(f"singular matrix (no pivot in column {col})")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(m[col][col])
-        m[col] = [v * inv for v in m[col]]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r == col or not m[r][col]:
-                continue
-            factor = m[r][col]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return aug
+    units = [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
+    return [list(row) for row in zip(*_solve_columns(field, matrix, units))]
 
 
 def nullspace(field, matrix):

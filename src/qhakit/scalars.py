@@ -308,10 +308,6 @@ class Field:
             raise ValueError("cyclotomic order must be at least 2")
 
     @property
-    def degree(self) -> int:
-        return 1 if self.kind == "rational" else totient(self.order)
-
-    @property
     def zero(self):
         return ZERO if self.kind == "rational" else Cyclo.constant(self.order, 0)
 
@@ -331,21 +327,22 @@ class Field:
             if self.kind != "cyclotomic" or value.order != self.order:
                 raise FieldMismatch(f"{value!r} does not belong to {self}")
             return value
+        if isinstance(value, (list, tuple)):
+            if self.kind != "cyclotomic":
+                raise FieldMismatch("coefficient lists only make sense in a cyclotomic field")
+            return Cyclo(self.order, [self._rational(c) for c in value])
+        q = self._rational(value)
+        return q if self.kind == "rational" else Cyclo.constant(self.order, q)
+
+    def _rational(self, value) -> Fraction:
+        """A rational from an int, Fraction or 'p/q' string; booleans and floats are refused."""
         if isinstance(value, bool):
             raise FieldMismatch("booleans are not scalars")
         if isinstance(value, float):
             raise FieldMismatch("floats are forbidden; use exact rationals")
-        if isinstance(value, (int, Fraction)):
-            q = Fraction(value)
-        elif isinstance(value, str):
-            q = Fraction(value)
-        elif isinstance(value, (list, tuple)):
-            if self.kind != "cyclotomic":
-                raise FieldMismatch("coefficient lists only make sense in a cyclotomic field")
-            return Cyclo(self.order, [Fraction(c) for c in value])
-        else:
-            raise FieldMismatch(f"cannot coerce {value!r} into {self}")
-        return q if self.kind == "rational" else Cyclo.constant(self.order, q)
+        if isinstance(value, (int, Fraction, str)):
+            return Fraction(value)
+        raise FieldMismatch(f"cannot coerce {value!r} into {self}")
 
     def inv(self, value):
         if isinstance(value, Cyclo):

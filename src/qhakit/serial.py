@@ -120,7 +120,8 @@ def _expect(doc, key, kind, path):
     if key not in doc:
         raise SchemaError(f"missing required field {key!r}", path)
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    # bool is a subclass of int, but a JSON true/false is never an index or a size
+    if kind is not None and (not isinstance(val, kind) or (kind is int and isinstance(val, bool))):
         raise SchemaError(f"field {key!r} has wrong type {type(val).__name__}", path)
     return val
 

@@ -4,7 +4,10 @@ An :class:`Algebra` is a finite-dimensional unital associative algebra
 given by sparse structure constants c_{ij}^k (e_i e_j = sum_k c_{ij}^k e_k),
 checked for associativity and the unit laws at construction.  Elements of
 tensor powers H^(x)n are sparse multi-index coefficient tables with zeros
-always dropped, so equality is plain dict equality.
+always dropped, so equality is plain dict equality.  Every operation that
+multiplies out leg by leg (the legwise product, ``left_matrix``,
+``contract`` and the tensor units, hence ``embed``) expands its terms
+through one private kernel, ``_expand``.
 
 Conventions used throughout:
 
@@ -35,6 +38,23 @@ def _acc(entries, key, value):
         entries[key] = cur
     else:
         del entries[key]
+
+
+def _expand(out, coeff, legs):
+    """Add ``coeff * legs[0] (x) legs[1] (x) ...`` into ``out``.
+
+    Each leg maps a basis index to a nonzero coefficient; an empty leg
+    makes the term zero.  The keys of one expansion are distinct and a
+    product of nonzero field elements is nonzero, so only the final
+    accumulation into ``out`` can cancel.
+    """
+    terms = {(): coeff}
+    for leg in legs:
+        if not leg:
+            return
+        terms = {key + (k,): val * c for key, val in terms.items() for k, c in leg.items()}
+    for key, val in terms.items():
+        _acc(out, key, val)
 
 
 class Algebra:
@@ -126,14 +146,9 @@ class Algebra:
         cached = self._tensor_units.get(arity)
         if cached is not None:
             return cached
-        entries = {(): self.field.one}
-        support = [(i, v) for i, v in enumerate(self.unit) if v]
-        for _ in range(arity):
-            nxt = {}
-            for key, val in entries.items():
-                for i, v in support:
-                    _acc(nxt, key + (i,), val * v)
-            entries = nxt
+        entries = {}
+        support = {i: v for i, v in enumerate(self.unit) if v}
+        _expand(entries, self.field.one, [support] * arity)
         t = TensorElement(self, arity, entries, clean=True)
         self._tensor_units[arity] = t
         return t
@@ -213,22 +228,9 @@ class AlgElement:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def to_tensor(self) -> "TensorElement":
         entries = {(i,): v for i, v in enumerate(self.coeffs) if v}
         return TensorElement(self.algebra, 1, entries, clean=True)
-
-    def left_matrix(self):
-        """Rows/columns indexed by the basis; column j holds self * e_j."""
-        alg = self.algebra
-        mat = [[alg.field.zero] * alg.dim for _ in range(alg.dim)]
-        for j in range(alg.dim):
-            col = self * alg.basis_element(j)
-            for k, v in enumerate(col.coeffs):
-                mat[k][j] = v
-        return mat
 
     def inverse(self) -> "AlgElement":
         return self.to_tensor().invert().as_element()
@@ -322,28 +324,12 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return self.scale(other)
         self._require_like(other)
-        alg = self.algebra
+        basis_product = self.algebra.basis_product
         out = {}
         for I, u in self.entries.items():
             for J, v in other.entries.items():
-                partial = {(): u * v}
-                for a, b in zip(I, J):
-                    prod = alg.basis_product(a, b)
-                    if not prod:
-                        partial = None
-                        break
-                    nxt = {}
-                    for key, val in partial.items():
-                        for k, c in prod.items():
-                            _acc(nxt, key + (k,), val * c)
-                    partial = nxt
-                    if not partial:
-                        partial = None
-                        break
-                if partial:
-                    for key, val in partial.items():
-                        _acc(out, key, val)
-        return TensorElement(alg, self.arity, out, clean=True)
+                _expand(out, u * v, [basis_product(a, b) for a, b in zip(I, J)])
+        return TensorElement(self.algebra, self.arity, out, clean=True)
 
     def __matmul__(self, other):
         """Outer (Kronecker) product: arities add."""
@@ -383,27 +369,12 @@ class TensorElement:
             raise ArityMismatch("duplicate positions")
         if any(not 1 <= p <= arity for p in positions):
             raise ArityMismatch(f"positions {positions} out of range for arity {arity}")
-        alg = self.algebra
-        rest = [p for p in range(1, arity + 1) if p not in positions]
-        unit_support = [(i, v) for i, v in enumerate(alg.unit) if v]
-        out = {}
-        for key, val in self.entries.items():
-            partial = {(): val}
-            for _ in rest:
-                nxt = {}
-                for k, v in partial.items():
-                    for i, u in unit_support:
-                        _acc(nxt, k + (i,), v * u)
-                partial = nxt
-            for fill, v in partial.items():
-                slot = [None] * arity
-                for p, comp in zip(positions, key):
-                    slot[p - 1] = comp
-                it = iter(fill)
-                for p in rest:
-                    slot[p - 1] = next(it)
-                _acc(out, tuple(slot), v)
-        return TensorElement(alg, arity, out, clean=True)
+        # component c of self (x) 1 lands on leg legs[c-1]; perm takes the inverse
+        legs = positions + tuple(p for p in range(1, arity + 1) if p not in positions)
+        sigma = [0] * arity
+        for c, p in enumerate(legs, 1):
+            sigma[p - 1] = c
+        return (self @ self.algebra.tensor_unit(arity - self.arity)).perm(sigma)
 
     # -- inversion and matrices --
 
@@ -413,28 +384,16 @@ class TensorElement:
         d, n = alg.dim, self.arity
         size = d ** n
         mat = [[alg.field.zero] * size for _ in range(size)]
+        basis_product = alg.basis_product
         for col, J in enumerate(alg.multi_indices(n)):
+            column = {}
             for I, u in self.entries.items():
-                partial = {(): u}
-                for a, b in zip(I, J):
-                    prod = alg.basis_product(a, b)
-                    if not prod:
-                        partial = None
-                        break
-                    nxt = {}
-                    for key, val in partial.items():
-                        for k, c in prod.items():
-                            _acc(nxt, key + (k,), val * c)
-                    partial = nxt
-                    if not partial:
-                        partial = None
-                        break
-                if partial:
-                    for K, val in partial.items():
-                        row = 0
-                        for idx in K:
-                            row = row * d + idx
-                        mat[row][col] = mat[row][col] + val
+                _expand(column, u, [basis_product(a, b) for a, b in zip(I, J)])
+            for K, val in column.items():
+                row = 0
+                for idx in K:
+                    row = row * d + idx
+                mat[row][col] = val
         return mat
 
     def invert(self) -> "TensorElement":
@@ -462,13 +421,6 @@ class TensorElement:
             raise SingularError("element has a right inverse but no left inverse")
         return candidate
 
-    def is_invertible(self) -> bool:
-        try:
-            self.invert()
-            return True
-        except SingularError:
-            return False
-
     # -- conversions --
 
     def as_element(self) -> AlgElement:
@@ -483,9 +435,6 @@ class TensorElement:
         if self.arity != 0:
             raise ArityMismatch("only arity-0 tensors are scalars")
         return self.entries.get((), self.algebra.field.zero)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -695,21 +644,7 @@ def contract(t: TensorElement, *specs) -> TensorElement:
                     f = alg.basis_element(key[leg - 1]) if m is None else m.col_element(key[leg - 1])
                 elt = f if elt is None else elt * f
             factors.append(unit if elt is None else elt)
-        partial = {(): val}
-        dead = False
-        for f in factors:
-            nxt = {}
-            for k, v in partial.items():
-                for i, c in enumerate(f.coeffs):
-                    if c:
-                        _acc(nxt, k + (i,), v * c)
-            partial = nxt
-            if not partial:
-                dead = True
-                break
-        if not dead:
-            for k, v in partial.items():
-                _acc(out, k, v)
+        _expand(out, val, [{i: c for i, c in enumerate(f.coeffs) if c} for f in factors])
     return TensorElement(alg, len(specs), out, clean=True)
 
 

@@ -32,6 +32,16 @@ class TestBuiltin:
         with pytest.raises(CatalogError, match="unknown builtin"):
             builtin("nonesuch")
 
+    @pytest.mark.parametrize("name", ["group_z03", "group_z00", "group_z3\n",
+                                      "group_z\u0663", "group_z+3"])
+    def test_non_canonical_group_name_rejected(self, name):
+        with pytest.raises(CatalogError, match="unknown builtin"):
+            builtin(name)
+
+    def test_group_order_zero_rejected(self):
+        with pytest.raises(CatalogError, match="group order must be positive"):
+            builtin("group_z0")
+
     def test_all_verified_at_build(self, any_entry):
         assert any_entry.structure.verified
 
@@ -106,6 +116,24 @@ class TestParseErrors:
         doc = json.loads(serialize_structure(entry("group_z3")))
         doc["alpha"][0] = "not-a-number"
         with pytest.raises(SchemaError, match=r"alpha\[0\]"):
+            parse_structure(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [[0.1, 1], [True, 0]])
+    def test_inexact_coefficient_in_list_rejected(self, value):
+        doc = json.loads(serialize_structure(entry("semion")))
+        doc["unit"][0] = value
+        with pytest.raises(SchemaError, match=r"^unit\[0\]: bad scalar"):
+            parse_structure(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: doc.update(dimension=True), "dimension"),
+        (lambda doc: doc["phi"][0].update(i=False), r"phi\[0\]\.i"),
+        (lambda doc: doc["mult"][0].update(j=True), r"mult\[0\]\.j"),
+    ], ids=["dimension", "phi.i", "mult.j"])
+    def test_boolean_where_int_required_rejected(self, edit, path):
+        doc = json.loads(serialize_structure(entry("group_z3")))
+        edit(doc)
+        with pytest.raises(SchemaError, match=rf"^{path}: field '\w+' has wrong type bool"):
             parse_structure(json.dumps(doc))
 
     def test_nonassociative_mult_names_triple(self):

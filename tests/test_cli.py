@@ -64,6 +64,26 @@ class TestVerify:
         assert code == 2
         assert "unknown builtin" in err
 
+    def test_non_canonical_builtin_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "group_z03")
+        assert code == 2
+        assert "unknown builtin 'group_z03'" in err
+
+    @pytest.mark.parametrize("name, edit, path", [
+        ("semion", lambda doc: doc["unit"].__setitem__(0, [0.1, 1]), "unit[0]"),
+        ("semion", lambda doc: doc["unit"].__setitem__(0, [True, 0]), "unit[0]"),
+        ("group_z3", lambda doc: doc.update(dimension=True), "dimension"),
+        ("group_z3", lambda doc: doc["phi"][0].update(i=False), "phi[0].i"),
+    ], ids=["float-in-list", "bool-in-list", "bool-dimension", "bool-index"])
+    def test_inexact_or_boolean_input_exits_2(self, capsys, tmp_path, name, edit, path):
+        doc = json.loads(serialize_structure(entry(name)))
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert f"error: {path}: " in err
+
     def test_structured_deterministic(self, capsys):
         args = ("verify", "z2_triangular", "--suite", "twist", "--seed", "11",
                 "--trials", "2", "--format", "structured")

@@ -92,6 +92,15 @@ class TestCyclotomic:
         with pytest.raises(FieldMismatch):
             RATIONAL.coerce(0.5)
 
+    @pytest.mark.parametrize("value, message", [
+        ([0.1, 1], "floats are forbidden"),
+        ([True, 0], "booleans are not scalars"),
+        ([0, 1.0], "floats are forbidden"),
+    ])
+    def test_coefficient_lists_follow_rational_rules(self, value, message):
+        with pytest.raises(FieldMismatch, match=message):
+            cyclotomic_field(4).coerce(value)
+
 
 @pytest.mark.parametrize("order", [3, 4, 8])
 class TestFieldAxioms:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qhakit.errors import AlgebraError, ArityMismatch, SingularError
 from qhakit.linalg import invert_matrix, nullspace, solve
-from qhakit.scalars import RATIONAL
-from qhakit.tensor import Algebra, TensorElement, tensor_of
+from qhakit.scalars import RATIONAL, cyclotomic_field
+from qhakit.tensor import Algebra, LinearMap, TensorElement, contract, tensor_of
 
 from conftest import entry, hopf
 
@@ -345,3 +345,194 @@ class TestKernelProperties:
             return
         assert t * inv == alg.tensor_unit(2)
         assert inv * t == alg.tensor_unit(2)
+
+
+# -- reference paths ---------------------------------------------------------
+#
+# Every operation that multiplies out leg by leg shares one expansion kernel.
+# Each is checked here against an oracle built only from AlgElement products,
+# outer products (tensor_of), sums and scalings, over Q and Q(zeta_4), on an
+# algebra whose unit is one basis vector (k[Z/2]) and on one whose unit has
+# two terms and whose product is noncommutative (2x2 matrices).
+
+Q4 = cyclotomic_field(4)
+
+
+def m2(field):
+    """2x2 matrices on the basis e11, e12, e21, e22: e_ij e_kl = [j == k] e_il."""
+    mult = {(2 * i + j, 2 * k + l): ({2 * i + l: 1} if j == k else {})
+            for i in range(2) for j in range(2) for k in range(2) for l in range(2)}
+    return Algebra(field, 4, mult, unit=[1, 0, 0, 1], basis=["e11", "e12", "e21", "e22"])
+
+
+BUILDERS = (z2, m2)
+ALGEBRAS = tuple(build(field) for build in BUILDERS for field in (RATIONAL, Q4))
+
+
+def scalars(field):
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return q if field.kind == "rational" else st.tuples(q, q).map(list)
+
+
+@st.composite
+def tensors(draw, alg, arity):
+    """Dense when the whole tensor power is small enough, else a few random entries."""
+    keys = list(alg.multi_indices(arity))
+    if len(keys) <= 16 and draw(st.booleans()):
+        chosen = keys
+    else:
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    return TensorElement(alg, arity, {k: draw(scalars(alg.field)) for k in chosen})
+
+
+def outer(alg, scalar, factors):
+    """scalar * f_1 (x) ... (x) f_n, with n = 0 giving the scalar itself."""
+    if not factors:
+        return TensorElement(alg, 0, {(): scalar})
+    return tensor_of(*factors).scale(scalar)
+
+
+def oracle_mul(s, t):
+    alg = s.algebra
+    out = alg.tensor_zero(s.arity)
+    for I, u in s.entries.items():
+        for J, v in t.entries.items():
+            out = out + outer(alg, u * v, [alg.basis_element(a) * alg.basis_element(b)
+                                           for a, b in zip(I, J)])
+    return out
+
+
+class TestReferencePaths:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mul(self, data):
+        alg = data.draw(st.sampled_from(ALGEBRAS))
+        arity = data.draw(st.integers(0, 4))
+        s = data.draw(tensors(alg, arity))
+        t = data.draw(tensors(alg, arity))
+        assert (s * t).entries == oracle_mul(s, t).entries
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_left_matrix_columns(self, data):
+        alg = data.draw(st.sampled_from(ALGEBRAS))
+        arity = data.draw(st.integers(0, 4 if alg.dim == 2 else 2))
+        t = data.draw(tensors(alg, arity))
+        mat = t.left_matrix()
+        d = alg.dim
+        for col, J in enumerate(alg.multi_indices(arity)):
+            e_J = outer(alg, alg.field.one, [alg.basis_element(j) for j in J])
+            expected = [alg.field.zero] * (d ** arity)
+            for K, v in oracle_mul(t, e_J).entries.items():
+                expected[sum(k * d ** (arity - 1 - n) for n, k in enumerate(K))] = v
+            assert [row[col] for row in mat] == expected
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_embed(self, data):
+        alg = data.draw(st.sampled_from(ALGEBRAS))
+        arity = data.draw(st.integers(0, 4))
+        target = data.draw(st.integers(arity, 4))
+        positions = tuple(data.draw(st.permutations(range(1, target + 1)))[:arity])
+        t = data.draw(tensors(alg, arity))
+        expected = alg.tensor_zero(target)
+        for key, val in t.entries.items():
+            slots = [alg.unit_element] * target
+            for p, k in zip(positions, key):
+                slots[p - 1] = alg.basis_element(k)
+            expected = expected + outer(alg, val, slots)
+        assert t.embed(positions, target).entries == expected.entries
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_contract(self, data):
+        alg = data.draw(st.sampled_from(ALGEBRAS))
+        field = alg.field
+        arity = data.draw(st.integers(0, 4))
+        out_arity = data.draw(st.integers(1 if arity else 0, 3))
+        t = data.draw(tensors(alg, arity))
+        m = LinearMap.from_matrix(alg, [[data.draw(scalars(field)) for _ in range(alg.dim)]
+                                        for _ in range(alg.dim)])
+        specs = [[] for _ in range(out_arity)]
+        for leg in data.draw(st.permutations(range(1, arity + 1))):
+            specs[data.draw(st.integers(0, out_arity - 1))].append(
+                (leg, data.draw(st.sampled_from([None, m]))))
+        for spec in specs:
+            if data.draw(st.booleans()):
+                fixed = alg.element([data.draw(scalars(field)) for _ in range(alg.dim)])
+                spec.insert(data.draw(st.integers(0, len(spec))), fixed)
+        expected = alg.tensor_zero(out_arity)
+        for key, val in t.entries.items():
+            factors = []
+            for spec in specs:
+                elt = alg.unit_element
+                for item in spec:
+                    if not isinstance(item, tuple):
+                        elt = elt * item
+                    else:
+                        leg, f = item
+                        e = alg.basis_element(key[leg - 1])
+                        elt = elt * (e if f is None else f(e))
+                factors.append(elt)
+            expected = expected + outer(alg, val, factors)
+        assert contract(t, *specs).entries == expected.entries
+
+    @pytest.mark.parametrize("field", [RATIONAL, Q4], ids=str)
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_tensor_unit(self, build, field):
+        alg = build(field)  # a fresh algebra: its tensor units are not cached yet
+        assert alg.tensor_unit(0).entries == {(): field.one}
+        for arity in range(1, 5):
+            expected = tensor_of(*[alg.unit_element] * arity)
+            assert alg.tensor_unit(arity).entries == expected.entries
+
+
+@st.composite
+def square_matrices(draw, field):
+    """Random n x n matrices, n <= 4; about half get one row a multiple of another."""
+    n = draw(st.integers(1, 4))
+    rows = [[field.coerce(draw(scalars(field))) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = field.coerce(draw(scalars(field)))
+        rows[j] = [c * v for v in rows[i]]
+    return rows
+
+
+def matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+class TestSolversAgree:
+    @pytest.mark.parametrize("field", [RATIONAL, Q4], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invert_matrix_against_solve(self, field, data):
+        m = data.draw(square_matrices(field))
+        n = len(m)
+        units = [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
+        try:
+            inv = invert_matrix(field, m)
+        except SingularError as exc:
+            for e in units:
+                with pytest.raises(SingularError) as by_solve:
+                    solve(field, m, e)
+                assert str(by_solve.value) == str(exc)
+            return
+        identity = [list(row) for row in zip(*units)]
+        assert matmul(inv, m) == identity
+        assert matmul(m, inv) == identity
+        for j, e in enumerate(units):
+            assert solve(field, m, e) == [row[j] for row in inv]
+
+    def test_singular_text_shared(self):
+        m = [[Fraction(1), Fraction(2), Fraction(0)],
+             [Fraction(2), Fraction(4), Fraction(1)],
+             [Fraction(0), Fraction(0), Fraction(3)]]
+        with pytest.raises(SingularError) as by_inverse:
+            invert_matrix(RATIONAL, m)
+        with pytest.raises(SingularError) as by_solve:
+            solve(RATIONAL, m, [Fraction(1), Fraction(0), Fraction(0)])
+        assert str(by_inverse.value) == str(by_solve.value) == \
+            "singular matrix (no pivot in column 1)"
