@@ -1,9 +1,13 @@
 """Exact dense linear algebra over a coefficient field.
 
-``solve`` and ``invert_matrix`` share one elimination: forward elimination
-with first-nonzero pivoting, then back-substitution, for any number of
-right-hand sides.  Every division is an exact field inversion, so results
-are exact and a singular system is detected, never approximated.
+``solve`` and ``invert_matrix`` share one elimination: fraction-free
+(Bareiss) forward elimination with first-nonzero pivoting, then
+fraction-free back-substitution, for any number of right-hand sides.
+Each row of the system is cleared to numerators (``Field.clear``: ints
+over Q), every step divides exactly by the previous pivot (Bareiss,
+*Math. Comp.* 22 (1968) 565-578), and the solutions are restored to
+field values once, over the last pivot.  Results are exact and a singular
+system is detected, never approximated.
 """
 
 from __future__ import annotations
@@ -14,41 +18,56 @@ from .errors import SingularError
 def _solve_columns(field, matrix, columns):
     """Solve M x = b exactly for each b in ``columns``; returns the solutions in order.
 
-    One elimination serves every column, and each pivot is inverted once.
-    Raises SingularError if M is singular.
+    The entries may be field values or numerators (ints over Q).  One
+    elimination serves every column.  Raises SingularError if M is singular.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
     if any(len(col) != n for col in columns):
         raise ValueError("right-hand side has wrong length")
-    m = [list(row) for row in matrix]
-    b = [[col[r] for col in columns] for r in range(n)]
-    inverses = []
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+    if not n:
+        return [[] for _ in columns]
+    # scaling a row of [M | b] by a nonzero number keeps the solutions
+    active = [field.clear([*row, *(col[r] for col in columns)])[0]
+              for r, row in enumerate(matrix)]
+    upper = []      # row k of the triangular system, from column k on
+    dividers = []   # dividers[k] divides exactly by the pivot upper[k][0]
+    div = None
+    for k in range(n):
+        # active[i] is row k + i of the system, from column k on
+        pivot = next((i for i, row in enumerate(active) if row[0]), None)
         if pivot is None:
-            raise SingularError(f"singular matrix (no pivot in column {col})")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = field.inv(m[col][col])
-        inverses.append(inv)
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if not factor:
-                continue
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-            b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-    x = [None] * n
-    for row in range(n - 1, -1, -1):
-        acc = b[row]
-        for c in range(row + 1, n):
-            if m[row][c]:
-                acc = [a - m[row][c] * v if v else a for a, v in zip(acc, x[c])]
-        x[row] = [a * inverses[row] for a in acc]
-    return [[x[r][k] for r in range(n)] for k in range(len(columns))]
+            raise SingularError(f"singular matrix (no pivot in column {k})")
+        active[0], active[pivot] = active[pivot], active[0]
+        top = active.pop(0)
+        upper.append(top)
+        p, tail = top[0], top[1:]
+        for i, row in enumerate(active):
+            f = row[0]
+            if f:
+                row = [p * a - f * b for a, b in zip(row[1:], tail)]
+            else:
+                row = [p * a for a in row[1:]]
+            active[i] = row if div is None else [div(v) for v in row]
+        if active:   # the next step divides by this pivot
+            div = field.divider(p)
+            dividers.append(div)
+    # back-substitution on y = det * x, which is integral over Q
+    det = upper[-1][0]
+    y = [None] * n
+    y[-1] = upper[-1][1:]
+    for k in range(n - 2, -1, -1):
+        row = upper[k]
+        acc = [det * b for b in row[n - k:]]
+        for j in range(k + 1, n):
+            u = row[j - k]
+            if u:
+                acc = [a - u * v for a, v in zip(acc, y[j])]
+        y[k] = [dividers[k](a) for a in acc]
+    m = len(columns)
+    x = field.restore([v for row in y for v in row], det)
+    return [x[c::m] for c in range(m)]
 
 
 def solve(field, matrix, rhs):

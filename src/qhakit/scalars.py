@@ -9,6 +9,8 @@ downstream is a strict equality.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +19,7 @@ from .errors import FieldMismatch, SingularError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONAL_TEXT = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 def totient(n: int) -> int:
@@ -335,11 +338,18 @@ class Field:
         return q if self.kind == "rational" else Cyclo.constant(self.order, q)
 
     def _rational(self, value) -> Fraction:
-        """A rational from an int, Fraction or 'p/q' string; booleans and floats are refused."""
+        """A rational from an int, Fraction or "p"/"p/q" string; anything else is refused.
+
+        Booleans, floats, and decimal or exponent strings (which ``Fraction``
+        would accept, ``"1e999999999"`` at the cost of computing 10**999999999)
+        raise FieldMismatch; ``"1/0"`` raises ZeroDivisionError.
+        """
         if isinstance(value, bool):
             raise FieldMismatch("booleans are not scalars")
         if isinstance(value, float):
             raise FieldMismatch("floats are forbidden; use exact rationals")
+        if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+            raise FieldMismatch(f"{value!r} is not a rational of the form p or p/q")
         if isinstance(value, (int, Fraction, str)):
             return Fraction(value)
         raise FieldMismatch(f"cannot coerce {value!r} into {self}")
@@ -350,6 +360,50 @@ class Field:
         if not value:
             raise SingularError("division by zero")
         return 1 / Fraction(value)
+
+    # -- numerator form: what the tensor kernel and the elimination compute on --
+
+    def clear(self, values):
+        """Numerators over one common denominator: ``(nums, den)``, ``values[i] = nums[i] / den``.
+
+        Over Q the numerators are ints (0 for a zero value) and ``den`` is
+        the lcm of the denominators; over Q(zeta_n) every value is its own
+        numerator and ``den`` is 1.
+        """
+        values = list(values)
+        if self.kind != "rational":
+            return values, 1
+        den = math.lcm(*[v.denominator for v in values])
+        if den == 1:
+            return [v.numerator for v in values], 1
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def restore(self, nums, den):
+        """The field values ``n / den`` for the numerators ``n``, reduced; inverts :meth:`clear`.
+
+        ``den`` is a nonzero numerator (an int over Q); over Q(zeta_n) its
+        inverse is formed once for all of ``nums``.
+        """
+        if self.kind == "rational":
+            if den == 1:
+                return [Fraction(n) for n in nums]
+            return [Fraction(n, den) for n in nums]
+        if den == 1:
+            return list(nums)
+        inv = self.inv(den)
+        return [n * inv for n in nums]
+
+    def divider(self, p):
+        """Exact division by the nonzero numerator ``p``, as a function of the dividend.
+
+        Over Q it is integer division and the dividend must be a multiple of
+        ``p``; over Q(zeta_n) it multiplies by the inverse of ``p``, formed
+        once here.
+        """
+        if self.kind == "rational":
+            return lambda x: x // p
+        inv = self.inv(p)
+        return lambda x: x * inv
 
     def format_scalar(self, value):
         """Text encoding: 'p/q' strings for Q, coefficient-string arrays for Q(zeta_n)."""

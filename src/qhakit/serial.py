@@ -15,7 +15,10 @@ dynamical (optional {domain, shift {idempotents, weights}, twists
 Parsing reports three distinct error classes: SchemaError for malformed
 JSON or schema violations (with a field path), AlgebraError for invalid
 structure constants, and StructureError when a well-formed structure
-fails its axiom verification.  Load-time verification is mandatory.
+fails its axiom verification (a singular antipode or a dynamical entry
+that is no twist included).  Load-time verification is mandatory.
+Cyclotomic orders above MAX_CYCLOTOMIC_ORDER are refused: the n-th
+cyclotomic polynomial alone takes seconds to build past a few hundred.
 """
 
 from __future__ import annotations
@@ -24,14 +27,16 @@ import json
 from fractions import Fraction
 
 from .catalog import CatalogEntry
-from .errors import SchemaError
-from .scalars import RATIONAL, Field, cyclotomic_field
+from .errors import QhaError, SchemaError, SingularError, StructureError, TwistError
+from .scalars import RATIONAL, Field
 from .structures import QuasiAntipode, QuasiBialgebra
 from .dynamical import DynamicalTwist, ShiftSystem
 from .tensor import Algebra, LinearMap, TensorElement
 from .twists import Twist
 
 __all__ = ["parse_structure", "serialize_structure", "parse_twist", "serialize_twist"]
+
+MAX_CYCLOTOMIC_ORDER = 256
 
 
 # -- encoding ---------------------------------------------------------------
@@ -116,6 +121,19 @@ def serialize_twist(field, twist: Twist) -> str:
 
 # -- decoding ---------------------------------------------------------------
 
+def _load_json(text):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be an object")
+    return doc
+
+
 def _expect(doc, key, kind, path):
     if key not in doc:
         raise SchemaError(f"missing required field {key!r}", path)
@@ -131,15 +149,19 @@ def _dec_field(doc) -> Field:
     kind = _expect(spec, "kind", str, "field.kind")
     order = _expect(spec, "order", int, "field.order")
     try:
-        return RATIONAL if kind == "rational" else cyclotomic_field(order)
+        field = Field(kind, order)
     except ValueError as exc:
         raise SchemaError(str(exc), "field") from exc
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise SchemaError(f"cyclotomic order must be at most {MAX_CYCLOTOMIC_ORDER}",
+                          "field.order")
+    return field
 
 
 def _dec_scalar(field, obj, path):
     try:
         return field.parse_scalar(obj)
-    except Exception as exc:
+    except (QhaError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad scalar {obj!r}: {exc}", path) from exc
 
 
@@ -150,6 +172,8 @@ def _dec_vector(field, obj, dim, path):
 
 
 def _dec_sparse(field, alg, rows, arity, path):
+    if not isinstance(rows, list):
+        raise SchemaError("expected a list of index objects", path)
     keys = ("i", "j", "k")[:arity]
     entries = {}
     for n, row in enumerate(rows):
@@ -176,14 +200,7 @@ def _dec_map(field, alg, obj, path, anti=False):
 
 def parse_structure(text: str) -> CatalogEntry:
     """Parse and fully verify a structure file; verification is not bypassable."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                          f"{exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-
+    doc = _load_json(text)
     field = _dec_field(doc)
     dim = _expect(doc, "dimension", int, "dimension")
     if dim < 1:
@@ -201,6 +218,12 @@ def parse_structure(text: str) -> CatalogEntry:
         mult[(i, j)] = {k: v for k, v in enumerate(coeffs)}
     unit = _dec_vector(field, _expect(doc, "unit", list, "unit"), dim, "unit")
     basis = doc.get("basis")
+    if basis is not None and (not isinstance(basis, list) or len(basis) != dim
+                              or not all(isinstance(b, str) for b in basis)):
+        raise SchemaError(f"expected a list of {dim} basis names", "basis")
+    name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise SchemaError("expected a string", "name")
     # Algebra construction checks associativity and the unit laws
     alg = Algebra(field, dim, mult, unit, basis=basis)
 
@@ -215,7 +238,8 @@ def parse_structure(text: str) -> CatalogEntry:
                  anti=True)
     s_inv = None
     if "antipode_inv" in doc:
-        s_inv = _dec_map(field, alg, doc["antipode_inv"], "antipode_inv", anti=True)
+        s_inv = _dec_map(field, alg, _expect(doc, "antipode_inv", dict, "antipode_inv"),
+                         "antipode_inv", anti=True)
     alpha = alg.element(_dec_vector(field, _expect(doc, "alpha", list, "alpha"),
                                     dim, "alpha"))
     beta = alg.element(_dec_vector(field, _expect(doc, "beta", list, "beta"),
@@ -224,7 +248,11 @@ def parse_structure(text: str) -> CatalogEntry:
 
     # constructors verify; StructureError propagates with its report
     qba = QuasiBialgebra(alg, coproduct, counit, phi)
-    structure = qba.with_antipode(QuasiAntipode(s, alpha, beta, s_inv=s_inv))
+    try:
+        antipode = QuasiAntipode(s, alpha, beta, s_inv=s_inv)
+    except SingularError as exc:
+        raise StructureError(f"antipode is not invertible: {exc}") from exc
+    structure = qba.with_antipode(antipode)
     if "r_matrix" in doc:
         r = _dec_sparse(field, alg, _expect(doc, "r_matrix", list, "r_matrix"),
                         2, "r_matrix")
@@ -234,7 +262,7 @@ def parse_structure(text: str) -> CatalogEntry:
     if "dynamical" in doc:
         dynamical = _dec_dynamical(field, alg, structure, doc["dynamical"])
 
-    return CatalogEntry(doc.get("name", "unnamed"), structure, dynamical=dynamical)
+    return CatalogEntry(name, structure, dynamical=dynamical)
 
 
 def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
@@ -247,6 +275,8 @@ def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
     idem = [alg.element(_dec_vector(field, row, alg.dim, f"{path}.shift.idempotents[{n}]"))
             for n, row in enumerate(_expect(shift_doc, "idempotents", list,
                                             f"{path}.shift.idempotents"))]
+    if not idem:
+        raise SchemaError("expected at least one idempotent", f"{path}.shift.idempotents")
     weights = [_dec_fraction(x, f"{path}.shift.weights") for x in
                _expect(shift_doc, "weights", list, f"{path}.shift.weights")]
     shift = ShiftSystem(idem, weights)
@@ -258,7 +288,10 @@ def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
                             f"{path}.twists[{n}].lambda")
         f = _dec_sparse(field, alg, _expect(row, "f", list, f"{path}.twists[{n}].f"),
                         2, f"{path}.twists[{n}].f")
-        twists[lam] = Twist(f, structure.counit)
+        try:
+            twists[lam] = Twist(f, structure.counit)
+        except TwistError as exc:
+            raise StructureError(f"{path}.twists[{n}].f: {exc}") from exc
     return DynamicalTwist(domain, twists, shift)
 
 
@@ -266,20 +299,14 @@ def _dec_fraction(obj, path) -> Fraction:
     if not isinstance(obj, str):
         raise SchemaError(f"expected a rational string, got {obj!r}", path)
     try:
-        return Fraction(obj)
-    except (ValueError, ZeroDivisionError) as exc:
+        return RATIONAL.parse_scalar(obj)
+    except (QhaError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {obj!r}", path) from exc
 
 
 def parse_twist(text: str, structure) -> Twist:
     """Parse a twist file against an already-loaded structure."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                          f"{exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
+    doc = _load_json(text)
     alg = structure.algebra
     f = _dec_sparse(alg.field, alg, _expect(doc, "twist", list, "twist"), 2, "twist")
     return Twist(f, structure.counit)

@@ -5,9 +5,18 @@ given by sparse structure constants c_{ij}^k (e_i e_j = sum_k c_{ij}^k e_k),
 checked for associativity and the unit laws at construction.  Elements of
 tensor powers H^(x)n are sparse multi-index coefficient tables with zeros
 always dropped, so equality is plain dict equality.  Every operation that
-multiplies out leg by leg (the legwise product, ``left_matrix``,
-``contract`` and the tensor units, hence ``embed``) expands its terms
-through one private kernel, ``_expand``.
+multiplies out leg by leg (the legwise product, the product in H,
+``left_matrix``, ``contract`` and the tensor units, hence ``embed``)
+expands its terms through one private kernel, ``_expand``.
+
+The products run on numerators.  Each operand is cleared to numerators
+over one common denominator (``Field.clear``: Python ints over an lcm for
+Q, the values themselves over 1 for Q(zeta_n)), the algebra holds its
+structure constants once in the same form, the numerators expand through
+``_expand``, and each result entry is restored once, as a reduced
+``Fraction`` (``Field.restore``).  Stored entries are always normalised
+field values, so equality, hashing and serialization never see a
+numerator.
 
 Conventions used throughout:
 
@@ -45,16 +54,45 @@ def _expand(out, coeff, legs):
 
     Each leg maps a basis index to a nonzero coefficient; an empty leg
     makes the term zero.  The keys of one expansion are distinct and a
-    product of nonzero field elements is nonzero, so only the final
-    accumulation into ``out`` can cancel.
+    product of nonzero numerators is nonzero, so only the final
+    accumulation into ``out`` can cancel (as in ``_acc``).
     """
-    terms = {(): coeff}
+    terms = [((), coeff)]
     for leg in legs:
         if not leg:
             return
-        terms = {key + (k,): val * c for key, val in terms.items() for k, c in leg.items()}
-    for key, val in terms.items():
-        _acc(out, key, val)
+        terms = [(key + (k,), val * c) for key, val in terms for k, c in leg.items()]
+    get = out.get
+    for key, val in terms:
+        cur = get(key)
+        if cur is None:
+            out[key] = val
+            continue
+        cur = cur + val
+        if cur:
+            out[key] = cur
+        else:
+            del out[key]
+
+
+def _legwise(alg, arity, left, right):
+    """Entries of the legwise product of two entry tables of H^(x)arity."""
+    field = alg.field
+    lnums, lden = field.clear(left.values())
+    rnums, rden = field.clear(right.values())
+    table = alg._numerators
+    right_terms = list(zip(right, rnums))
+    out = {}
+    for I, u in zip(left, lnums):
+        rows = [table[a] for a in I]
+        for J, v in right_terms:
+            _expand(out, u * v, [row[b] for row, b in zip(rows, J)])
+    return _restored(field, out, lden * rden * alg._denominator ** arity)
+
+
+def _restored(field, nums, den):
+    """The table of numerators ``nums`` over ``den`` as reduced field values."""
+    return dict(zip(nums, field.restore(nums.values(), den)))
 
 
 class Algebra:
@@ -84,6 +122,13 @@ class Algebra:
             if col:
                 table[(i, j)] = col
         self._mult = table
+        # the structure constants as numerators over one denominator:
+        # _numerators[i][j] maps k to the numerator of c_{ij}^k
+        nums, self._denominator = field.clear(v for col in table.values() for v in col.values())
+        nums = iter(nums)
+        self._numerators = [[{} for _ in range(dim)] for _ in range(dim)]
+        for (i, j), col in table.items():
+            self._numerators[i][j] = {k: next(nums) for k in col}
 
         if unit is None:
             unit_coeffs = [field.one] + [field.zero] * (dim - 1)
@@ -203,15 +248,8 @@ class AlgElement:
             self._require_same(other)
             alg = self.algebra
             out = [alg.field.zero] * alg.dim
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b:
-                        continue
-                    ab = a * b
-                    for k, c in alg.basis_product(i, j).items():
-                        out[k] = out[k] + ab * c
+            for (k,), v in _legwise(alg, 1, self._table(), other._table()).items():
+                out[k] = v
             return AlgElement(alg, tuple(out))
         return AlgElement(self.algebra,
                           tuple(a * self.algebra.field.coerce(other) for a in self.coeffs))
@@ -228,9 +266,11 @@ class AlgElement:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def _table(self):
+        return {(i,): v for i, v in enumerate(self.coeffs) if v}
+
     def to_tensor(self) -> "TensorElement":
-        entries = {(i,): v for i, v in enumerate(self.coeffs) if v}
-        return TensorElement(self.algebra, 1, entries, clean=True)
+        return TensorElement(self.algebra, 1, self._table(), clean=True)
 
     def inverse(self) -> "AlgElement":
         return self.to_tensor().invert().as_element()
@@ -324,12 +364,9 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return self.scale(other)
         self._require_like(other)
-        basis_product = self.algebra.basis_product
-        out = {}
-        for I, u in self.entries.items():
-            for J, v in other.entries.items():
-                _expand(out, u * v, [basis_product(a, b) for a, b in zip(I, J)])
-        return TensorElement(self.algebra, self.arity, out, clean=True)
+        return TensorElement(self.algebra, self.arity,
+                             _legwise(self.algebra, self.arity, self.entries, other.entries),
+                             clean=True)
 
     def __matmul__(self, other):
         """Outer (Kronecker) product: arities add."""
@@ -379,22 +416,32 @@ class TensorElement:
     # -- inversion and matrices --
 
     def left_matrix(self):
-        """Column J holds the coefficients of self * e_J over H^(x)arity."""
+        """The matrix of left multiplication by self, as numerators ``(rows, den)``.
+
+        Column J of ``rows / den`` holds the coefficients of self * e_J over
+        H^(x)arity, rows and columns in ``multi_indices`` order; the entries
+        of ``rows`` are numerators in the sense of ``Field.clear`` (ints
+        over Q), so the matrix is never built from field values.
+        """
         alg = self.algebra
+        field = alg.field
         d, n = alg.dim, self.arity
         size = d ** n
-        mat = [[alg.field.zero] * size for _ in range(size)]
-        basis_product = alg.basis_product
+        nums, den = field.clear(self.entries.values())
+        zero = field.clear([field.zero])[0][0]   # the numerator of 0
+        rows = [[zero] * size for _ in range(size)]
+        table = alg._numerators
+        entries = list(zip(self.entries, nums))
         for col, J in enumerate(alg.multi_indices(n)):
             column = {}
-            for I, u in self.entries.items():
-                _expand(column, u, [basis_product(a, b) for a, b in zip(I, J)])
+            for I, u in entries:
+                _expand(column, u, [table[a][b] for a, b in zip(I, J)])
             for K, val in column.items():
                 row = 0
                 for idx in K:
                     row = row * d + idx
-                mat[row][col] = val
-        return mat
+                rows[row][col] = val
+        return rows, den * alg._denominator ** n
 
     def invert(self) -> "TensorElement":
         """Two-sided inverse, via one exact solve of the left-multiplication matrix.
@@ -405,13 +452,15 @@ class TensorElement:
         alg = self.algebra
         d, n = alg.dim, self.arity
         unit = alg.tensor_unit(n)
+        rows, den = self.left_matrix()
+        # (rows / den) x = unit  <=>  rows x = den * unit
         rhs = [alg.field.zero] * (d ** n)
         for K, v in unit.entries.items():
             row = 0
             for idx in K:
                 row = row * d + idx
-            rhs[row] = v
-        x = linalg.solve(alg.field, self.left_matrix(), rhs)
+            rhs[row] = v * den
+        x = linalg.solve(alg.field, rows, rhs)
         entries = {}
         for col, J in enumerate(alg.multi_indices(n)):
             if x[col]:
@@ -630,9 +679,9 @@ def contract(t: TensorElement, *specs) -> TensorElement:
                 used.append(item[0])
     if sorted(used) != list(range(1, t.arity + 1)):
         raise ArityMismatch(f"legs {sorted(used)} do not cover 1..{t.arity} exactly once")
-    out = {}
     unit = alg.unit_element
-    for key, val in t.entries.items():
+    rows = []   # the output-leg factors of each entry of t
+    for key in t.entries:
         factors = []
         for spec in specs:
             elt = None
@@ -644,8 +693,19 @@ def contract(t: TensorElement, *specs) -> TensorElement:
                     f = alg.basis_element(key[leg - 1]) if m is None else m.col_element(key[leg - 1])
                 elt = f if elt is None else elt * f
             factors.append(unit if elt is None else elt)
-        _expand(out, val, [{i: c for i, c in enumerate(f.coeffs) if c} for f in factors])
-    return TensorElement(alg, len(specs), out, clean=True)
+        rows.append(factors)
+    field = alg.field
+    nums, den = field.clear(t.entries.values())
+    legs = [[] for _ in rows]
+    for slot in zip(*rows):   # one output leg: its factor for every entry of t
+        flat, slot_den = field.clear(c for f in slot for c in f.coeffs)
+        den *= slot_den
+        for n, leg_list in enumerate(legs):
+            leg_list.append({i: c for i, c in enumerate(flat[n * alg.dim:(n + 1) * alg.dim]) if c})
+    out = {}
+    for num, leg_list in zip(nums, legs):
+        _expand(out, num, leg_list)
+    return TensorElement(alg, len(specs), _restored(field, out, den), clean=True)
 
 
 def contract_element(t: TensorElement, spec) -> AlgElement:

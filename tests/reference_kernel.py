@@ -1,0 +1,168 @@
+"""The field-valued tensor kernel and Gaussian elimination, kept as test oracles.
+
+This is the product kernel and the elimination that ``qhakit.tensor`` and
+``qhakit.linalg`` used before they moved to numerators over a common
+denominator and to fraction-free (Bareiss) elimination.  Every scalar
+operation here is a field operation on ``Fraction`` or ``Cyclo`` values,
+and every entry is normalised as it is formed, so each function is the
+plain definition the numerator kernel must agree with, entry by entry and
+error text by error text.  Nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+from qhakit.errors import SingularError
+from qhakit.tensor import AlgElement, TensorElement
+
+
+def _acc(entries, key, value):
+    cur = entries.get(key)
+    if cur is None:
+        if value:
+            entries[key] = value
+        return
+    cur = cur + value
+    if cur:
+        entries[key] = cur
+    else:
+        del entries[key]
+
+
+def expand(out, coeff, legs):
+    """Add ``coeff * legs[0] (x) legs[1] (x) ...`` into ``out``."""
+    terms = {(): coeff}
+    for leg in legs:
+        if not leg:
+            return
+        terms = {key + (k,): val * c for key, val in terms.items() for k, c in leg.items()}
+    for key, val in terms.items():
+        _acc(out, key, val)
+
+
+def mul(s: TensorElement, t: TensorElement) -> TensorElement:
+    """Legwise product of two tensors of one arity."""
+    basis_product = s.algebra.basis_product
+    out = {}
+    for I, u in s.entries.items():
+        for J, v in t.entries.items():
+            expand(out, u * v, [basis_product(a, b) for a, b in zip(I, J)])
+    return TensorElement(s.algebra, s.arity, out, clean=True)
+
+
+def alg_mul(a: AlgElement, b: AlgElement) -> AlgElement:
+    """Product of two algebra elements, coefficient by coefficient."""
+    alg = a.algebra
+    out = [alg.field.zero] * alg.dim
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            if not y:
+                continue
+            xy = x * y
+            for k, c in alg.basis_product(i, j).items():
+                out[k] = out[k] + xy * c
+    return AlgElement(alg, tuple(out))
+
+
+def left_matrix(t: TensorElement):
+    """Column J holds the coefficients of t * e_J, as field values."""
+    alg = t.algebra
+    d, n = alg.dim, t.arity
+    size = d ** n
+    mat = [[alg.field.zero] * size for _ in range(size)]
+    for col, J in enumerate(alg.multi_indices(n)):
+        column = {}
+        for I, u in t.entries.items():
+            expand(column, u, [alg.basis_product(a, b) for a, b in zip(I, J)])
+        for K, val in column.items():
+            row = 0
+            for idx in K:
+                row = row * d + idx
+            mat[row][col] = val
+    return mat
+
+
+def contract(t: TensorElement, *specs) -> TensorElement:
+    """``qhakit.tensor.contract`` with field-valued factors (no leg-cover check)."""
+    alg = t.algebra
+    out = {}
+    for key, val in t.entries.items():
+        factors = []
+        for spec in specs:
+            elt = alg.unit_element
+            for item in spec:
+                if isinstance(item, AlgElement):
+                    f = item
+                else:
+                    leg, m = item
+                    f = alg.basis_element(key[leg - 1]) if m is None else m.col_element(key[leg - 1])
+                elt = alg_mul(elt, f)
+            factors.append(elt)
+        expand(out, val, [{i: c for i, c in enumerate(f.coeffs) if c} for f in factors])
+    return TensorElement(alg, len(specs), out, clean=True)
+
+
+def solve_columns(field, matrix, columns):
+    """Gaussian elimination with first-nonzero pivoting, then back-substitution."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    if any(len(col) != n for col in columns):
+        raise ValueError("right-hand side has wrong length")
+    m = [list(row) for row in matrix]
+    b = [[col[r] for col in columns] for r in range(n)]
+    inverses = []
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            raise SingularError(f"singular matrix (no pivot in column {col})")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            b[col], b[pivot] = b[pivot], b[col]
+        inv = field.inv(m[col][col])
+        inverses.append(inv)
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            if not factor:
+                continue
+            for c in range(col, n):
+                m[r][c] = m[r][c] - factor * m[col][c]
+            b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
+    x = [None] * n
+    for row in range(n - 1, -1, -1):
+        acc = b[row]
+        for c in range(row + 1, n):
+            if m[row][c]:
+                acc = [a - m[row][c] * v if v else a for a, v in zip(acc, x[c])]
+        x[row] = [a * inverses[row] for a in acc]
+    return [[x[r][k] for r in range(n)] for k in range(len(columns))]
+
+
+def solve(field, matrix, rhs):
+    return solve_columns(field, matrix, [rhs])[0]
+
+
+def invert_matrix(field, matrix):
+    n = len(matrix)
+    units = [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
+    return [list(row) for row in zip(*solve_columns(field, matrix, units))]
+
+
+def invert(t: TensorElement) -> TensorElement:
+    """Two-sided inverse through the field-valued left matrix and Gaussian elimination."""
+    alg = t.algebra
+    d, n = alg.dim, t.arity
+    unit = alg.tensor_unit(n)
+    rhs = [alg.field.zero] * (d ** n)
+    for K, v in unit.entries.items():
+        row = 0
+        for idx in K:
+            row = row * d + idx
+        rhs[row] = v
+    x = solve(alg.field, left_matrix(t), rhs)
+    entries = {J: x[col] for col, J in enumerate(alg.multi_indices(n)) if x[col]}
+    candidate = TensorElement(alg, n, entries, clean=True)
+    if mul(candidate, t) != unit:
+        raise SingularError("element has a right inverse but no left inverse")
+    return candidate

@@ -4,15 +4,24 @@
 the methods in its ``METHODS`` table; ``bench/layers.json`` requires some call
 counts to be nonzero.  Both files are only read here, no wrapper is installed,
 so a change that renames or deletes a traced name fails these tests instead
-of the traced benchmark run.
+of the traced benchmark run.  The last tests guard what the traced counts
+mean: ``tensor.mul.*`` counts legwise products only, and ``max_bits`` reads
+reduced ``Fraction`` entries.
 """
 
 import importlib
 import importlib.util
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import reference_kernel as ref
+from conftest import hopf
+from qhakit.scalars import RATIONAL
+from qhakit.tensor import Algebra, TensorElement
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -71,3 +80,52 @@ def test_required_call_count_has_a_traced_name(span):
     layer, fn = span.split(".", 1)
     assert layer in TRACE_BOOT.LAYERS
     assert fn in _public_functions(layer)
+
+
+# -- the counts the traced run reads -------------------------------------------
+
+def _fractional_z2():
+    """k[Z/2] on the basis {1, g/2}, whose structure constants have a denominator."""
+    return Algebra(RATIONAL, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                 (1, 1): {0: Fraction(1, 4)}})
+
+
+def _samples():
+    """Rational tensors of arity 1-3: catalog data and dense tensors with denominators."""
+    z3 = hopf("group_z3")
+    alg = _fractional_z2()
+    dense = TensorElement(alg, 3, {k: Fraction(n - 3, n % 3 + 2)
+                                   for n, k in enumerate(alg.multi_indices(3))})
+    return [z3.phi, z3.coproduct.col(1), z3.algebra.unit_element.to_tensor() * 3, dense,
+            dense.perm((3, 1, 2)), TensorElement(alg, 1, {(0,): Fraction(2, 3), (1,): 5})]
+
+
+class TestTraceCounters:
+    def test_alg_mul_and_left_matrix_bypass_the_legwise_product(self, monkeypatch):
+        """tensor.mul.calls and .pairs count legwise products only, as in earlier runs."""
+        def refuse(self, other):
+            raise AssertionError("TensorElement.__mul__ was called")
+
+        samples = _samples()
+        monkeypatch.setattr(TensorElement, "__mul__", refuse)
+        for t in samples:
+            rows, den = t.left_matrix()
+            assert [t.algebra.field.restore(row, den) for row in rows] == ref.left_matrix(t)
+            if t.arity == 1:
+                a = t.as_element()
+                for b in (a, t.algebra.unit_element, t.algebra.basis_element(1)):
+                    assert a * b == ref.alg_mul(a, b)
+                    assert b * a == ref.alg_mul(b, a)
+
+    def test_product_entries_are_reduced_fractions(self):
+        """trace_boot.bits() reads numerator and denominator of every product entry."""
+        samples = _samples()
+        for s in samples:
+            for t in samples:
+                if s.algebra is not t.algebra or s.arity != t.arity:
+                    continue
+                for v in (s * t).entries.values():
+                    assert type(v) is Fraction
+                    assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+                    assert TRACE_BOOT.bits(v) == max(abs(v.numerator).bit_length(),
+                                                     v.denominator.bit_length())

@@ -10,6 +10,7 @@ from qhakit.catalog import builtin
 from qhakit.errors import (AlgebraError, CatalogError, SchemaError,
                            StructureError)
 from qhakit.randgen import random_twist
+from qhakit.scalars import Field
 from qhakit.serial import (parse_structure, parse_twist, serialize_structure,
                            serialize_twist)
 from qhakit.structures import structures_equal
@@ -124,6 +125,28 @@ class TestParseErrors:
         doc["unit"][0] = value
         with pytest.raises(SchemaError, match=r"^unit\[0\]: bad scalar"):
             parse_structure(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["1e3", "1.5", " 1/2", "1_0", "1e999999999", "1/0"])
+    def test_scalar_outside_the_rational_grammar_rejected(self, text):
+        doc = json.loads(serialize_structure(entry("group_z3")))
+        doc["alpha"][1] = text
+        with pytest.raises(SchemaError, match=r"^alpha\[1\]: bad scalar"):
+            parse_structure(json.dumps(doc))
+
+    def test_dynamical_rational_outside_the_grammar_rejected(self):
+        doc = json.loads(serialize_structure(entry("z2_triangular")))
+        doc["dynamical"]["domain"][0] = "1e999999999"
+        with pytest.raises(SchemaError, match=r"^dynamical\.domain: bad rational"):
+            parse_structure(json.dumps(doc))
+
+    def test_unexpected_error_in_scalar_parsing_propagates(self, monkeypatch):
+        """Only the errors parse_scalar documents become SchemaError; a bug stays visible."""
+        def broken(self, obj):
+            raise RuntimeError("bug in parse_scalar")
+
+        monkeypatch.setattr(Field, "parse_scalar", broken)
+        with pytest.raises(RuntimeError, match="bug in parse_scalar"):
+            parse_structure(serialize_structure(entry("group_z3")))
 
     @pytest.mark.parametrize("edit, path", [
         (lambda doc: doc.update(dimension=True), "dimension"),

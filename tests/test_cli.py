@@ -74,7 +74,10 @@ class TestVerify:
         ("semion", lambda doc: doc["unit"].__setitem__(0, [True, 0]), "unit[0]"),
         ("group_z3", lambda doc: doc.update(dimension=True), "dimension"),
         ("group_z3", lambda doc: doc["phi"][0].update(i=False), "phi[0].i"),
-    ], ids=["float-in-list", "bool-in-list", "bool-dimension", "bool-index"])
+        ("group_z3", lambda doc: doc["alpha"].__setitem__(0, "1e999999999"), "alpha[0]"),
+        ("group_z3", lambda doc: doc["phi"][0].update(scalar="1.5"), "phi[0].scalar"),
+    ], ids=["float-in-list", "bool-in-list", "bool-dimension", "bool-index", "exponent",
+            "decimal"])
     def test_inexact_or_boolean_input_exits_2(self, capsys, tmp_path, name, edit, path):
         doc = json.loads(serialize_structure(entry(name)))
         edit(doc)

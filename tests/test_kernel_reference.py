@@ -1,0 +1,253 @@
+"""The numerator kernel and Bareiss elimination against the field-valued oracles.
+
+``reference_kernel`` keeps the Fraction/Cyclo product kernel and Gaussian
+elimination; here both compute the same products, left matrices,
+contractions, inverses and solutions on random inputs, and must agree
+entry by entry (same values, same scalar types) and error text by error
+text.  The algebras cover what the catalog does not: structure constants
+with denominators (k[Z/2] on the basis {1, g/2}, 2x2 matrices on a scaled
+matrix-unit basis), Q(zeta_8), and dense arity-3 tensors over k[Z/3].
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_kernel as ref
+from qhakit import linalg
+from qhakit.errors import SingularError
+from qhakit.scalars import RATIONAL, cyclotomic_field
+from qhakit.tensor import Algebra, LinearMap, TensorElement, contract, tensor_of
+
+Q8 = cyclotomic_field(8)
+
+
+def z2_half(field):
+    """k[Z/2] on the basis {1, g/2}: (g/2)(g/2) = 1/4."""
+    return Algebra(field, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                              (1, 1): {0: Fraction(1, 4)}}, basis=["1", "g/2"])
+
+
+def m2_scaled(field):
+    """2x2 matrices on f_ij = s_ij e_ij: f_ij f_kl = [j == k] (s_ij s_kl / s_il) f_il."""
+    s = {(0, 0): Fraction(1), (0, 1): Fraction(1, 2), (1, 0): Fraction(3), (1, 1): Fraction(1)}
+    mult = {(2 * i + j, 2 * k + l): ({2 * i + l: s[i, j] * s[k, l] / s[i, l]} if j == k else {})
+            for i in range(2) for j in range(2) for k in range(2) for l in range(2)}
+    return Algebra(field, 4, mult, unit=[1, 0, 0, 1], basis=["f11", "f12", "f21", "f22"])
+
+
+def z3(field):
+    return Algebra(field, 3, {(i, j): {(i + j) % 3: 1} for i in range(3) for j in range(3)})
+
+
+ALGEBRAS = (z2_half(RATIONAL), z2_half(Q8), m2_scaled(RATIONAL), m2_scaled(Q8), z3(RATIONAL))
+
+
+def rationals(large=False):
+    if large:
+        return st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 12)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def scalars(field, large=False):
+    q = rationals(large)
+    if field.kind == "rational":
+        return q
+    return st.lists(q, min_size=4, max_size=4)
+
+
+def elements(alg):
+    """Random elements, and ones built so that products cancel: (1 +- b) for a basis b."""
+    field = alg.field
+    dense = st.lists(scalars(field), min_size=alg.dim, max_size=alg.dim).map(alg.element)
+    signed = st.tuples(st.integers(0, alg.dim - 1), st.sampled_from([1, -1])).map(
+        lambda p: alg.unit_element + p[1] * alg.basis_element(p[0]))
+    return st.one_of(dense, signed)
+
+
+@st.composite
+def tensors(draw, alg, arity):
+    """Sparse, dense (when small enough), or a short sum of pure tensors."""
+    field = alg.field
+    keys = list(alg.multi_indices(arity))
+    kind = draw(st.sampled_from(["sparse", "dense", "pure"]))
+    if kind == "pure" and arity:
+        out = alg.tensor_zero(arity)
+        for _ in range(draw(st.integers(1, 2))):
+            out = out + tensor_of(*[draw(elements(alg)) for _ in range(arity)])
+        return out
+    if kind == "dense" and len(keys) <= 27:
+        chosen = keys
+    else:
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
+    return TensorElement(alg, arity, {k: field.coerce(draw(scalars(field))) for k in chosen})
+
+
+def same(a, b):
+    """Equal values of equal scalar types, in the same positions."""
+    assert a == b
+    assert [type(v) for v in a] == [type(v) for v in b]
+
+
+def same_tensor(s, t):
+    assert s.entries == t.entries
+    assert all(type(v) is type(t.entries[k]) for k, v in s.entries.items())
+
+
+def field_matrix(t):
+    rows, den = t.left_matrix()
+    return [t.algebra.field.restore(row, den) for row in rows]
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and text of the error it raised."""
+    try:
+        return "ok", fn(*args)
+    except (SingularError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def algebra_and_arity(data, max_arity=3):
+    alg = data.draw(st.sampled_from(ALGEBRAS))
+    top = 3 if alg.dim <= 3 and alg.field.kind == "rational" else 2
+    return alg, data.draw(st.integers(0, min(max_arity, top)))
+
+
+class TestKernelAgainstReference:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mul(self, data):
+        alg, arity = algebra_and_arity(data)
+        s, t = data.draw(tensors(alg, arity)), data.draw(tensors(alg, arity))
+        same_tensor(s * t, ref.mul(s, t))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_alg_mul(self, data):
+        alg = data.draw(st.sampled_from(ALGEBRAS))
+        a, b = data.draw(elements(alg)), data.draw(elements(alg))
+        same(list((a * b).coeffs), list(ref.alg_mul(a, b).coeffs))
+
+    def test_dense_arity_three_over_z3(self):
+        alg = z3(RATIONAL)
+        keys = list(alg.multi_indices(3))
+        s = TensorElement(alg, 3, {k: Fraction(n % 7 - 3, n % 5 + 1) for n, k in enumerate(keys)})
+        t = TensorElement(alg, 3, {k: Fraction(n % 4 + 1, n % 3 + 2) for n, k in enumerate(keys)})
+        assert len(s.entries) > 20 and len(t.entries) == 27
+        same_tensor(s * t, ref.mul(s, t))
+
+    def test_cancellation_to_zero(self):
+        alg = z2_half(RATIONAL)
+        plus = alg.unit_element + 2 * alg.basis_element(1)    # 1 + g
+        minus = alg.unit_element - 2 * alg.basis_element(1)   # 1 - g
+        assert (plus * minus).coeffs == ref.alg_mul(plus, minus).coeffs == (0, 0)
+        s = tensor_of(plus, alg.basis_element(1), minus)
+        t = tensor_of(minus, plus, plus)
+        assert (s * t).entries == ref.mul(s, t).entries == {}
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_left_matrix(self, data):
+        alg, arity = algebra_and_arity(data, max_arity=2)
+        t = data.draw(tensors(alg, arity))
+        for new, old in zip(field_matrix(t), ref.left_matrix(t)):
+            same(new, old)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_contract(self, data):
+        alg, arity = algebra_and_arity(data)
+        field = alg.field
+        t = data.draw(tensors(alg, arity))
+        m = LinearMap.from_matrix(alg, [[data.draw(scalars(field)) for _ in range(alg.dim)]
+                                        for _ in range(alg.dim)])
+        out_arity = data.draw(st.integers(1 if arity else 0, 3))
+        specs = [[] for _ in range(out_arity)]
+        for leg in data.draw(st.permutations(range(1, arity + 1))):
+            specs[data.draw(st.integers(0, out_arity - 1))].append(
+                (leg, data.draw(st.sampled_from([None, m]))))
+        for spec in specs:
+            if data.draw(st.booleans()):
+                spec.insert(data.draw(st.integers(0, len(spec))), data.draw(elements(alg)))
+        same_tensor(contract(t, *specs), ref.contract(t, *specs))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_invert(self, data):
+        alg, arity = algebra_and_arity(data, max_arity=2)
+        t = data.draw(tensors(alg, arity))
+        new, old = outcome(TensorElement.invert, t), outcome(ref.invert, t)
+        assert new[0] == old[0]
+        if new[0] == "ok":
+            same_tensor(new[1], old[1])
+        else:
+            assert new[1] == old[1]
+
+
+# -- the elimination ----------------------------------------------------------
+
+@st.composite
+def systems(draw, field):
+    """A square system that often needs row swaps, is often singular, and may have large entries."""
+    rational = field.kind == "rational"
+    n = draw(st.integers(0, 5 if rational else 4))
+    large = rational and draw(st.booleans())
+
+    def entry():
+        if draw(st.integers(0, 2)) == 0:
+            return field.zero   # zeros on the diagonal force row swaps
+        return field.coerce(draw(scalars(field, large)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        i, j, k = perm[0], perm[1], perm[-1]   # k == i when n == 2
+        a, b = field.coerce(draw(scalars(field))), field.coerce(draw(scalars(field)))
+        rows[j] = [a * x + b * y for x, y in zip(rows[i], rows[k])]
+    rhs = [entry() for _ in range(n)]
+    return rows, rhs
+
+
+class TestEliminationAgainstReference:
+    @pytest.mark.parametrize("field", [RATIONAL, Q8], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_solve(self, field, data):
+        m, b = data.draw(systems(field))
+        new, old = outcome(linalg.solve, field, m, b), outcome(ref.solve, field, m, b)
+        assert new[0] == old[0]
+        if new[0] == "ok":
+            same(new[1], old[1])
+        else:
+            assert new[1] == old[1]
+
+    @pytest.mark.parametrize("field", [RATIONAL, Q8], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_invert_matrix(self, field, data):
+        m, _ = data.draw(systems(field))
+        new, old = outcome(linalg.invert_matrix, field, m), outcome(ref.invert_matrix, field, m)
+        assert new[0] == old[0]
+        if new[0] == "ok":
+            for a, b in zip(new[1], old[1]):
+                same(a, b)
+        else:
+            assert new[1] == old[1]
+
+    def test_row_swaps_and_large_entries(self):
+        big = Fraction(10 ** 40 + 7, 3 ** 30)
+        m = [[Fraction(0), big, Fraction(1)],
+             [Fraction(0), Fraction(0), Fraction(-2, 7)],
+             [big, Fraction(1, 3), Fraction(0)]]
+        b = [Fraction(1), big, Fraction(-5)]
+        same(linalg.solve(RATIONAL, m, b), ref.solve(RATIONAL, m, b))
+
+    def test_singular_and_shape_errors(self):
+        m = [[Fraction(1), Fraction(2), Fraction(0)],
+             [Fraction(2), Fraction(4), Fraction(1)],
+             [Fraction(0), Fraction(0), Fraction(3)]]
+        b = [Fraction(1)] * 3
+        for args in ((m, b), (m[:2], b), (m, b[:2])):
+            assert outcome(linalg.solve, RATIONAL, *args) == outcome(ref.solve, RATIONAL, *args)
+            assert outcome(linalg.solve, RATIONAL, *args)[0] != "ok"

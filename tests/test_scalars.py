@@ -101,6 +101,24 @@ class TestCyclotomic:
         with pytest.raises(FieldMismatch, match=message):
             cyclotomic_field(4).coerce(value)
 
+    @pytest.mark.parametrize("text", ["1e3", "1.5", " 1/2", "1_0", "1e999999999", "1/2/3",
+                                      "+-1", "", "\u0661"])
+    def test_rational_strings_follow_the_p_or_p_over_q_grammar(self, text):
+        """Fraction would read decimals and exponents ("1e999999999" never finishes)."""
+        with pytest.raises(FieldMismatch, match="not a rational of the form p or p/q"):
+            RATIONAL.coerce(text)
+        with pytest.raises(FieldMismatch, match="not a rational of the form p or p/q"):
+            cyclotomic_field(4).coerce([text, "0"])
+
+    @pytest.mark.parametrize("text, value", [("7", 7), ("-7", -7), ("+3/6", Fraction(1, 2)),
+                                             ("0/5", 0), ("-12/8", Fraction(-3, 2))])
+    def test_rational_strings_accepted(self, text, value):
+        assert RATIONAL.coerce(text) == value
+
+    def test_zero_denominator_string_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            RATIONAL.coerce("1/0")
+
 
 @pytest.mark.parametrize("order", [3, 4, 8])
 class TestFieldAxioms:
