@@ -33,6 +33,8 @@ class ShiftSystem:
     def __init__(self, idempotents, weights, check=True):
         if len(idempotents) != len(weights):
             raise StructureError("one weight per idempotent")
+        if not idempotents:
+            raise StructureError("a shift system needs at least one idempotent")
         self.idempotents = list(idempotents)
         self.weights = [Fraction(w) for w in weights]
         if check:

@@ -3,11 +3,12 @@
 ``solve`` and ``invert_matrix`` share one elimination: fraction-free
 (Bareiss) forward elimination with first-nonzero pivoting, then
 fraction-free back-substitution, for any number of right-hand sides.
-Each row of the system is cleared to numerators (``Field.clear``: ints
-over Q), every step divides exactly by the previous pivot (Bareiss,
-*Math. Comp.* 22 (1968) 565-578), and the solutions are restored to
-field values once, over the last pivot.  Results are exact and a singular
-system is detected, never approximated.
+Each row of the system is cleared to integral numerators (``Field.clear``:
+ints over Q, elements of Z[zeta_n] over Q(zeta_n)), every step divides
+exactly by the previous pivot (Bareiss, *Math. Comp.* 22 (1968) 565-578;
+the quotients are minors, so they stay in the integral domain), and the
+solutions are restored to field values once, over the last pivot.
+Results are exact and a singular system is detected, never approximated.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import SingularError
 def _solve_columns(field, matrix, columns):
     """Solve M x = b exactly for each b in ``columns``; returns the solutions in order.
 
-    The entries may be field values or numerators (ints over Q).  One
+    The entries may be field values or numerators (see ``Field.clear``).  One
     elimination serves every column.  Raises SingularError if M is singular.
     """
     n = len(matrix)
@@ -53,7 +54,7 @@ def _solve_columns(field, matrix, columns):
         if active:   # the next step divides by this pivot
             div = field.divider(p)
             dividers.append(div)
-    # back-substitution on y = det * x, which is integral over Q
+    # back-substitution on y = det * x, which is integral (Cramer's rule)
     det = upper[-1][0]
     y = [None] * n
     y[-1] = upper[-1][1:]

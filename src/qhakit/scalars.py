@@ -5,6 +5,16 @@ Scalar values are either ``fractions.Fraction`` (rational field) or
 reduced modulo the n-th cyclotomic polynomial).  Everything is exact;
 there is no floating point anywhere in the kernel, so every comparison
 downstream is a strict equality.
+
+The tensor kernel and the elimination compute on numerators instead of
+field values (``Field.clear``, ``Field.restore``, ``Field.divider``): a set
+of values is cleared to integral numerators over one int denominator, the
+lcm of all their coefficient denominators.  Over Q a numerator is an int.
+Over Q(zeta_n) it is an element of Z[zeta_n]: a plain int when the value
+is a constant, otherwise a private integral coefficient vector that
+multiplies modulo the monic integral cyclotomic polynomial.  Stored
+values are always normalised ``Fraction``/``Cyclo``; numerators never
+leave the kernel.
 """
 
 from __future__ import annotations
@@ -292,6 +302,82 @@ class Cyclo:
         return " + ".join(terms) if terms else "0"
 
 
+@lru_cache(maxsize=None)
+def _integral_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """``_reduction_rows(n)`` as ints: the cyclotomic polynomial is monic and integral."""
+    return tuple(tuple(int(c) for c in row) for row in _reduction_rows(n))
+
+
+class _Integral:
+    """A numerator in Z[zeta_n]: int coefficients on the power basis 1, zeta, ...
+
+    The numerator form (see ``Field.clear``) of a Q(zeta_n) value that is
+    not a constant; constants clear to plain ints, and the two mix in
+    ``+``, ``-`` and ``*``.  ``rows`` are the int reduction rows of the
+    order, so a product folds back below the modulus degree without
+    division.  ``// d`` divides every coefficient by the int ``d`` and is
+    only used where the quotient is integral.
+    """
+
+    __slots__ = ("coeffs", "rows")
+
+    def __init__(self, coeffs, rows):
+        self.coeffs = coeffs
+        self.rows = rows
+
+    def __add__(self, other):
+        a = self.coeffs
+        if isinstance(other, _Integral):
+            return _Integral(tuple([x + y for x, y in zip(a, other.coeffs)]), self.rows)
+        if isinstance(other, int):
+            return _Integral((a[0] + other,) + a[1:], self.rows)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        a = self.coeffs
+        if isinstance(other, _Integral):
+            return _Integral(tuple([x - y for x, y in zip(a, other.coeffs)]), self.rows)
+        if isinstance(other, int):
+            return _Integral((a[0] - other,) + a[1:], self.rows)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return -self + other
+        return NotImplemented
+
+    def __neg__(self):
+        return _Integral(tuple([-x for x in self.coeffs]), self.rows)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Integral(tuple([x * other for x in self.coeffs]), self.rows)
+        if not isinstance(other, _Integral):
+            return NotImplemented
+        a, b, rows = self.coeffs, other.coeffs, self.rows
+        deg = len(a)
+        out = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        low = out[:deg]
+        for row, overflow in zip(rows, out[deg:]):
+            if overflow:
+                low = [u + overflow * v for u, v in zip(low, row)]
+        return _Integral(tuple(low), rows)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, d):
+        return _Integral(tuple([x // d for x in self.coeffs]), self.rows)
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+
 @dataclass(frozen=True)
 class Field:
     """Descriptor of the coefficient field: the rationals, or Q(zeta_order).
@@ -366,44 +452,68 @@ class Field:
     def clear(self, values):
         """Numerators over one common denominator: ``(nums, den)``, ``values[i] = nums[i] / den``.
 
-        Over Q the numerators are ints (0 for a zero value) and ``den`` is
-        the lcm of the denominators; over Q(zeta_n) every value is its own
-        numerator and ``den`` is 1.
+        ``den`` is an int, the lcm of the denominators of all coefficients,
+        and the numerators are integral.  Over Q they are ints (0 for a zero
+        value).  Over Q(zeta_n) they lie in Z[zeta_n]: an int for a constant
+        value, otherwise an integral coefficient vector.  ``values`` may mix
+        field values with numerators, which count as over 1.
         """
         values = list(values)
-        if self.kind != "rational":
-            return values, 1
-        den = math.lcm(*[v.denominator for v in values])
-        if den == 1:
-            return [v.numerator for v in values], 1
-        return [v.numerator * (den // v.denominator) for v in values], den
+        if self.kind == "rational":
+            den = math.lcm(*[v.denominator for v in values])
+            if den == 1:
+                return [v.numerator for v in values], 1
+            return [v.numerator * (den // v.denominator) for v in values], den
+        den = math.lcm(*[c.denominator for v in values if isinstance(v, Cyclo)
+                         for c in v.coeffs])
+        rows = _integral_rows(self.order)
+        nums = []
+        for v in values:
+            if not isinstance(v, Cyclo):
+                nums.append(v * den)
+            elif any(v.coeffs[1:]):
+                nums.append(_Integral(tuple([c.numerator * (den // c.denominator)
+                                             for c in v.coeffs]), rows))
+            else:
+                c = v.coeffs[0]
+                nums.append(c.numerator * (den // c.denominator))
+        return nums, den
 
     def restore(self, nums, den):
         """The field values ``n / den`` for the numerators ``n``, reduced; inverts :meth:`clear`.
 
-        ``den`` is a nonzero numerator (an int over Q); over Q(zeta_n) its
-        inverse is formed once for all of ``nums``.
+        ``den`` is a nonzero numerator.  Over an int ``den`` every value is
+        built directly from reduced ``Fraction`` coefficients; over a
+        Z[zeta_n] ``den`` (a Bareiss determinant) one ``Cyclo`` inverse is
+        formed for all of ``nums``.
         """
         if self.kind == "rational":
             if den == 1:
                 return [Fraction(n) for n in nums]
             return [Fraction(n, den) for n in nums]
-        if den == 1:
-            return list(nums)
-        inv = self.inv(den)
-        return [n * inv for n in nums]
+        if not isinstance(den, int):
+            inv = self.restore([den], 1)[0].inverse()
+            return [v * inv for v in self.restore(nums, 1)]
+        order = self.order
+        zeros = (ZERO,) * (totient(order) - 1)
+        return [Cyclo._raw(order, (Fraction(n, den),) + zeros) if isinstance(n, int)
+                else Cyclo._raw(order, tuple([Fraction(c, den) for c in n.coeffs]))
+                for n in nums]
 
     def divider(self, p):
         """Exact division by the nonzero numerator ``p``, as a function of the dividend.
 
-        Over Q it is integer division and the dividend must be a multiple of
-        ``p``; over Q(zeta_n) it multiplies by the inverse of ``p``, formed
-        once here.
+        The dividend must be ``p`` times a numerator, as every Bareiss
+        quotient is.  For an int ``p`` (always, over Q) it is ``//``.  For
+        ``p`` in Z[zeta_n] it multiplies by ``m / p``, integral for ``m`` the
+        lcm of the coefficient denominators of ``1 / p``, then divides every
+        coefficient by ``m``; the power basis is a Z-basis of Z[zeta_n], so
+        that division is exact too.
         """
-        if self.kind == "rational":
+        if isinstance(p, int):
             return lambda x: x // p
-        inv = self.inv(p)
-        return lambda x: x * inv
+        (inv,), m = self.clear([self.restore([p], 1)[0].inverse()])
+        return lambda x: (x * inv) // m
 
     def format_scalar(self, value):
         """Text encoding: 'p/q' strings for Q, coefficient-string arrays for Q(zeta_n)."""

@@ -27,7 +27,7 @@ import json
 from fractions import Fraction
 
 from .catalog import CatalogEntry
-from .errors import QhaError, SchemaError, SingularError, StructureError, TwistError
+from .errors import QhaError, SchemaError, StructureError, TwistError
 from .scalars import RATIONAL, Field
 from .structures import QuasiAntipode, QuasiBialgebra
 from .dynamical import DynamicalTwist, ShiftSystem
@@ -248,11 +248,7 @@ def parse_structure(text: str) -> CatalogEntry:
 
     # constructors verify; StructureError propagates with its report
     qba = QuasiBialgebra(alg, coproduct, counit, phi)
-    try:
-        antipode = QuasiAntipode(s, alpha, beta, s_inv=s_inv)
-    except SingularError as exc:
-        raise StructureError(f"antipode is not invertible: {exc}") from exc
-    structure = qba.with_antipode(antipode)
+    structure = qba.with_antipode(QuasiAntipode(s, alpha, beta, s_inv=s_inv))
     if "r_matrix" in doc:
         r = _dec_sparse(field, alg, _expect(doc, "r_matrix", list, "r_matrix"),
                         2, "r_matrix")

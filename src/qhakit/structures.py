@@ -70,11 +70,20 @@ def _require(report: Report, message: str) -> None:
 
 
 class QuasiAntipode:
-    """A triple (S, alpha, beta) with the inverse of S cached."""
+    """A triple (S, alpha, beta) with the inverse of S cached.
+
+    Without ``s_inv`` the inverse is computed here; a singular ``s`` raises
+    StructureError.
+    """
 
     def __init__(self, s, alpha, beta, s_inv=None):
         self.s = s
-        self.s_inv = s_inv if s_inv is not None else s.inverse()
+        if s_inv is None:
+            try:
+                s_inv = s.inverse()
+            except SingularError as exc:
+                raise StructureError(f"antipode is not invertible: {exc}") from exc
+        self.s_inv = s_inv
         self.alpha = alpha
         self.beta = beta
 

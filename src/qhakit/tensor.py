@@ -9,14 +9,14 @@ multiplies out leg by leg (the legwise product, the product in H,
 ``left_matrix``, ``contract`` and the tensor units, hence ``embed``)
 expands its terms through one private kernel, ``_expand``.
 
-The products run on numerators.  Each operand is cleared to numerators
-over one common denominator (``Field.clear``: Python ints over an lcm for
-Q, the values themselves over 1 for Q(zeta_n)), the algebra holds its
-structure constants once in the same form, the numerators expand through
-``_expand``, and each result entry is restored once, as a reduced
-``Fraction`` (``Field.restore``).  Stored entries are always normalised
-field values, so equality, hashing and serialization never see a
-numerator.
+The products run on numerators.  Each operand is cleared to integral
+numerators over one int denominator (``Field.clear``: Python ints for Q;
+for Q(zeta_n) ints for constants and Z[zeta_n] coefficient vectors
+otherwise), the algebra holds its structure constants once in the same
+form, the numerators expand through ``_expand``, and each result entry is
+restored once, as a reduced ``Fraction`` or ``Cyclo`` (``Field.restore``).
+Stored entries are always normalised field values, so equality, hashing
+and serialization never see a numerator.
 
 Conventions used throughout:
 
@@ -420,8 +420,9 @@ class TensorElement:
 
         Column J of ``rows / den`` holds the coefficients of self * e_J over
         H^(x)arity, rows and columns in ``multi_indices`` order; the entries
-        of ``rows`` are numerators in the sense of ``Field.clear`` (ints
-        over Q), so the matrix is never built from field values.
+        of ``rows`` are numerators in the sense of ``Field.clear`` (ints over
+        Q, elements of Z[zeta_n] over Q(zeta_n)), so the matrix is never
+        built from field values.
         """
         alg = self.algebra
         field = alg.field
@@ -680,18 +681,27 @@ def contract(t: TensorElement, *specs) -> TensorElement:
     if sorted(used) != list(range(1, t.arity + 1)):
         raise ArityMismatch(f"legs {sorted(used)} do not cover 1..{t.arity} exactly once")
     unit = alg.unit_element
+    # the product of the items of spec s up to position p depends only on
+    # the indices of the legs read so far: entries sharing them share it
+    prefixes = {}   # (s, p, indices read) -> that product
     rows = []   # the output-leg factors of each entry of t
     for key in t.entries:
         factors = []
-        for spec in specs:
+        for s, spec in enumerate(specs):
             elt = None
-            for item in spec:
-                if isinstance(item, AlgElement):
-                    f = item
-                else:
-                    leg, m = item
-                    f = alg.basis_element(key[leg - 1]) if m is None else m.col_element(key[leg - 1])
-                elt = f if elt is None else elt * f
+            read = ()
+            for p, item in enumerate(spec):
+                if not isinstance(item, AlgElement):
+                    read += (key[item[0] - 1],)
+                prefix = prefixes.get((s, p, read))
+                if prefix is None:
+                    if isinstance(item, AlgElement):
+                        f = item
+                    else:
+                        m = item[1]
+                        f = alg.basis_element(read[-1]) if m is None else m.col_element(read[-1])
+                    prefix = prefixes[s, p, read] = f if elt is None else elt * f
+                elt = prefix
             factors.append(unit if elt is None else elt)
         rows.append(factors)
     field = alg.field

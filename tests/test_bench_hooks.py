@@ -5,8 +5,9 @@ the methods in its ``METHODS`` table; ``bench/layers.json`` requires some call
 counts to be nonzero.  Both files are only read here, no wrapper is installed,
 so a change that renames or deletes a traced name fails these tests instead
 of the traced benchmark run.  The last tests guard what the traced counts
-mean: ``tensor.mul.*`` counts legwise products only, and ``max_bits`` reads
-reduced ``Fraction`` entries.
+mean: ``tensor.mul.*`` counts legwise products only, ``max_bits`` reads
+reduced ``Fraction`` entries, and a legwise product over Q(zeta_n) adds
+nothing to ``scalars.cyclo_mul``.
 """
 
 import importlib
@@ -20,7 +21,7 @@ import pytest
 
 import reference_kernel as ref
 from conftest import hopf
-from qhakit.scalars import RATIONAL
+from qhakit.scalars import RATIONAL, Cyclo
 from qhakit.tensor import Algebra, TensorElement
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -129,3 +130,24 @@ class TestTraceCounters:
                     assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
                     assert TRACE_BOOT.bits(v) == max(abs(v.numerator).bit_length(),
                                                      v.denominator.bit_length())
+
+    def test_cyclotomic_products_make_no_cyclo_product(self, monkeypatch):
+        """Over Q(zeta_n) the legwise product multiplies integral numerators, never Cyclo values."""
+        h = hopf("semion")
+        pairs = [(h.r, h.r.transpose()), (h.r, h.r_inv), (h.phi, h.r.embed((1, 3), 3))]
+        assert any(any(v.coeffs[1:]) for s, _ in pairs for v in s.entries.values())
+        expected = [ref.mul(s, t) for s, t in pairs]
+        calls = []
+        original = Cyclo.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Cyclo, "__mul__", counting)
+        monkeypatch.setattr(Cyclo, "__rmul__", counting)
+        ref.mul(*pairs[0])
+        assert calls, "the reference kernel multiplies Cyclo values"
+        calls.clear()
+        assert [s * t for s, t in pairs] == expected
+        assert calls == []

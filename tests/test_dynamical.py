@@ -46,6 +46,10 @@ class TestShiftSystem:
         with pytest.raises(StructureError, match="sum to 1"):
             ShiftSystem([p0], [0])
 
+    def test_empty_system_is_refused(self):
+        with pytest.raises(StructureError, match="at least one idempotent"):
+            ShiftSystem([], [])
+
     def test_shift_element_eigenvalues(self):
         t, dyn, (p0, p1) = z2_family({0: 2, 1: 2, 2: 2})
         h_elt = dyn.shift.element()

@@ -6,7 +6,11 @@ contractions, inverses and solutions on random inputs, and must agree
 entry by entry (same values, same scalar types) and error text by error
 text.  The algebras cover what the catalog does not: structure constants
 with denominators (k[Z/2] on the basis {1, g/2}, 2x2 matrices on a scaled
-matrix-unit basis), Q(zeta_8), and dense arity-3 tensors over k[Z/3].
+matrix-unit basis), cyclotomic structure constants (k[Z/3] on the basis
+{1, c g, g^2}), the fields Q(zeta_n) for n = 3, 5, 8, 12 (degrees 2 and 4,
+with non-trivial reduction rows), and dense arity-3 tensors over k[Z/3].
+Cyclotomic values mix constants, which clear to int numerators, with
+general values, which clear to Z[zeta_n] vectors.
 """
 
 from fractions import Fraction
@@ -17,10 +21,11 @@ from hypothesis import given, settings, strategies as st
 import reference_kernel as ref
 from qhakit import linalg
 from qhakit.errors import SingularError
-from qhakit.scalars import RATIONAL, cyclotomic_field
+from qhakit.scalars import RATIONAL, Field, _Integral, cyclotomic_field, totient
 from qhakit.tensor import Algebra, LinearMap, TensorElement, contract, tensor_of
 
-Q8 = cyclotomic_field(8)
+Q3, Q5, Q8, Q12 = (cyclotomic_field(n) for n in (3, 5, 8, 12))
+FIELDS = (RATIONAL, Q3, Q5, Q8, Q12)
 
 
 def z2_half(field):
@@ -41,7 +46,17 @@ def z3(field):
     return Algebra(field, 3, {(i, j): {(i + j) % 3: 1} for i in range(3) for j in range(3)})
 
 
-ALGEBRAS = (z2_half(RATIONAL), z2_half(Q8), m2_scaled(RATIONAL), m2_scaled(Q8), z3(RATIONAL))
+def z3_scaled(field, c):
+    """k[Z/3] on the basis {1, c g, g^2}: e1 e1 = c^2 e2, e1 e2 = e2 e1 = c e0, e2 e2 = e1 / c."""
+    c = field.coerce(c)
+    mult = {(0, j): {j: 1} for j in range(3)} | {(j, 0): {j: 1} for j in range(3)}
+    mult |= {(1, 1): {2: c * c}, (1, 2): {0: c}, (2, 1): {0: c}, (2, 2): {1: c.inverse()}}
+    return Algebra(field, 3, mult, basis=["1", "cg", "g2"])
+
+
+ALGEBRAS = (z2_half(RATIONAL), z2_half(Q8), m2_scaled(RATIONAL), m2_scaled(Q8), z3(RATIONAL),
+            z3_scaled(Q3, Q3.zeta), z2_half(Q5), m2_scaled(Q12),
+            z3_scaled(Q12, [Fraction(1, 2), Fraction(1, 2), 0, 0]))
 
 
 def rationals(large=False):
@@ -51,10 +66,12 @@ def rationals(large=False):
 
 
 def scalars(field, large=False):
+    """Rationals; over Q(zeta_n) also coefficient lists, so values mix constants and vectors."""
     q = rationals(large)
     if field.kind == "rational":
         return q
-    return st.lists(q, min_size=4, max_size=4)
+    deg = totient(field.order)
+    return st.one_of(q, st.lists(q, min_size=deg, max_size=deg))
 
 
 def elements(alg):
@@ -146,6 +163,19 @@ class TestKernelAgainstReference:
         t = tensor_of(minus, plus, plus)
         assert (s * t).entries == ref.mul(s, t).entries == {}
 
+    def test_cancellation_to_zero_over_q3(self):
+        """(1 + g + g^2)(1 - g) = 0 in k[Z/3], on the basis {1, zeta g, g^2}."""
+        alg = z3_scaled(Q3, Q3.zeta)
+        zz = Q3.zeta * Q3.zeta                     # g = zeta^2 e1
+        norm = alg.element([1, zz, 1])
+        diff = alg.element([1, -zz, 0])
+        assert (norm * diff).coeffs == ref.alg_mul(norm, diff).coeffs == (0, 0, 0)
+        s = tensor_of(norm, alg.basis_element(1), diff) + tensor_of(diff, diff, norm)
+        t = tensor_of(diff, norm, alg.element([Fraction(1, 3), 0, 2]))
+        assert (s * t).entries == ref.mul(s, t).entries == {}
+        partial = tensor_of(diff, alg.basis_element(1), norm)
+        same_tensor((s + partial) * t.perm((2, 1, 3)), ref.mul(s + partial, t.perm((2, 1, 3))))
+
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_left_matrix(self, data):
@@ -190,9 +220,8 @@ class TestKernelAgainstReference:
 @st.composite
 def systems(draw, field):
     """A square system that often needs row swaps, is often singular, and may have large entries."""
-    rational = field.kind == "rational"
-    n = draw(st.integers(0, 5 if rational else 4))
-    large = rational and draw(st.booleans())
+    n = draw(st.integers(0, 5 if field.kind == "rational" else 4))
+    large = draw(st.booleans())
 
     def entry():
         if draw(st.integers(0, 2)) == 0:
@@ -210,7 +239,7 @@ def systems(draw, field):
 
 
 class TestEliminationAgainstReference:
-    @pytest.mark.parametrize("field", [RATIONAL, Q8], ids=str)
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_solve(self, field, data):
@@ -222,7 +251,7 @@ class TestEliminationAgainstReference:
         else:
             assert new[1] == old[1]
 
-    @pytest.mark.parametrize("field", [RATIONAL, Q8], ids=str)
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_invert_matrix(self, field, data):
@@ -242,6 +271,28 @@ class TestEliminationAgainstReference:
              [big, Fraction(1, 3), Fraction(0)]]
         b = [Fraction(1), big, Fraction(-5)]
         same(linalg.solve(RATIONAL, m, b), ref.solve(RATIONAL, m, b))
+
+    def test_vector_pivots_over_q5(self, monkeypatch):
+        """Z[zeta_5] pivots after a forced row swap: the division goes through 1 / p."""
+        pivots = []
+        divider = Field.divider
+
+        def recording(self, p):
+            pivots.append(p)
+            return divider(self, p)
+
+        monkeypatch.setattr(Field, "divider", recording)
+        z = Q5.zeta
+        m = [[Q5.zero, z, 1 + z * z],
+             [1 + z, Q5.coerce(2), z * z * z / 3],
+             [z * z, Q5.coerce(Fraction(1, 2)), z - 1]]
+        b = [Q5.one, z, Q5.coerce(-3)]
+        same(linalg.solve(Q5, m, b), ref.solve(Q5, m, b))
+        assert any(isinstance(p, _Integral) for p in pivots)
+        pivots.clear()
+        for new, old in zip(linalg.invert_matrix(Q5, m), ref.invert_matrix(Q5, m)):
+            same(new, old)
+        assert any(isinstance(p, _Integral) for p in pivots)
 
     def test_singular_and_shape_errors(self):
         m = [[Fraction(1), Fraction(2), Fraction(0)],

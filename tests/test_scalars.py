@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhakit.errors import FieldMismatch, SingularError
-from qhakit.scalars import (Cyclo, RATIONAL, cyclotomic_field,
+from qhakit.scalars import (Cyclo, RATIONAL, _integral_rows, cyclotomic_field,
                             cyclotomic_polynomial, totient)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -144,6 +144,63 @@ class TestFieldAxioms:
         field = cyclotomic_field(order)
         assert field.coerce(p * q) == field.coerce(p) * field.coerce(q)
         assert field.coerce(p + q) == field.coerce(p) + field.coerce(q)
+
+
+class TestSympyOracle:
+    """The cyclotomic polynomials and the int reduction rows against sympy."""
+
+    def test_polynomials_and_reduction_rows(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for n in range(1, 65):
+            modulus = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+            assert cyclotomic_polynomial(n) == tuple(
+                Fraction(int(c)) for c in reversed(modulus.all_coeffs())), n
+            deg = totient(n)
+            rows = _integral_rows(n)
+            assert len(rows) == max(deg - 1, 1), n
+            for m, row in enumerate(rows):
+                rem = sympy.Poly(x ** (deg + m), x).rem(modulus)
+                expected = [int(c) for c in reversed(rem.all_coeffs())]
+                assert row == tuple(expected + [0] * (deg - len(expected))), (n, m)
+                assert all(type(c) is int for c in row)
+
+
+def numerator_values(order):
+    """Q(zeta_n) values: general ones, and constants, which clear to int numerators."""
+    field = cyclotomic_field(order)
+    return st.one_of(cyclo_values(order), rationals.map(field.coerce))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 8, 12])
+class TestNumeratorForm:
+    @given(data=st.data())
+    def test_restore_inverts_clear(self, order, data):
+        field = cyclotomic_field(order)
+        values = data.draw(st.lists(numerator_values(order), max_size=6))
+        nums, den = field.clear(values)
+        assert type(den) is int and den > 0
+        for v, n in zip(values, nums):
+            assert (type(n) is int) == (not any(v.coeffs[1:]))
+        # numerators mixed in count as over 1: n stands for the value den * v
+        mixed, mixed_den = field.clear([*values, *nums])
+        assert mixed_den == den
+        for restored in (field.restore(nums, den), field.restore(mixed, mixed_den)[:len(values)]):
+            assert restored == values
+            assert all(type(v) is Cyclo for v in restored)
+        assert field.restore(mixed, mixed_den)[len(values):] == [v * den for v in values]
+
+    @given(data=st.data())
+    def test_exact_division_by_a_numerator(self, order, data):
+        field = cyclotomic_field(order)
+        p, q = data.draw(numerator_values(order)), data.draw(numerator_values(order))
+        if not p:
+            return
+        (p_num, q_num), _ = field.clear([p, q])
+        quotient = field.divider(p_num)(p_num * q_num)
+        assert field.restore([quotient], 1) == field.restore([q_num], 1)
+        # a Z[zeta_n] denominator: one inverse for every value
+        assert field.restore([q_num, p_num], p_num) == [q / p, field.one]
 
 
 class TestEncoding:

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit.errors import StructureError
+from qhakit.errors import SingularError, StructureError
 from qhakit.structures import (QuasiAntipode, QuasiBialgebra, check_qqybe,
                                opposite_structure, primed_structure,
                                structures_equal, verify_qba,
                                verify_quasi_antipode, verify_rmatrix,
                                zero_structure)
-from qhakit.tensor import contract, tensor_of
+from qhakit.tensor import LinearMap, contract, tensor_of
 
 from conftest import ENTRY_NAMES, entry, hopf
 
@@ -46,6 +46,14 @@ class TestNegativeControls:
         # the failure is localized: purely multiplicative checks still pass
         assert "S-antihom" not in failed
         assert "S-inverse" not in failed
+
+    def test_singular_antipode_is_refused(self):
+        """Without s_inv the constructor inverts S; a singular S is a StructureError."""
+        h = hopf("z2_triangular")
+        singular = LinearMap.from_matrix(h.algebra, [[1, 1], [1, 1]], anti=True)
+        with pytest.raises(StructureError, match="^antipode is not invertible: singular") as exc:
+            QuasiAntipode(singular, h.alpha, h.beta)
+        assert isinstance(exc.value.__cause__, SingularError)
 
     def test_pentagon_mutation_localized(self):
         """Flipping the coassociator's projector coefficient breaks exactly the pentagon."""
