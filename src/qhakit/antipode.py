@@ -10,9 +10,10 @@ tensor kernel.
 from __future__ import annotations
 
 from .errors import ConsistencyError
-from .structures import QuasiAntipode, QuasiBialgebra, _require, verify_quasi_antipode
+from .structures import (QuasiAntipode, QuasiBialgebra, _require, _require_scan,
+                         verify_quasi_antipode)
 from .tensor import contract_element
-from .twists import Twist, twist_structure
+from .twists import Twist, twist_structure, twisted_alpha, twisted_beta
 
 __all__ = ["AntipodePair", "compute_v", "antipode_from_v", "check_v_universality"]
 
@@ -43,7 +44,7 @@ def compute_v(pair: AntipodePair):
     alg = base.algebra
     phi, phi_inv = base.phi, base.phi_inv
     s, s_inv = base.s, base.s_inv
-    st, st_inv = alt.s, alt.s_inv
+    st = alt.s
     alpha, beta = base.alpha, base.beta
     alpha_t, beta_t = alt.alpha, alt.beta
 
@@ -68,11 +69,8 @@ def compute_v(pair: AntipodePair):
         raise ConsistencyError("v alpha != alpha~")
     if beta_t * v != beta:
         raise ConsistencyError("beta~ v != beta")
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        if st(e) != v * s(e) * v_inv:
-            raise ConsistencyError(
-                f"S~ is not conjugation by v on basis element {alg.basis_names[i]}")
+    _require_scan(alg, lambda i: st.col_element(i) != v * s.col_element(i) * v_inv,
+                  "S~ is not conjugation by v on basis element {name}")
     return v
 
 
@@ -93,9 +91,7 @@ def antipode_from_v(h: QuasiBialgebra, w) -> QuasiAntipode:
 def twisted_alt_antipode(pair: AntipodePair, f: Twist) -> QuasiAntipode:
     """The alternative triple transported along a twist (S~ itself is untouched)."""
     alt = pair.alt
-    alpha_t_f = contract_element(f.f_inv, [(1, alt.s), alt.alpha, (2, None)])
-    beta_t_f = contract_element(f.f, [(1, None), alt.beta, (2, alt.s)])
-    return QuasiAntipode(alt.s, alpha_t_f, beta_t_f, s_inv=alt.s_inv)
+    return QuasiAntipode(alt.s, twisted_alpha(alt, f), twisted_beta(alt, f), s_inv=alt.s_inv)
 
 
 def check_v_universality(pair: AntipodePair, f: Twist) -> bool:

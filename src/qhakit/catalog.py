@@ -10,7 +10,7 @@ passes the full verifier battery at build time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CatalogError
@@ -24,12 +24,10 @@ _GROUP_RE = re.compile(r"group_z(0|[1-9][0-9]*)")
 BUILTIN_NAMES = ("trivial", "group_zn", "z2_triangular", "sweedler_h4", "semion")
 
 
-@dataclass
-class CatalogEntry:
-    name: str
-    structure: QuasiBialgebra  # with a quasi-antipode, and an R-matrix or none
-    notes: str = ""
-    dynamical: object | None = None  # optional DynamicalTwist family
+# structure: a QuasiBialgebra with a quasi-antipode, and an R-matrix or none;
+# dynamical: an optional DynamicalTwist family
+CatalogEntry = namedtuple("CatalogEntry", "name structure notes dynamical",
+                          defaults=("", None))
 
 
 def builtin(name: str) -> CatalogEntry:
@@ -66,8 +64,6 @@ def default_entries() -> list[CatalogEntry]:
 def _group_algebra(n: int, field) -> Algebra:
     mult = {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)}
     names = ["1"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
-    if n == 1:
-        names = ["1"]
     return Algebra(field, n, mult, basis=names)
 
 
@@ -105,10 +101,8 @@ def _z2_triangular() -> CatalogEntry:
     r = (tensor_of(one, one) + tensor_of(one, g) + tensor_of(g, one)
          - tensor_of(g, g)).scale(half)
     qt = h.with_r(r)
-    entry = CatalogEntry("z2_triangular", qt,
-                         "k[Z/2] with the nontrivial triangular R-matrix")
-    entry.dynamical = _z2_dynamical(qt)
-    return entry
+    return CatalogEntry("z2_triangular", qt, "k[Z/2] with the nontrivial triangular R-matrix",
+                        _z2_dynamical(qt))
 
 
 def _sweedler_h4() -> CatalogEntry:
@@ -160,8 +154,7 @@ def _semion() -> CatalogEntry:
     p = half * one - half * g
     delta = LinearMap(alg, [tensor_of(one, one), tensor_of(g, g)])
     counit = LinearMap.scalar_map(alg, [1, 1])
-    s = LinearMap.identity(alg)
-    s = LinearMap(alg, s.columns, anti=True)
+    s = LinearMap(alg, LinearMap.identity(alg).columns, anti=True)
     phi = alg.tensor_unit(3) - tensor_of(p, p, p).scale(2)
     qba = QuasiBialgebra(alg, delta, counit, phi, phi)
     anti = QuasiAntipode(s, g, one, s_inv=s)

@@ -21,7 +21,7 @@ from .drinfeld import compute_drinfeld_data
 from .errors import CatalogError, QhaError, SchemaError, StructureError
 from .qtriangular import altschuler_coste_operator, compute_u
 from .randgen import random_invertible_element, random_twist
-from .serial import parse_structure, parse_twist, serialize_structure
+from .serial import _enc_vector, parse_structure, parse_twist, serialize_structure
 from .suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites
 from .twists import quadratic_invariants, twist_structure
 
@@ -103,10 +103,6 @@ def _emit(text: str, output):
         sys.stdout.write(text)
 
 
-def _enc_element(field, elt) -> list:
-    return [field.format_scalar(v) for v in elt.coeffs]
-
-
 def _enc_tensor(field, t) -> list:
     return [{"key": list(k), "scalar": field.format_scalar(v)}
             for k, v in sorted(t.entries.items())]
@@ -156,31 +152,26 @@ def cmd_compute(args) -> int:
 
     values = {}
     post = "all postconditions verified"
-    if what == "drinfeld":
+    if what in ("drinfeld", "second-drinfeld", "gamma", "gammabar"):
         data = compute_drinfeld_data(s)
-        values["f_delta"] = _enc_tensor(field, data.f_delta.f)
-    elif what == "second-drinfeld":
-        data = compute_drinfeld_data(s)
-        values["f_zero"] = _enc_tensor(field, data.f_zero.f)
-    elif what == "gamma":
-        data = compute_drinfeld_data(s)
-        values["gamma"] = _enc_tensor(field, data.gamma)
-    elif what == "gammabar":
-        data = compute_drinfeld_data(s)
-        values["gamma_bar"] = _enc_tensor(field, data.gamma_bar)
+        key, value = {"drinfeld": ("f_delta", data.f_delta.f),
+                      "second-drinfeld": ("f_zero", data.f_zero.f),
+                      "gamma": ("gamma", data.gamma),
+                      "gammabar": ("gamma_bar", data.gamma_bar)}[what]
+        values[key] = _enc_tensor(field, value)
     elif what == "u":
         ops = compute_u(s, check=True)
-        values["u"] = _enc_element(field, ops.u)
-        values["u_tilde"] = _enc_element(field, ops.u_tilde)
+        values["u"] = _enc_vector(field, ops.u.coeffs)
+        values["u_tilde"] = _enc_vector(field, ops.u_tilde.coeffs)
     elif what == "v":
         rng = random.Random(f"{seed}:compute-v:{entry.name}")
         w = random_invertible_element(rng, s.algebra)
         antipode_from_v(s, w)  # verifies the triple and the round trip
-        values["v"] = _enc_element(field, w)
+        values["v"] = _enc_vector(field, w.coeffs)
         post = "antipode round trip recovered the generator exactly"
     elif what == "invariants":
         z = quadratic_invariants(s, args.m)
-        values[f"z_{args.m}"] = _enc_element(field, z)
+        values[f"z_{args.m}"] = _enc_vector(field, z.coeffs)
     elif what == "ac-operator":
         a = altschuler_coste_operator(s)
         values["a"] = _enc_tensor(field, a)

@@ -6,14 +6,19 @@ the same with S^{-1} in place of S.  Every operation here evaluates its
 result along two independent routes (the two expansion choices, or a
 closed form against a from-scratch recomputation) and raises
 ConsistencyError on any disagreement.
+
+The closed forms are sums over the entries of a tensor (a coassociator, a
+twist, a coproduct) of one arity-2 term each; ``_entry_sum`` is that sum,
+and gamma and gamma-bar share ``_intertwiner``, which differs between them
+only in its inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConsistencyError
-from .structures import (QuasiBialgebra, _mapped_structure, _memoized,
+from .structures import (QuasiBialgebra, _mapped_structure, _memoized, _require_scan,
                          opposite_structure)
 from .tensor import LinearMap, TensorElement, contract
 from .twists import Twist, twisted_alpha, twisted_beta, twisted_coassociator
@@ -25,12 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass
-class DrinfeldData:
-    gamma: TensorElement
-    gamma_bar: TensorElement
-    f_delta: Twist
-    f_zero: Twist
+DrinfeldData = namedtuple("DrinfeldData", "gamma gamma_bar f_delta f_zero")
+
+
+def _entry_sum(t: TensorElement, term) -> TensorElement:
+    """sum_I c_I term(*I) over the entries c_I of ``t``; every term lies in H (x) H."""
+    acc = t.algebra.tensor_zero(2)
+    for idx, c in t.entries.items():
+        acc = acc + term(*idx).scale(c)
+    return acc
 
 
 @_memoized
@@ -41,6 +49,22 @@ def _sdt_map(h) -> LinearMap:
     return LinearMap(alg, cols)
 
 
+def _intertwiner(h, name: str, w1, w2, spec, law) -> TensorElement:
+    """Contract ``spec`` over both four-leg expansions ``w1``, ``w2`` and check the law.
+
+    The two contractions must agree, and on every basis element e
+    sum law(a1, x, a2) over Delta(e) = sum a1 (x) a2 must equal eps(e) x.
+    """
+    x = contract(w1, *spec)
+    if x != contract(w2, *spec):
+        raise ConsistencyError(f"the two expansion choices of {name} disagree")
+    _require_scan(h.algebra,
+                  lambda i: (_entry_sum(h.coproduct.col(i), lambda a1, a2: law(a1, x, a2))
+                             != x.scale(h.counit.col(i).scalar())),
+                  f"{name} intertwining fails on basis element {{name}}")
+    return x
+
+
 @_memoized
 def compute_gamma(h: QuasiBialgebra) -> TensorElement:
     """gamma = sum S(B)alpha C (x) S(A)alpha D over either four-leg expansion.
@@ -49,51 +73,25 @@ def compute_gamma(h: QuasiBialgebra) -> TensorElement:
     gamma, and gamma intertwines the (S (x) S)Delta^T and Delta images of
     the coproduct on every basis element.
     """
-    delta = h.coproduct
-    w1 = h.phi_inv.embed((1, 2, 3), 4) * delta.on_leg(h.phi, 1)
-    w2 = h.phi.embed((2, 3, 4), 4) * delta.on_leg(h.phi_inv, 3)
-    spec = ([(2, h.s), h.alpha, (3, None)], [(1, h.s), h.alpha, (4, None)])
-    gamma = contract(w1, *spec)
-    gamma_alt = contract(w2, *spec)
-    if gamma != gamma_alt:
-        raise ConsistencyError("the two expansion choices of gamma disagree")
-
-    sdt = _sdt_map(h)
-    alg = h.algebra
-    for i in range(alg.dim):
-        d = delta(alg.basis_element(i))
-        acc = alg.tensor_zero(2)
-        for (a1, a2), c in d.entries.items():
-            acc = acc + (sdt.col(a1) * gamma * delta.col(a2)).scale(c)
-        if acc != gamma.scale(h.eps(alg.basis_element(i))):
-            raise ConsistencyError(
-                f"gamma intertwining fails on basis element {alg.basis_names[i]}")
-    return gamma
+    delta, sdt = h.coproduct, _sdt_map(h)
+    return _intertwiner(
+        h, "gamma",
+        h.phi_inv.embed((1, 2, 3), 4) * delta.on_leg(h.phi, 1),
+        h.phi.embed((2, 3, 4), 4) * delta.on_leg(h.phi_inv, 3),
+        ([(2, h.s), h.alpha, (3, None)], [(1, h.s), h.alpha, (4, None)]),
+        lambda a1, x, a2: sdt.col(a1) * x * delta.col(a2))
 
 
 @_memoized
 def compute_gamma_bar(h: QuasiBialgebra) -> TensorElement:
     """gamma-bar = sum A beta S(D) (x) B beta S(C), with the mirrored checks."""
-    delta = h.coproduct
-    w1 = delta.on_leg(h.phi_inv, 1) * h.phi.embed((1, 2, 3), 4)
-    w2 = delta.on_leg(h.phi, 3) * h.phi_inv.embed((2, 3, 4), 4)
-    spec = ([(1, None), h.beta, (4, h.s)], [(2, None), h.beta, (3, h.s)])
-    gb = contract(w1, *spec)
-    gb_alt = contract(w2, *spec)
-    if gb != gb_alt:
-        raise ConsistencyError("the two expansion choices of gamma-bar disagree")
-
-    sdt = _sdt_map(h)
-    alg = h.algebra
-    for i in range(alg.dim):
-        d = delta(alg.basis_element(i))
-        acc = alg.tensor_zero(2)
-        for (a1, a2), c in d.entries.items():
-            acc = acc + (delta.col(a1) * gb * sdt.col(a2)).scale(c)
-        if acc != gb.scale(h.eps(alg.basis_element(i))):
-            raise ConsistencyError(
-                f"gamma-bar intertwining fails on basis element {alg.basis_names[i]}")
-    return gb
+    delta, sdt = h.coproduct, _sdt_map(h)
+    return _intertwiner(
+        h, "gamma-bar",
+        delta.on_leg(h.phi_inv, 1) * h.phi.embed((1, 2, 3), 4),
+        delta.on_leg(h.phi, 3) * h.phi_inv.embed((2, 3, 4), 4),
+        ([(1, None), h.beta, (4, h.s)], [(2, None), h.beta, (3, h.s)]),
+        lambda a1, x, a2: delta.col(a1) * x * sdt.col(a2))
 
 
 @_memoized
@@ -106,44 +104,31 @@ def compute_drinfeld_twist(h: QuasiBialgebra) -> Twist:
     Delta(beta) F_delta^{-1} = gamma-bar; the twisted canonical elements
     are (S(beta), S(alpha)).
     """
-    alg = h.algebra
-    delta = h.coproduct
-    s = h.s
-    gamma = compute_gamma(h)
-    gamma_bar = compute_gamma_bar(h)
-    sdt = _sdt_map(h)
+    alg, delta, s, sdt = h.algebra, h.coproduct, h.s, _sdt_map(h)
+    gamma, gamma_bar = compute_gamma(h), compute_gamma_bar(h)
     primed = _mapped_structure(h, s, verify=False)
     dprime = primed.coproduct
 
-    f = alg.tensor_zero(2)
-    for (i1, i2, i3), c in h.phi.entries.items():
-        tail = alg.basis_element(i2) * h.beta * s.col_element(i3)
-        f = f + (sdt.col(i1) * gamma * delta(tail)).scale(c)
-    f_alt = alg.tensor_zero(2)
-    for (i1, i2, i3), c in h.phi_inv.entries.items():
-        head = alg.basis_element(i1) * h.beta * s.col_element(i2)
-        f_alt = f_alt + (dprime(head) * gamma * delta.col(i3)).scale(c)
+    e = alg.basis_element
+    f = _entry_sum(h.phi, lambda i1, i2, i3:
+                   sdt.col(i1) * gamma * delta(e(i2) * h.beta * s.col_element(i3)))
+    f_alt = _entry_sum(h.phi_inv, lambda i1, i2, i3:
+                       dprime(e(i1) * h.beta * s.col_element(i2)) * gamma * delta.col(i3))
     if f != f_alt:
         raise ConsistencyError("the two closed forms of the Drinfeld twist disagree")
 
-    f_inv = alg.tensor_zero(2)
-    for (i1, i2, i3), c in h.phi_inv.entries.items():
-        tail = s.col_element(i2) * h.alpha * alg.basis_element(i3)
-        f_inv = f_inv + (delta.col(i1) * gamma_bar * dprime(tail)).scale(c)
-    f_inv_alt = alg.tensor_zero(2)
-    for (i1, i2, i3), c in h.phi.entries.items():
-        head = s.col_element(i1) * h.alpha * alg.basis_element(i2)
-        f_inv_alt = f_inv_alt + (delta(head) * gamma_bar * sdt.col(i3)).scale(c)
+    f_inv = _entry_sum(h.phi_inv, lambda i1, i2, i3:
+                       delta.col(i1) * gamma_bar * dprime(s.col_element(i2) * h.alpha * e(i3)))
+    f_inv_alt = _entry_sum(h.phi, lambda i1, i2, i3:
+                           delta(s.col_element(i1) * h.alpha * e(i2)) * gamma_bar * sdt.col(i3))
     if f_inv != f_inv_alt:
         raise ConsistencyError("the two closed forms of the inverse Drinfeld twist disagree")
 
     twist = Twist(f, h.counit, f_inv)
 
-    for i in range(alg.dim):
-        if dprime.col(i) != f * delta.col(i) * f_inv:
-            raise ConsistencyError(
-                "F_delta does not conjugate the coproduct onto the primed coproduct "
-                f"at basis element {alg.basis_names[i]}")
+    _require_scan(alg, lambda i: dprime.col(i) != f * delta.col(i) * f_inv,
+                  "F_delta does not conjugate the coproduct onto the primed coproduct "
+                  "at basis element {name}")
     if twisted_coassociator(h, f, f_inv) != primed.phi:
         raise ConsistencyError("the coassociator does not twist onto its primed form")
     if f * delta(h.alpha) != gamma:
@@ -164,13 +149,10 @@ def compute_second_drinfeld(h: QuasiBialgebra) -> Twist:
     f0_inv = s_inv.map_tensor(f_delta.f_inv.transpose())
     twist = Twist(f0, h.counit, f0_inv)
 
-    alg = h.algebra
     zero = _mapped_structure(h, s_inv, verify=False)
-    for i in range(alg.dim):
-        if zero.coproduct.col(i) != f0 * h.coproduct.col(i) * f0_inv:
-            raise ConsistencyError(
-                "F_0 does not conjugate the coproduct onto the zero coproduct "
-                f"at basis element {alg.basis_names[i]}")
+    _require_scan(h.algebra, lambda i: zero.coproduct.col(i) != f0 * h.coproduct.col(i) * f0_inv,
+                  "F_0 does not conjugate the coproduct onto the zero coproduct "
+                  "at basis element {name}")
     if twisted_coassociator(h, f0, f0_inv) != zero.phi:
         raise ConsistencyError("the coassociator does not twist onto its zero form")
     if twisted_alpha(h, twist) != zero.alpha or twisted_beta(h, twist) != zero.beta:
@@ -214,13 +196,9 @@ def gamma_bar_under_twist(h: QuasiBialgebra, g: Twist, twisted) -> TensorElement
     recomputed = compute_gamma_bar(twisted)
 
     gamma_bar = compute_gamma_bar(h)
-    alg = h.algebra
-    closed = alg.tensor_zero(2)
     gt = g.f.transpose()
-    for (i1, i2), c in g.f.entries.items():
-        w = gt * h.coproduct_t.col(i2)
-        term = g.f * h.coproduct.col(i1) * gamma_bar * h.s.map_tensor(w)
-        closed = closed + term.scale(c)
+    closed = _entry_sum(g.f, lambda i1, i2: g.f * h.coproduct.col(i1) * gamma_bar
+                        * h.s.map_tensor(gt * h.coproduct_t.col(i2)))
     if recomputed != closed:
         raise ConsistencyError("twisted gamma-bar closed form disagrees with recomputation")
     return closed

@@ -6,6 +6,11 @@ member with leg k shifted means summing p_i on leg k against the member
 at lambda + w_i on the remaining legs.  The parameter domain is a finite
 rational grid; checks run on the sub-grid where every needed shift stays
 inside the domain.
+
+Each identity is written once: ``_r_family`` is the dynamical R-matrix
+lambda -> F(lambda)^T R F(lambda)^{-1}, ``_placed`` its three plain and
+three shifted placements in H^(x)3, and ``_telescoped`` the closed form
+of the twisted coassociator.  The equations below are products of these.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from fractions import Fraction
 from .errors import (ArityMismatch, ConsistencyError, DomainError,
                      StructureError, TwistError)
 from .report import Report
-from .structures import QuasiBialgebra, _mapped_structure
+from .structures import QuasiBialgebra, _mapped_structure, _qybe_sides
 from .tensor import LinearMap, TensorElement
-from .twists import (Twist, twisted_coassociator, twisted_coassociator_inv)
+from .twists import (Twist, _cocycle_head, _twisted_coproduct, twisted_coassociator,
+                     twisted_coassociator_inv)
 
 __all__ = [
     "ShiftSystem", "DynamicalTwist", "shifted_insert",
@@ -30,15 +36,14 @@ __all__ = [
 class ShiftSystem:
     """Central orthogonal idempotents summing to 1, each carrying a rational weight."""
 
-    def __init__(self, idempotents, weights, check=True):
+    def __init__(self, idempotents, weights):
         if len(idempotents) != len(weights):
             raise StructureError("one weight per idempotent")
         if not idempotents:
             raise StructureError("a shift system needs at least one idempotent")
         self.idempotents = list(idempotents)
         self.weights = [Fraction(w) for w in weights]
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         alg = self.idempotents[0].algebra
@@ -73,19 +78,18 @@ class ShiftSystem:
 class DynamicalTwist:
     """A finite family of twists lambda -> F(lambda) with a shift system."""
 
-    def __init__(self, domain, twists, shift: ShiftSystem, check=True):
+    def __init__(self, domain, twists, shift: ShiftSystem):
         self.domain = tuple(sorted(Fraction(x) for x in domain))
         self.twists = {Fraction(k): v for k, v in twists.items()}
         self.shift = shift
-        if check:
-            if set(self.domain) != set(self.twists):
-                raise StructureError("twist table keys must equal the domain")
-            for lam, tw in self.twists.items():
-                if not isinstance(tw, Twist):
-                    raise TwistError(f"entry at {lam} is not a twist")
-            if not self.checkable():
-                raise StructureError(
-                    "no grid point has all its shifted parameters inside the domain")
+        if set(self.domain) != set(self.twists):
+            raise StructureError("twist table keys must equal the domain")
+        for lam, tw in self.twists.items():
+            if not isinstance(tw, Twist):
+                raise TwistError(f"entry at {lam} is not a twist")
+        if not self.checkable():
+            raise StructureError(
+                "no grid point has all its shifted parameters inside the domain")
 
     def checkable(self):
         """The sub-grid where every shift lands inside the domain."""
@@ -128,13 +132,35 @@ def shifted_insert(dyn: DynamicalTwist, lam, leg: int, arity: int = 3) -> Tensor
     return _insert_shifted(dyn.shift, lam, leg, arity, dyn.f)
 
 
+def _r_family(dyn: DynamicalTwist, t: QuasiBialgebra):
+    """The dynamical R-matrix mu -> F(mu)^T R F(mu)^{-1}."""
+    def r_at(mu):
+        tw = dyn.twist(mu)
+        return tw.f.transpose() * t.r * tw.f_inv
+    return r_at
+
+
+def _placed(shift: ShiftSystem, lam, table):
+    """R12, R13, R23 of ``table(lambda)`` and the shifted R12(h3), R13(h2), R23(h1)."""
+    r = table(lam)
+    return (r.embed((1, 2), 3), r.embed((1, 3), 3), r.embed((2, 3), 3),
+            _insert_shifted(shift, lam, 3, 3, table), _insert_shifted(shift, lam, 2, 3, table),
+            _insert_shifted(shift, lam, 1, 3, table))
+
+
+def _telescoped(dyn: DynamicalTwist, h, lam):
+    """Phi F_23(lambda + h^(1)) F_23(lambda)^{-1} and its inverse."""
+    tw = dyn.twist(lam)
+    return (h.phi * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f) * tw.f_inv.embed((2, 3), 3),
+            tw.f.embed((2, 3), 3) * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f_inv)
+            * h.phi_inv)
+
+
 def shifted_cocycle_sides(dyn: DynamicalTwist, q, lam):
     lam = Fraction(lam)
     f = dyn.f(lam)
-    delta = q.coproduct
-    lhs = f.embed((1, 2), 3) * delta.on_leg(f, 1) * q.phi
-    rhs = q.phi * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f) * delta.on_leg(f, 2)
-    return lhs, rhs
+    rhs = q.phi * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f) * q.coproduct.on_leg(f, 2)
+    return _cocycle_head(q, f), rhs
 
 
 def check_shifted_quasi_cocycle(dyn: DynamicalTwist, q) -> Report:
@@ -156,52 +182,25 @@ def dynamical_coassociator(dyn: DynamicalTwist, h, lam) -> TensorElement:
     """
     lam = Fraction(lam)
     f, f_inv = dyn.f(lam), dyn.f_inv(lam)
-    direct = twisted_coassociator(h, f, f_inv)
-    closed = (h.phi * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f)
-              * f_inv.embed((2, 3), 3))
-    if direct != closed:
+    closed, closed_inv = _telescoped(dyn, h, lam)
+    if twisted_coassociator(h, f, f_inv) != closed:
         raise ConsistencyError(
             f"coassociator routes disagree at {lam} (shifted condition fails there?)")
-    direct_inv = twisted_coassociator_inv(h, f, f_inv)
-    closed_inv = (f.embed((2, 3), 3)
-                  * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f_inv) * h.phi_inv)
-    if direct_inv != closed_inv:
+    if twisted_coassociator_inv(h, f, f_inv) != closed_inv:
         raise ConsistencyError(f"inverse coassociator routes disagree at {lam}")
     return closed
-
-
-def _dynamical_pieces(dyn: DynamicalTwist, t: QuasiBialgebra, lam):
-    lam = Fraction(lam)
-    tw = dyn.twist(lam)
-
-    def r_at(mu):
-        ftw = dyn.twist(mu)
-        return ftw.f.transpose() * t.r * ftw.f_inv
-
-    r_lam = r_at(lam)
-    cols = [tw.f * t.coproduct.col(i) * tw.f_inv for i in range(t.algebra.dim)]
-    delta_lam = LinearMap(t.algebra, cols)
-    phi_lam = (t.phi * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f)
-               * tw.f_inv.embed((2, 3), 3))
-    phi_lam_inv = (tw.f.embed((2, 3), 3)
-                   * _insert_shifted(dyn.shift, lam, 1, 3, dyn.f_inv) * t.phi_inv)
-    return r_at, r_lam, delta_lam, phi_lam, phi_lam_inv
 
 
 def check_dynamical_coproduct(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> Report:
     """The four coproduct identities of the dynamical R-matrix at one grid point."""
     lam = Fraction(lam)
     rep = Report("dynamical-coproduct")
-    r_at, r_lam, delta_lam, phi_lam, phi_lam_inv = _dynamical_pieces(dyn, t, lam)
+    r_at = _r_family(dyn, t)
+    r12, r13, r23, r12_h3, r13_h2, r23_h1 = _placed(dyn.shift, lam, r_at)
+    r_lam = r_at(lam)
+    delta_lam = _twisted_coproduct(t, dyn.twist(lam))
+    phi_lam, phi_lam_inv = _telescoped(dyn, t, lam)
     phi, phi_inv = t.phi, t.phi_inv
-    shift = dyn.shift
-
-    r13 = r_lam.embed((1, 3), 3)
-    r12 = r_lam.embed((1, 2), 3)
-    r23 = r_lam.embed((2, 3), 3)
-    r23_h1 = _insert_shifted(shift, lam, 1, 3, r_at)
-    r13_h2 = _insert_shifted(shift, lam, 2, 3, r_at)
-    r12_h3 = _insert_shifted(shift, lam, 3, 3, r_at)
 
     lhs = delta_lam.on_leg(r_lam, 1)
     rhs = (phi_lam_inv.perm((2, 3, 1)) * r13 * phi.perm((1, 3, 2)) * r23_h1 * phi_inv)
@@ -226,20 +225,8 @@ def check_dynamical_coproduct(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> Re
 
 def qdqybe_sides(dyn: DynamicalTwist, t: QuasiBialgebra, lam):
     lam = Fraction(lam)
-    r_at, r_lam, _, _, _ = _dynamical_pieces(dyn, t, lam)
-    phi, phi_inv = t.phi, t.phi_inv
-    shift = dyn.shift
-    r13 = r_lam.embed((1, 3), 3)
-    r12 = r_lam.embed((1, 2), 3)
-    r23 = r_lam.embed((2, 3), 3)
-    r23_h1 = _insert_shifted(shift, lam, 1, 3, r_at)
-    r13_h2 = _insert_shifted(shift, lam, 2, 3, r_at)
-    r12_h3 = _insert_shifted(shift, lam, 3, 3, r_at)
-    lhs = (r12_h3 * phi_inv.perm((2, 3, 1)) * r13 * phi.perm((1, 3, 2))
-           * r23_h1 * phi_inv)
-    rhs = (phi_inv.perm((3, 2, 1)) * r23 * phi.perm((3, 1, 2)) * r13_h2
-           * phi_inv.perm((2, 1, 3)) * r12)
-    return lhs, rhs
+    r12, r13, r23, r12_h3, r13_h2, r23_h1 = _placed(dyn.shift, lam, _r_family(dyn, t))
+    return _qybe_sides(t.phi, t.phi_inv, (r12_h3, r13, r23_h1), (r23, r13_h2, r12))
 
 
 def check_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> bool:
@@ -251,13 +238,8 @@ def check_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> bool:
 def check_classical_dqybe(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> bool:
     """The plain dynamical QYBE (no coassociators), for trivial-coassociator reductions."""
     lam = Fraction(lam)
-    r_at, r_lam, _, _, _ = _dynamical_pieces(dyn, t, lam)
-    shift = dyn.shift
-    lhs = (_insert_shifted(shift, lam, 3, 3, r_at) * r_lam.embed((1, 3), 3)
-           * _insert_shifted(shift, lam, 1, 3, r_at))
-    rhs = (r_lam.embed((2, 3), 3) * _insert_shifted(shift, lam, 2, 3, r_at)
-           * r_lam.embed((1, 2), 3))
-    return lhs == rhs
+    r12, r13, r23, r12_h3, r13_h2, r23_h1 = _placed(dyn.shift, lam, _r_family(dyn, t))
+    return r12_h3 * r13 * r23_h1 == r23 * r13_h2 * r12
 
 
 _OPPOSITE_VARIANTS = ("primed", "zero", "transpose")
@@ -274,7 +256,7 @@ def check_opposite_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra,
     if variant not in _OPPOSITE_VARIANTS:
         raise ValueError(f"variant must be one of {_OPPOSITE_VARIANTS}")
     lam = Fraction(lam)
-    r_at, _, _, _, _ = _dynamical_pieces(dyn, t, lam)
+    r_at = _r_family(dyn, t)
 
     if variant == "transpose":
         phi_t = t.phi_inv.perm((3, 2, 1))
@@ -288,23 +270,12 @@ def check_opposite_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra,
         table = lambda mu: mapper.map_tensor(r_at(mu))
         shift = dyn.shift.mapped(mapper)
 
-    rt_lam = table(lam)
-    rt23_h1 = _insert_shifted(shift, lam, 1, 3, table)
-    rt13_h2 = _insert_shifted(shift, lam, 2, 3, table)
-    rt12_h3 = _insert_shifted(shift, lam, 3, 3, table)
-    lhs = (rt_lam.embed((1, 2), 3) * phi_t_inv.perm((2, 3, 1)) * rt13_h2
-           * phi_t.perm((1, 3, 2)) * rt_lam.embed((2, 3), 3) * phi_t_inv)
-    rhs = (phi_t_inv.perm((3, 2, 1)) * rt23_h1 * phi_t.perm((3, 1, 2))
-           * rt_lam.embed((1, 3), 3) * phi_t_inv.perm((2, 1, 3)) * rt12_h3)
+    r12, r13, r23, r12_h3, r13_h2, r23_h1 = _placed(shift, lam, table)
+    lhs, rhs = _qybe_sides(phi_t, phi_t_inv, (r12, r13_h2, r23), (r23_h1, r13, r12_h3))
     return lhs == rhs
 
 
-def constant_family(q, twist: Twist, domain=None, weights=None) -> DynamicalTwist:
-    """A degenerate family: one twist everywhere, shift through the unit idempotent."""
-    alg = q.algebra
-    if domain is None:
-        domain = [Fraction(0)]
-    if weights is None:
-        weights = [Fraction(0)]
-    shift = ShiftSystem([alg.unit_element], weights[:1])
+def constant_family(q, twist: Twist, domain=(0,)) -> DynamicalTwist:
+    """A degenerate family: one twist everywhere, shift through the unit idempotent (weight 0)."""
+    shift = ShiftSystem([q.algebra.unit_element], [0])
     return DynamicalTwist(domain, {Fraction(x): twist for x in domain}, shift)

@@ -9,15 +9,15 @@ carries, one native and one induced by twisting with the R-matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .antipode import AntipodePair, compute_v
 from .errors import ConsistencyError, QhaError
 from .report import Report
-from .structures import (QuasiAntipode, QuasiBialgebra, _memoized, opposite_structure,
-                         primed_structure)
+from .structures import (QuasiAntipode, QuasiBialgebra, _memoized, _require_scan,
+                         opposite_structure, primed_structure)
 from .tensor import TensorElement, contract_element, tensor_of
-from .twists import Twist, is_compatible, twist_structure
+from .twists import Twist, is_compatible, twist_structure, twisted_alpha, twisted_beta
 from .drinfeld import compute_drinfeld_data
 
 __all__ = [
@@ -27,12 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class UOperators:
-    u: object
-    u_inv: object
-    u_tilde: object
-    u_tilde_inv: object
+UOperators = namedtuple("UOperators", "u u_inv u_tilde u_tilde_inv")
 
 
 def r_tilde(t: QuasiBialgebra) -> tuple[TensorElement, TensorElement]:
@@ -54,11 +49,9 @@ def canonical_r_elements(t: QuasiBialgebra, which: str = "r", check=True):
         r, r_inv = r_tilde(t)
     else:
         raise ValueError("which must be 'r' or 'r_tilde'")
-    s = t.s
-    alpha_r = contract_element(r_inv, [(1, s), t.alpha, (2, None)])
-    beta_r = contract_element(r, [(1, None), t.beta, (2, s)])
+    twist = Twist(r, t.counit, r_inv, check=False)
+    alpha_r, beta_r = twisted_alpha(t, twist), twisted_beta(t, twist)
     if check:
-        twist = Twist(r, t.counit, r_inv, check=False)
         twisted = twist_structure(t.with_r(None), twist, verify=True)
         if twisted.coproduct != t.coproduct_t:
             raise ConsistencyError("twisting by the R-matrix does not reverse the coproduct")
@@ -114,11 +107,9 @@ def compute_u(t: QuasiBialgebra, check=True) -> UOperators:
             raise ConsistencyError("u inverse forms are not two-sided inverses")
         if ut * ut_inv != one or ut_inv * ut != one:
             raise ConsistencyError("u~ inverse forms are not two-sided inverses")
-        for i in range(alg.dim):
-            e = alg.basis_element(i)
-            if s2(e) != u * e * u_inv or s2(e) != ut * e * ut_inv:
-                raise ConsistencyError(
-                    f"S^2 is not conjugation by u on basis element {alg.basis_names[i]}")
+        _require_scan(alg, lambda i: (s2.col_element(i) != u * alg.basis_element(i) * u_inv
+                                      or s2.col_element(i) != ut * alg.basis_element(i) * ut_inv),
+                      "S^2 is not conjugation by u on basis element {name}")
         if u * s_inv(t.alpha) != alpha_r or beta_r * u != s_inv(t.beta):
             raise ConsistencyError("u does not connect the canonical elements of R")
         if ut * s_inv(t.alpha) != alpha_rt or beta_rt * ut != s_inv(t.beta):
@@ -137,11 +128,8 @@ def compute_u(t: QuasiBialgebra, check=True) -> UOperators:
 
 def check_u_universality(t: QuasiBialgebra, f: Twist) -> bool:
     """u and u~ recomputed on the twisted structure equal the originals."""
-    base = compute_u(t, check=False)
-    twisted = compute_u(twist_structure(t, f, verify=False), check=False)
-    return (base.u == twisted.u and base.u_inv == twisted.u_inv
-            and base.u_tilde == twisted.u_tilde
-            and base.u_tilde_inv == twisted.u_tilde_inv)
+    return compute_u(t, check=False) == compute_u(twist_structure(t, f, verify=False),
+                                                  check=False)
 
 
 def check_ssr_identity(t: QuasiBialgebra) -> Report:
@@ -181,10 +169,8 @@ def altschuler_coste_operator(t: QuasiBialgebra) -> TensorElement:
     if a != a_alt:
         raise ConsistencyError("the two orderings of the ribbon-type operator disagree")
     alg = t.algebra
-    for i in range(alg.dim):
-        if a * t.coproduct.col(i) != t.coproduct.col(i) * a:
-            raise ConsistencyError(
-                f"operator does not commute with the coproduct at {alg.basis_names[i]}")
+    _require_scan(alg, lambda i: a * t.coproduct.col(i) != t.coproduct.col(i) * a,
+                  "operator does not commute with the coproduct at {name}")
     # counit normalization: (eps (x) 1)A = eps(u) 1, so divide by eps(u)
     eps_a = t.counit.on_leg(a, 1)
     unit1 = alg.tensor_unit(1)

@@ -16,6 +16,9 @@ from .errors import SingularError, TwistError
 from .tensor import TensorElement
 from .twists import Twist
 
+# candidates drawn before a generator gives up
+_TRIES = 64
+
 _POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
          Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3)]
 
@@ -27,10 +30,10 @@ def _random_scalar(rng: random.Random, field):
     return field.coerce(q)
 
 
-def random_invertible_element(rng: random.Random, algebra, tries: int = 64):
+def random_invertible_element(rng: random.Random, algebra):
     """1 + sparse perturbation, resampled until invertible."""
     d = algebra.dim
-    for _ in range(tries):
+    for _ in range(_TRIES):
         coeffs = list(algebra.unit)
         for _ in range(rng.randint(1, min(3, d))):
             i = rng.randrange(d)
@@ -41,12 +44,12 @@ def random_invertible_element(rng: random.Random, algebra, tries: int = 64):
     raise SingularError("could not sample an invertible element")
 
 
-def random_twist(rng: random.Random, q, tries: int = 64) -> Twist:
+def random_twist(rng: random.Random, q) -> Twist:
     """A valid (invertible, counital) twist on the structure's algebra."""
     alg = q.algebra
     d = alg.dim
     eps = q.counit
-    for _ in range(tries):
+    for _ in range(_TRIES):
         entries = dict(alg.tensor_unit(2).entries)
         for _ in range(rng.randint(1, 3)):
             key = (rng.randrange(d), rng.randrange(d))

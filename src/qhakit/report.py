@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .tensor import TensorElement, first_difference
 
 
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    ok: bool
-    witness: str | None = None
+class Check(namedtuple("Check", "check_id ok witness", defaults=(None,))):
+    __slots__ = ()
 
     def to_dict(self):
         d = {"id": self.check_id, "ok": self.ok}
@@ -23,9 +20,9 @@ class Check:
 class Report:
     """An ordered list of named checks; failures carry a localizing witness."""
 
-    def __init__(self, name: str, checks=None):
+    def __init__(self, name: str):
         self.name = name
-        self.checks = list(checks) if checks else []
+        self.checks = []
 
     def add(self, check_id: str, ok: bool, witness=None):
         self.checks.append(Check(check_id, bool(ok), None if ok else witness))

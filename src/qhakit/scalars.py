@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -96,20 +96,22 @@ def _poly_divmod(a, b):
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row m is the reduced form of zeta^(deg+m), deg = totient(n).
+def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row m is the reduced form of zeta^(deg+m), deg = totient(n), as ints.
 
     Lets products be folded back below the modulus degree without running
-    polynomial division in the multiplication hot path.
+    polynomial division in the multiplication hot path.  The rows are
+    integral because the cyclotomic polynomial is monic and integral, so
+    ``Cyclo`` values and ``_Integral`` numerators fold with the same rows.
     """
     deg = totient(n)
     modulus = cyclotomic_polynomial(n)
     rows = []
     # zeta^deg = -(lower coefficients) since the modulus is monic
-    current = [-c for c in modulus[:deg]]
+    current = [-int(c) for c in modulus[:deg]]
     rows.append(tuple(current))
     for _ in range(deg - 2):
-        shifted = [ZERO] + current[:-1]
+        shifted = [0] + current[:-1]
         overflow = current[-1]
         if overflow:
             shifted = [a + overflow * b for a, b in zip(shifted, rows[0])]
@@ -302,21 +304,15 @@ class Cyclo:
         return " + ".join(terms) if terms else "0"
 
 
-@lru_cache(maxsize=None)
-def _integral_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """``_reduction_rows(n)`` as ints: the cyclotomic polynomial is monic and integral."""
-    return tuple(tuple(int(c) for c in row) for row in _reduction_rows(n))
-
-
 class _Integral:
     """A numerator in Z[zeta_n]: int coefficients on the power basis 1, zeta, ...
 
     The numerator form (see ``Field.clear``) of a Q(zeta_n) value that is
     not a constant; constants clear to plain ints, and the two mix in
-    ``+``, ``-`` and ``*``.  ``rows`` are the int reduction rows of the
-    order, so a product folds back below the modulus degree without
-    division.  ``// d`` divides every coefficient by the int ``d`` and is
-    only used where the quotient is integral.
+    ``+``, ``-`` and ``*``.  ``rows`` are the reduction rows of the order,
+    so a product folds back below the modulus degree without division.
+    ``// d`` divides every coefficient by the int ``d`` and is only used
+    where the quotient is integral.
     """
 
     __slots__ = ("coeffs", "rows")
@@ -378,31 +374,36 @@ class _Integral:
         return any(self.coeffs)
 
 
-@dataclass(frozen=True)
-class Field:
+@lru_cache(maxsize=None)
+def _cyclo_constants(order: int) -> tuple[Cyclo, Cyclo]:
+    """0 and 1 of Q(zeta_order), built once per order (``Cyclo`` is immutable)."""
+    return Cyclo.constant(order, 0), Cyclo.constant(order, 1)
+
+
+class Field(namedtuple("Field", "kind order")):
     """Descriptor of the coefficient field: the rationals, or Q(zeta_order).
 
     All scalars inside one algebra share a single field; mixing is an error.
     """
 
-    kind: str = "rational"
-    order: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("rational", "cyclotomic"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "rational" and self.order != 1:
+    def __new__(cls, kind="rational", order=1):
+        if kind not in ("rational", "cyclotomic"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if kind == "rational" and order != 1:
             raise ValueError("rational field has order 1")
-        if self.kind == "cyclotomic" and self.order < 2:
+        if kind == "cyclotomic" and order < 2:
             raise ValueError("cyclotomic order must be at least 2")
+        return super().__new__(cls, kind, order)
 
     @property
     def zero(self):
-        return ZERO if self.kind == "rational" else Cyclo.constant(self.order, 0)
+        return ZERO if self.kind == "rational" else _cyclo_constants(self.order)[0]
 
     @property
     def one(self):
-        return ONE if self.kind == "rational" else Cyclo.constant(self.order, 1)
+        return ONE if self.kind == "rational" else _cyclo_constants(self.order)[1]
 
     @property
     def zeta(self):
@@ -466,7 +467,7 @@ class Field:
             return [v.numerator * (den // v.denominator) for v in values], den
         den = math.lcm(*[c.denominator for v in values if isinstance(v, Cyclo)
                          for c in v.coeffs])
-        rows = _integral_rows(self.order)
+        rows = _reduction_rows(self.order)
         nums = []
         for v in values:
             if not isinstance(v, Cyclo):

@@ -38,29 +38,24 @@ __all__ = ["parse_structure", "serialize_structure", "parse_twist", "serialize_t
 
 MAX_CYCLOTOMIC_ORDER = 256
 
+# the index fields of a sparse entry, one per leg
+_INDEX_KEYS = ("i", "j", "k")
+
 
 # -- encoding ---------------------------------------------------------------
 
-def _enc_scalar(field, v):
-    return field.format_scalar(v)
-
-
 def _enc_vector(field, coeffs):
-    return [_enc_scalar(field, v) for v in coeffs]
+    return [field.format_scalar(v) for v in coeffs]
 
 
-def _enc_sparse2(field, t: TensorElement):
-    return [{"i": k[0], "j": k[1], "scalar": _enc_scalar(field, v)}
-            for k, v in sorted(t.entries.items())]
-
-
-def _enc_sparse3(field, t: TensorElement):
-    return [{"i": k[0], "j": k[1], "k": k[2], "scalar": _enc_scalar(field, v)}
+def _enc_sparse(field, t: TensorElement):
+    keys = _INDEX_KEYS[:t.arity]
+    return [dict(zip(keys, k), scalar=field.format_scalar(v))
             for k, v in sorted(t.entries.items())]
 
 
 def _enc_matrix(field, m: LinearMap):
-    return {"matrix": [[_enc_scalar(field, v) for v in row] for row in m.matrix()]}
+    return {"matrix": [_enc_vector(field, row) for row in m.matrix()]}
 
 
 def structure_to_dict(obj, name=None, dynamical=None) -> dict:
@@ -86,15 +81,15 @@ def structure_to_dict(obj, name=None, dynamical=None) -> dict:
                     coeffs[k] = v
                 mult_rows.append({"i": i, "j": j, "coeffs": _enc_vector(field, coeffs)})
     doc["mult"] = mult_rows
-    doc["coproduct"] = [_enc_sparse2(field, h.coproduct.col(i)) for i in range(alg.dim)]
-    doc["counit"] = [_enc_scalar(field, h.eps(alg.basis_element(i))) for i in range(alg.dim)]
+    doc["coproduct"] = [_enc_sparse(field, h.coproduct.col(i)) for i in range(alg.dim)]
+    doc["counit"] = [field.format_scalar(h.eps(alg.basis_element(i))) for i in range(alg.dim)]
     doc["antipode"] = _enc_matrix(field, h.s)
     doc["antipode_inv"] = _enc_matrix(field, h.s_inv)
     doc["alpha"] = _enc_vector(field, h.alpha.coeffs)
     doc["beta"] = _enc_vector(field, h.beta.coeffs)
-    doc["phi"] = _enc_sparse3(field, h.phi)
+    doc["phi"] = _enc_sparse(field, h.phi)
     if h.r is not None:
-        doc["r_matrix"] = _enc_sparse2(field, h.r)
+        doc["r_matrix"] = _enc_sparse(field, h.r)
     if dynamical is not None:
         doc["dynamical"] = {
             "domain": [str(x) for x in dynamical.domain],
@@ -103,7 +98,7 @@ def structure_to_dict(obj, name=None, dynamical=None) -> dict:
                                 for p in dynamical.shift.idempotents],
                 "weights": [str(w) for w in dynamical.shift.weights],
             },
-            "twists": [{"lambda": str(lam), "f": _enc_sparse2(field, dynamical.f(lam))}
+            "twists": [{"lambda": str(lam), "f": _enc_sparse(field, dynamical.f(lam))}
                        for lam in dynamical.domain],
         }
     return doc
@@ -116,7 +111,7 @@ def serialize_structure(obj, name=None, dynamical=None) -> str:
 
 
 def serialize_twist(field, twist: Twist) -> str:
-    return json.dumps({"twist": _enc_sparse2(field, twist.f)}, indent=2) + "\n"
+    return json.dumps({"twist": _enc_sparse(field, twist.f)}, indent=2) + "\n"
 
 
 # -- decoding ---------------------------------------------------------------
@@ -174,7 +169,7 @@ def _dec_vector(field, obj, dim, path):
 def _dec_sparse(field, alg, rows, arity, path):
     if not isinstance(rows, list):
         raise SchemaError("expected a list of index objects", path)
-    keys = ("i", "j", "k")[:arity]
+    keys = _INDEX_KEYS[:arity]
     entries = {}
     for n, row in enumerate(rows):
         if not isinstance(row, dict):

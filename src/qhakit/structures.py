@@ -18,10 +18,9 @@ recomputes it.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 
-from .errors import SingularError, StructureError
+from .errors import ConsistencyError, SingularError, StructureError
 from .report import Report
 from .tensor import LinearMap, contract_element
 
@@ -35,18 +34,14 @@ __all__ = [
 def _memoized(fn):
     """Cache ``fn(h, ...)`` in the memo of the bundle ``h``, keyed by the other arguments.
 
-    Only data computed from ``h`` alone belongs here: nothing keyed by a
-    twist and no tensor product of two bundles.
+    The key is the arguments as written, so ``f(h)`` and ``f(h, check=True)``
+    are two entries; callers spell options out.  Only data computed from
+    ``h`` alone belongs here: nothing keyed by a twist and no tensor product
+    of two bundles.
     """
-    signature = inspect.signature(fn)
-
     @functools.wraps(fn)
     def wrapper(h, *args, **kwargs):
-        key = (fn,)
-        if args or kwargs:
-            bound = signature.bind(h, *args, **kwargs)
-            bound.apply_defaults()
-            key += tuple(bound.arguments.values())[1:]
+        key = (fn, *args, *sorted(kwargs.items()))
         if key not in h._memo:
             h._memo[key] = fn(h, *args, **kwargs)
         return h._memo[key]
@@ -201,6 +196,16 @@ def _add_scan(rep: Report, check_id: str, alg, fails, pairs=False) -> None:
     rep.add(check_id, witness is None, witness)
 
 
+def _require_scan(alg, fails, message: str) -> None:
+    """Raise ConsistencyError at the first basis index ``i`` where ``fails(i)`` holds.
+
+    The raising twin of :func:`_add_scan`; ``{name}`` in ``message`` names the basis element.
+    """
+    for i in range(alg.dim):
+        if fails(i):
+            raise ConsistencyError(message.format(name=alg.basis_names[i]))
+
+
 def verify_qba(q) -> Report:
     """Check the quasi-bialgebra axioms, each as an exact tensor equality."""
     alg = q.algebra
@@ -308,7 +313,7 @@ def verify_rmatrix(t: QuasiBialgebra) -> Report:
 # derived structures
 # ---------------------------------------------------------------------------
 
-def opposite_structure(h, verify=True):
+def opposite_structure(h):
     """The opposite structure: coproduct and coassociator reversed, antipode inverted.
 
     An R-matrix, if present, becomes the opposite R-matrix R^T.
@@ -317,7 +322,7 @@ def opposite_structure(h, verify=True):
     anti = QuasiAntipode(h.s_inv, h.s_inv(h.alpha), h.s_inv(h.beta), s_inv=h.s)
     return QuasiBialgebra(h.algebra, h.coproduct.swapped(), h.counit,
                           h.phi_inv.perm((3, 2, 1)), h.phi.perm((3, 2, 1)), anti,
-                          r, r_inv, verify=verify)
+                          r, r_inv)
 
 
 @_memoized
@@ -344,14 +349,14 @@ def _mapped_structure(h, m, verify=True) -> QuasiBialgebra:
                           r, r_inv, verify=verify)
 
 
-def primed_structure(h, verify=True):
+def primed_structure(h):
     """The structure carried by the coproduct a -> (S (x) S) Delta^T(S^{-1}(a))."""
-    return _mapped_structure(h, h.s, verify=verify)
+    return _mapped_structure(h, h.s)
 
 
-def zero_structure(h, verify=True):
+def zero_structure(h):
     """The mirror of the primed structure built from S^{-1} instead of S."""
-    return _mapped_structure(h, h.s_inv, verify=verify)
+    return _mapped_structure(h, h.s_inv)
 
 
 def structures_equal(a, b) -> bool:
@@ -363,16 +368,24 @@ def structures_equal(a, b) -> bool:
     return a.antipode is None or (a.s == b.s and a.alpha == b.alpha and a.beta == b.beta)
 
 
-def qqybe_sides(t: QuasiBialgebra):
-    """Both arity-3 products whose equality is the quasi-QYBE."""
-    r, phi, phi_inv = t.r, t.phi, t.phi_inv
-    r12 = r.embed((1, 2), 3)
-    r13 = r.embed((1, 3), 3)
-    r23 = r.embed((2, 3), 3)
+def _qybe_sides(phi, phi_inv, left, right):
+    """R12 Phi_231^{-1} R13 Phi_132 R23 Phi^{-1} and Phi_321^{-1} R23 Phi_312 R13 Phi_213^{-1} R12.
+
+    Each side takes its R placements from its own triple, ``left`` = (R12,
+    R13, R23) and ``right`` = (R23, R13, R12): the dynamical forms shift them.
+    """
+    r12, r13, r23 = left
     lhs = r12 * phi_inv.perm((2, 3, 1)) * r13 * phi.perm((1, 3, 2)) * r23 * phi_inv
+    r23, r13, r12 = right
     rhs = (phi_inv.perm((3, 2, 1)) * r23 * phi.perm((3, 1, 2)) * r13
            * phi_inv.perm((2, 1, 3)) * r12)
     return lhs, rhs
+
+
+def qqybe_sides(t: QuasiBialgebra):
+    """Both arity-3 products whose equality is the quasi-QYBE."""
+    r12, r13, r23 = (t.r.embed(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+    return _qybe_sides(t.phi, t.phi_inv, (r12, r13, r23), (r23, r13, r12))
 
 
 def check_qqybe(t: QuasiBialgebra) -> bool:

@@ -45,12 +45,17 @@ def _rng(seed, suite, name):
 
 
 def _guard(rep: Report, check_id: str, fn):
-    """Run an asserting operation; record pass/fail with the failure message."""
+    """Run an asserting operation; record pass/fail with the failure message.
+
+    Returns what the operation returned, or None when it failed.
+    """
     try:
-        fn()
-        rep.add(check_id, True)
+        result = fn()
     except QhaError as exc:
         rep.add(check_id, False, str(exc))
+        return None
+    rep.add(check_id, True)
+    return result
 
 
 def suite_axioms(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
@@ -144,14 +149,8 @@ def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Rep
         return rep
     rng = _rng(seed, "qtriangular", entry.name)
 
-    ops = None
-
-    def compute_all():
-        nonlocal ops
-        ops = compute_u(s, check=True)
-
     _guard(rep, "P6+E17", lambda: canonical_r_elements(s, "r", check=True))
-    _guard(rep, "E18+E19+E20+L1+L2", compute_all)
+    ops = _guard(rep, "E18+E19+E20+L1+L2", lambda: compute_u(s, check=True))
     if ops is None:
         return rep
     rep.add("u-central-product", (ops.u * s.s(ops.u)).is_central(),
@@ -198,6 +197,15 @@ def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Rep
     return rep
 
 
+def _dynamical_r_checks(rep: Report, dyn, s, lam, label: str) -> None:
+    """E46, E47 and the three opposite QYBEs of one family at one point, tagged ``label``."""
+    rep.extend(check_dynamical_coproduct(dyn, s, lam), prefix=label)
+    rep.add(f"E47@{label}", check_qdqybe(dyn, s, lam), "quasi-dynamical QYBE fails")
+    for variant in ("primed", "zero", "transpose"):
+        rep.add(f"op-qdqybe.{variant}@{label}", check_opposite_qdqybe(dyn, s, variant, lam),
+                f"opposite dynamical QYBE ({variant}) fails")
+
+
 def suite_dynamical(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("dynamical")
     s = entry.structure
@@ -207,9 +215,7 @@ def suite_dynamical(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Repor
     # to the plain quasi-cocycle condition, term by term (any twist)
     f = random_twist(rng, s)
     const = constant_family(s, f)
-    lhs, rhs = shifted_cocycle_sides(const, s, 0)
-    plain_lhs, plain_rhs = quasi_cocycle_sides(f, s)
-    rep.add("E43-to-E23", (lhs, rhs) == (plain_lhs, plain_rhs),
+    rep.add("E43-to-E23", shifted_cocycle_sides(const, s, 0) == quasi_cocycle_sides(f, s),
             "zero-weight shifted condition does not reduce to the plain one")
 
     if s.r is not None:
@@ -220,9 +226,7 @@ def suite_dynamical(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Repor
                      s.r_inv * s.r_inv.transpose(), check=False)
         const_qc = constant_family(s, f_qc)
         twisted = twist_structure(s, f_qc, verify=False)
-        d_lhs, d_rhs = qdqybe_sides(const_qc, s, 0)
-        p_lhs, p_rhs = qqybe_sides(twisted)
-        rep.add("E47-to-E42", (d_lhs, d_rhs) == (p_lhs, p_rhs),
+        rep.add("E47-to-E42", qdqybe_sides(const_qc, s, 0) == qqybe_sides(twisted),
                 "zero-weight dynamical QYBE does not reduce to the plain one")
         if s.phi == s.algebra.tensor_unit(3):
             rep.add("E47-to-classical", check_qdqybe(const, s, 0)
@@ -235,22 +239,11 @@ def suite_dynamical(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Repor
         for lam in dyn.checkable():
             _guard(rep, f"E45@{lam}", lambda lam=lam: dynamical_coassociator(dyn, s, lam))
             if s.r is not None:
-                rep.extend(check_dynamical_coproduct(dyn, s, lam), prefix=f"{lam}")
-                rep.add(f"E47@{lam}", check_qdqybe(dyn, s, lam),
-                        "quasi-dynamical QYBE fails")
-                for variant in ("primed", "zero", "transpose"):
-                    rep.add(f"op-qdqybe.{variant}@{lam}",
-                            check_opposite_qdqybe(dyn, s, variant, lam),
-                            f"opposite dynamical QYBE ({variant}) fails")
+                _dynamical_r_checks(rep, dyn, s, lam, f"{lam}")
     elif s.r is not None:
         # no attached family: exercise the identities on the constant family
         # built on the R^T R twist, which satisfies the zero-shift condition
-        rep.extend(check_dynamical_coproduct(const_qc, s, 0), prefix="const")
-        rep.add("E47@const", check_qdqybe(const_qc, s, 0), "quasi-dynamical QYBE fails")
-        for variant in ("primed", "zero", "transpose"):
-            rep.add(f"op-qdqybe.{variant}@const",
-                    check_opposite_qdqybe(const_qc, s, variant, 0),
-                    f"opposite dynamical QYBE ({variant}) fails")
+        _dynamical_r_checks(rep, const_qc, s, 0, "const")
     return rep
 
 

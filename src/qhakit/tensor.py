@@ -98,7 +98,7 @@ def _restored(field, nums, den):
 class Algebra:
     """Finite-dimensional unital associative algebra over an exact field."""
 
-    def __init__(self, field, dim, mult, unit=None, basis=None, check=True):
+    def __init__(self, field, dim, mult, unit=None, basis=None):
         if dim < 1:
             raise AlgebraError("dimension must be positive")
         self.field = field
@@ -138,8 +138,7 @@ class Algebra:
                 raise AlgebraError("unit vector has wrong length")
         self.unit = tuple(unit_coeffs)
         self._tensor_units = {}
-        if check:
-            self._check()
+        self._check()
 
     # -- construction-time axiom checks --
 

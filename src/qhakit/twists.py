@@ -51,8 +51,7 @@ class Twist:
 
     @classmethod
     def identity(cls, q) -> "Twist":
-        alg = q.algebra
-        unit2 = alg.tensor_unit(2)
+        unit2 = q.algebra.tensor_unit(2)
         return cls(unit2, q.counit, unit2, check=False)
 
     @property
@@ -87,11 +86,20 @@ def compose_twists(f: Twist, g: Twist) -> Twist:
     return Twist(f.f * g.f, f.counit, g.f_inv * f.f_inv, check=False)
 
 
+def _cocycle_head(q, f: TensorElement) -> TensorElement:
+    """(F (x) 1)(Delta (x) 1)F Phi: the left side of the quasi-cocycle condition."""
+    return f.embed((1, 2), 3) * q.coproduct.on_leg(f, 1) * q.phi
+
+
+def _twisted_coproduct(q, f: Twist) -> LinearMap:
+    """a -> F Delta(a) F^{-1}, materialized on the basis."""
+    alg = q.algebra
+    return LinearMap(alg, [f.f * q.coproduct.col(i) * f.f_inv for i in range(alg.dim)])
+
+
 def twisted_coassociator(q, f: TensorElement, f_inv: TensorElement) -> TensorElement:
     """(F (x) 1) (Delta (x) 1)F  Phi  (1 (x) Delta)F^{-1} (1 (x) F^{-1})."""
-    delta = q.coproduct
-    return (f.embed((1, 2), 3) * delta.on_leg(f, 1) * q.phi
-            * delta.on_leg(f_inv, 2) * f_inv.embed((2, 3), 3))
+    return _cocycle_head(q, f) * q.coproduct.on_leg(f_inv, 2) * f_inv.embed((2, 3), 3)
 
 
 def twisted_coassociator_inv(q, f: TensorElement, f_inv: TensorElement) -> TensorElement:
@@ -116,8 +124,6 @@ def twist_structure(h, f: Twist, verify=True):
     coassociator, canonical elements, and R-matrix move.  It is a new
     bundle with an empty memo.
     """
-    alg = h.algebra
-    cols = [f.f * h.coproduct.col(i) * f.f_inv for i in range(alg.dim)]
     phi_f = twisted_coassociator(h, f.f, f.f_inv)
     phi_f_inv = twisted_coassociator_inv(h, f.f, f.f_inv)
     anti = None
@@ -127,15 +133,12 @@ def twist_structure(h, f: Twist, verify=True):
     if h.r is not None:
         r_f = f.f.transpose() * h.r * f.f_inv
         r_f_inv = f.f * h.r_inv * f.f_inv.transpose()
-    return QuasiBialgebra(alg, LinearMap(alg, cols), h.counit, phi_f, phi_f_inv, anti,
-                          r_f, r_f_inv, verify=verify)
+    return QuasiBialgebra(h.algebra, _twisted_coproduct(h, f), h.counit, phi_f, phi_f_inv,
+                          anti, r_f, r_f_inv, verify=verify)
 
 
 def quasi_cocycle_sides(f: Twist, q):
-    delta = q.coproduct
-    lhs = f.f.embed((1, 2), 3) * delta.on_leg(f.f, 1) * q.phi
-    rhs = q.phi * f.f.embed((2, 3), 3) * delta.on_leg(f.f, 2)
-    return lhs, rhs
+    return _cocycle_head(q, f.f), q.phi * f.f.embed((2, 3), 3) * q.coproduct.on_leg(f.f, 2)
 
 
 def is_quasi_cocycle(f: Twist, q) -> bool:

@@ -1,7 +1,14 @@
-"""Every name a module lists in ``__all__`` resolves, so deleted code cannot linger there."""
+"""Every name a module lists in ``__all__`` resolves, so deleted code cannot linger there.
+
+Also: importing the CLI pulls in no module it does not use.
+"""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +22,14 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_cli_import_leaves_out_inspect_and_dataclasses():
+    """A cold start imports only what the run needs; the catalog bench is 25 cold starts."""
+    src = str(Path(qhakit.__file__).resolve().parent.parent)
+    code = ("import sys, qhakit.cli; "
+            "print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

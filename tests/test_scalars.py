@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhakit.errors import FieldMismatch, SingularError
-from qhakit.scalars import (Cyclo, RATIONAL, _integral_rows, cyclotomic_field,
+from qhakit.scalars import (Cyclo, RATIONAL, _reduction_rows, cyclotomic_field,
                             cyclotomic_polynomial, totient)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -157,7 +157,7 @@ class TestSympyOracle:
             assert cyclotomic_polynomial(n) == tuple(
                 Fraction(int(c)) for c in reversed(modulus.all_coeffs())), n
             deg = totient(n)
-            rows = _integral_rows(n)
+            rows = _reduction_rows(n)
             assert len(rows) == max(deg - 1, 1), n
             for m, row in enumerate(rows):
                 rem = sympy.Poly(x ** (deg + m), x).rem(modulus)
