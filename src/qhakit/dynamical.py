@@ -16,6 +16,7 @@ of the twisted coassociator.  The equations below are products of these.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (ArityMismatch, ConsistencyError, DomainError,
                      StructureError, TwistError)
@@ -141,11 +142,15 @@ def _r_family(dyn: DynamicalTwist, t: QuasiBialgebra):
 
 
 def _placed(shift: ShiftSystem, lam, table):
-    """R12, R13, R23 of ``table(lambda)`` and the shifted R12(h3), R13(h2), R23(h1)."""
-    r = table(lam)
+    """R12, R13, R23 of ``table(lambda)`` and the shifted R12(h3), R13(h2), R23(h1).
+
+    ``table`` is evaluated once per distinct parameter within one call.
+    """
+    member = lru_cache(maxsize=None)(table)
+    r = member(lam)
     return (r.embed((1, 2), 3), r.embed((1, 3), 3), r.embed((2, 3), 3),
-            _insert_shifted(shift, lam, 3, 3, table), _insert_shifted(shift, lam, 2, 3, table),
-            _insert_shifted(shift, lam, 1, 3, table))
+            _insert_shifted(shift, lam, 3, 3, member), _insert_shifted(shift, lam, 2, 3, member),
+            _insert_shifted(shift, lam, 1, 3, member))
 
 
 def _telescoped(dyn: DynamicalTwist, h, lam):

@@ -1,20 +1,20 @@
 """Exact scalar arithmetic over Q and cyclotomic extensions Q(zeta_n).
 
 Scalar values are either ``fractions.Fraction`` (rational field) or
-:class:`Cyclo` (polynomial residues in a primitive n-th root of unity,
-reduced modulo the n-th cyclotomic polynomial).  Everything is exact;
-there is no floating point anywhere in the kernel, so every comparison
-downstream is a strict equality.
+:class:`Cyclo`: an int vector on the power basis 1, zeta, ... of a
+primitive n-th root of unity, reduced modulo the n-th cyclotomic
+polynomial, over one positive int denominator with no common factor (the
+standard form of a number-field element).  All Q(zeta_n) arithmetic is
+int arithmetic on such vectors, through one product, ``_product``.
+Everything is exact, so every comparison downstream is a strict equality.
 
 The tensor kernel and the elimination compute on numerators instead of
 field values (``Field.clear``, ``Field.restore``, ``Field.divider``): a set
 of values is cleared to integral numerators over one int denominator, the
-lcm of all their coefficient denominators.  Over Q a numerator is an int.
-Over Q(zeta_n) it is an element of Z[zeta_n]: a plain int when the value
-is a constant, otherwise a private integral coefficient vector that
-multiplies modulo the monic integral cyclotomic polynomial.  Stored
-values are always normalised ``Fraction``/``Cyclo``; numerators never
-leave the kernel.
+lcm of their denominators.  Over Q a numerator is an int.  Over Q(zeta_n)
+it is an element of Z[zeta_n]: a plain int when the value is a constant,
+otherwise a private ``_Integral`` vector.  Stored values are always
+normalised ``Fraction``/``Cyclo``; numerators never leave the kernel.
 """
 
 from __future__ import annotations
@@ -32,161 +32,163 @@ ONE = Fraction(1)
 _RATIONAL_TEXT = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
+@lru_cache(maxsize=None)
 def totient(n: int) -> int:
-    """Euler's totient, by trial-division factorization (n stays tiny here)."""
+    """Euler's totient, by counting the units mod n (n stays tiny here)."""
     if n < 1:
         raise ValueError("totient of a non-positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
 
 
-# -- polynomial helpers (dense, ascending coefficients, Fraction entries) --
-
-def _trim(poly):
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
+def _product(a, b, rows):
+    """The product of two int vectors on the power basis: a schoolbook
+    convolution, folded below the modulus degree by ``_reduction_rows``."""
+    deg = len(a)
+    out = [0] * (2 * deg - 1)
     for i, x in enumerate(a):
-        if not x:
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    low = out[:deg]
+    for row, overflow in zip(rows, out[deg:]):
+        if overflow:
+            low = [u + overflow * v for u, v in zip(low, row)]
+    return tuple(low)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Int coefficients (ascending, monic) of the n-th cyclotomic polynomial: x^n - 1
+    divided exactly by the (monic) cyclotomic polynomials of the proper divisors of n."""
+    if n < 1:
+        raise ValueError("cyclotomic order must be positive")
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
             continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _trim(out)
+        divisor = cyclotomic_polynomial(d)
+        k = len(divisor) - 1
+        quotient = [0] * (len(poly) - k)
+        for shift in reversed(range(len(quotient))):
+            c = quotient[shift] = poly[shift + k]
+            if c:
+                for i, y in enumerate(divisor):
+                    poly[shift + i] -= c * y
+        assert not any(poly), "cyclotomic division must be exact"
+        poly = quotient
+    return tuple(poly)
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else ZERO) - (b[i] if i < len(b) else ZERO)
-           for i in range(n)]
-    return _trim(out)
+@lru_cache(maxsize=None)
+def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row m is zeta^m, 0 <= m < n, reduced: the row before times zeta, with
+    zeta^deg = minus the lower coefficients of the monic cyclotomic polynomial."""
+    deg = totient(n)
+    top = [-c for c in cyclotomic_polynomial(n)[:deg]]
+    row = [1] + [0] * (deg - 1)
+    powers = [tuple(row)]
+    for _ in range(n - 1):
+        overflow = row[-1]
+        row = [0] + row[:-1]
+        if overflow:
+            row = [u + overflow * v for u, v in zip(row, top)]
+        powers.append(tuple(row))
+    return tuple(powers)
 
 
-def _poly_divmod(a, b):
-    b = _trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = _trim(list(a))
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead
-        q[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] -= c * y
-        _trim(a)
-    return _trim(q), a
+def _fold(n: int, terms):
+    """The int vector of sum(c * zeta^m) over the pairs (m, c), m any int."""
+    powers = _zeta_powers(n)
+    out = [0] * totient(n)
+    for m, c in terms:
+        if c:
+            out = [u + c * v for u, v in zip(out, powers[m % n])]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row m is the reduced form of zeta^(deg+m), deg = totient(n), as ints.
-
-    Lets products be folded back below the modulus degree without running
-    polynomial division in the multiplication hot path.  The rows are
-    integral because the cyclotomic polynomial is monic and integral, so
-    ``Cyclo`` values and ``_Integral`` numerators fold with the same rows.
-    """
+    """Row m is zeta^(deg+m), deg = totient(n), reduced: what a product folds back
+    below the modulus degree without polynomial division."""
     deg = totient(n)
-    modulus = cyclotomic_polynomial(n)
-    rows = []
-    # zeta^deg = -(lower coefficients) since the modulus is monic
-    current = [-int(c) for c in modulus[:deg]]
-    rows.append(tuple(current))
-    for _ in range(deg - 2):
-        shifted = [0] + current[:-1]
-        overflow = current[-1]
-        if overflow:
-            shifted = [a + overflow * b for a, b in zip(shifted, rows[0])]
-        current = shifted
-        rows.append(tuple(current))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending, monic) of the n-th cyclotomic polynomial.
-
-    Computed once per order by dividing x^n - 1 by the cyclotomic
-    polynomials of the proper divisors of n.
-    """
-    if n < 1:
-        raise ValueError("cyclotomic order must be positive")
-    if n == 1:
-        return (Fraction(-1), ONE)
-    num = [ZERO] * (n + 1)
-    num[0], num[n] = Fraction(-1), ONE
-    poly = num
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem, "cyclotomic division must be exact"
-    return tuple(poly)
+    powers = _zeta_powers(n)
+    return tuple(powers[(deg + m) % n] for m in range(max(deg - 1, 1)))
 
 
 class Cyclo:
-    """An element of Q(zeta_n), stored reduced mod the cyclotomic polynomial.
+    """An element of Q(zeta_n): an int vector ``num`` over one positive int ``den``.
 
-    ``coeffs`` has length totient(n); entry k is the coefficient of zeta^k.
-    Instances are immutable.  Mixed arithmetic with ints and Fractions
-    coerces them as constants; mixing different orders raises.
+    ``num`` has length totient(n); entry k over ``den`` is the coefficient
+    of zeta^k, and ``gcd(den, *num) == 1``, so equality and hashing are
+    structural.  ``numerator`` (an int for a constant, else an
+    ``_Integral``) and ``denominator`` are as for ``Fraction``; ``coeffs``
+    is the ``Fraction`` view.  Instances are immutable.  Ints and Fractions
+    mix in as constants; mixing different orders raises.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs):
-        deg = totient(order)
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-        if len(coeffs) != deg:
-            raise ValueError(f"need {deg} coefficients for order {order}, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __new__(cls, order: int, coeffs):
+        coeffs = list(coeffs)
+        if len(coeffs) != totient(order):
+            raise ValueError(
+                f"need {totient(order)} coefficients for order {order}, got {len(coeffs)}")
+        return cls.from_poly(order, coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
 
     @classmethod
-    def _raw(cls, order, coeffs):
+    def _raw(cls, order, num, den):
         self = object.__new__(cls)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         return self
+
+    @classmethod
+    def _reduced(cls, order, num, den):
+        """The value ``num / den`` for an int vector and a nonzero int, in stored form."""
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        return cls._raw(order, tuple(num), den)
 
     @classmethod
     def from_poly(cls, order, poly):
         """Reduce an arbitrary-degree polynomial in zeta modulo the cyclotomic polynomial."""
-        modulus = list(cyclotomic_polynomial(order))
-        _, rem = _poly_divmod([Fraction(c) for c in poly], modulus)
-        deg = totient(order)
-        rem = rem + [ZERO] * (deg - len(rem))
-        return cls(order, rem)
+        poly = [c if isinstance(c, Fraction) else Fraction(c) for c in poly]
+        den = math.lcm(*[c.denominator for c in poly])
+        num = _fold(order, enumerate([c.numerator * (den // c.denominator) for c in poly]))
+        return cls._reduced(order, num, den)
 
     @classmethod
     def zeta(cls, order, power=1):
-        return cls.from_poly(order, [ZERO] * (power % order) + [ONE])
+        return cls._raw(order, _zeta_powers(order)[power % order], 1)
 
     @classmethod
     def constant(cls, order, value):
-        deg = totient(order)
         v = value if isinstance(value, Fraction) else Fraction(value)
-        return cls._raw(order, (v,) + (ZERO,) * (deg - 1))
+        return cls._raw(order, (v.numerator,) + (0,) * (totient(order) - 1), v.denominator)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, zeta, zeta^2, ... as reduced ``Fraction``s."""
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.num])
+
+    @property
+    def numerator(self):
+        num = self.num
+        if any(num[1:]):
+            return _Integral(num, _reduction_rows(self.order))
+        return num[0]
+
+    @property
+    def denominator(self) -> int:
+        return self.den
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
@@ -202,8 +204,9 @@ class Cyclo:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclo._raw(self.order,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return Cyclo._reduced(self.order, [x * b + y * a for x, y in zip(self.num, other.num)],
+                              a * b)
 
     __radd__ = __add__
 
@@ -211,8 +214,9 @@ class Cyclo:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclo._raw(self.order,
-                          tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return Cyclo._reduced(self.order, [x * b - y * a for x, y in zip(self.num, other.num)],
+                              a * b)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -221,30 +225,15 @@ class Cyclo:
         return other - self
 
     def __neg__(self):
-        return Cyclo._raw(self.order, tuple(-a for a in self.coeffs))
+        return Cyclo._raw(self.order, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        deg = len(a)
-        out = [ZERO] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-        if deg > 1:
-            rows = _reduction_rows(self.order)
-            low = out[:deg]
-            for m, overflow in enumerate(out[deg:]):
-                if overflow:
-                    row = rows[m]
-                    low = [u + overflow * v for u, v in zip(low, row)]
-            out = low
-        return Cyclo._raw(self.order, tuple(out))
+        order = self.order
+        return Cyclo._reduced(order, _product(self.num, other.num, _reduction_rows(order)),
+                              self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -261,35 +250,34 @@ class Cyclo:
         return other * self.inverse()
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse by extended gcd against the cyclotomic polynomial."""
+        """``den * conj / N``, conj the product of the conjugates sigma_k(num), k != 1:
+        ``num * conj`` is formed and checked to be the norm N, a nonzero int."""
         if not self:
             raise SingularError("division by zero in cyclotomic field")
-        modulus = list(cyclotomic_polynomial(self.order))
-        # extended Euclid on (self, modulus); gcd is a nonzero constant
-        r0, r1 = _trim(list(self.coeffs)), modulus
-        s0, s1 = [ONE], []
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(r0) == 1, "gcd with an irreducible modulus must be constant"
-        inv_gcd = 1 / r0[0]
-        return Cyclo.from_poly(self.order, [c * inv_gcd for c in s0])
+        n, num, rows = self.order, self.num, _reduction_rows(self.order)
+        conj = (1,) + (0,) * (len(num) - 1)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:   # sigma_k: zeta -> zeta^k
+                conj = _product(conj, _fold(n, [(i * k, c) for i, c in enumerate(num)]), rows)
+        norm = _product(num, conj, rows)
+        assert norm[0] and not any(norm[1:]), "a value times its conjugates must be its norm"
+        return Cyclo._reduced(n, [self.den * c for c in conj], norm[0])
 
     def __eq__(self, other):
         if isinstance(other, Cyclo):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return self.order == other.order and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        if any(self.num[1:]):
+            return hash((self.order, self.num, self.den))
+        return hash(Fraction(self.num[0], self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         terms = []
@@ -312,10 +300,12 @@ class _Integral:
     ``+``, ``-`` and ``*``.  ``rows`` are the reduction rows of the order,
     so a product folds back below the modulus degree without division.
     ``// d`` divides every coefficient by the int ``d`` and is only used
-    where the quotient is integral.
+    where the quotient is integral.  Like an int, it is its own numerator.
     """
 
     __slots__ = ("coeffs", "rows")
+    denominator = 1
+    numerator = property(lambda self: self)
 
     def __init__(self, coeffs, rows):
         self.coeffs = coeffs
@@ -352,18 +342,7 @@ class _Integral:
             return _Integral(tuple([x * other for x in self.coeffs]), self.rows)
         if not isinstance(other, _Integral):
             return NotImplemented
-        a, b, rows = self.coeffs, other.coeffs, self.rows
-        deg = len(a)
-        out = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        low = out[:deg]
-        for row, overflow in zip(rows, out[deg:]):
-            if overflow:
-                low = [u + overflow * v for u, v in zip(low, row)]
-        return _Integral(tuple(low), rows)
+        return _Integral(_product(self.coeffs, other.coeffs, self.rows), self.rows)
 
     __rmul__ = __mul__
 
@@ -453,40 +432,25 @@ class Field(namedtuple("Field", "kind order")):
     def clear(self, values):
         """Numerators over one common denominator: ``(nums, den)``, ``values[i] = nums[i] / den``.
 
-        ``den`` is an int, the lcm of the denominators of all coefficients,
-        and the numerators are integral.  Over Q they are ints (0 for a zero
-        value).  Over Q(zeta_n) they lie in Z[zeta_n]: an int for a constant
-        value, otherwise an integral coefficient vector.  ``values`` may mix
-        field values with numerators, which count as over 1.
+        ``den`` is an int, the lcm of the value denominators, and the
+        numerators are integral.  Over Q they are ints (0 for a zero value).
+        Over Q(zeta_n) they lie in Z[zeta_n]: an int for a constant value,
+        otherwise an integral coefficient vector.  ``values`` may mix field
+        values with numerators, which count as over 1.
         """
         values = list(values)
-        if self.kind == "rational":
-            den = math.lcm(*[v.denominator for v in values])
-            if den == 1:
-                return [v.numerator for v in values], 1
-            return [v.numerator * (den // v.denominator) for v in values], den
-        den = math.lcm(*[c.denominator for v in values if isinstance(v, Cyclo)
-                         for c in v.coeffs])
-        rows = _reduction_rows(self.order)
-        nums = []
-        for v in values:
-            if not isinstance(v, Cyclo):
-                nums.append(v * den)
-            elif any(v.coeffs[1:]):
-                nums.append(_Integral(tuple([c.numerator * (den // c.denominator)
-                                             for c in v.coeffs]), rows))
-            else:
-                c = v.coeffs[0]
-                nums.append(c.numerator * (den // c.denominator))
-        return nums, den
+        den = math.lcm(*[v.denominator for v in values])
+        if den == 1:
+            return [v.numerator for v in values], 1
+        return [v.numerator * (den // v.denominator) for v in values], den
 
     def restore(self, nums, den):
         """The field values ``n / den`` for the numerators ``n``, reduced; inverts :meth:`clear`.
 
         ``den`` is a nonzero numerator.  Over an int ``den`` every value is
-        built directly from reduced ``Fraction`` coefficients; over a
-        Z[zeta_n] ``den`` (a Bareiss determinant) one ``Cyclo`` inverse is
-        formed for all of ``nums``.
+        built directly from its numerator and ``den``; over a Z[zeta_n]
+        ``den`` (a Bareiss determinant) one ``Cyclo`` inverse is formed for
+        all of ``nums``.
         """
         if self.kind == "rational":
             if den == 1:
@@ -496,9 +460,8 @@ class Field(namedtuple("Field", "kind order")):
             inv = self.restore([den], 1)[0].inverse()
             return [v * inv for v in self.restore(nums, 1)]
         order = self.order
-        zeros = (ZERO,) * (totient(order) - 1)
-        return [Cyclo._raw(order, (Fraction(n, den),) + zeros) if isinstance(n, int)
-                else Cyclo._raw(order, tuple([Fraction(c, den) for c in n.coeffs]))
+        zeros = (0,) * (totient(order) - 1)
+        return [Cyclo._reduced(order, (n,) + zeros if isinstance(n, int) else n.coeffs, den)
                 for n in nums]
 
     def divider(self, p):
@@ -506,15 +469,15 @@ class Field(namedtuple("Field", "kind order")):
 
         The dividend must be ``p`` times a numerator, as every Bareiss
         quotient is.  For an int ``p`` (always, over Q) it is ``//``.  For
-        ``p`` in Z[zeta_n] it multiplies by ``m / p``, integral for ``m`` the
-        lcm of the coefficient denominators of ``1 / p``, then divides every
-        coefficient by ``m``; the power basis is a Z-basis of Z[zeta_n], so
-        that division is exact too.
+        ``p`` in Z[zeta_n] it multiplies by the numerator of ``1 / p`` and
+        divides every coefficient by its denominator; the power basis is a
+        Z-basis of Z[zeta_n], so that division is exact too.
         """
         if isinstance(p, int):
             return lambda x: x // p
-        (inv,), m = self.clear([self.restore([p], 1)[0].inverse()])
-        return lambda x: (x * inv) // m
+        inv = self.restore([p], 1)[0].inverse()
+        num, m = inv.numerator, inv.denominator
+        return lambda x: (x * num) // m
 
     def format_scalar(self, value):
         """Text encoding: 'p/q' strings for Q, coefficient-string arrays for Q(zeta_n)."""

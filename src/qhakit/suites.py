@@ -58,6 +58,15 @@ def _guard(rep: Report, check_id: str, fn):
     return result
 
 
+def _holds(rep: Report, check_id: str, fn, witness: str):
+    """Record the verdict ``fn()`` returns; an error it raises fails the check with its text."""
+    try:
+        ok = fn()
+    except QhaError as exc:
+        return rep.add(check_id, False, str(exc))
+    return rep.add(check_id, ok, witness)
+
+
 def suite_axioms(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("axioms")
     s = entry.structure
@@ -91,11 +100,11 @@ def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
 
         _guard(rep, f"E6.verify@{k}", lambda: twist_structure(s, f))
         ts = twist_structure(s, f, verify=False)
-        rep.add(f"L3.group@{k}",
-                structures_equal(twist_structure(s, compose_twists(f, g)),
-                                 twist_structure(twist_structure(s, g, verify=False), f,
-                                                 verify=False)),
-                "twisting by FG differs from twisting by G then F")
+        _holds(rep, f"L3.group@{k}",
+               lambda: structures_equal(twist_structure(s, compose_twists(f, g)),
+                                        twist_structure(twist_structure(s, g, verify=False), f,
+                                                        verify=False)),
+               "twisting by FG differs from twisting by G then F")
         rep.add(f"L3.untwist@{k}",
                 structures_equal(twist_structure(ts, f.inverse(), verify=False), s),
                 "twisting then untwisting does not return the original")
@@ -106,8 +115,8 @@ def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
         _guard(rep, f"T1.roundtrip@{k}", lambda: antipode_from_v(h, w))
         alt = h.antipode.conjugated(w)
         pair = AntipodePair(h, alt, verify=False)
-        rep.add(f"uni-v@{k}", check_v_universality(pair, f),
-                "v changed under a twist")
+        _holds(rep, f"uni-v@{k}", lambda: check_v_universality(pair, f),
+               "v changed under a twist")
 
         # compatible twists: P7 in both directions, P8 recovery
         z = h.algebra.scalar_element(rng.choice([2, 3, Fraction(1, 2)]))

@@ -1,4 +1,4 @@
-"""The field-valued tensor kernel and Gaussian elimination, kept as test oracles.
+"""The field-valued tensor kernel, Gaussian elimination and Fraction Q(zeta_n), kept as oracles.
 
 This is the product kernel and the elimination that ``qhakit.tensor`` and
 ``qhakit.linalg`` used before they moved to numerators over a common
@@ -7,12 +7,88 @@ operation here is a field operation on ``Fraction`` or ``Cyclo`` values,
 and every entry is normalised as it is formed, so each function is the
 plain definition the numerator kernel must agree with, entry by entry and
 error text by error text.  Nothing under ``src/`` imports this module.
+
+The ``cyclo_*`` functions are the Q(zeta_n) arithmetic ``Cyclo`` used
+before it moved to int vectors over one denominator: polynomials with
+``Fraction`` coefficients (ascending), reduced modulo the cyclotomic
+polynomial by long division, and inverted by the extended Euclidean
+algorithm.  They share no code with ``qhakit.scalars``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+
 from qhakit.errors import SingularError
 from qhakit.tensor import AlgElement, TensorElement
+
+
+def _trim(poly):
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _poly_divmod(a, b):
+    a, b = _trim([Fraction(c) for c in a]), _trim([Fraction(c) for c in b])
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        c = q[shift] = a[-1] / b[-1]
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+        _trim(a)
+    return _trim(q), a
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(n):
+    """Phi_n with Fraction coefficients: x^n - 1 over the Phi_d of the proper divisors d."""
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _poly_divmod(poly, cyclotomic(d))
+            assert not rem
+    return tuple(poly)
+
+
+def cyclo_reduce(order, poly):
+    """The coefficients of ``poly`` mod Phi_order, padded to the degree of Phi_order."""
+    modulus = cyclotomic(order)
+    rem = _poly_divmod(poly, modulus)[1]
+    return tuple(rem + [Fraction(0)] * (len(modulus) - 1 - len(rem)))
+
+
+def cyclo_mul(order, a, b):
+    return cyclo_reduce(order, _poly_mul(list(a), list(b)))
+
+
+def cyclo_inverse(order, a):
+    """The inverse of ``a`` mod Phi_order, by the extended Euclidean algorithm."""
+    r0, r1 = _trim([Fraction(c) for c in a]), list(cyclotomic(order))
+    if not r0:
+        raise SingularError("division by zero in cyclotomic field")
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    assert len(r0) == 1, "the gcd with an irreducible modulus is a constant"
+    return cyclo_reduce(order, [c / r0[0] for c in s0])
 
 
 def _acc(entries, key, value):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit.dynamical import (DynamicalTwist, ShiftSystem, check_classical_dqybe,
+from qhakit.dynamical import (DynamicalTwist, ShiftSystem, _insert_shifted, _placed,
+                              _r_family, check_classical_dqybe,
                               check_dynamical_coproduct, check_opposite_qdqybe,
                               check_qdqybe, check_shifted_quasi_cocycle,
                               constant_family, dynamical_coassociator,
@@ -220,6 +221,29 @@ class TestDynamicalCoproduct:
         f = Twist(alg.tensor_unit(2) + tensor_of(x, gx), h.counit)
         fam = constant_family(h, f, domain=[0, 1])
         assert not check_dynamical_coproduct(fam, s, 0).ok
+
+
+class TestPlacements:
+    def test_table_evaluated_once_per_parameter_per_call(self):
+        z2 = entry("z2_triangular")
+        dyn = z2.dynamical
+        r_at = _r_family(dyn, z2.structure)
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return r_at(mu)
+
+        for lam in dyn.checkable():
+            params = {lam, *(lam + w for w in dyn.shift.weights)}
+            for _ in range(2):   # nothing is kept from one call to the next
+                calls.clear()
+                placed = _placed(dyn.shift, lam, counted)
+                assert sorted(calls) == sorted(params)
+            r = r_at(lam)
+            assert placed == (r.embed((1, 2), 3), r.embed((1, 3), 3), r.embed((2, 3), 3),
+                              *(_insert_shifted(dyn.shift, lam, leg, 3, r_at)
+                                for leg in (3, 2, 1)))
 
 
 class TestQDQYBE:

@@ -313,7 +313,7 @@ GOLDEN_FAILURES = {
     'perturbed_r/drinfeld': 'd8b107af8371db1529e2ac8bd9aba55ca412f200f9f8726e54fa4c92773aca6c',
     'perturbed_r/dynamical': '45addcb767786208a229a0c40326b3a6d96e20e5e0b1c922c5bbfe69cdd1c5e5',
     'perturbed_r/qtriangular': '7bcf36f4c5bdf9a83e0111fb0f09a44f8a8d722e015c06e911859f35dd438a0f',
-    'perturbed_r/twist': 'StructureError: R-matrix axioms fail: E14.ii, E14.iii, R-counit',
+    'perturbed_r/twist': '1b2826c01bc996b722dfa8251c36c61d5f6db1a7125d197bd67e5149ebd7a203',
     'perturbed_r/verify_rmatrix': '419381c86e14073d1c4cb7b796fe10be9f229874890a84d82d990b1afbc1cd97',
     'serialize/z2_triangular': '3b12712a9d87b4251c229dd405983cbfd4fbac1bd227475453c8028600468e46',
     'wrong_alpha/altschuler_coste_operator': 'TwistError: cached inverse is not a two-sided '
@@ -330,8 +330,7 @@ GOLDEN_FAILURES = {
     'wrong_alpha/dynamical': '21d09faf9c3d538721f6da12dd8c39715886aa1643ada0feb19bf83048c9f6f4',
     'wrong_alpha/opposite_drinfeld': 'TwistError: cached inverse is not a two-sided inverse',
     'wrong_alpha/qtriangular': 'e02baa08b776ba5f68d4c1fe129f187aeb65453cbe6e9d7696d81f56f79af15f',
-    'wrong_alpha/twist': 'StructureError: quasi-antipode axioms fail: Sphi, Sphi-inv, '
-                         'eps-alpha-beta',
+    'wrong_alpha/twist': 'd701896599b77ac0f4f3b62e6ccbe3741c0e96be778b029503718ce8c54ddf3b',
      'wrong_alpha/verify_quasi_antipode': '83e7f395a7ee4aef84174dcd82660b70a54a27c5865c474a4a390600cad3fe7a',
 }
 
@@ -354,6 +353,19 @@ def test_twist_file_bytes(name, seed):
 
 def test_failure_reports_and_texts():
     assert observed_failures() == GOLDEN_FAILURES
+
+
+@pytest.mark.parametrize("build, failing", [
+    (_semion_perturbed_r, {"L3.group@0": "R-matrix axioms fail: E14.ii, E14.iii, R-counit"}),
+    (_sweedler_wrong_alpha,
+     {"L3.group@0": "quasi-antipode axioms fail: Sphi, Sphi-inv, eps-alpha-beta",
+      "uni-v@0": "closed-form inverse of v is not a two-sided inverse"}),
+], ids=["perturbed_r", "wrong_alpha"])
+def test_twist_suite_reports_a_broken_bundle(build, failing):
+    """The checks that verify a twisted bundle fail with the error text instead of raising."""
+    (report,) = run_suites(CatalogEntry("broken", build()), "twist", seed=0, trials=1)
+    witnesses = {c.check_id: c.witness for c in report.failures()}
+    assert witnesses.items() >= failing.items()
 
 
 if __name__ == "__main__":

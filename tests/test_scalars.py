@@ -1,12 +1,15 @@
 """Exact field arithmetic: rationals and cyclotomic extensions."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference_kernel as ref
 from qhakit.errors import FieldMismatch, SingularError
-from qhakit.scalars import (Cyclo, RATIONAL, _reduction_rows, cyclotomic_field,
+from qhakit.scalars import (Cyclo, RATIONAL, _reduction_rows, _zeta_powers, cyclotomic_field,
                             cyclotomic_polynomial, totient)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -146,8 +149,53 @@ class TestFieldAxioms:
         assert field.coerce(p + q) == field.coerce(p) + field.coerce(q)
 
 
+def stored_form(v: Cyclo):
+    """The invariants of the stored form: one positive denominator, no common factor."""
+    assert type(v.den) is int and v.den > 0
+    assert all(type(c) is int for c in v.num) and len(v.num) == totient(v.order)
+    assert math.gcd(v.den, *v.num) == 1
+    if not any(v.num[1:]):
+        assert hash(v) == hash(v.coeffs[0]) and v == v.coeffs[0]
+    return v.coeffs
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24, 30])
+class TestAgainstFractionOracle:
+    """Every operation against the Fraction-coefficient arithmetic of ``reference_kernel``."""
+
+    @given(data=st.data())
+    @settings(max_examples=50)
+    def test_ring_operations(self, order, data):
+        a, b = data.draw(numerator_values(order)), data.draw(numerator_values(order))
+        x, y = a.coeffs, b.coeffs
+        assert stored_form(a + b) == tuple(p + q for p, q in zip(x, y))
+        assert stored_form(a - b) == tuple(p - q for p, q in zip(x, y))
+        assert stored_form(-a) == tuple(-p for p in x)
+        assert stored_form(a * b) == ref.cyclo_mul(order, x, y)
+        if a:
+            assert stored_form(a.inverse()) == ref.cyclo_inverse(order, x)
+
+    @given(data=st.data())
+    @settings(max_examples=50)
+    def test_from_poly_and_zeta(self, order, data):
+        poly = data.draw(st.lists(rationals, max_size=3 * order + 1))
+        assert stored_form(Cyclo.from_poly(order, poly)) == ref.cyclo_reduce(order, poly)
+        k = data.draw(st.integers(-2 * order, 3 * order))
+        zeta_k = ref.cyclo_reduce(order, [0] * (k % order) + [1])
+        assert stored_form(Cyclo.zeta(order, k)) == zeta_k
+
+
+def test_inverse_at_the_largest_file_order():
+    """Order 256 (the serial cap, degree 128): the inverse is formed and checks."""
+    rng = random.Random(0)
+    a = Cyclo(256, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(128)])
+    inv = a.inverse()
+    stored_form(inv)
+    assert a * inv == 1
+
+
 class TestSympyOracle:
-    """The cyclotomic polynomials and the int reduction rows against sympy."""
+    """The cyclotomic polynomials, the powers of zeta and the reduction rows against sympy."""
 
     def test_polynomials_and_reduction_rows(self):
         sympy = pytest.importorskip("sympy")
@@ -161,6 +209,13 @@ class TestSympyOracle:
             assert len(rows) == max(deg - 1, 1), n
             for m, row in enumerate(rows):
                 rem = sympy.Poly(x ** (deg + m), x).rem(modulus)
+                expected = [int(c) for c in reversed(rem.all_coeffs())]
+                assert row == tuple(expected + [0] * (deg - len(expected))), (n, m)
+                assert all(type(c) is int for c in row)
+            powers = _zeta_powers(n)
+            assert len(powers) == n, n
+            for m, row in enumerate(powers):
+                rem = sympy.Poly(x ** m, x).rem(modulus)
                 expected = [int(c) for c in reversed(rem.all_coeffs())]
                 assert row == tuple(expected + [0] * (deg - len(expected))), (n, m)
                 assert all(type(c) is int for c in row)

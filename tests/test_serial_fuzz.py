@@ -7,6 +7,7 @@ of range, put in a boolean, put in a huge value) and parses the result.
 StructureError; any other exception, or a hang, is a parser bug.
 """
 
+import copy
 import json
 
 import pytest
@@ -46,7 +47,9 @@ def mutated(draw):
         if kind == "drop":
             del container[key]
         elif kind == "type":
-            container[key] = draw(st.sampled_from(OTHER_TYPES))
+            # a copy: later mutations must not edit the shared value, or a list
+            # can come to contain itself
+            container[key] = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
         elif kind == "index":
             container[key] = draw(st.sampled_from([dim, -1, 10 ** 6]))
         elif kind == "bool":
