@@ -200,7 +200,7 @@ def check_dynamical_coproduct(dyn: DynamicalTwist, t: QuasiBialgebra, lam) -> Re
     """The four coproduct identities of the dynamical R-matrix at one grid point."""
     lam = Fraction(lam)
     rep = Report("dynamical-coproduct")
-    r_at = _r_family(dyn, t)
+    r_at = lru_cache(maxsize=None)(_r_family(dyn, t))   # R(lambda) is used again below
     r12, r13, r23, r12_h3, r13_h2, r23_h1 = _placed(dyn.shift, lam, r_at)
     r_lam = r_at(lam)
     delta_lam = _twisted_coproduct(t, dyn.twist(lam))

@@ -4,19 +4,22 @@ An :class:`Algebra` is a finite-dimensional unital associative algebra
 given by sparse structure constants c_{ij}^k (e_i e_j = sum_k c_{ij}^k e_k),
 checked for associativity and the unit laws at construction.  Elements of
 tensor powers H^(x)n are sparse multi-index coefficient tables with zeros
-always dropped, so equality is plain dict equality.  Every operation that
-multiplies out leg by leg (the legwise product, the product in H,
-``left_matrix``, ``contract`` and the tensor units, hence ``embed``)
-expands its terms through one private kernel, ``_expand``.
+always dropped, so equality is plain dict equality.  Every product through
+the structure constants (the legwise product, the product in H and the
+columns of ``left_matrix``) runs in one private kernel, ``_walk``: the
+right operand is indexed as a trie over its legs, each left entry walks it
+leg by leg sharing prefixes, and leg pairs with no structure constants are
+skipped whole.  Pure outer products (``@``, hence ``embed``, ``contract``
+and the tensor units) expand through ``_expand``; ``LinearMap.on_leg``
+substitutes a map's columns, in numerator form, into one leg.
 
-The products run on numerators.  Each operand is cleared to integral
+All of these run on numerators.  Each operand is cleared to integral
 numerators over one int denominator (``Field.clear``: Python ints for Q;
 for Q(zeta_n) ints for constants and Z[zeta_n] coefficient vectors
 otherwise), the algebra holds its structure constants once in the same
-form, the numerators expand through ``_expand``, and each result entry is
-restored once, as a reduced ``Fraction`` or ``Cyclo`` (``Field.restore``).
-Stored entries are always normalised field values, so equality, hashing
-and serialization never see a numerator.
+form, and each result entry is restored once, as a reduced ``Fraction`` or
+``Cyclo`` (``Field.restore``).  Stored entries are always normalised field
+values, so equality, hashing and serialization never see a numerator.
 
 Conventions used throughout:
 
@@ -50,18 +53,21 @@ def _acc(entries, key, value):
 
 
 def _expand(out, coeff, legs):
-    """Add ``coeff * legs[0] (x) legs[1] (x) ...`` into ``out``.
+    """Add the outer product ``coeff * legs[0] (x) legs[1] (x) ...`` into ``out``.
 
-    Each leg maps a basis index to a nonzero coefficient; an empty leg
-    makes the term zero.  The keys of one expansion are distinct and a
-    product of nonzero numerators is nonzero, so only the final
-    accumulation into ``out`` can cancel (as in ``_acc``).
+    Each leg maps a key (a tuple of basis indices, one per tensor leg it
+    covers) to a nonzero numerator; the keys of a term are concatenated and
+    an empty leg makes the term zero.  This is the helper for pure outer
+    products (``contract``, ``tensor_unit``, ``@``); products through the
+    structure constants go through ``_walk``.  The keys of one
+    expansion are distinct and a product of nonzero numerators is nonzero,
+    so only the final accumulation into ``out`` can cancel (as in ``_acc``).
     """
     terms = [((), coeff)]
     for leg in legs:
         if not leg:
             return
-        terms = [(key + (k,), val * c) for key, val in terms for k, c in leg.items()]
+        terms = [(key + k, val * c) for key, val in terms for k, c in leg.items()]
     get = out.get
     for key, val in terms:
         cur = get(key)
@@ -80,14 +86,52 @@ def _legwise(alg, arity, left, right):
     field = alg.field
     lnums, lden = field.clear(left.values())
     rnums, rden = field.clear(right.values())
-    table = alg._numerators
-    right_terms = list(zip(right, rnums))
-    out = {}
-    for I, u in zip(left, lnums):
-        rows = [table[a] for a in I]
-        for J, v in right_terms:
-            _expand(out, u * v, [row[b] for row, b in zip(rows, J)])
+    out = _walk(alg._numerators, arity, zip(left, lnums), zip(right, rnums))
     return _restored(field, out, lden * rden * alg._denominator ** arity)
+
+
+def _walk(table, arity, left, right):
+    """Numerators of the legwise product of two numerator tables of H^(x)arity.
+
+    This is the one structure-constant kernel: ``left`` and ``right`` are
+    (multi-index, numerator) pairs and ``table[i][j]`` maps the key (k,) to
+    the numerator of c_{ij}^k.  The right operand is indexed once as a trie
+    over its first arity - 1 legs.  For each left entry I the trie is walked
+    leg by leg, with a frontier of (key prefix, partial product, trie node),
+    so everything above the last leg is formed once per trie node rather
+    than once per pair of entries.  A subtree under a leg pair (I_l, j) with
+    no structure constants is skipped whole (the per-leg support join).
+    Sums are accumulated without testing for cancellation; the zeros are
+    swept once at the end.
+    """
+    if not arity:   # scalars: at most one entry each, and their product is nonzero
+        return {(): u * v for _, u in left for _, v in right}
+    trie = {}
+    for J, v in right:
+        node = trie
+        for j in J[:-1]:
+            node = node.setdefault(j, {})
+        node[J[-1]] = v
+    out = {}
+    get = out.get
+    for I, u in left:
+        frontier = [((), u, trie)]
+        for i in I[:-1]:
+            row = table[i]
+            frontier = [(key + k, val * c, child)
+                        for key, val, node in frontier
+                        for j, child in node.items()
+                        for k, c in row[j].items()]
+        row = table[I[-1]]
+        for key, val, node in frontier:
+            for j, v in node.items():
+                col = row[j]
+                if col:
+                    w = val * v
+                    for k, c in col.items():
+                        k = key + k
+                        out[k] = get(k, 0) + w * c
+    return {k: v for k, v in out.items() if v}
 
 
 def _restored(field, nums, den):
@@ -123,12 +167,12 @@ class Algebra:
                 table[(i, j)] = col
         self._mult = table
         # the structure constants as numerators over one denominator:
-        # _numerators[i][j] maps k to the numerator of c_{ij}^k
+        # _numerators[i][j] maps the key (k,) to the numerator of c_{ij}^k
         nums, self._denominator = field.clear(v for col in table.values() for v in col.values())
         nums = iter(nums)
         self._numerators = [[{} for _ in range(dim)] for _ in range(dim)]
         for (i, j), col in table.items():
-            self._numerators[i][j] = {k: next(nums) for k in col}
+            self._numerators[i][j] = {(k,): next(nums) for k in col}
 
         if unit is None:
             unit_coeffs = [field.one] + [field.zero] * (dim - 1)
@@ -191,7 +235,7 @@ class Algebra:
         if cached is not None:
             return cached
         entries = {}
-        support = {i: v for i, v in enumerate(self.unit) if v}
+        support = {(i,): v for i, v in enumerate(self.unit) if v}
         _expand(entries, self.field.one, [support] * arity)
         t = TensorElement(self, arity, entries, clean=True)
         self._tensor_units[arity] = t
@@ -375,11 +419,13 @@ class TensorElement:
             return NotImplemented
         if not self.algebra.compatible(other.algebra):
             raise ArityMismatch("tensors over different algebras")
+        field = self.algebra.field
+        lnums, lden = field.clear(self.entries.values())
+        rnums, rden = field.clear(other.entries.values())
         out = {}
-        for I, u in self.entries.items():
-            for J, v in other.entries.items():
-                _acc(out, I + J, u * v)
-        return TensorElement(self.algebra, self.arity + other.arity, out, clean=True)
+        _expand(out, 1, [dict(zip(self.entries, lnums)), dict(zip(other.entries, rnums))])
+        return TensorElement(self.algebra, self.arity + other.arity,
+                             _restored(field, out, lden * rden), clean=True)
 
     # -- leg operations --
 
@@ -430,13 +476,9 @@ class TensorElement:
         nums, den = field.clear(self.entries.values())
         zero = field.clear([field.zero])[0][0]   # the numerator of 0
         rows = [[zero] * size for _ in range(size)]
-        table = alg._numerators
         entries = list(zip(self.entries, nums))
         for col, J in enumerate(alg.multi_indices(n)):
-            column = {}
-            for I, u in entries:
-                _expand(column, u, [table[a][b] for a, b in zip(I, J)])
-            for K, val in column.items():
+            for K, val in _walk(alg._numerators, n, entries, [(J, 1)]).items():
                 row = 0
                 for idx in K:
                     row = row * d + idx
@@ -523,7 +565,7 @@ class LinearMap:
     is a property the structure verifiers check, not the representation.
     """
 
-    __slots__ = ("algebra", "out_arity", "columns", "anti", "_elements")
+    __slots__ = ("algebra", "out_arity", "columns", "anti", "_elements", "_numerators")
 
     def __init__(self, algebra, columns, anti=False):
         columns = list(columns)
@@ -537,6 +579,7 @@ class LinearMap:
         self.columns = columns
         self.anti = anti
         self._elements = None
+        self._numerators = None   # the columns in numerator form, built by on_leg
 
     @classmethod
     def identity(cls, algebra):
@@ -589,13 +632,24 @@ class LinearMap:
         """Apply on one leg of a tensor; the arity changes by out_arity - 1."""
         if not 1 <= leg <= t.arity:
             raise ArityMismatch(f"leg {leg} out of range for arity {t.arity}")
+        field = self.algebra.field
+        nums, den = field.clear(t.entries.values())
+        if self._numerators is None:
+            col_nums, col_den = field.clear(v for c in self.columns for v in c.entries.values())
+            col_nums = iter(col_nums)
+            self._numerators = [{sub: next(col_nums) for sub in c.entries}
+                                for c in self.columns], col_den
+        cols, col_den = self._numerators
         out = {}
-        for key, val in t.entries.items():
-            col = self.columns[key[leg - 1]]
+        get = out.get
+        for key, u in zip(t.entries, nums):
             head, tail = key[:leg - 1], key[leg:]
-            for sub, v in col.entries.items():
-                _acc(out, head + sub + tail, val * v)
-        return TensorElement(self.algebra, t.arity - 1 + self.out_arity, out, clean=True)
+            for sub, c in cols[key[leg - 1]].items():
+                k = head + sub + tail
+                out[k] = get(k, 0) + u * c
+        out = {k: v for k, v in out.items() if v}
+        return TensorElement(self.algebra, t.arity - 1 + self.out_arity,
+                             _restored(field, out, den * col_den), clean=True)
 
     def map_tensor(self, t: TensorElement) -> TensorElement:
         """Apply a 1 -> 1 map on every leg (e.g. (S (x) S)R)."""
@@ -710,7 +764,8 @@ def contract(t: TensorElement, *specs) -> TensorElement:
         flat, slot_den = field.clear(c for f in slot for c in f.coeffs)
         den *= slot_den
         for n, leg_list in enumerate(legs):
-            leg_list.append({i: c for i, c in enumerate(flat[n * alg.dim:(n + 1) * alg.dim]) if c})
+            coeffs = flat[n * alg.dim:(n + 1) * alg.dim]
+            leg_list.append({(i,): c for i, c in enumerate(coeffs) if c})
     out = {}
     for num, leg_list in zip(nums, legs):
         _expand(out, num, leg_list)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qhakit.errors import SingularError
-from qhakit.tensor import AlgElement, TensorElement
+from qhakit.tensor import AlgElement, LinearMap, TensorElement
 
 
 def _trim(poly):
@@ -123,6 +123,25 @@ def mul(s: TensorElement, t: TensorElement) -> TensorElement:
         for J, v in t.entries.items():
             expand(out, u * v, [basis_product(a, b) for a, b in zip(I, J)])
     return TensorElement(s.algebra, s.arity, out, clean=True)
+
+
+def outer(s: TensorElement, t: TensorElement) -> TensorElement:
+    """``s @ t``, entry by entry in field values."""
+    out = {}
+    for I, u in s.entries.items():
+        for J, v in t.entries.items():
+            _acc(out, I + J, u * v)
+    return TensorElement(s.algebra, s.arity + t.arity, out, clean=True)
+
+
+def on_leg(m: LinearMap, t: TensorElement, leg: int) -> TensorElement:
+    """``m.on_leg(t, leg)``, entry by entry in field values."""
+    out = {}
+    for key, val in t.entries.items():
+        head, tail = key[:leg - 1], key[leg:]
+        for sub, v in m.columns[key[leg - 1]].entries.items():
+            _acc(out, head + sub + tail, val * v)
+    return TensorElement(t.algebra, t.arity - 1 + m.out_arity, out, clean=True)
 
 
 def alg_mul(a: AlgElement, b: AlgElement) -> AlgElement:

@@ -6,8 +6,8 @@ counts to be nonzero.  Both files are only read here, no wrapper is installed,
 so a change that renames or deletes a traced name fails these tests instead
 of the traced benchmark run.  The last tests guard what the traced counts
 mean: ``tensor.mul.*`` counts legwise products only, ``max_bits`` reads
-reduced ``Fraction`` entries, and a legwise product over Q(zeta_n) adds
-nothing to ``scalars.cyclo_mul``.
+reduced ``Fraction`` entries, and a legwise product, ``@``, ``embed`` or
+``on_leg`` over Q(zeta_n) adds nothing to ``scalars.cyclo_mul``.
 """
 
 import importlib
@@ -132,11 +132,16 @@ class TestTraceCounters:
                                                      v.denominator.bit_length())
 
     def test_cyclotomic_products_make_no_cyclo_product(self, monkeypatch):
-        """Over Q(zeta_n) the legwise product multiplies integral numerators, never Cyclo values."""
+        """Over Q(zeta_n) the legwise product, ``@``, ``embed`` and ``on_leg`` multiply
+        integral numerators, never Cyclo values."""
         h = hopf("semion")
         pairs = [(h.r, h.r.transpose()), (h.r, h.r_inv), (h.phi, h.r.embed((1, 3), 3))]
         assert any(any(v.coeffs[1:]) for s, _ in pairs for v in s.entries.values())
         expected = [ref.mul(s, t) for s, t in pairs]
+        leg_ops = [(h.r, h.r_inv), (h.phi, h.r)]
+        expected_outer = [ref.outer(s, t) for s, t in leg_ops]
+        expected_embed = ref.outer(h.r, h.algebra.tensor_unit(1)).perm((1, 3, 2))
+        expected_on_leg = [ref.on_leg(h.coproduct, h.r, 2), ref.on_leg(h.antipode.s, h.phi, 3)]
         calls = []
         original = Cyclo.__mul__
 
@@ -150,4 +155,7 @@ class TestTraceCounters:
         assert calls, "the reference kernel multiplies Cyclo values"
         calls.clear()
         assert [s * t for s, t in pairs] == expected
+        assert [s @ t for s, t in leg_ops] == expected_outer
+        assert h.r.embed((1, 3), 3) == expected_embed
+        assert [h.coproduct.on_leg(h.r, 2), h.antipode.s.on_leg(h.phi, 3)] == expected_on_leg
         assert calls == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhakit import dynamical
 from qhakit.dynamical import (DynamicalTwist, ShiftSystem, _insert_shifted, _placed,
                               _r_family, check_classical_dqybe,
                               check_dynamical_coproduct, check_opposite_qdqybe,
@@ -244,6 +245,28 @@ class TestPlacements:
             assert placed == (r.embed((1, 2), 3), r.embed((1, 3), 3), r.embed((2, 3), 3),
                               *(_insert_shifted(dyn.shift, lam, leg, 3, r_at)
                                 for leg in (3, 2, 1)))
+
+    def test_coproduct_check_evaluates_each_parameter_once(self, monkeypatch):
+        """E46 needs R(lambda) beside the placements: still one evaluation per parameter."""
+        z2 = entry("z2_triangular")
+        dyn, t = z2.dynamical, z2.structure
+        expected = {lam: check_dynamical_coproduct(dyn, t, lam).to_dict()
+                    for lam in dyn.checkable()}
+        calls = []
+
+        def counted_family(dyn, t):
+            r_at = _r_family(dyn, t)
+
+            def counted(mu):
+                calls.append(mu)
+                return r_at(mu)
+            return counted
+
+        monkeypatch.setattr(dynamical, "_r_family", counted_family)
+        for lam in dyn.checkable():
+            calls.clear()
+            assert check_dynamical_coproduct(dyn, t, lam).to_dict() == expected[lam]
+            assert sorted(calls) == sorted({lam, *(lam + w for w in dyn.shift.weights)})
 
 
 class TestQDQYBE:

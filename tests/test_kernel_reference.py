@@ -1,16 +1,19 @@
 """The numerator kernel and Bareiss elimination against the field-valued oracles.
 
 ``reference_kernel`` keeps the Fraction/Cyclo product kernel and Gaussian
-elimination; here both compute the same products, left matrices,
-contractions, inverses and solutions on random inputs, and must agree
-entry by entry (same values, same scalar types) and error text by error
-text.  The algebras cover what the catalog does not: structure constants
-with denominators (k[Z/2] on the basis {1, g/2}, 2x2 matrices on a scaled
-matrix-unit basis), cyclotomic structure constants (k[Z/3] on the basis
-{1, c g, g^2}), the fields Q(zeta_n) for n = 3, 5, 8, 12 (degrees 2 and 4,
-with non-trivial reduction rows), and dense arity-3 tensors over k[Z/3].
-Cyclotomic values mix constants, which clear to int numerators, with
-general values, which clear to Z[zeta_n] vectors.
+elimination; here both compute the same products, outer products, leg
+maps, left matrices, contractions, inverses and solutions on random
+inputs, and must agree entry by entry (same values, same scalar types)
+and error text by error text.  The algebras cover what the catalog does
+not: structure constants with denominators (k[Z/2] on the basis {1, g/2},
+2x2 matrices on a scaled matrix-unit basis), cyclotomic structure
+constants (k[Z/3] on the basis {1, c g, g^2}), the fields Q(zeta_n) for
+n = 3, 5, 8, 12 (degrees 2 and 4, with non-trivial reduction rows), dense
+arity-3 tensors over k[Z/3], dense arity-4 tensors over k[Z/2] and
+k[Z/3], and sparse arity-3/4 tensors over the 2x2 matrices, whose zero
+structure constants the kernel's per-leg support join prunes.  Cyclotomic
+values mix constants, which clear to int numerators, with general values,
+which clear to Z[zeta_n] vectors.
 """
 
 from fractions import Fraction
@@ -54,7 +57,8 @@ def z3_scaled(field, c):
     return Algebra(field, 3, mult, basis=["1", "cg", "g2"])
 
 
-ALGEBRAS = (z2_half(RATIONAL), z2_half(Q8), m2_scaled(RATIONAL), m2_scaled(Q8), z3(RATIONAL),
+M2 = {field: m2_scaled(field) for field in (RATIONAL, Q8)}
+ALGEBRAS = (z2_half(RATIONAL), z2_half(Q8), M2[RATIONAL], M2[Q8], z3(RATIONAL),
             z3_scaled(Q3, Q3.zeta), z2_half(Q5), m2_scaled(Q12),
             z3_scaled(Q12, [Fraction(1, 2), Fraction(1, 2), 0, 0]))
 
@@ -175,6 +179,72 @@ class TestKernelAgainstReference:
         assert (s * t).entries == ref.mul(s, t).entries == {}
         partial = tensor_of(diff, alg.basis_element(1), norm)
         same_tensor((s + partial) * t.perm((2, 1, 3)), ref.mul(s + partial, t.perm((2, 1, 3))))
+
+    @pytest.mark.parametrize("alg", [z2_half(RATIONAL), z3(RATIONAL)], ids=["z2_half", "z3"])
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_mul_dense_arity_four(self, alg, data):
+        """Every pair of basis elements has a nonzero product: nothing is pruned."""
+        keys = list(alg.multi_indices(4))
+        s, t = (TensorElement(alg, 4, {k: data.draw(rationals()) for k in keys})
+                for _ in range(2))
+        same_tensor(s * t, ref.mul(s, t))
+
+    @pytest.mark.parametrize("field", [RATIONAL, Q8], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_mul_sparse_matrix_algebra(self, field, data):
+        """Half the leg pairs of 2x2 matrix units multiply to zero and are pruned."""
+        alg = M2[field]
+        arity = data.draw(st.sampled_from([3, 4]))
+        keys = st.tuples(*[st.integers(0, alg.dim - 1)] * arity)
+        s, t = (TensorElement(alg, arity, data.draw(st.dictionaries(
+                    keys, scalars(field).map(field.coerce), max_size=12)))
+                for _ in range(2))
+        same_tensor(s * t, ref.mul(s, t))
+
+    @pytest.mark.parametrize("alg", [z3(RATIONAL), M2[RATIONAL], M2[Q8]], ids=["z3", "m2", "m2-Q8"])
+    def test_arity_zero_and_empty_operands(self, alg):
+        field = alg.field
+        x = TensorElement(alg, 0, {(): Fraction(3, 2)})
+        y = TensorElement(alg, 0, {(): field.zeta if field.kind != "rational" else -7})
+        same_tensor(x * y, ref.mul(x, y))
+        for arity in range(5):
+            full = alg.tensor_unit(arity) + TensorElement(alg, arity, {(0,) * arity: 5})
+            zero = alg.tensor_zero(arity)
+            for s, t in ((full, zero), (zero, full), (zero, zero)):
+                assert (s * t).entries == ref.mul(s, t).entries == {}
+
+    def test_arity_four_products_cancelling_to_zero(self):
+        """k[Z/3]: (1 + g + g^2)(1 - g) = 0; 2x2 matrices: the surviving pairs of
+        (f11 + f12)(f12 + mu f22) cancel, the others are pruned."""
+        alg = z3(RATIONAL)
+        norm, diff = alg.element([1, 1, 1]), alg.element([1, -1, 0])
+        a, b = alg.element([Fraction(1, 2), 0, 3]), alg.element([0, -2, 1])
+        s = tensor_of(a, norm, b, a) + tensor_of(b, norm, a, a)
+        t = tensor_of(b, diff, a, b)
+        assert (s * t).entries == ref.mul(s, t).entries == {}
+        same_tensor((s + tensor_of(a, a, a, a)) * t, ref.mul(s + tensor_of(a, a, a, a), t))
+        m2 = M2[RATIONAL]
+        f11, f12, f22 = (m2.basis_element(i) for i in (0, 1, 3))
+        mu = -m2.basis_product(0, 1)[1] / m2.basis_product(1, 3)[1]
+        c, d = m2.element([1, Fraction(1, 3), -2, 5]), m2.element([0, 1, 1, Fraction(-1, 2)])
+        s = tensor_of(c, f11 + f12, d, c)
+        t = tensor_of(d, f12 + mu * f22, c, c) + tensor_of(c, f12 + mu * f22, d, d)
+        assert (s * t).entries == ref.mul(s, t).entries == {}
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_outer_and_on_leg(self, data):
+        alg, arity = algebra_and_arity(data, max_arity=2)
+        s = data.draw(tensors(alg, arity))
+        t = data.draw(tensors(alg, data.draw(st.integers(0, 2))))
+        same_tensor(s @ t, ref.outer(s, t))
+        if arity:
+            out_arity = data.draw(st.integers(0, 2))
+            m = LinearMap(alg, [data.draw(tensors(alg, out_arity)) for _ in range(alg.dim)])
+            leg = data.draw(st.integers(1, arity))
+            same_tensor(m.on_leg(s, leg), ref.on_leg(m, s, leg))
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
