@@ -8,10 +8,10 @@ standard form of a number-field element).  All Q(zeta_n) arithmetic is
 int arithmetic on such vectors, through one product, ``_product``.
 Everything is exact, so every comparison downstream is a strict equality.
 
-The tensor kernel and the elimination compute on numerators instead of
-field values (``Field.clear``, ``Field.restore``, ``Field.divider``): a set
-of values is cleared to integral numerators over one int denominator, the
-lcm of their denominators.  Over Q a numerator is an int.  Over Q(zeta_n)
+The tensor kernel and the linear solve compute on numerators instead of
+field values (``Field.clear``, ``Field.restore``): a set of values is
+cleared to integral numerators over one int denominator, the lcm of their
+denominators.  Over Q a numerator is an int.  Over Q(zeta_n)
 it is an element of Z[zeta_n]: a plain int when the value is a constant,
 otherwise a private ``_Integral`` vector.  Stored values are always
 normalised ``Fraction``/``Cyclo``; numerators never leave the kernel.
@@ -299,8 +299,7 @@ class _Integral:
     not a constant; constants clear to plain ints, and the two mix in
     ``+``, ``-`` and ``*``.  ``rows`` are the reduction rows of the order,
     so a product folds back below the modulus degree without division.
-    ``// d`` divides every coefficient by the int ``d`` and is only used
-    where the quotient is integral.  Like an int, it is its own numerator.
+    Like an int, it is its own numerator.
     """
 
     __slots__ = ("coeffs", "rows")
@@ -345,9 +344,6 @@ class _Integral:
         return _Integral(_product(self.coeffs, other.coeffs, self.rows), self.rows)
 
     __rmul__ = __mul__
-
-    def __floordiv__(self, d):
-        return _Integral(tuple([x // d for x in self.coeffs]), self.rows)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -447,37 +443,17 @@ class Field(namedtuple("Field", "kind order")):
     def restore(self, nums, den):
         """The field values ``n / den`` for the numerators ``n``, reduced; inverts :meth:`clear`.
 
-        ``den`` is a nonzero numerator.  Over an int ``den`` every value is
-        built directly from its numerator and ``den``; over a Z[zeta_n]
-        ``den`` (a Bareiss determinant) one ``Cyclo`` inverse is formed for
-        all of ``nums``.
+        ``den`` is a nonzero int, and every value is built directly from its
+        numerator and ``den``.
         """
         if self.kind == "rational":
             if den == 1:
                 return [Fraction(n) for n in nums]
             return [Fraction(n, den) for n in nums]
-        if not isinstance(den, int):
-            inv = self.restore([den], 1)[0].inverse()
-            return [v * inv for v in self.restore(nums, 1)]
         order = self.order
         zeros = (0,) * (totient(order) - 1)
         return [Cyclo._reduced(order, (n,) + zeros if isinstance(n, int) else n.coeffs, den)
                 for n in nums]
-
-    def divider(self, p):
-        """Exact division by the nonzero numerator ``p``, as a function of the dividend.
-
-        The dividend must be ``p`` times a numerator, as every Bareiss
-        quotient is.  For an int ``p`` (always, over Q) it is ``//``.  For
-        ``p`` in Z[zeta_n] it multiplies by the numerator of ``1 / p`` and
-        divides every coefficient by its denominator; the power basis is a
-        Z-basis of Z[zeta_n], so that division is exact too.
-        """
-        if isinstance(p, int):
-            return lambda x: x // p
-        inv = self.restore([p], 1)[0].inverse()
-        num, m = inv.numerator, inv.denominator
-        return lambda x: (x * num) // m
 
     def format_scalar(self, value):
         """Text encoding: 'p/q' strings for Q, coefficient-string arrays for Q(zeta_n)."""

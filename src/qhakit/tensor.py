@@ -495,13 +495,16 @@ class TensorElement:
         d, n = alg.dim, self.arity
         unit = alg.tensor_unit(n)
         rows, den = self.left_matrix()
-        # (rows / den) x = unit  <=>  rows x = den * unit
-        rhs = [alg.field.zero] * (d ** n)
-        for K, v in unit.entries.items():
+        # (rows / den) x = unit = nums / unit_den  <=>  (unit_den * rows) x = den * nums
+        nums, unit_den = alg.field.clear(unit.entries.values())
+        if unit_den != 1:
+            rows = [[unit_den * v for v in row] for row in rows]
+        rhs = [0] * (d ** n)
+        for K, v in zip(unit.entries, nums):
             row = 0
             for idx in K:
                 row = row * d + idx
-            rhs[row] = v * den
+            rhs[row] = den * v
         x = linalg.solve(alg.field, rows, rhs)
         entries = {}
         for col, J in enumerate(alg.multi_indices(n)):

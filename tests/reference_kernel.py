@@ -1,12 +1,18 @@
-"""The field-valued tensor kernel, Gaussian elimination and Fraction Q(zeta_n), kept as oracles.
+"""The field-valued tensor kernel, two eliminations and Fraction Q(zeta_n), kept as oracles.
 
 This is the product kernel and the elimination that ``qhakit.tensor`` and
 ``qhakit.linalg`` used before they moved to numerators over a common
-denominator and to fraction-free (Bareiss) elimination.  Every scalar
-operation here is a field operation on ``Fraction`` or ``Cyclo`` values,
-and every entry is normalised as it is formed, so each function is the
-plain definition the numerator kernel must agree with, entry by entry and
-error text by error text.  Nothing under ``src/`` imports this module.
+denominator.  Every scalar operation here is a field operation on
+``Fraction`` or ``Cyclo`` values, and every entry is normalised as it is
+formed, so each function is the plain definition the numerator kernel
+must agree with, entry by entry and error text by error text.  Nothing
+under ``src/`` imports this module.
+
+The ``bareiss_*`` functions are the fraction-free elimination that
+``qhakit.linalg`` ran before its p-adic solve, with the exact division by
+a Z[zeta_n] pivot (``divider``) and the restore over a Z[zeta_n]
+denominator (``restore``) it needed: a second elimination oracle, on
+numerators, beside the Gaussian one.
 
 The ``cyclo_*`` functions are the Q(zeta_n) arithmetic ``Cyclo`` used
 before it moved to int vectors over one denominator: polynomials with
@@ -21,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qhakit.errors import SingularError
+from qhakit.scalars import _Integral
 from qhakit.tensor import AlgElement, LinearMap, TensorElement
 
 
@@ -261,3 +268,95 @@ def invert(t: TensorElement) -> TensorElement:
     if mul(candidate, t) != unit:
         raise SingularError("element has a right inverse but no left inverse")
     return candidate
+
+
+def restore(field, nums, den):
+    """``Field.restore``, and over a Z[zeta_n] ``den`` one ``Cyclo`` inverse for all of ``nums``."""
+    if isinstance(den, int):
+        return field.restore(nums, den)
+    inv = field.restore([den], 1)[0].inverse()
+    return [v * inv for v in field.restore(nums, 1)]
+
+
+def _exact_div(x, m):
+    """The numerator x divided by the int m, coefficient by coefficient; m must divide x."""
+    if isinstance(x, int):
+        return x // m
+    return _Integral(tuple([c // m for c in x.coeffs]), x.rows)
+
+
+def divider(field, p):
+    """Exact division by the nonzero numerator ``p``, as a function of the dividend.
+
+    The dividend must be ``p`` times a numerator, as every Bareiss quotient
+    is.  For an int ``p`` it divides every coefficient by ``p``.  For ``p``
+    in Z[zeta_n] it multiplies by the numerator of ``1 / p`` and divides
+    every coefficient by its denominator; the power basis is a Z-basis of
+    Z[zeta_n], so that division is exact too.
+    """
+    if isinstance(p, int):
+        return lambda x: _exact_div(x, p)
+    inv = field.restore([p], 1)[0].inverse()
+    num, m = inv.numerator, inv.denominator
+    return lambda x: _exact_div(x * num, m)
+
+
+def bareiss_solve_columns(field, matrix, columns):
+    """Fraction-free (Bareiss) elimination with first-nonzero pivoting on cleared rows,
+    then fraction-free back-substitution; every step divides exactly by the last pivot."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    if any(len(col) != n for col in columns):
+        raise ValueError("right-hand side has wrong length")
+    if not n:
+        return [[] for _ in columns]
+    active = [field.clear([*row, *(col[r] for col in columns)])[0]
+              for r, row in enumerate(matrix)]
+    upper = []      # row k of the triangular system, from column k on
+    dividers = []   # dividers[k] divides exactly by the pivot upper[k][0]
+    div = None
+    for k in range(n):
+        # active[i] is row k + i of the system, from column k on
+        pivot = next((i for i, row in enumerate(active) if row[0]), None)
+        if pivot is None:
+            raise SingularError(f"singular matrix (no pivot in column {k})")
+        active[0], active[pivot] = active[pivot], active[0]
+        top = active.pop(0)
+        upper.append(top)
+        p, tail = top[0], top[1:]
+        for i, row in enumerate(active):
+            f = row[0]
+            if f:
+                row = [p * a - f * b for a, b in zip(row[1:], tail)]
+            else:
+                row = [p * a for a in row[1:]]
+            active[i] = row if div is None else [div(v) for v in row]
+        if active:   # the next step divides by this pivot
+            div = divider(field, p)
+            dividers.append(div)
+    # back-substitution on y = det * x, which is integral (Cramer's rule)
+    det = upper[-1][0]
+    y = [None] * n
+    y[-1] = upper[-1][1:]
+    for k in range(n - 2, -1, -1):
+        row = upper[k]
+        acc = [det * b for b in row[n - k:]]
+        for j in range(k + 1, n):
+            u = row[j - k]
+            if u:
+                acc = [a - u * v for a, v in zip(acc, y[j])]
+        y[k] = [dividers[k](a) for a in acc]
+    m = len(columns)
+    x = restore(field, [v for row in y for v in row], det)
+    return [x[c::m] for c in range(m)]
+
+
+def bareiss_solve(field, matrix, rhs):
+    return bareiss_solve_columns(field, matrix, [rhs])[0]
+
+
+def bareiss_invert_matrix(field, matrix):
+    n = len(matrix)
+    units = [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
+    return [list(row) for row in zip(*bareiss_solve_columns(field, matrix, units))]

@@ -1,40 +1,59 @@
-"""The numerator kernel and Bareiss elimination against the field-valued oracles.
+"""The numerator kernel and the p-adic solve against the field-valued oracles.
 
-``reference_kernel`` keeps the Fraction/Cyclo product kernel and Gaussian
-elimination; here both compute the same products, outer products, leg
-maps, left matrices, contractions, inverses and solutions on random
-inputs, and must agree entry by entry (same values, same scalar types)
-and error text by error text.  The algebras cover what the catalog does
-not: structure constants with denominators (k[Z/2] on the basis {1, g/2},
-2x2 matrices on a scaled matrix-unit basis), cyclotomic structure
-constants (k[Z/3] on the basis {1, c g, g^2}), the fields Q(zeta_n) for
-n = 3, 5, 8, 12 (degrees 2 and 4, with non-trivial reduction rows), dense
-arity-3 tensors over k[Z/3], dense arity-4 tensors over k[Z/2] and
-k[Z/3], and sparse arity-3/4 tensors over the 2x2 matrices, whose zero
-structure constants the kernel's per-leg support join prunes.  Cyclotomic
-values mix constants, which clear to int numerators, with general values,
-which clear to Z[zeta_n] vectors.
+``reference_kernel`` keeps the Fraction/Cyclo product kernel, Gaussian
+elimination and the fraction-free (Bareiss) elimination; here they compute
+the same products, outer products, leg maps, left matrices, contractions,
+inverses and solutions on random inputs, and must agree entry by entry
+(same values, same scalar types) and error text by error text. The
+algebras cover what the catalog does not: structure constants with
+denominators (k[Z/2] on the bases {1, g/2} and {2, g}, whose unit e0 / 2
+has a denominator, 2x2 matrices on a scaled matrix-unit basis), cyclotomic
+structure constants (k[Z/3] on the basis {1, c g, g^2}), the fields
+Q(zeta_n) for n = 3, 4, 5, 8, 12 (degrees 2 and 4, with non-trivial
+reduction rows), dense arity-3 tensors over k[Z/3], dense arity-4 tensors
+over k[Z/2] and k[Z/3], and sparse arity-3/4 tensors over the 2x2
+matrices, whose zero structure constants the kernel's per-leg support join
+prunes. Cyclotomic values mix constants, which clear to int numerators,
+with general values, which clear to Z[zeta_n] vectors.
 """
 
+import json
+import math
+import sys
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernel as ref
 from qhakit import linalg
+from qhakit.catalog import builtin
 from qhakit.errors import SingularError
-from qhakit.scalars import RATIONAL, Field, _Integral, cyclotomic_field, totient
+from qhakit.scalars import RATIONAL, _Integral, cyclotomic_field, totient
+from qhakit.serial import parse_twist
 from qhakit.tensor import Algebra, LinearMap, TensorElement, contract, tensor_of
+from qhakit.twists import twist_structure
 
-Q3, Q5, Q8, Q12 = (cyclotomic_field(n) for n in (3, 5, 8, 12))
-FIELDS = (RATIONAL, Q3, Q5, Q8, Q12)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from harness import group_twist  # noqa: E402
+
+Q3, Q4, Q5, Q8, Q12 = (cyclotomic_field(n) for n in (3, 4, 5, 8, 12))
+FIELDS = (RATIONAL, Q3, Q4, Q5, Q8, Q12)
 
 
 def z2_half(field):
     """k[Z/2] on the basis {1, g/2}: (g/2)(g/2) = 1/4."""
     return Algebra(field, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                               (1, 1): {0: Fraction(1, 4)}}, basis=["1", "g/2"])
+
+
+def z2_double(field):
+    """k[Z/2] on the basis {2, g}: the unit is e0 / 2, so it clears over the denominator 2."""
+    return Algebra(field, 2, {(0, 0): {0: 2}, (0, 1): {1: 2}, (1, 0): {1: 2},
+                              (1, 1): {0: Fraction(1, 2)}}, unit=[Fraction(1, 2), 0],
+                   basis=["2", "g"])
 
 
 def m2_scaled(field):
@@ -272,6 +291,19 @@ class TestKernelAgainstReference:
                 spec.insert(data.draw(st.integers(0, len(spec))), data.draw(elements(alg)))
         same_tensor(contract(t, *specs), ref.contract(t, *specs))
 
+    @pytest.mark.parametrize("field", [RATIONAL, Q8], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_invert_with_a_fractional_unit(self, field, data):
+        alg = z2_double(field)
+        t = data.draw(tensors(alg, data.draw(st.integers(1, 2))))
+        new, old = outcome(TensorElement.invert, t), outcome(ref.invert, t)
+        assert new[0] == old[0]
+        if new[0] == "ok":
+            same_tensor(new[1], old[1])
+        else:
+            assert new[1] == old[1]
+
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_invert(self, data):
@@ -308,6 +340,41 @@ def systems(draw, field):
     return rows, rhs
 
 
+SOLVERS = (linalg._solve_columns, ref.bareiss_solve_columns, ref.solve_columns)
+
+
+def agree(field, matrix, columns):
+    """The p-adic solve, Bareiss and Gaussian elimination give equal solutions
+    of equal scalar types, or raise the same error with the same text."""
+    new, *olds = (outcome(solver, field, matrix, columns) for solver in SOLVERS)
+    for old in olds:
+        assert new[0] == old[0]
+        if new[0] == "ok":
+            for a, b in zip(new[1], old[1], strict=True):
+                same(a, b)
+        else:
+            assert new[1] == old[1]
+    return new
+
+
+def primes_tried(monkeypatch, primes):
+    """Make ``linalg`` try ``primes`` first; returns the list of primes it factors modulo."""
+    tried = []
+    factor = linalg._factor
+
+    def recording(a, p):
+        tried.append(p)
+        return factor(a, p)
+
+    monkeypatch.setattr(linalg, "_PRIMES", primes)
+    monkeypatch.setattr(linalg, "_factor", recording)
+    return tried
+
+
+def integer_matrix(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
 class TestEliminationAgainstReference:
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @given(data=st.data())
@@ -320,6 +387,7 @@ class TestEliminationAgainstReference:
             same(new[1], old[1])
         else:
             assert new[1] == old[1]
+        agree(field, m, [b])
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @given(data=st.data())
@@ -333,6 +401,9 @@ class TestEliminationAgainstReference:
                 same(a, b)
         else:
             assert new[1] == old[1]
+        units = [[field.one if i == j else field.zero for i in range(len(m))]
+                 for j in range(len(m))]
+        agree(field, m, units)
 
     def test_row_swaps_and_large_entries(self):
         big = Fraction(10 ** 40 + 7, 3 ** 30)
@@ -341,26 +412,30 @@ class TestEliminationAgainstReference:
              [big, Fraction(1, 3), Fraction(0)]]
         b = [Fraction(1), big, Fraction(-5)]
         same(linalg.solve(RATIONAL, m, b), ref.solve(RATIONAL, m, b))
+        agree(RATIONAL, m, [b])
 
     def test_vector_pivots_over_q5(self, monkeypatch):
-        """Z[zeta_5] pivots after a forced row swap: the division goes through 1 / p."""
+        """Z[zeta_5] pivots after a forced row swap: Bareiss divides through 1 / p."""
         pivots = []
-        divider = Field.divider
+        divider = ref.divider
 
-        def recording(self, p):
+        def recording(field, p):
             pivots.append(p)
-            return divider(self, p)
+            return divider(field, p)
 
-        monkeypatch.setattr(Field, "divider", recording)
+        monkeypatch.setattr(ref, "divider", recording)
         z = Q5.zeta
         m = [[Q5.zero, z, 1 + z * z],
              [1 + z, Q5.coerce(2), z * z * z / 3],
              [z * z, Q5.coerce(Fraction(1, 2)), z - 1]]
         b = [Q5.one, z, Q5.coerce(-3)]
         same(linalg.solve(Q5, m, b), ref.solve(Q5, m, b))
+        same(ref.bareiss_solve(Q5, m, b), ref.solve(Q5, m, b))
         assert any(isinstance(p, _Integral) for p in pivots)
         pivots.clear()
         for new, old in zip(linalg.invert_matrix(Q5, m), ref.invert_matrix(Q5, m)):
+            same(new, old)
+        for new, old in zip(ref.bareiss_invert_matrix(Q5, m), ref.invert_matrix(Q5, m)):
             same(new, old)
         assert any(isinstance(p, _Integral) for p in pivots)
 
@@ -372,3 +447,76 @@ class TestEliminationAgainstReference:
         for args in ((m, b), (m[:2], b), (m, b[:2])):
             assert outcome(linalg.solve, RATIONAL, *args) == outcome(ref.solve, RATIONAL, *args)
             assert outcome(linalg.solve, RATIONAL, *args)[0] != "ok"
+            assert agree(RATIONAL, args[0], [args[1]])[0] != "ok"
+
+    def test_dense_twisted_coassociator(self):
+        """The 64 x 64 load-time solve: phi of group_z4 twisted by the benchmark's dense twist."""
+        h = builtin("group_z4").structure
+        f = parse_twist(json.dumps(group_twist(4, Random(0))), h)
+        phi = twist_structure(h, f, verify=False).phi
+        assert len(phi.entries) == 64
+        same_tensor(phi.invert(), ref.invert(phi))
+
+    def test_hilbert_matrix_needs_several_lifting_steps(self, monkeypatch):
+        tried = primes_tried(monkeypatch, linalg._PRIMES)
+        steps = []
+        solve_mod = linalg._solve_mod
+        monkeypatch.setattr(linalg, "_solve_mod", lambda *a: steps.append(1) or solve_mod(*a))
+        hilbert = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
+        b = [Fraction(10 ** 30 + i, 7 ** (i + 5)) for i in range(8)]
+        x = agree(RATIONAL, hilbert, [b])[1][0]
+        assert max(abs(v.numerator) for v in x) > 2 ** 128
+        assert tried == [linalg._PRIMES[0]] and len(steps) >= 4
+
+
+class TestUnluckyPrimes:
+    """Small leading primes force each case where a prime is unlucky; the next
+    prime then gives what the oracles give."""
+
+    def test_nonsingular_with_p_dividing_the_determinant(self, monkeypatch):
+        m = integer_matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])   # det 18
+        tried = primes_tried(monkeypatch, (3, 2 ** 61 - 1))
+        assert agree(RATIONAL, m, [[Fraction(1), Fraction(-2), Fraction(5, 7)]])[0] == "ok"
+        assert tried == [3, 2 ** 61 - 1]
+        tried.clear()
+        units = [[Fraction(int(i == j)) for i in range(3)] for j in range(3)]
+        assert agree(RATIONAL, m, units)[0] == "ok"
+        assert tried == [3, 2 ** 61 - 1]
+
+    def test_nonsingular_with_a_middle_column_dropping_rank(self, monkeypatch):
+        """Column 1 is 5 times column 0 plus a multiple of 5: rank drops there mod 5 only."""
+        m = integer_matrix([[1, 5, 2, 0], [2, 15, 1, 1], [0, 5, 3, 2], [1, 0, 0, 1]])
+        tried = primes_tried(monkeypatch, (5, 7, 2 ** 61 - 1))
+        field = cyclotomic_field(4)
+        b = [Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(3)]
+        assert agree(RATIONAL, m, [b])[0] == "ok"
+        assert tried == [5, 7]
+        tried.clear()
+        cm = [[field.coerce(v) for v in row] for row in m]
+        assert agree(field, cm, [[field.coerce(v) for v in b]])[0] == "ok"
+        assert tried == [5, 7]
+
+    def test_every_listed_prime_unlucky(self, monkeypatch):
+        """A 1 x 1 matrix divisible by every prime of ``_PRIMES``: the next smaller prime solves it."""
+        tried = primes_tried(monkeypatch, linalg._PRIMES)
+        m = [[Fraction(math.prod(linalg._PRIMES))]]
+        assert agree(RATIONAL, m, [[Fraction(3)]])[0] == "ok"
+        assert tried[:-1] == list(linalg._PRIMES) and tried[-1] < min(linalg._PRIMES)
+        assert linalg._is_prime(tried[-1])
+
+    def test_primality_against_sympy(self):
+        """Strong pseudoprimes to the smallest bases, and every number near the listed primes."""
+        sympy = pytest.importorskip("sympy")
+        numbers = [*range(200), 2047, 1373653, 25326001, 3215031751, 2152302898747,
+                   3474749660383, 341550071728321, 3825123056546413051,
+                   *range(2 ** 61 - 1000, 2 ** 61 + 10)]
+        assert [n for n in numbers if linalg._is_prime(n)] == [n for n in numbers if sympy.isprime(n)]
+
+    def test_singular_with_a_dependency_over_p(self, monkeypatch):
+        """Column 3 = (column 1 - column 0) / 3 + column 2.  Mod 3 column 1 has no
+        pivot, but it is not a multiple of column 0: the error is for column 3."""
+        m = integer_matrix([[1, 1, 0, 0], [0, 3, 1, 2], [0, 3, 0, 1], [1, 4, 0, 1]])
+        tried = primes_tried(monkeypatch, (3, 2 ** 61 - 1))
+        b = [Fraction(1)] * 4
+        assert agree(RATIONAL, m, [b]) == ("SingularError", "singular matrix (no pivot in column 3)")
+        assert tried == [3, 2 ** 61 - 1]
