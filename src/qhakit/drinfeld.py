@@ -20,7 +20,7 @@ from collections import namedtuple
 from .errors import ConsistencyError
 from .structures import (QuasiBialgebra, _mapped_structure, _memoized, _require_scan,
                          opposite_structure)
-from .tensor import LinearMap, TensorElement, contract
+from .tensor import LinearMap, TensorElement, _linear_combination, contract
 from .twists import Twist, twisted_alpha, twisted_beta, twisted_coassociator
 
 __all__ = [
@@ -35,10 +35,7 @@ DrinfeldData = namedtuple("DrinfeldData", "gamma gamma_bar f_delta f_zero")
 
 def _entry_sum(t: TensorElement, term) -> TensorElement:
     """sum_I c_I term(*I) over the entries c_I of ``t``; every term lies in H (x) H."""
-    acc = t.algebra.tensor_zero(2)
-    for idx, c in t.entries.items():
-        acc = acc + term(*idx).scale(c)
-    return acc
+    return _linear_combination(t, lambda idx: term(*idx), 2)
 
 
 @_memoized

@@ -8,13 +8,13 @@ standard form of a number-field element).  All Q(zeta_n) arithmetic is
 int arithmetic on such vectors, through one product, ``_product``.
 Everything is exact, so every comparison downstream is a strict equality.
 
-The tensor kernel and the linear solve compute on numerators instead of
-field values (``Field.clear``, ``Field.restore``): a set of values is
-cleared to integral numerators over one int denominator, the lcm of their
-denominators.  Over Q a numerator is an int.  Over Q(zeta_n)
-it is an element of Z[zeta_n]: a plain int when the value is a constant,
-otherwise a private ``_Integral`` vector.  Stored values are always
-normalised ``Fraction``/``Cyclo``; numerators never leave the kernel.
+Tensors and the linear solve compute on numerators instead of field
+values: a set of values is cleared to integral numerators over one int
+denominator, the lcm of their denominators (``Field.clear``), and restored
+to field values only at the boundary (``Field.restore``).  Over Q a
+numerator is an int.  Over Q(zeta_n) it is an element of Z[zeta_n]: a
+plain int when the value is a constant, otherwise a private ``_Integral``
+vector.  ``qhakit.tensor`` stores its elements in this form.
 """
 
 from __future__ import annotations
@@ -297,9 +297,11 @@ class _Integral:
 
     The numerator form (see ``Field.clear``) of a Q(zeta_n) value that is
     not a constant; constants clear to plain ints, and the two mix in
-    ``+``, ``-`` and ``*``.  ``rows`` are the reduction rows of the order,
-    so a product folds back below the modulus degree without division.
-    Like an int, it is its own numerator.
+    ``+``, ``-`` and ``*``.  Arithmetic may leave a constant as an
+    ``_Integral``; it then compares and hashes equal to the int, so a
+    numerator table has one value however it was reached.  ``rows`` are
+    the reduction rows of the order, so a product folds back below the
+    modulus degree without division.  Like an int, it is its own numerator.
     """
 
     __slots__ = ("coeffs", "rows")
@@ -337,16 +339,33 @@ class _Integral:
         return _Integral(tuple([-x for x in self.coeffs]), self.rows)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _Integral(tuple([x * other for x in self.coeffs]), self.rows)
+        if isinstance(other, int):   # immutable, so a factor of 1 may return self
+            return self if other == 1 else _Integral(tuple([x * other for x in self.coeffs]),
+                                                     self.rows)
         if not isinstance(other, _Integral):
             return NotImplemented
         return _Integral(_product(self.coeffs, other.coeffs, self.rows), self.rows)
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, m):
+        """Division by an int ``m`` that divides every coefficient."""
+        return _Integral(tuple([x // m for x in self.coeffs]), self.rows)
+
     def __bool__(self):
         return any(self.coeffs)
+
+    def __eq__(self, other):
+        a = self.coeffs
+        if isinstance(other, _Integral):
+            return a == other.coeffs
+        if isinstance(other, int):
+            return a[0] == other and not any(a[1:])
+        return NotImplemented
+
+    def __hash__(self):
+        a = self.coeffs
+        return hash(a) if any(a[1:]) else hash(a[0])
 
 
 @lru_cache(maxsize=None)

@@ -2,24 +2,29 @@
 
 An :class:`Algebra` is a finite-dimensional unital associative algebra
 given by sparse structure constants c_{ij}^k (e_i e_j = sum_k c_{ij}^k e_k),
-checked for associativity and the unit laws at construction.  Elements of
-tensor powers H^(x)n are sparse multi-index coefficient tables with zeros
-always dropped, so equality is plain dict equality.  Every product through
-the structure constants (the legwise product, the product in H and the
-columns of ``left_matrix``) runs in one private kernel, ``_walk``: the
-right operand is indexed as a trie over its legs, each left entry walks it
-leg by leg sharing prefixes, and leg pairs with no structure constants are
-skipped whole.  Pure outer products (``@``, hence ``embed``, ``contract``
-and the tensor units) expand through ``_expand``; ``LinearMap.on_leg``
-substitutes a map's columns, in numerator form, into one leg.
+checked for associativity and the unit laws at construction.  Elements of H
+(:class:`AlgElement`) and of H^(x)n (:class:`TensorElement`) share one
+stored form: a sparse table from multi-indices to nonzero integral
+numerators over one positive int denominator, with no common factor (the
+gcd of the denominator and every numerator coefficient is 1).  Numerators
+are ints over Q and lie in Z[zeta_n] over Q(zeta_n) (ints, or ``_Integral``
+vectors, which compare and hash like ints when constant), so each value
+has one stored form and equality and hashing are structural.  The algebra
+holds its structure constants in the same form.
 
-All of these run on numerators.  Each operand is cleared to integral
-numerators over one int denominator (``Field.clear``: Python ints for Q;
-for Q(zeta_n) ints for constants and Z[zeta_n] coefficient vectors
-otherwise), the algebra holds its structure constants once in the same
-form, and each result entry is restored once, as a reduced ``Fraction`` or
-``Cyclo`` (``Field.restore``).  Stored entries are always normalised field
-values, so equality, hashing and serialization never see a numerator.
+Every operation runs on numerators and reduces its result once, with one
+gcd over the table.  Every product through the structure constants (the
+legwise product, the product in H and the columns of ``left_matrix``) runs
+in one kernel, ``_walk``: the right operand is indexed as a trie over its
+legs, each left entry walks it leg by leg sharing prefixes, and leg pairs
+with no structure constants are skipped whole.  ``contract`` and the tensor
+units expand outer products through ``_expand``, and weighted sums of
+tensors (a linear map applied to an element, the closed forms of
+``qhakit.drinfeld``) accumulate over one denominator in
+``_linear_combination``.  Field values appear only at the boundary: the
+public constructors clear them (``Field.clear``) and ``entries``/``coeffs``
+restore them (``Field.restore``) on each access, for files, reports,
+witnesses and ``repr``.
 
 Conventions used throughout:
 
@@ -34,22 +39,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 from . import linalg
 from .errors import AlgebraError, ArityMismatch, SingularError
-
-
-def _acc(entries, key, value):
-    cur = entries.get(key)
-    if cur is None:
-        if value:
-            entries[key] = value
-        return
-    cur = cur + value
-    if cur:
-        entries[key] = cur
-    else:
-        del entries[key]
+from .scalars import _Integral
 
 
 def _expand(out, coeff, legs):
@@ -58,10 +53,11 @@ def _expand(out, coeff, legs):
     Each leg maps a key (a tuple of basis indices, one per tensor leg it
     covers) to a nonzero numerator; the keys of a term are concatenated and
     an empty leg makes the term zero.  This is the helper for pure outer
-    products (``contract``, ``tensor_unit``, ``@``); products through the
-    structure constants go through ``_walk``.  The keys of one
-    expansion are distinct and a product of nonzero numerators is nonzero,
-    so only the final accumulation into ``out`` can cancel (as in ``_acc``).
+    products (``contract``, ``tensor_unit``); products through the
+    structure constants go through ``_walk``.  The keys of one expansion are
+    distinct and a product of nonzero numerators is nonzero, so only the
+    final accumulation into ``out`` can cancel, and a cancelled entry is
+    deleted.
     """
     terms = [((), coeff)]
     for leg in legs:
@@ -79,15 +75,6 @@ def _expand(out, coeff, legs):
             out[key] = cur
         else:
             del out[key]
-
-
-def _legwise(alg, arity, left, right):
-    """Entries of the legwise product of two entry tables of H^(x)arity."""
-    field = alg.field
-    lnums, lden = field.clear(left.values())
-    rnums, rden = field.clear(right.values())
-    out = _walk(alg._numerators, arity, zip(left, lnums), zip(right, rnums))
-    return _restored(field, out, lden * rden * alg._denominator ** arity)
 
 
 def _walk(table, arity, left, right):
@@ -134,9 +121,30 @@ def _walk(table, arity, left, right):
     return {k: v for k, v in out.items() if v}
 
 
-def _restored(field, nums, den):
-    """The table of numerators ``nums`` over ``den`` as reduced field values."""
-    return dict(zip(nums, field.restore(nums.values(), den)))
+def _legwise(a, b):
+    """The legwise product of two elements of one arity (the product in H at arity 1)."""
+    a._require_like(b)
+    alg = a.algebra
+    nums = _walk(alg._numerators, a.arity, a._nums.items(), b._nums.items())
+    return type(a)._reduced(alg, a.arity, nums, a._den * b._den * alg._denominator ** a.arity)
+
+
+def _linear_combination(t, term, arity):
+    """sum_I c_I term(I) over the entries c_I of ``t``; every term has the given arity.
+
+    All terms are accumulated into one numerator table over the lcm of their
+    denominators, which is reduced once.
+    """
+    terms = [(c, term(I)) for I, c in t._nums.items()]
+    den = math.lcm(*[s._den for _, s in terms])
+    out = {}
+    get = out.get
+    for c, s in terms:
+        c *= den // s._den
+        for k, v in s._nums.items():
+            out[k] = get(k, 0) + c * v
+    return TensorElement._reduced(t.algebra, arity, {k: v for k, v in out.items() if v},
+                                  t._den * den)
 
 
 class Algebra:
@@ -181,6 +189,7 @@ class Algebra:
             if len(unit_coeffs) != dim:
                 raise AlgebraError("unit vector has wrong length")
         self.unit = tuple(unit_coeffs)
+        self.unit_element = AlgElement(self, self.unit)
         self._tensor_units = {}
         self._check()
 
@@ -212,19 +221,15 @@ class Algebra:
         coeffs = [self.field.coerce(v) for v in coeffs]
         if len(coeffs) != self.dim:
             raise AlgebraError("coefficient vector has wrong length")
-        return AlgElement(self, tuple(coeffs))
+        return AlgElement(self, coeffs)
 
     def basis_element(self, i) -> "AlgElement":
-        coeffs = [self.field.zero] * self.dim
-        coeffs[i] = self.field.one
-        return AlgElement(self, tuple(coeffs))
-
-    @property
-    def unit_element(self) -> "AlgElement":
-        return AlgElement(self, self.unit)
+        if not 0 <= i < self.dim:
+            raise IndexError(f"basis index {i} out of range")
+        return AlgElement._of(self, 1, {(i,): 1}, 1)
 
     def zero_element(self) -> "AlgElement":
-        return AlgElement(self, (self.field.zero,) * self.dim)
+        return AlgElement._of(self, 1, {}, 1)
 
     def scalar_element(self, value) -> "AlgElement":
         return self.field.coerce(value) * self.unit_element
@@ -234,15 +239,15 @@ class Algebra:
         cached = self._tensor_units.get(arity)
         if cached is not None:
             return cached
-        entries = {}
-        support = {(i,): v for i, v in enumerate(self.unit) if v}
-        _expand(entries, self.field.one, [support] * arity)
-        t = TensorElement(self, arity, entries, clean=True)
+        one = self.unit_element
+        nums = {}
+        _expand(nums, 1, [one._nums] * arity)
+        t = TensorElement._reduced(self, arity, nums, one._den ** arity)
         self._tensor_units[arity] = t
         return t
 
     def tensor_zero(self, arity) -> "TensorElement":
-        return TensorElement(self, arity, {}, clean=True)
+        return TensorElement._of(self, arity, {}, 1)
 
     def multi_indices(self, arity):
         return itertools.product(range(self.dim), repeat=arity)
@@ -258,62 +263,126 @@ class Algebra:
         return f"Algebra(dim={self.dim}, field={self.field})"
 
 
-class AlgElement:
-    """An element of H as a dense coefficient vector over the basis."""
+class _Numerators:
+    """The stored form shared by AlgElement (arity 1) and TensorElement: ``_nums``
+    over ``_den`` (see the module docstring), with the linear structure, equality
+    and hashing.  Instances are never mutated, so results may share tables."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "arity", "_nums", "_den")
 
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        self.coeffs = coeffs
+    @classmethod
+    def _of(cls, algebra, arity, nums, den):
+        """An element from a table already in stored form."""
+        self = object.__new__(cls)
+        self.algebra, self.arity, self._nums, self._den = algebra, arity, nums, den
+        return self
 
-    def _require_same(self, other):
+    @classmethod
+    def _reduced(cls, algebra, arity, nums, den):
+        """An element from nonzero numerators over a positive ``den``: divides out
+        the gcd of ``den`` and every numerator coefficient, one gcd for the table."""
+        if den != 1:
+            if algebra.field.kind == "rational":
+                g = math.gcd(den, *nums.values())
+            else:
+                g = den
+                for v in nums.values():
+                    g = math.gcd(g, *v.coeffs) if isinstance(v, _Integral) else math.gcd(g, v)
+                    if g == 1:
+                        break
+            if g != 1:
+                nums, den = {k: v // g for k, v in nums.items()}, den // g
+        return cls._of(algebra, arity, nums, den)
+
+    def _require_like(self, other):
         if not self.algebra.compatible(other.algebra):
-            raise ArityMismatch("elements of different algebras")
+            raise ArityMismatch(self._MIXED)
+        if self.arity != other.arity:
+            raise ArityMismatch(f"arity mismatch: {self.arity} vs {other.arity}")
+
+    def _values(self):
+        """multi-index -> field value, restored from the numerators."""
+        return dict(zip(self._nums, self.algebra.field.restore(self._nums.values(), self._den)))
+
+    # -- linear structure --
+
+    def _combine(self, other, op):
+        """``op(self, other)`` for ``op`` the addition or the subtraction of numerators."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_like(other)
+        a, b = self._den, other._den
+        g = math.gcd(a, b)
+        fa, fb = b // g, a // g
+        out = {k: v * fa for k, v in self._nums.items()} if fa != 1 else dict(self._nums)
+        get = out.get
+        for k, v in other._nums.items():
+            v = op(get(k, 0), v if fb == 1 else v * fb)
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return self._reduced(self.algebra, self.arity, out, a * fa)
 
     def __add__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        self._require_same(other)
-        return AlgElement(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        self._require_same(other)
-        return AlgElement(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return AlgElement(self.algebra, tuple(-a for a in self.coeffs))
+        return self._of(self.algebra, self.arity, {k: -v for k, v in self._nums.items()},
+                        self._den)
+
+    def scale(self, scalar):
+        scalar = self.algebra.field.coerce(scalar)
+        if not scalar:
+            return self._of(self.algebra, self.arity, {}, 1)
+        n = scalar.numerator
+        return self._reduced(self.algebra, self.arity, {k: v * n for k, v in self._nums.items()},
+                             self._den * scalar.denominator)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.algebra.compatible(other.algebra) and self.arity == other.arity
+                and self._den == other._den and self._nums == other._nums)
+
+    def __hash__(self):
+        return hash((self.arity, self._den, frozenset(self._nums.items())))
+
+
+class AlgElement(_Numerators):
+    """An element of H: the stored form at arity 1, with a dense ``coeffs`` view."""
+
+    __slots__ = ()
+    _MIXED = "elements of different algebras"
+
+    def __init__(self, algebra, coeffs):
+        """The element with the given field-valued coefficients on the basis."""
+        nums, den = algebra.field.clear(coeffs)
+        self.algebra, self.arity, self._den = algebra, 1, den
+        self._nums = {(i,): n for i, n in enumerate(nums) if n}
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients on the basis, as field values."""
+        out = [self.algebra.field.zero] * self.algebra.dim
+        for (i,), v in self._values().items():
+            out[i] = v
+        return tuple(out)
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
-            self._require_same(other)
-            alg = self.algebra
-            out = [alg.field.zero] * alg.dim
-            for (k,), v in _legwise(alg, 1, self._table(), other._table()).items():
-                out[k] = v
-            return AlgElement(alg, tuple(out))
-        return AlgElement(self.algebra,
-                          tuple(a * self.algebra.field.coerce(other) for a in self.coeffs))
+            return _legwise(self, other)
+        return self.scale(other)
 
     def __rmul__(self, other):
         # scalar * element (scalars commute with everything)
         return self.__mul__(other)
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.algebra.compatible(other.algebra) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def _table(self):
-        return {(i,): v for i, v in enumerate(self.coeffs) if v}
-
     def to_tensor(self) -> "TensorElement":
-        return TensorElement(self.algebra, 1, self._table(), clean=True)
+        return TensorElement._of(self.algebra, 1, self._nums, self._den)
 
     def inverse(self) -> "AlgElement":
         return self.to_tensor().invert().as_element()
@@ -336,66 +405,33 @@ class AlgElement:
         return " + ".join(terms) if terms else "0"
 
 
-class TensorElement:
+class TensorElement(_Numerators):
     """A sparse element of H^(x)arity: multi-index -> nonzero coefficient."""
 
-    __slots__ = ("algebra", "arity", "entries")
+    __slots__ = ()
+    _MIXED = "tensors over different algebras"
 
-    def __init__(self, algebra, arity, entries=None, clean=False):
+    def __init__(self, algebra, arity, entries=None):
+        """The tensor with the given field values; keys are checked, values coerced."""
         if arity < 0:
             raise ArityMismatch("arity must be nonnegative")
-        self.algebra = algebra
-        self.arity = arity
-        if entries is None:
-            entries = {}
-        if not clean:
-            cleaned = {}
-            for key, val in entries.items():
-                key = tuple(key)
-                if len(key) != arity or not all(0 <= i < algebra.dim for i in key):
-                    raise ArityMismatch(f"bad multi-index {key} for arity {arity}")
-                val = algebra.field.coerce(val)
-                if val:
-                    _acc(cleaned, key, val)
-            entries = cleaned
-        self.entries = entries
+        field = algebra.field
+        values = {}
+        for key, val in (entries or {}).items():
+            key = tuple(key)
+            if len(key) != arity or not all(0 <= i < algebra.dim for i in key):
+                raise ArityMismatch(f"bad multi-index {key} for arity {arity}")
+            val = field.coerce(val)
+            values[key] = values[key] + val if key in values else val
+        values = {k: v for k, v in values.items() if v}
+        nums, den = field.clear(values.values())
+        self.algebra, self.arity, self._den = algebra, arity, den
+        self._nums = dict(zip(values, nums))
 
-    def _require_like(self, other):
-        if not self.algebra.compatible(other.algebra):
-            raise ArityMismatch("tensors over different algebras")
-        if self.arity != other.arity:
-            raise ArityMismatch(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    # -- linear structure --
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._require_like(other)
-        out = dict(self.entries)
-        for key, val in other.entries.items():
-            _acc(out, key, val)
-        return TensorElement(self.algebra, self.arity, out, clean=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._require_like(other)
-        out = dict(self.entries)
-        for key, val in other.entries.items():
-            _acc(out, key, -val)
-        return TensorElement(self.algebra, self.arity, out, clean=True)
-
-    def __neg__(self):
-        return TensorElement(self.algebra, self.arity,
-                             {k: -v for k, v in self.entries.items()}, clean=True)
-
-    def scale(self, scalar) -> "TensorElement":
-        scalar = self.algebra.field.coerce(scalar)
-        if not scalar:
-            return self.algebra.tensor_zero(self.arity)
-        return TensorElement(self.algebra, self.arity,
-                             {k: v * scalar for k, v in self.entries.items()}, clean=True)
+    @property
+    def entries(self) -> dict:
+        """multi-index -> nonzero field value, restored on each access."""
+        return self._values()
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -406,10 +442,7 @@ class TensorElement:
         """Legwise product: (a (x) b)(c (x) d) = ac (x) bd, extended bilinearly."""
         if not isinstance(other, TensorElement):
             return self.scale(other)
-        self._require_like(other)
-        return TensorElement(self.algebra, self.arity,
-                             _legwise(self.algebra, self.arity, self.entries, other.entries),
-                             clean=True)
+        return _legwise(self, other)
 
     def __matmul__(self, other):
         """Outer (Kronecker) product: arities add."""
@@ -418,14 +451,10 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         if not self.algebra.compatible(other.algebra):
-            raise ArityMismatch("tensors over different algebras")
-        field = self.algebra.field
-        lnums, lden = field.clear(self.entries.values())
-        rnums, rden = field.clear(other.entries.values())
-        out = {}
-        _expand(out, 1, [dict(zip(self.entries, lnums)), dict(zip(other.entries, rnums))])
-        return TensorElement(self.algebra, self.arity + other.arity,
-                             _restored(field, out, lden * rden), clean=True)
+            raise ArityMismatch(self._MIXED)
+        nums = {I + J: u * v for I, u in self._nums.items() for J, v in other._nums.items()}
+        return TensorElement._reduced(self.algebra, self.arity + other.arity, nums,
+                                      self._den * other._den)
 
     # -- leg operations --
 
@@ -434,8 +463,8 @@ class TensorElement:
         sigma = tuple(sigma)
         if sorted(sigma) != list(range(1, self.arity + 1)):
             raise ArityMismatch(f"{sigma} is not a permutation of 1..{self.arity}")
-        out = {tuple(key[s - 1] for s in sigma): val for key, val in self.entries.items()}
-        return TensorElement(self.algebra, self.arity, out, clean=True)
+        out = {tuple(key[s - 1] for s in sigma): val for key, val in self._nums.items()}
+        return TensorElement._of(self.algebra, self.arity, out, self._den)
 
     def transpose(self) -> "TensorElement":
         if self.arity != 2:
@@ -465,25 +494,21 @@ class TensorElement:
 
         Column J of ``rows / den`` holds the coefficients of self * e_J over
         H^(x)arity, rows and columns in ``multi_indices`` order; the entries
-        of ``rows`` are numerators in the sense of ``Field.clear`` (ints over
-        Q, elements of Z[zeta_n] over Q(zeta_n)), so the matrix is never
-        built from field values.
+        of ``rows`` are numerators (ints over Q, elements of Z[zeta_n] over
+        Q(zeta_n)), so the matrix is never built from field values.
         """
         alg = self.algebra
-        field = alg.field
         d, n = alg.dim, self.arity
         size = d ** n
-        nums, den = field.clear(self.entries.values())
-        zero = field.clear([field.zero])[0][0]   # the numerator of 0
-        rows = [[zero] * size for _ in range(size)]
-        entries = list(zip(self.entries, nums))
+        rows = [[0] * size for _ in range(size)]
+        entries = list(self._nums.items())
         for col, J in enumerate(alg.multi_indices(n)):
             for K, val in _walk(alg._numerators, n, entries, [(J, 1)]).items():
                 row = 0
                 for idx in K:
                     row = row * d + idx
                 rows[row][col] = val
-        return rows, den * alg._denominator ** n
+        return rows, self._den * alg._denominator ** n
 
     def invert(self) -> "TensorElement":
         """Two-sided inverse, via one exact solve of the left-multiplication matrix.
@@ -496,21 +521,17 @@ class TensorElement:
         unit = alg.tensor_unit(n)
         rows, den = self.left_matrix()
         # (rows / den) x = unit = nums / unit_den  <=>  (unit_den * rows) x = den * nums
-        nums, unit_den = alg.field.clear(unit.entries.values())
-        if unit_den != 1:
-            rows = [[unit_den * v for v in row] for row in rows]
+        if unit._den != 1:
+            rows = [[unit._den * v for v in row] for row in rows]
         rhs = [0] * (d ** n)
-        for K, v in zip(unit.entries, nums):
+        for K, v in unit._nums.items():
             row = 0
             for idx in K:
                 row = row * d + idx
             rhs[row] = den * v
-        x = linalg.solve(alg.field, rows, rhs)
-        entries = {}
-        for col, J in enumerate(alg.multi_indices(n)):
-            if x[col]:
-                entries[J] = x[col]
-        candidate = TensorElement(alg, n, entries, clean=True)
+        nums, x_den = alg.field.clear(linalg.solve(alg.field, rows, rhs))
+        candidate = TensorElement._of(alg, n, {J: v for J, v in zip(alg.multi_indices(n), nums)
+                                               if v}, x_den)
         if candidate * self != unit:
             raise SingularError("element has a right inverse but no left inverse")
         return candidate
@@ -520,41 +541,29 @@ class TensorElement:
     def as_element(self) -> AlgElement:
         if self.arity != 1:
             raise ArityMismatch("only arity-1 tensors identify with algebra elements")
-        coeffs = [self.algebra.field.zero] * self.algebra.dim
-        for (i,), v in self.entries.items():
-            coeffs[i] = v
-        return AlgElement(self.algebra, tuple(coeffs))
+        return AlgElement._of(self.algebra, 1, self._nums, self._den)
 
     def scalar(self):
         if self.arity != 0:
             raise ArityMismatch("only arity-0 tensors are scalars")
         return self.entries.get((), self.algebra.field.zero)
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.algebra.compatible(other.algebra) and self.arity == other.arity
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.entries.items())))
-
     def __repr__(self):
         names = self.algebra.basis_names
+        entries = self.entries
         terms = []
-        for key in sorted(self.entries):
+        for key in sorted(entries):
             label = "(x)".join(names[i] for i in key) if key else "1"
-            terms.append(f"({self.entries[key]})*{label}")
+            terms.append(f"({entries[key]})*{label}")
         return " + ".join(terms) if terms else "0"
 
 
 def first_difference(a: TensorElement, b: TensorElement):
     """Smallest multi-index where two tensors differ, with both values (or None)."""
-    keys = sorted(set(a.entries) | set(b.entries))
     zero = a.algebra.field.zero
-    for key in keys:
-        va = a.entries.get(key, zero)
-        vb = b.entries.get(key, zero)
+    a, b = a.entries, b.entries
+    for key in sorted(set(a) | set(b)):
+        va, vb = a.get(key, zero), b.get(key, zero)
         if va != vb:
             return key, va, vb
     return None
@@ -568,7 +577,7 @@ class LinearMap:
     is a property the structure verifiers check, not the representation.
     """
 
-    __slots__ = ("algebra", "out_arity", "columns", "anti", "_elements", "_numerators")
+    __slots__ = ("algebra", "out_arity", "columns", "anti", "_numerators")
 
     def __init__(self, algebra, columns, anti=False):
         columns = list(columns)
@@ -581,8 +590,7 @@ class LinearMap:
         self.out_arity = arities.pop()
         self.columns = columns
         self.anti = anti
-        self._elements = None
-        self._numerators = None   # the columns in numerator form, built by on_leg
+        self._numerators = None   # the columns over one denominator, built by on_leg
 
     @classmethod
     def identity(cls, algebra):
@@ -590,41 +598,26 @@ class LinearMap:
 
     @classmethod
     def from_matrix(cls, algebra, matrix, anti=False):
-        cols = []
-        for i in range(algebra.dim):
-            entries = {}
-            for k in range(algebra.dim):
-                v = algebra.field.coerce(matrix[k][i])
-                if v:
-                    entries[(k,)] = v
-            cols.append(TensorElement(algebra, 1, entries, clean=True))
+        cols = [TensorElement(algebra, 1, {(k,): matrix[k][i] for k in range(algebra.dim)})
+                for i in range(algebra.dim)]
         return cls(algebra, cols, anti=anti)
 
     @classmethod
     def scalar_map(cls, algebra, values):
         """A map H -> F (arity-0 images), e.g. a counit."""
-        cols = []
-        for v in values:
-            v = algebra.field.coerce(v)
-            cols.append(TensorElement(algebra, 0, {(): v} if v else {}, clean=True))
-        return cls(algebra, cols)
+        return cls(algebra, [TensorElement(algebra, 0, {(): v}) for v in values])
 
     def col(self, i) -> TensorElement:
         return self.columns[i]
 
     def col_element(self, i) -> AlgElement:
-        if self._elements is None:
-            if self.out_arity != 1:
-                raise ArityMismatch("columns are not algebra elements")
-            self._elements = [c.as_element() for c in self.columns]
-        return self._elements[i]
+        if self.out_arity != 1:
+            raise ArityMismatch("columns are not algebra elements")
+        return self.columns[i].as_element()
 
     def __call__(self, x: AlgElement):
         """Apply to an element; returns a scalar, AlgElement, or TensorElement by arity."""
-        out = self.algebra.tensor_zero(self.out_arity)
-        for i, v in enumerate(x.coeffs):
-            if v:
-                out = out + self.columns[i].scale(v)
+        out = _linear_combination(x, lambda i: self.columns[i[0]], self.out_arity)
         if self.out_arity == 0:
             return out.scalar()
         if self.out_arity == 1:
@@ -635,24 +628,20 @@ class LinearMap:
         """Apply on one leg of a tensor; the arity changes by out_arity - 1."""
         if not 1 <= leg <= t.arity:
             raise ArityMismatch(f"leg {leg} out of range for arity {t.arity}")
-        field = self.algebra.field
-        nums, den = field.clear(t.entries.values())
         if self._numerators is None:
-            col_nums, col_den = field.clear(v for c in self.columns for v in c.entries.values())
-            col_nums = iter(col_nums)
-            self._numerators = [{sub: next(col_nums) for sub in c.entries}
+            col_den = math.lcm(*[c._den for c in self.columns])
+            self._numerators = [{sub: v * (col_den // c._den) for sub, v in c._nums.items()}
                                 for c in self.columns], col_den
         cols, col_den = self._numerators
         out = {}
         get = out.get
-        for key, u in zip(t.entries, nums):
+        for key, u in t._nums.items():
             head, tail = key[:leg - 1], key[leg:]
             for sub, c in cols[key[leg - 1]].items():
                 k = head + sub + tail
                 out[k] = get(k, 0) + u * c
-        out = {k: v for k, v in out.items() if v}
-        return TensorElement(self.algebra, t.arity - 1 + self.out_arity,
-                             _restored(field, out, den * col_den), clean=True)
+        return TensorElement._reduced(self.algebra, t.arity - 1 + self.out_arity,
+                                      {k: v for k, v in out.items() if v}, t._den * col_den)
 
     def map_tensor(self, t: TensorElement) -> TensorElement:
         """Apply a 1 -> 1 map on every leg (e.g. (S (x) S)R)."""
@@ -667,14 +656,8 @@ class LinearMap:
         """self after other; other must be 1 -> 1."""
         if other.out_arity != 1:
             raise ArityMismatch("can only precompose with a 1 -> 1 map")
-        cols = []
-        for i in range(self.algebra.dim):
-            img = self(other.col_element(i))
-            if self.out_arity == 1:
-                img = img.to_tensor()
-            elif self.out_arity == 0:
-                img = TensorElement(self.algebra, 0, {(): img}, clean=False)
-            cols.append(img)
+        cols = [_linear_combination(c, lambda i: self.columns[i[0]], self.out_arity)
+                for c in other.columns]
         return LinearMap(self.algebra, cols, anti=self.anti != other.anti)
 
     def matrix(self):
@@ -741,7 +724,7 @@ def contract(t: TensorElement, *specs) -> TensorElement:
     # the indices of the legs read so far: entries sharing them share it
     prefixes = {}   # (s, p, indices read) -> that product
     rows = []   # the output-leg factors of each entry of t
-    for key in t.entries:
+    for key in t._nums:
         factors = []
         for s, spec in enumerate(specs):
             elt = None
@@ -760,19 +743,18 @@ def contract(t: TensorElement, *specs) -> TensorElement:
                 elt = prefix
             factors.append(unit if elt is None else elt)
         rows.append(factors)
-    field = alg.field
-    nums, den = field.clear(t.entries.values())
+    den = t._den
     legs = [[] for _ in rows]
     for slot in zip(*rows):   # one output leg: its factor for every entry of t
-        flat, slot_den = field.clear(c for f in slot for c in f.coeffs)
+        slot_den = math.lcm(*[f._den for f in slot])
         den *= slot_den
-        for n, leg_list in enumerate(legs):
-            coeffs = flat[n * alg.dim:(n + 1) * alg.dim]
-            leg_list.append({(i,): c for i, c in enumerate(coeffs) if c})
+        for f, leg_list in zip(slot, legs):
+            m = slot_den // f._den
+            leg_list.append(f._nums if m == 1 else {k: v * m for k, v in f._nums.items()})
     out = {}
-    for num, leg_list in zip(nums, legs):
+    for num, leg_list in zip(t._nums.values(), legs):
         _expand(out, num, leg_list)
-    return TensorElement(alg, len(specs), _restored(field, out, den), clean=True)
+    return TensorElement._reduced(alg, len(specs), out, den)
 
 
 def contract_element(t: TensorElement, spec) -> AlgElement:

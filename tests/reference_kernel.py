@@ -2,11 +2,13 @@
 
 This is the product kernel and the elimination that ``qhakit.tensor`` and
 ``qhakit.linalg`` used before they moved to numerators over a common
-denominator.  Every scalar operation here is a field operation on
-``Fraction`` or ``Cyclo`` values, and every entry is normalised as it is
-formed, so each function is the plain definition the numerator kernel
-must agree with, entry by entry and error text by error text.  Nothing
-under ``src/`` imports this module.
+denominator, with the linear structure (``add``, ``sub``, ``neg``,
+``scale``) beside it.  Every scalar operation here is a field operation on
+``Fraction`` or ``Cyclo`` values read from ``entries``/``coeffs``, and
+every entry is normalised as it is formed; each result is handed to the
+public ``TensorElement`` constructor.  So each function is the plain
+definition the numerator kernel must agree with, entry by entry and error
+text by error text.  Nothing under ``src/`` imports this module.
 
 The ``bareiss_*`` functions are the fraction-free elimination that
 ``qhakit.linalg`` ran before its p-adic solve, with the exact division by
@@ -122,6 +124,28 @@ def expand(out, coeff, legs):
         _acc(out, key, val)
 
 
+def add(s: TensorElement, t: TensorElement) -> TensorElement:
+    """``s + t``, entry by entry in field values."""
+    out = dict(s.entries)
+    for key, val in t.entries.items():
+        _acc(out, key, val)
+    return TensorElement(s.algebra, s.arity, out)
+
+
+def neg(t: TensorElement) -> TensorElement:
+    return TensorElement(t.algebra, t.arity, {k: -v for k, v in t.entries.items()})
+
+
+def sub(s: TensorElement, t: TensorElement) -> TensorElement:
+    return add(s, neg(t))
+
+
+def scale(t: TensorElement, c) -> TensorElement:
+    """``t.scale(c)``, entry by entry in field values."""
+    c = t.algebra.field.coerce(c)
+    return TensorElement(t.algebra, t.arity, {k: v * c for k, v in t.entries.items() if c})
+
+
 def mul(s: TensorElement, t: TensorElement) -> TensorElement:
     """Legwise product of two tensors of one arity."""
     basis_product = s.algebra.basis_product
@@ -129,7 +153,7 @@ def mul(s: TensorElement, t: TensorElement) -> TensorElement:
     for I, u in s.entries.items():
         for J, v in t.entries.items():
             expand(out, u * v, [basis_product(a, b) for a, b in zip(I, J)])
-    return TensorElement(s.algebra, s.arity, out, clean=True)
+    return TensorElement(s.algebra, s.arity, out)
 
 
 def outer(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -138,7 +162,7 @@ def outer(s: TensorElement, t: TensorElement) -> TensorElement:
     for I, u in s.entries.items():
         for J, v in t.entries.items():
             _acc(out, I + J, u * v)
-    return TensorElement(s.algebra, s.arity + t.arity, out, clean=True)
+    return TensorElement(s.algebra, s.arity + t.arity, out)
 
 
 def on_leg(m: LinearMap, t: TensorElement, leg: int) -> TensorElement:
@@ -148,7 +172,7 @@ def on_leg(m: LinearMap, t: TensorElement, leg: int) -> TensorElement:
         head, tail = key[:leg - 1], key[leg:]
         for sub, v in m.columns[key[leg - 1]].entries.items():
             _acc(out, head + sub + tail, val * v)
-    return TensorElement(t.algebra, t.arity - 1 + m.out_arity, out, clean=True)
+    return TensorElement(t.algebra, t.arity - 1 + m.out_arity, out)
 
 
 def alg_mul(a: AlgElement, b: AlgElement) -> AlgElement:
@@ -202,7 +226,7 @@ def contract(t: TensorElement, *specs) -> TensorElement:
                 elt = alg_mul(elt, f)
             factors.append(elt)
         expand(out, val, [{i: c for i, c in enumerate(f.coeffs) if c} for f in factors])
-    return TensorElement(alg, len(specs), out, clean=True)
+    return TensorElement(alg, len(specs), out)
 
 
 def solve_columns(field, matrix, columns):
@@ -264,7 +288,7 @@ def invert(t: TensorElement) -> TensorElement:
         rhs[row] = v
     x = solve(alg.field, left_matrix(t), rhs)
     entries = {J: x[col] for col, J in enumerate(alg.multi_indices(n)) if x[col]}
-    candidate = TensorElement(alg, n, entries, clean=True)
+    candidate = TensorElement(alg, n, entries)
     if mul(candidate, t) != unit:
         raise SingularError("element has a right inverse but no left inverse")
     return candidate

@@ -7,13 +7,20 @@ so a change that renames or deletes a traced name fails these tests instead
 of the traced benchmark run.  The last tests guard what the traced counts
 mean: ``tensor.mul.*`` counts legwise products only, ``max_bits`` reads
 reduced ``Fraction`` entries, and a legwise product, ``@``, ``embed`` or
-``on_leg`` over Q(zeta_n) adds nothing to ``scalars.cyclo_mul``.
+``on_leg`` over Q(zeta_n) adds nothing to ``scalars.cyclo_mul``, and no
+tensor operation converts between numerators and field values.  The
+subprocess tests run ``trace_boot.py`` itself on two small jobs: its
+wrappers read ``entries``, ``hash`` and the ``TensorElement`` constructor,
+so a change to that contract fails here rather than only in a traced
+benchmark run.
 """
 
 import importlib
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,10 +28,11 @@ import pytest
 
 import reference_kernel as ref
 from conftest import hopf
-from qhakit.scalars import RATIONAL, Cyclo
-from qhakit.tensor import Algebra, TensorElement
+from qhakit.scalars import RATIONAL, Cyclo, Field
+from qhakit.tensor import Algebra, LinearMap, TensorElement, contract
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src"
 
 
 def _trace_boot():
@@ -159,3 +167,61 @@ class TestTraceCounters:
         assert h.r.embed((1, 3), 3) == expected_embed
         assert [h.coproduct.on_leg(h.r, 2), h.antipode.s.on_leg(h.phi, 3)] == expected_on_leg
         assert calls == []
+
+    def test_operations_neither_clear_nor_restore(self, monkeypatch):
+        """Every operation runs on the stored numerators: ``Field.clear`` and
+        ``Field.restore`` belong to the constructors and to ``entries``/``coeffs``."""
+        cases = []
+        for name in ("group_z3", "semion"):
+            h = hopf(name)
+            alg = h.algebra
+            a, b = h.beta + alg.basis_element(1), h.alpha - alg.basis_element(0)
+            t, u = h.coproduct.col(1), h.phi
+            m = LinearMap.from_matrix(alg, [[Fraction(i + 2 * j, 3) for j in range(alg.dim)]
+                                            for i in range(alg.dim)])
+            q = alg.field.zeta if alg.field.kind == "cyclotomic" else Fraction(-2, 3)
+            cases.append((h, alg, a, b, t, u, m, q))
+        calls = []
+        for attr in ("clear", "restore"):
+            def counting(self, *args, _attr=attr, _original=getattr(Field, attr)):
+                calls.append(_attr)
+                return _original(self, *args)
+
+            monkeypatch.setattr(Field, attr, counting)
+        for h, alg, a, b, t, u, m, q in cases:
+            t * h.coproduct.col(0), u * h.phi_inv, t.scale(q), q * u, t * q
+            t + t.transpose(), u - h.phi_inv, -u
+            t @ a, t @ u, t.embed((1, 3), 3), a.to_tensor().embed((2,), 3)
+            h.coproduct.on_leg(t, 2), m.on_leg(u, 1), h.coproduct.on_leg(u, 3)
+            contract(u, [(1, m), a, (2, None)], [b, (3, h.s)])
+            u.left_matrix(), t.left_matrix()
+            a * b, b * a, a + b, a - b, a * q, q * b
+        assert calls == []
+        cases[1][4].entries, cases[1][2].coeffs
+        assert calls == ["restore", "restore"]
+
+
+# -- the traced CLI --------------------------------------------------------------
+
+def _run(args, cwd, trace=None):
+    """The CLI, or ``trace_boot.py`` around it, with the benchmark's fixed hash seed."""
+    env = {"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+    boot = [] if trace is None else [str(BENCH / "trace_boot.py"), str(trace), "req"]
+    cmd = [sys.executable] + (boot or ["-m", "qhakit.cli"]) + args
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=600)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "semion", "--suite", "twist", "--seed", "0", "--format", "structured"],
+    ["verify", "group_z3", "--suite", "drinfeld"],
+], ids=["semion-twist", "group_z3-drinfeld"])
+def test_traced_run_matches_the_untraced_cli(args, tmp_path):
+    plain = _run(args, tmp_path)
+    traced = _run(args, tmp_path, trace=tmp_path / "spans")
+    assert plain.returncode == traced.returncode == 0, traced.stderr.decode()
+    assert traced.stdout == plain.stdout
+    with open(tmp_path / "spans", "rb") as fh:
+        header = json.loads(fh.readline())
+    assert header["request"] == "req" and header["open"] == 0 and header["spans"] > 0
+    assert header["counters"]["tensor.mul.max_bits"] > 0
+    assert header["counters"]["randgen.candidates"] > 0

@@ -14,7 +14,10 @@ reduction rows), dense arity-3 tensors over k[Z/3], dense arity-4 tensors
 over k[Z/2] and k[Z/3], and sparse arity-3/4 tensors over the 2x2
 matrices, whose zero structure constants the kernel's per-leg support join
 prunes. Cyclotomic values mix constants, which clear to int numerators,
-with general values, which clear to Z[zeta_n] vectors.
+with general values, which clear to Z[zeta_n] vectors. The stored form
+itself (numerators over one denominator, content-reduced) is checked to be
+canonical on every result, and equal under equality and hashing whichever
+route reached a value.
 """
 
 import json
@@ -315,6 +318,78 @@ class TestKernelAgainstReference:
             same_tensor(new[1], old[1])
         else:
             assert new[1] == old[1]
+
+
+# -- the stored form ----------------------------------------------------------
+
+STORED = (z2_half(RATIONAL), z3(RATIONAL), z2_double(RATIONAL), z2_half(Q4), z2_double(Q4),
+          z2_half(Q8), M2[Q8])
+
+
+def assert_canonical(x):
+    """Positive denominator, nonzero numerators, content 1, and one form per value:
+    clearing the restored field values gives the same table, with equal hashes."""
+    t = x if isinstance(x, TensorElement) else x.to_tensor()
+    nums, den = t._nums, t._den
+    assert den > 0 and all(nums.values())
+    coeffs = [c for v in nums.values() for c in (v.coeffs if isinstance(v, _Integral) else (v,))]
+    assert math.gcd(den, *coeffs) == 1
+    for v in nums.values():
+        if isinstance(v, _Integral) and not any(v.coeffs[1:]):
+            assert v == v.coeffs[0] and hash(v) == hash(v.coeffs[0])
+    again = TensorElement(t.algebra, t.arity, t.entries)
+    assert again._den == den and again._nums == nums and hash(again) == hash(t)
+
+
+def nonzero_scalars(field):
+    return scalars(field).map(field.coerce).filter(bool)
+
+
+class TestStoredForm:
+    """Over Q, Q(zeta_4) and Q(zeta_8): every result is in the one stored form,
+    equal values reached by different routes are equal with equal hashes, and
+    the linear structure agrees with the field-valued oracle."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_results_are_canonical(self, data):
+        alg = data.draw(st.sampled_from(STORED))
+        arity = data.draw(st.integers(0, 2))
+        s, t = data.draw(tensors(alg, arity)), data.draw(tensors(alg, arity))
+        a, b = data.draw(elements(alg)), data.draw(elements(alg))
+        q = data.draw(nonzero_scalars(alg.field))
+        m = LinearMap(alg, [data.draw(tensors(alg, 1)) for _ in range(alg.dim)])
+        results = [s * t, s + t, s - t, -s, s.scale(q), s @ t, a * b, a + b, a - b, a * q,
+                   m(a), m.on_leg(s, 1) if arity else s, contract(s @ a, [*((leg, None) for leg in range(1, arity + 1)), b, (arity + 1, m)])]
+        for x in results:
+            assert_canonical(x)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_values_by_different_routes(self, data):
+        alg = data.draw(st.sampled_from(STORED))
+        arity = data.draw(st.integers(0, 2))
+        a, b, c = (data.draw(tensors(alg, arity)) for _ in range(3))
+        x, y = data.draw(elements(alg)), data.draw(elements(alg))
+        q = data.draw(nonzero_scalars(alg.field))
+        inv = alg.field.inv(q)
+        for left, right in (((a + b) - b, a), (a.scale(q).scale(inv), a),
+                            ((a * b) * c, a * (b * c)), ((x + y) - y, x),
+                            ((x * q) * inv, x), ((x * y) * x, x * (y * x))):
+            assert left == right and hash(left) == hash(right)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_linear_structure(self, data):
+        alg = data.draw(st.sampled_from(STORED))
+        arity = data.draw(st.integers(0, 3 if alg.dim == 2 else 2))
+        s, t = data.draw(tensors(alg, arity)), data.draw(tensors(alg, arity))
+        q = data.draw(scalars(alg.field))
+        same_tensor(s + t, ref.add(s, t))
+        same_tensor(s - t, ref.sub(s, t))
+        same_tensor(s - s, alg.tensor_zero(arity))
+        same_tensor(-s, ref.neg(s))
+        same_tensor(s.scale(q), ref.scale(s, q))
 
 
 # -- the elimination ----------------------------------------------------------
