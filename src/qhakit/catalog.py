@@ -72,8 +72,7 @@ def _group_hopf(n: int, field):
     delta = LinearMap(alg, [tensor_of(alg.basis_element(k), alg.basis_element(k))
                             for k in range(n)])
     counit = LinearMap.scalar_map(alg, [1] * n)
-    s = LinearMap(alg, [alg.basis_element((n - k) % n).to_tensor() for k in range(n)],
-                  anti=True)
+    s = LinearMap(alg, [alg.basis_element((n - k) % n).to_tensor() for k in range(n)])
     qba = QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3))
     anti = QuasiAntipode(s, alg.unit_element, alg.unit_element, s_inv=s)
     return qba.with_antipode(anti)
@@ -124,8 +123,7 @@ def _sweedler_h4() -> CatalogEntry:
         tensor_of(gx, g) + tensor_of(one, gx),
     ])
     counit = LinearMap.scalar_map(alg, [1, 1, 0, 0])
-    s = LinearMap(alg, [one.to_tensor(), g.to_tensor(), (-gx).to_tensor(), x.to_tensor()],
-                  anti=True)
+    s = LinearMap(alg, [one.to_tensor(), g.to_tensor(), (-gx).to_tensor(), x.to_tensor()])
     qba = QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3))
     anti = QuasiAntipode(s, one, one)
     h = qba.with_antipode(anti)
@@ -154,7 +152,7 @@ def _semion() -> CatalogEntry:
     p = half * one - half * g
     delta = LinearMap(alg, [tensor_of(one, one), tensor_of(g, g)])
     counit = LinearMap.scalar_map(alg, [1, 1])
-    s = LinearMap(alg, LinearMap.identity(alg).columns, anti=True)
+    s = LinearMap.identity(alg)
     phi = alg.tensor_unit(3) - tensor_of(p, p, p).scale(2)
     qba = QuasiBialgebra(alg, delta, counit, phi, phi)
     anti = QuasiAntipode(s, g, one, s_inv=s)

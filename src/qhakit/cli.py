@@ -160,7 +160,7 @@ def cmd_compute(args) -> int:
                       "gammabar": ("gamma_bar", data.gamma_bar)}[what]
         values[key] = _enc_tensor(field, value)
     elif what == "u":
-        ops = compute_u(s, check=True)
+        ops = compute_u(s)
         values["u"] = _enc_vector(field, ops.u.coeffs)
         values["u_tilde"] = _enc_vector(field, ops.u_tilde.coeffs)
     elif what == "v":

@@ -276,38 +276,3 @@ def invert_matrix(field, matrix):
     n = len(matrix)
     units = [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
     return [list(row) for row in zip(*_solve_columns(field, matrix, units))]
-
-
-def nullspace(field, matrix):
-    """Basis vectors of the kernel of M (rows may outnumber columns)."""
-    rows = len(matrix)
-    if rows == 0:
-        return []
-    cols = len(matrix[0])
-    m = [list(row) for row in matrix]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [field.zero] * cols
-        vec[f] = field.one
-        for i, p in enumerate(pivots):
-            vec[p] = -m[i][f]
-        basis.append(vec)
-    return basis

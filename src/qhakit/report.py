@@ -28,14 +28,10 @@ class Report:
         self.checks.append(Check(check_id, bool(ok), None if ok else witness))
         return ok
 
-    def add_equal(self, check_id: str, left, right, describe=None):
+    def add_equal(self, check_id: str, left, right):
         """Record an exact equality check, with the first differing entry on failure."""
         ok = left == right
-        witness = None
-        if not ok:
-            witness = describe or _diff_witness(left, right)
-        self.checks.append(Check(check_id, ok, witness))
-        return ok
+        return self.add(check_id, ok, None if ok else _diff_witness(left, right))
 
     def extend(self, other: "Report", prefix: str | None = None):
         for c in other.checks:

@@ -82,7 +82,7 @@ def structure_to_dict(obj, name=None, dynamical=None) -> dict:
                 mult_rows.append({"i": i, "j": j, "coeffs": _enc_vector(field, coeffs)})
     doc["mult"] = mult_rows
     doc["coproduct"] = [_enc_sparse(field, h.coproduct.col(i)) for i in range(alg.dim)]
-    doc["counit"] = [field.format_scalar(h.eps(alg.basis_element(i))) for i in range(alg.dim)]
+    doc["counit"] = [field.format_scalar(h.counit(alg.basis_element(i))) for i in range(alg.dim)]
     doc["antipode"] = _enc_matrix(field, h.s)
     doc["antipode_inv"] = _enc_matrix(field, h.s_inv)
     doc["alpha"] = _enc_vector(field, h.alpha.coeffs)
@@ -184,13 +184,13 @@ def _dec_sparse(field, alg, rows, arity, path):
     return TensorElement(alg, arity, entries)
 
 
-def _dec_map(field, alg, obj, path, anti=False):
+def _dec_map(field, alg, obj, path):
     mat = _expect(obj, "matrix", list, f"{path}.matrix")
     if len(mat) != alg.dim:
         raise SchemaError(f"matrix must have {alg.dim} rows", f"{path}.matrix")
     rows = [_dec_vector(field, row, alg.dim, f"{path}.matrix[{r}]")
             for r, row in enumerate(mat)]
-    return LinearMap.from_matrix(alg, rows, anti=anti)
+    return LinearMap.from_matrix(alg, rows)
 
 
 def parse_structure(text: str) -> CatalogEntry:
@@ -229,12 +229,11 @@ def parse_structure(text: str) -> CatalogEntry:
                                 for i, rows in enumerate(cop_rows)])
     counit = LinearMap.scalar_map(
         alg, _dec_vector(field, _expect(doc, "counit", list, "counit"), dim, "counit"))
-    s = _dec_map(field, alg, _expect(doc, "antipode", dict, "antipode"), "antipode",
-                 anti=True)
+    s = _dec_map(field, alg, _expect(doc, "antipode", dict, "antipode"), "antipode")
     s_inv = None
     if "antipode_inv" in doc:
         s_inv = _dec_map(field, alg, _expect(doc, "antipode_inv", dict, "antipode_inv"),
-                         "antipode_inv", anti=True)
+                         "antipode_inv")
     alpha = alg.element(_dec_vector(field, _expect(doc, "alpha", list, "alpha"),
                                     dim, "alpha"))
     beta = alg.element(_dec_vector(field, _expect(doc, "beta", list, "beta"),

@@ -12,7 +12,8 @@ data, the u-operators, ...) is cached in that bundle's own memo by the
 functions decorated with :func:`_memoized`.  Every bundle object starts
 with an empty memo, and no memo is ever copied to another bundle, so a
 check that recomputes a value on a derived or twisted bundle really
-recomputes it.
+recomputes it.  A bundle stores no verified flag; whether it satisfies
+its axioms is what the verifiers report.
 """
 
 from __future__ import annotations
@@ -32,18 +33,16 @@ __all__ = [
 
 
 def _memoized(fn):
-    """Cache ``fn(h, ...)`` in the memo of the bundle ``h``, keyed by the other arguments.
+    """Cache ``fn(h, *args)`` in the memo of the bundle ``h``, keyed by ``(fn, *args)``.
 
-    The key is the arguments as written, so ``f(h)`` and ``f(h, check=True)``
-    are two entries; callers spell options out.  Only data computed from
-    ``h`` alone belongs here: nothing keyed by a twist and no tensor product
-    of two bundles.
+    Only data computed from ``h`` alone belongs here: nothing keyed by a
+    twist and no tensor product of two bundles.
     """
     @functools.wraps(fn)
-    def wrapper(h, *args, **kwargs):
-        key = (fn, *args, *sorted(kwargs.items()))
+    def wrapper(h, *args):
+        key = (fn, *args)
         if key not in h._memo:
-            h._memo[key] = fn(h, *args, **kwargs)
+            h._memo[key] = fn(h, *args)
         return h._memo[key]
 
     return wrapper
@@ -87,10 +86,10 @@ class QuasiAntipode:
         alg = self.s.algebra
         w_inv = w.inverse()
         cols = [(w * self.s.col_element(i) * w_inv).to_tensor() for i in range(alg.dim)]
-        s_new = LinearMap(alg, cols, anti=True)
+        s_new = LinearMap(alg, cols)
         s_new_inv_cols = [self.s_inv(w_inv * alg.basis_element(i) * w).to_tensor()
                           for i in range(alg.dim)]
-        s_new_inv = LinearMap(alg, s_new_inv_cols, anti=True)
+        s_new_inv = LinearMap(alg, s_new_inv_cols)
         return QuasiAntipode(s_new, w * self.alpha, self.beta * w_inv, s_inv=s_new_inv)
 
 
@@ -122,7 +121,6 @@ class QuasiBialgebra:
         self.r, self.r_inv = r, r_inv
         if verify and r is not None:
             _require(verify_rmatrix(self), "R-matrix axioms fail")
-        self.verified = verify
 
     def with_antipode(self, antipode, verify=True) -> "QuasiBialgebra":
         """This quasi-bialgebra with ``antipode`` and no R-matrix.
@@ -133,31 +131,23 @@ class QuasiBialgebra:
                              self.phi_inv, antipode, verify=False)
         if verify:
             _require(verify_quasi_antipode(out), "quasi-antipode axioms fail")
-        out.verified = self.verified and verify
         return out
 
-    def with_r(self, r, r_inv=None, verify=True) -> "QuasiBialgebra":
+    def with_r(self, r, r_inv=None) -> "QuasiBialgebra":
         """This bundle with R-matrix ``r``, or with none for ``r=None``.
 
         Only the R-matrix is verified; the rest is taken as it is.
         """
         out = QuasiBialgebra(self.algebra, self.coproduct, self.counit, self.phi,
                              self.phi_inv, self.antipode, r, r_inv, verify=False)
-        if verify and r is not None:
+        if r is not None:
             _require(verify_rmatrix(out), "R-matrix axioms fail")
-        out.verified = self.verified and verify
         return out
 
     @property
     @_memoized
     def coproduct_t(self) -> LinearMap:
         return self.coproduct.swapped()
-
-    def delta(self, x):
-        return self.coproduct(x)
-
-    def eps(self, x):
-        return self.counit(x)
 
     @property
     def s(self):
@@ -265,10 +255,10 @@ def verify_quasi_antipode(h: QuasiBialgebra) -> Report:
     rep.add_equal("Sphi-inv", zag, one)
 
     _add_scan(rep, "Sab-alpha", alg,
-              lambda e: contract_element(h.delta(e), [(1, s), alpha, (2, None)])
+              lambda e: contract_element(h.coproduct(e), [(1, s), alpha, (2, None)])
               != eps(e) * alpha)
     _add_scan(rep, "Sab-beta", alg,
-              lambda e: contract_element(h.delta(e), [(1, None), beta, (2, s)])
+              lambda e: contract_element(h.coproduct(e), [(1, None), beta, (2, s)])
               != eps(e) * beta)
 
     rep.add("eps-alpha-beta", eps(alpha) * eps(beta) == alg.field.one,

@@ -74,12 +74,14 @@ def suite_axioms(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep.extend(verify_quasi_antipode(s), prefix="antipode")
     if s.r is not None:
         rep.extend(verify_rmatrix(s), prefix="rmatrix")
-    _guard(rep, "P1", lambda: opposite_structure(s))
+    op = _guard(rep, "P1", lambda: opposite_structure(s))
     _guard(rep, "P2", lambda: primed_structure(s))
     _guard(rep, "P2'", lambda: zero_structure(s))
-    rep.add("P1.involution",
-            structures_equal(opposite_structure(opposite_structure(s)), s),
-            "the opposite of the opposite differs from the original")
+    if op is None:
+        rep.add("P1.involution", False, "no opposite structure (P1 failed)")
+    else:
+        _holds(rep, "P1.involution", lambda: structures_equal(opposite_structure(op), s),
+               "the opposite of the opposite differs from the original")
     return rep
 
 
@@ -98,8 +100,8 @@ def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
         g = random_twist(rng, s)
         w = random_invertible_element(rng, h.algebra)
 
-        _guard(rep, f"E6.verify@{k}", lambda: twist_structure(s, f))
-        ts = twist_structure(s, f, verify=False)
+        ts = (_guard(rep, f"E6.verify@{k}", lambda: twist_structure(s, f))
+              or twist_structure(s, f, verify=False))
         _holds(rep, f"L3.group@{k}",
                lambda: structures_equal(twist_structure(s, compose_twists(f, g)),
                                         twist_structure(twist_structure(s, g, verify=False), f,
@@ -158,8 +160,8 @@ def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Rep
         return rep
     rng = _rng(seed, "qtriangular", entry.name)
 
-    _guard(rep, "P6+E17", lambda: canonical_r_elements(s, "r", check=True))
-    ops = _guard(rep, "E18+E19+E20+L1+L2", lambda: compute_u(s, check=True))
+    _guard(rep, "P6+E17", lambda: canonical_r_elements(s, "r"))
+    ops = _guard(rep, "E18+E19+E20+L1+L2", lambda: compute_u(s))
     if ops is None:
         return rep
     rep.add("u-central-product", (ops.u * s.s(ops.u)).is_central(),

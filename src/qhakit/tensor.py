@@ -572,14 +572,14 @@ def first_difference(a: TensorElement, b: TensorElement):
 class LinearMap:
     """A linear map H -> H^(x)m defined by its images on the basis.
 
-    ``anti=True`` only marks anti-homomorphisms (such as an antipode); the
-    map itself is stored and applied linearly, and anti-multiplicativity
-    is a property the structure verifiers check, not the representation.
+    The map is stored and applied linearly.  Whether it is an
+    anti-homomorphism (such as an antipode) is a property the structure
+    verifiers check, not part of the representation.
     """
 
-    __slots__ = ("algebra", "out_arity", "columns", "anti", "_numerators")
+    __slots__ = ("algebra", "out_arity", "columns", "_numerators")
 
-    def __init__(self, algebra, columns, anti=False):
+    def __init__(self, algebra, columns):
         columns = list(columns)
         if len(columns) != algebra.dim:
             raise ArityMismatch("one column per basis element")
@@ -589,7 +589,6 @@ class LinearMap:
         self.algebra = algebra
         self.out_arity = arities.pop()
         self.columns = columns
-        self.anti = anti
         self._numerators = None   # the columns over one denominator, built by on_leg
 
     @classmethod
@@ -597,10 +596,10 @@ class LinearMap:
         return cls(algebra, [algebra.basis_element(i).to_tensor() for i in range(algebra.dim)])
 
     @classmethod
-    def from_matrix(cls, algebra, matrix, anti=False):
+    def from_matrix(cls, algebra, matrix):
         cols = [TensorElement(algebra, 1, {(k,): matrix[k][i] for k in range(algebra.dim)})
                 for i in range(algebra.dim)]
-        return cls(algebra, cols, anti=anti)
+        return cls(algebra, cols)
 
     @classmethod
     def scalar_map(cls, algebra, values):
@@ -658,7 +657,7 @@ class LinearMap:
             raise ArityMismatch("can only precompose with a 1 -> 1 map")
         cols = [_linear_combination(c, lambda i: self.columns[i[0]], self.out_arity)
                 for c in other.columns]
-        return LinearMap(self.algebra, cols, anti=self.anti != other.anti)
+        return LinearMap(self.algebra, cols)
 
     def matrix(self):
         if self.out_arity != 1:
@@ -672,13 +671,13 @@ class LinearMap:
 
     def inverse(self) -> "LinearMap":
         inv = linalg.invert_matrix(self.algebra.field, self.matrix())
-        return LinearMap.from_matrix(self.algebra, inv, anti=self.anti)
+        return LinearMap.from_matrix(self.algebra, inv)
 
     def swapped(self) -> "LinearMap":
         """For 1 -> 2 maps: the opposite coproduct T o Delta."""
         if self.out_arity != 2:
             raise ArityMismatch("swapped needs a 1 -> 2 map")
-        return LinearMap(self.algebra, [c.perm((2, 1)) for c in self.columns], anti=self.anti)
+        return LinearMap(self.algebra, [c.perm((2, 1)) for c in self.columns])
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
@@ -687,8 +686,7 @@ class LinearMap:
                 and self.out_arity == other.out_arity and self.columns == other.columns)
 
     def __repr__(self):
-        kind = "anti" if self.anti else "linear"
-        return f"LinearMap(1->{self.out_arity}, {kind})"
+        return f"LinearMap(1->{self.out_arity})"
 
 
 def tensor_of(*elements) -> TensorElement:

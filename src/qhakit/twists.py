@@ -61,9 +61,6 @@ class Twist:
     def inverse(self) -> "Twist":
         return Twist(self.f_inv, self.counit, self.f, check=False)
 
-    def transpose(self) -> "Twist":
-        return Twist(self.f.transpose(), self.counit, self.f_inv.transpose(), check=False)
-
     def power(self, m: int) -> "Twist":
         if m < 0:
             return self.inverse().power(-m)

@@ -6,6 +6,7 @@ import pytest
 
 from qhakit.catalog import builtin
 from qhakit.drinfeld import compute_drinfeld_data
+from qhakit.structures import verify_qba, verify_quasi_antipode, verify_rmatrix
 
 ENTRY_NAMES = ("trivial", "group_z3", "z2_triangular", "sweedler_h4", "semion")
 QT_NAMES = ("trivial", "z2_triangular", "sweedler_h4", "semion")
@@ -26,6 +27,17 @@ def hopf(name):
 
 def drinfeld_data(name):
     return compute_drinfeld_data(hopf(name))
+
+
+def assert_verified(s):
+    """Every verifier that applies to the bundle ``s`` passes."""
+    reports = [verify_qba(s)]
+    if s.antipode is not None:
+        reports.append(verify_quasi_antipode(s))
+    if s.r is not None:
+        reports.append(verify_rmatrix(s))
+    for rep in reports:
+        assert rep.ok, (rep.name, rep.failure_ids())
 
 
 @pytest.fixture(params=ENTRY_NAMES)

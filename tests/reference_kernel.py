@@ -14,7 +14,8 @@ The ``bareiss_*`` functions are the fraction-free elimination that
 ``qhakit.linalg`` ran before its p-adic solve, with the exact division by
 a Z[zeta_n] pivot (``divider``) and the restore over a Z[zeta_n]
 denominator (``restore``) it needed: a second elimination oracle, on
-numerators, beside the Gaussian one.
+numerators, beside the Gaussian one.  ``nullspace`` is a Gauss-Jordan
+kernel basis that only tests need.
 
 The ``cyclo_*`` functions are the Q(zeta_n) arithmetic ``Cyclo`` used
 before it moved to int vectors over one denominator: polynomials with
@@ -292,6 +293,41 @@ def invert(t: TensorElement) -> TensorElement:
     if mul(candidate, t) != unit:
         raise SingularError("element has a right inverse but no left inverse")
     return candidate
+
+
+def nullspace(field, matrix):
+    """Basis vectors of the kernel of M (rows may outnumber columns)."""
+    rows = len(matrix)
+    if rows == 0:
+        return []
+    cols = len(matrix[0])
+    m = [list(row) for row in matrix]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [field.zero] * cols
+        vec[f] = field.one
+        for i, p in enumerate(pivots):
+            vec[p] = -m[i][f]
+        basis.append(vec)
+    return basis
 
 
 def restore(field, nums, den):

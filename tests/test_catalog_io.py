@@ -15,7 +15,7 @@ from qhakit.serial import (parse_structure, parse_twist, serialize_structure,
                            serialize_twist)
 from qhakit.structures import structures_equal
 
-from conftest import ENTRY_NAMES, entry
+from conftest import ENTRY_NAMES, assert_verified, entry
 
 
 class TestBuiltin:
@@ -27,7 +27,7 @@ class TestBuiltin:
         for n in (1, 2, 4, 6, 8):
             e = builtin(f"group_z{n}")
             assert e.structure.algebra.dim == n
-            assert e.structure.verified
+            assert_verified(e.structure)
 
     def test_unknown_name(self):
         with pytest.raises(CatalogError, match="unknown builtin"):
@@ -44,7 +44,7 @@ class TestBuiltin:
             builtin("group_z0")
 
     def test_all_verified_at_build(self, any_entry):
-        assert any_entry.structure.verified
+        assert_verified(any_entry.structure)
 
     def test_semion_headline_values(self):
         s = entry("semion").structure

@@ -191,7 +191,7 @@ class TestTwist:
         back = parse_structure(out_file.read_text()).structure
         assert back.coproduct == s.coproduct_t
         assert back.phi == s.phi_inv.perm((3, 2, 1))
-        alpha_r, beta_r = canonical_r_elements(s, check=False)
+        alpha_r, beta_r = canonical_r_elements(s)
         assert back.alpha == alpha_r and back.beta == beta_r
         assert back.s == s.s
 

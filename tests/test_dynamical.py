@@ -60,7 +60,7 @@ class TestShiftSystem:
 
     def test_sweedler_center_is_scalars_only(self):
         """The four-dimensional entry admits only the trivial shift system."""
-        from qhakit.linalg import nullspace
+        from reference_kernel import nullspace
         alg = hopf("sweedler_h4").algebra
         rows = []
         for i in range(alg.dim):

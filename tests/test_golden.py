@@ -27,6 +27,7 @@ from qhakit.drinfeld import (compute_drinfeld_twist, compute_gamma, compute_gamm
 from qhakit.dynamical import DynamicalTwist, ShiftSystem
 from qhakit.errors import QhaError
 from qhakit.qtriangular import altschuler_coste_operator
+from qhakit.report import Report
 from qhakit.serial import serialize_structure
 from qhakit.structures import (QuasiAntipode, QuasiBialgebra, verify_quasi_antipode,
                                verify_rmatrix)
@@ -97,13 +98,15 @@ def _z2_non_cocycle_family() -> CatalogEntry:
 def _semion_perturbed_r():
     s = builtin("semion").structure
     g = s.algebra.basis_element(1)
-    return s.with_r(s.r + tensor_of(g, g).scale(Fraction(1, 3)), verify=False)
+    return QuasiBialgebra(s.algebra, s.coproduct, s.counit, s.phi, s.phi_inv, s.antipode,
+                          s.r + tensor_of(g, g).scale(Fraction(1, 3)), verify=False)
 
 
 def _with_antipode(h, s, s_inv, alpha=None, beta=None):
     anti = QuasiAntipode(s, h.alpha if alpha is None else alpha,
                          h.beta if beta is None else beta, s_inv=s_inv)
-    return h.with_antipode(anti, verify=False).with_r(h.r, h.r_inv, verify=False)
+    return QuasiBialgebra(h.algebra, h.coproduct, h.counit, h.phi, h.phi_inv, anti,
+                          h.r, h.r_inv, verify=False)
 
 
 def _sweedler_wrong_alpha():
@@ -133,7 +136,7 @@ def _group_z3_identity_antipode_pair():
     h = builtin("group_z3").structure
     alg = h.algebra
     w = alg.unit_element + alg.basis_element(1)
-    ident = LinearMap(alg, LinearMap.identity(alg).columns, anti=True)
+    ident = LinearMap.identity(alg)
     return AntipodePair(h, QuasiAntipode(ident, w * h.alpha, h.beta * w.inverse()),
                         verify=False)
 
@@ -309,7 +312,7 @@ GOLDEN_FAILURES = {
     'mutated_coproduct/opposite_drinfeld': 'ConsistencyError: gamma intertwining fails on '
                                            'basis element x',
     'non_cocycle_family/dynamical': '838a8d78c350526772778890c8495034285c14addf315f32fc296900b92df30e',
-    'perturbed_r/axioms': 'StructureError: R-matrix axioms fail: E14.ii, E14.iii, R-counit',
+    'perturbed_r/axioms': '2a2565e9d638ff099450a4b1b8232d3e0265959680f8963ff6f748f757e97d6d',
     'perturbed_r/drinfeld': 'd8b107af8371db1529e2ac8bd9aba55ca412f200f9f8726e54fa4c92773aca6c',
     'perturbed_r/dynamical': '45addcb767786208a229a0c40326b3a6d96e20e5e0b1c922c5bbfe69cdd1c5e5',
     'perturbed_r/qtriangular': '7bcf36f4c5bdf9a83e0111fb0f09a44f8a8d722e015c06e911859f35dd438a0f',
@@ -318,8 +321,7 @@ GOLDEN_FAILURES = {
     'serialize/z2_triangular': '3b12712a9d87b4251c229dd405983cbfd4fbac1bd227475453c8028600468e46',
     'wrong_alpha/altschuler_coste_operator': 'TwistError: cached inverse is not a two-sided '
                                              'inverse',
-    'wrong_alpha/axioms': 'StructureError: quasi-antipode axioms fail: Sphi, Sphi-inv, '
-                          'eps-alpha-beta',
+    'wrong_alpha/axioms': '8f87d0c81dbb7b9a38b12b8c40bc98598c69376131af3b19c14393b471b093ca',
     'wrong_alpha/compute_drinfeld_twist': 'TwistError: cached inverse is not a two-sided '
                                           'inverse',
     'wrong_alpha/compute_gamma': 'ok',
@@ -366,6 +368,18 @@ def test_twist_suite_reports_a_broken_bundle(build, failing):
     (report,) = run_suites(CatalogEntry("broken", build()), "twist", seed=0, trials=1)
     witnesses = {c.check_id: c.witness for c in report.failures()}
     assert witnesses.items() >= failing.items()
+
+
+@pytest.mark.parametrize("label", ["perturbed_r", *BROKEN])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_reports_a_broken_bundle(label, suite):
+    """Every suite returns a report on a broken bundle; none raises."""
+    build = _semion_perturbed_r if label == "perturbed_r" else BROKEN[label]
+    (report,) = run_suites(CatalogEntry("broken", build()), suite, seed=0, trials=1)
+    assert isinstance(report, Report)
+    if suite == "axioms":
+        assert not report.ok
+        assert "P1.involution" in report.failure_ids()
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from qhakit import qtriangular
+from qhakit.catalog import builtin
 from qhakit.qtriangular import (altschuler_coste_operator, canonical_r_elements,
                                 check_ssr_identity, check_u_universality,
                                 compute_u, opposite_by_r_vs_cop, r_tilde)
@@ -12,7 +14,7 @@ from qhakit.randgen import random_twist
 from qhakit.structures import opposite_structure
 from qhakit.twists import Twist, is_compatible
 
-from conftest import QT_NAMES, drinfeld_data, entry, hopf
+from conftest import QT_NAMES, assert_verified, drinfeld_data, entry, hopf
 
 
 class TestCanonicalElements:
@@ -34,20 +36,20 @@ class TestCanonicalElements:
         assert beta_r == g
 
     def test_semion_prop6_assertions(self):
-        # check=True asserts the R-twist reproduces the opposite structure
-        canonical_r_elements(entry("semion").structure, "r", check=True)
-        canonical_r_elements(entry("semion").structure, "r_tilde", check=True)
+        # asserts the R-twist reproduces the opposite structure
+        canonical_r_elements(entry("semion").structure, "r")
+        canonical_r_elements(entry("semion").structure, "r_tilde")
 
     def test_sweedler_both_matrices(self):
-        canonical_r_elements(entry("sweedler_h4").structure, "r", check=True)
-        canonical_r_elements(entry("sweedler_h4").structure, "r_tilde", check=True)
+        canonical_r_elements(entry("sweedler_h4").structure, "r")
+        canonical_r_elements(entry("sweedler_h4").structure, "r_tilde")
 
 
 class TestComputeU:
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_full_battery(self, name):
         # all form agreements and relations asserted internally
-        compute_u(entry(name).structure, check=True)
+        compute_u(entry(name).structure)
 
     def test_trivial(self):
         ops = compute_u(entry("trivial").structure)
@@ -127,6 +129,30 @@ class TestAltschulerCoste:
         altschuler_coste_operator(entry(name).structure)
 
 
+class TestUEvaluatedOnce:
+    @pytest.mark.parametrize("name", ("semion", "sweedler_h4"))
+    def test_closed_forms_evaluated_once_per_bundle(self, name, monkeypatch):
+        """compute_u, the Altschuler-Coste operator, the u-origin report and the twist
+        invariance check share one evaluation of u's closed forms on a bundle."""
+        s = builtin(name).structure  # a new bundle: its memo starts empty
+        f = random_twist(random.Random(3), s)
+        contracted = []
+        real = qtriangular.contract_element
+
+        def counting(t, spec):
+            contracted.append(t)
+            return real(t, spec)
+
+        monkeypatch.setattr(qtriangular, "contract_element", counting)
+        compute_u(s)
+        altschuler_coste_operator(s)
+        assert opposite_by_r_vs_cop(s).ok
+        assert check_u_universality(s, f)
+        on_s = [t for t in contracted if t is s.phi or t is s.phi_inv]
+        assert len(on_s) == 8  # u, u^{-1}, u~, u~^{-1}, two closed forms each
+        assert len(contracted) == 16  # the twisted bundle evaluates its own
+
+
 class TestUOrigin:
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_u_equals_connecting_operator(self, name):
@@ -139,12 +165,12 @@ class TestRTilde:
     def test_r_tilde_is_rmatrix(self, name):
         s = entry(name).structure
         rt, rt_inv = r_tilde(s)
-        assert s.with_r(rt, rt_inv).verified
+        assert_verified(s.with_r(rt, rt_inv))
 
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_opposite_r_matrix(self, name):
         s = entry(name).structure
-        assert opposite_structure(s).verified  # includes R^T as its R-matrix
+        assert_verified(opposite_structure(s))  # includes R^T as its R-matrix
 
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_compatible_combinations(self, name):
@@ -179,7 +205,7 @@ class TestRibbonFormObservation:
         a = altschuler_coste_operator(s)
         eps_u = s.counit.on_leg(a, 1).entries[(0,)]
         normalized = a.scale(alg.field.inv(eps_u))
-        u = compute_u(s, check=False).u  # central here (commutative algebra)
+        u = compute_u(s).u  # central here (commutative algebra)
         assert central_to_compatible(u, s).f == normalized
 
 

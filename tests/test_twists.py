@@ -14,7 +14,7 @@ from qhakit.twists import (Twist, central_to_compatible, compatible_to_central,
                            quadratic_invariants, twist_structure,
                            twisted_coassociator)
 
-from conftest import ENTRY_NAMES, entry, hopf
+from conftest import ENTRY_NAMES, assert_verified, entry, hopf
 
 
 def semion_p():
@@ -49,7 +49,7 @@ class TestTwistStructure:
         rng = random.Random(21)
         f = random_twist(rng, s)
         ts = twist_structure(s, f)
-        assert ts.verified
+        assert_verified(ts)
         assert structures_equal(twist_structure(ts, f.inverse()), s)
 
     def test_twisting_preserves_verification(self, any_entry):
@@ -57,7 +57,7 @@ class TestTwistStructure:
         rng = random.Random(33)
         for _ in range(3):
             f = random_twist(rng, s)
-            assert twist_structure(s, f).verified  # constructor re-runs all verifiers
+            assert_verified(twist_structure(s, f))
 
     def test_semion_projector_twist(self):
         """1 + (c-1) p(x)p is a twist for any invertible c; its twist verifies."""
@@ -65,7 +65,7 @@ class TestTwistStructure:
         p = semion_p()
         for c in (Fraction(3), Fraction(-1, 2), s.algebra.field.zeta):
             f = Twist(s.algebra.tensor_unit(2) + tensor_of(p, p).scale(c - 1), s.counit)
-            assert twist_structure(s, f).verified
+            assert_verified(twist_structure(s, f))
 
 
 class TestComposition:
