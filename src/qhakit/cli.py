@@ -18,7 +18,7 @@ import time
 from .antipode import antipode_from_v
 from .catalog import CatalogEntry, builtin
 from .drinfeld import compute_drinfeld_data
-from .errors import CatalogError, QhaError, SchemaError, StructureError
+from .errors import QhaError, StructureError
 from .qtriangular import altschuler_coste_operator, compute_u
 from .randgen import random_invertible_element, random_twist
 from .serial import _enc_vector, parse_structure, parse_twist, serialize_structure
@@ -85,7 +85,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("QHAKIT_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise QhaError(f"QHAKIT_SEED must be an integer, got {env!r}") from None
 
 
 def _load_input(spec: str) -> CatalogEntry:
@@ -218,7 +223,7 @@ def main(argv=None) -> int:
             code = cmd_compute(args)
         else:
             code = cmd_twist(args)
-    except (SchemaError, StructureError, CatalogError, OSError, QhaError) as exc:
+    except (OSError, QhaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, StructureError) and exc.report is not None:
             for c in exc.report.failures():

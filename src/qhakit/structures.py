@@ -92,6 +92,47 @@ class QuasiAntipode:
         s_new_inv = LinearMap(alg, s_new_inv_cols)
         return QuasiAntipode(s_new, w * self.alpha, self.beta * w_inv, s_inv=s_new_inv)
 
+    def inverted(self) -> "QuasiAntipode":
+        """(S^{-1}, S^{-1}(alpha), S^{-1}(beta)): the triple of the opposite structure."""
+        return QuasiAntipode(self.s_inv, self.s_inv(self.alpha), self.s_inv(self.beta),
+                             s_inv=self.s)
+
+
+def _connecting_element(phi, phi_inv, own: QuasiAntipode, other: QuasiAntipode):
+    """(v, v^{-1}) for the unique invertible v taking ``own`` to ``other`` over ``phi``.
+
+    v alpha = alpha~, beta~ v = beta and S~ = v S(.) v^{-1}.  Both closed
+    forms of v and both of v^{-1} are evaluated, and every relation is
+    asserted on every basis element; any disagreement raises ConsistencyError.
+    """
+    s, s_inv, alpha, beta = own.s, own.s_inv, own.alpha, own.beta
+    st, alpha_t, beta_t = other.s, other.alpha, other.beta
+    st_sinv = st.compose(s_inv)
+
+    v = contract_element(phi, [(1, st), alpha_t, (2, None), beta, (3, s)])
+    v_alt = contract_element(
+        phi_inv, [(1, st_sinv), st(s_inv(beta)), (2, st), alpha_t, (3, None)])
+    if v != v_alt:
+        raise ConsistencyError("the two closed forms of v disagree")
+
+    v_inv = contract_element(phi, [(1, s), alpha, (2, None), beta_t, (3, st)])
+    v_inv_alt = contract_element(
+        phi_inv, [(1, None), beta_t, (2, st), st(s_inv(alpha)), (3, st_sinv)])
+    if v_inv != v_inv_alt:
+        raise ConsistencyError("the two closed forms of v^{-1} disagree")
+
+    alg = s.algebra
+    one = alg.unit_element
+    if v * v_inv != one or v_inv * v != one:
+        raise ConsistencyError("closed-form inverse of v is not a two-sided inverse")
+    if v * alpha != alpha_t:
+        raise ConsistencyError("v alpha != alpha~")
+    if beta_t * v != beta:
+        raise ConsistencyError("beta~ v != beta")
+    _require_scan(alg, lambda i: st.col_element(i) != v * s.col_element(i) * v_inv,
+                  "S~ is not conjugation by v on basis element {name}")
+    return v, v_inv
+
 
 class QuasiBialgebra:
     """(H, coproduct, counit, coassociator), optionally with a quasi-antipode and an R-matrix.
@@ -309,10 +350,9 @@ def opposite_structure(h):
     An R-matrix, if present, becomes the opposite R-matrix R^T.
     """
     r, r_inv = (h.r.transpose(), h.r_inv.transpose()) if h.r is not None else (None, None)
-    anti = QuasiAntipode(h.s_inv, h.s_inv(h.alpha), h.s_inv(h.beta), s_inv=h.s)
     return QuasiBialgebra(h.algebra, h.coproduct.swapped(), h.counit,
-                          h.phi_inv.perm((3, 2, 1)), h.phi.perm((3, 2, 1)), anti,
-                          r, r_inv)
+                          h.phi_inv.perm((3, 2, 1)), h.phi.perm((3, 2, 1)),
+                          h.antipode.inverted(), r, r_inv)
 
 
 @_memoized

@@ -9,7 +9,7 @@ the R-matrix by F^T R F^{-1}.
 from __future__ import annotations
 
 from .errors import SingularError, TwistError
-from .structures import QuasiAntipode, QuasiBialgebra
+from .structures import QuasiAntipode, QuasiBialgebra, _connecting_element
 from .tensor import LinearMap, TensorElement, contract_element, tensor_of
 
 __all__ = [
@@ -62,11 +62,16 @@ class Twist:
         return Twist(self.f_inv, self.counit, self.f, check=False)
 
     def power(self, m: int) -> "Twist":
+        """F^m by square-and-multiply: fewer than 2 bit_length(|m|) compositions."""
         if m < 0:
             return self.inverse().power(-m)
-        out = Twist.identity(self)
-        for _ in range(m):
-            out = compose_twists(out, self)
+        out, square = Twist.identity(self), self
+        while m:
+            if m & 1:
+                out = compose_twists(out, square)
+            m >>= 1
+            if m:
+                square = compose_twists(square, square)
         return out
 
     def __eq__(self, other):
@@ -114,6 +119,11 @@ def twisted_beta(h, f: Twist):
     return contract_element(f.f, [(1, None), h.beta, (2, h.s)])
 
 
+def twisted_antipode(h, f: Twist) -> QuasiAntipode:
+    """(S, alpha_F, beta_F): the triple that twisting by F makes of h's (S, alpha, beta)."""
+    return QuasiAntipode(h.s, twisted_alpha(h, f), twisted_beta(h, f), s_inv=h.s_inv)
+
+
 def twist_structure(h, f: Twist, verify=True):
     """Transport a structure bundle along a twist; returns the same kind.
 
@@ -123,9 +133,7 @@ def twist_structure(h, f: Twist, verify=True):
     """
     phi_f = twisted_coassociator(h, f.f, f.f_inv)
     phi_f_inv = twisted_coassociator_inv(h, f.f, f.f_inv)
-    anti = None
-    if h.antipode is not None:
-        anti = QuasiAntipode(h.s, twisted_alpha(h, f), twisted_beta(h, f), s_inv=h.s_inv)
+    anti = twisted_antipode(h, f) if h.antipode is not None else None
     r_f = r_f_inv = None
     if h.r is not None:
         r_f = f.f.transpose() * h.r * f.f_inv
@@ -172,31 +180,17 @@ def central_to_compatible(z, q) -> Twist:
 def compatible_to_central(c: Twist, h):
     """The unique invertible central z with z alpha = alpha_C and beta_C z = beta.
 
-    Both closed forms of z and of z^{-1} are evaluated and compared, and
-    every defining relation is asserted; any mismatch raises.
+    z connects (S, alpha, beta) to (S, alpha_C, beta_C), so it is the v of
+    that pair: both closed forms of z and of z^{-1} are evaluated and
+    compared, and every defining relation is asserted; any mismatch raises.
     """
     if not is_compatible(c, h):
         raise TwistError("twist is not compatible")
-    s = h.s
-    alpha_c = twisted_alpha(h, c)
-    beta_c = twisted_beta(h, c)
-    z = contract_element(h.phi, [(1, s), alpha_c, (2, None), h.beta, (3, s)])
-    z_alt = contract_element(h.phi_inv, [(1, None), h.beta, (2, s), alpha_c, (3, None)])
-    if z != z_alt:
-        raise TwistError("the two closed forms of the central element disagree")
-    z_inv = contract_element(h.phi, [(1, s), h.alpha, (2, None), beta_c, (3, s)])
-    z_inv_alt = contract_element(h.phi_inv, [(1, None), beta_c, (2, s), h.alpha, (3, None)])
-    if z_inv != z_inv_alt:
-        raise TwistError("the two closed forms of the inverse disagree")
-    one = h.algebra.unit_element
-    if z * z_inv != one or z_inv * z != one:
-        raise TwistError("closed-form inverse is not a two-sided inverse")
+    z, z_inv = _connecting_element(h.phi, h.phi_inv, h.antipode, twisted_antipode(h, c))
     if z_inv != z.inverse():
         raise TwistError("closed-form inverse disagrees with linear-solve inverse")
     if not z.is_central():
         raise TwistError("central element formula produced a non-central element")
-    if z * h.alpha != alpha_c or beta_c * z != h.beta:
-        raise TwistError("defining relations of the central element fail")
     return z
 
 

@@ -116,6 +116,12 @@ class TestVerify:
                         "--format", "structured")
         assert json.loads(out)["seed"] == 77
 
+    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QHAKIT_SEED", "abc")
+        code, out, err = run(capsys, "verify", "trivial", "--suite", "axioms")
+        assert code == 2 and out == ""
+        assert "QHAKIT_SEED" in err and "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "verify", "trivial", "--suite", "axioms",

@@ -332,7 +332,7 @@ GOLDEN_FAILURES = {
     'wrong_alpha/dynamical': '21d09faf9c3d538721f6da12dd8c39715886aa1643ada0feb19bf83048c9f6f4',
     'wrong_alpha/opposite_drinfeld': 'TwistError: cached inverse is not a two-sided inverse',
     'wrong_alpha/qtriangular': 'e02baa08b776ba5f68d4c1fe129f187aeb65453cbe6e9d7696d81f56f79af15f',
-    'wrong_alpha/twist': 'd701896599b77ac0f4f3b62e6ccbe3741c0e96be778b029503718ce8c54ddf3b',
+    'wrong_alpha/twist': '0f01dbb9e0fce2aeb19f23c3d70a6551acbd16d8248a88d82be3a1b81e55cdc0',
      'wrong_alpha/verify_quasi_antipode': '83e7f395a7ee4aef84174dcd82660b70a54a27c5865c474a4a390600cad3fe7a',
 }
 

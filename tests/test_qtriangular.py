@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qhakit import qtriangular
+from qhakit.antipode import AntipodePair, compute_v
 from qhakit.catalog import builtin
 from qhakit.qtriangular import (altschuler_coste_operator, canonical_r_elements,
                                 check_ssr_identity, check_u_universality,
                                 compute_u, opposite_by_r_vs_cop, r_tilde)
 from qhakit.randgen import random_twist
 from qhakit.structures import opposite_structure
-from qhakit.twists import Twist, is_compatible
+from qhakit.twists import Twist, is_compatible, twisted_antipode
 
 from conftest import QT_NAMES, assert_verified, drinfeld_data, entry, hopf
 
@@ -133,24 +134,25 @@ class TestUEvaluatedOnce:
     @pytest.mark.parametrize("name", ("semion", "sweedler_h4"))
     def test_closed_forms_evaluated_once_per_bundle(self, name, monkeypatch):
         """compute_u, the Altschuler-Coste operator, the u-origin report and the twist
-        invariance check share one evaluation of u's closed forms on a bundle."""
+        invariance check share one connecting-element evaluation per bundle and R choice."""
         s = builtin(name).structure  # a new bundle: its memo starts empty
         f = random_twist(random.Random(3), s)
-        contracted = []
-        real = qtriangular.contract_element
+        targets = []
+        real = qtriangular._connecting_element
 
-        def counting(t, spec):
-            contracted.append(t)
-            return real(t, spec)
+        def counting(phi, phi_inv, own, other):
+            targets.append(other)
+            return real(phi, phi_inv, own, other)
 
-        monkeypatch.setattr(qtriangular, "contract_element", counting)
+        monkeypatch.setattr(qtriangular, "_connecting_element", counting)
         compute_u(s)
         altschuler_coste_operator(s)
         assert opposite_by_r_vs_cop(s).ok
+        # u from R, u~ from (R^T)^{-1}
+        assert targets == [qtriangular._canonical(s, "r")[1],
+                           qtriangular._canonical(s, "r_tilde")[1]]
         assert check_u_universality(s, f)
-        on_s = [t for t in contracted if t is s.phi or t is s.phi_inv]
-        assert len(on_s) == 8  # u, u^{-1}, u~, u~^{-1}, two closed forms each
-        assert len(contracted) == 16  # the twisted bundle evaluates its own
+        assert len(targets) == 4  # the twisted bundle evaluates its own
 
 
 class TestUOrigin:
@@ -158,6 +160,15 @@ class TestUOrigin:
     def test_u_equals_connecting_operator(self, name):
         rep = opposite_by_r_vs_cop(entry(name).structure)
         assert rep.ok, rep.failure_ids()
+
+    @pytest.mark.parametrize("name", QT_NAMES)
+    def test_u_tilde_is_v_on_the_opposite_pair(self, name):
+        """u~ connects the native triple of H^cop to the one twisting by (R^T)^{-1} induces."""
+        s = entry(name).structure
+        rt, rt_inv = r_tilde(s)
+        anti = twisted_antipode(s, Twist(rt, s.counit, rt_inv))
+        pair = AntipodePair(opposite_structure(s.with_r(None)), anti)
+        assert compute_u(s).u_tilde == compute_v(pair)
 
 
 class TestRTilde:

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from qhakit import twists
+from qhakit.antipode import AntipodePair, compute_v
 from qhakit.errors import TwistError
 from qhakit.randgen import random_twist
 from qhakit.structures import structures_equal
 from qhakit.tensor import tensor_of
 from qhakit.twists import (Twist, central_to_compatible, compatible_to_central,
                            compose_twists, is_compatible, is_quasi_cocycle,
-                           quadratic_invariants, twist_structure,
+                           quadratic_invariants, twist_structure, twisted_antipode,
                            twisted_coassociator)
 
 from conftest import ENTRY_NAMES, assert_verified, entry, hopf
@@ -87,6 +89,42 @@ class TestComposition:
         assert structures_equal(
             twist_structure(s, compose_twists(f, g)),
             twist_structure(twist_structure(s, g), f))
+
+
+class TestPower:
+    @staticmethod
+    def r_twist(s):
+        return Twist(s.r, s.counit, s.r_inv)
+
+    @pytest.mark.parametrize("name", ("z2_triangular", "sweedler_h4", "semion"))
+    def test_matches_repeated_composition(self, name):
+        s = entry(name).structure
+        f = self.r_twist(s)
+        for m in range(-4, 5):
+            step = f if m >= 0 else f.inverse()
+            expected = Twist.identity(s)
+            for _ in range(abs(m)):
+                expected = compose_twists(expected, step)
+            got = f.power(m)
+            assert (got.f, got.f_inv) == (expected.f, expected.f_inv), m
+
+    def test_large_power_composes_logarithmically(self, monkeypatch):
+        s = entry("semion").structure
+        f = self.r_twist(s)
+        m = 10 ** 6
+        bound = 2 * m.bit_length()
+        calls = []
+        real = twists.compose_twists
+
+        def counting(a, b):
+            calls.append(1)
+            assert len(calls) <= bound, "power composes more than 2 bit_length(m) times"
+            return real(a, b)
+
+        monkeypatch.setattr(twists, "compose_twists", counting)
+        for power in (m, -m):
+            calls.clear()
+            f.power(power)
 
 
 class TestQuasiCocycle:
@@ -182,6 +220,17 @@ class TestCompatibleToCentral:
         c = central_to_compatible(z0, h)
         z = compatible_to_central(c, h)  # raises unless all relations hold
         assert z.is_central()
+
+    def test_central_element_is_v(self, any_entry):
+        """z connects (S, alpha, beta) to (S, alpha_C, beta_C): it is compute_v of that pair."""
+        h = hopf(any_entry.name)
+        alg = h.algebra
+        z = 2 * alg.unit_element + alg.basis_element(alg.dim - 1)
+        if not (z.is_central() and z.is_invertible() and h.counit(z)):
+            z = alg.scalar_element(3)
+        c = central_to_compatible(z, h)
+        pair = AntipodePair(h, twisted_antipode(h, c))  # verifies (S, alpha_C, beta_C)
+        assert compatible_to_central(c, h) == compute_v(pair)
 
     def test_incompatible_rejected(self):
         h = hopf("sweedler_h4")
