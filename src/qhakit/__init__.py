@@ -5,29 +5,51 @@ extension; every identity the package verifies (coassociator axioms,
 antipode equivalence, twisting, the square-of-the-antipode operators,
 quasi-cocycles, and the quasi-dynamical Yang-Baxter equation) is an exact
 equality of tensors, never a numerical approximation.
+
+The names below resolve on first use (PEP 562), so importing one module
+of the package, such as the command-line driver, loads only what that
+module needs.
 """
 
-from .scalars import Cyclo, Field, RATIONAL, cyclotomic_field
-from .tensor import (Algebra, AlgElement, LinearMap, TensorElement, contract,
-                     contract_element, tensor_of)
-from .structures import (QuasiAntipode, QuasiBialgebra, check_qqybe, opposite_structure,
-                         primed_structure, verify_qba, verify_quasi_antipode,
-                         verify_rmatrix, zero_structure)
-from .twists import (Twist, central_to_compatible, compatible_to_central,
-                     compose_twists, is_compatible, is_quasi_cocycle,
-                     quadratic_invariants, twist_structure)
-from .antipode import AntipodePair, antipode_from_v, check_v_universality, compute_v
-from .drinfeld import (DrinfeldData, compute_drinfeld_data, compute_drinfeld_twist,
-                       compute_gamma, compute_gamma_bar, compute_second_drinfeld,
-                       drinfeld_under_twist, gamma_bar_under_twist, opposite_drinfeld)
-from .qtriangular import (UOperators, altschuler_coste_operator, canonical_r_elements,
-                          check_ssr_identity, check_u_universality, compute_u,
-                          opposite_by_r_vs_cop)
-from .dynamical import (DynamicalTwist, ShiftSystem, check_dynamical_coproduct,
-                        check_opposite_qdqybe, check_qdqybe,
-                        check_shifted_quasi_cocycle, constant_family,
-                        dynamical_coassociator, shifted_insert)
-from .catalog import CatalogEntry, builtin, default_entries
-from .serial import parse_structure, parse_twist, serialize_structure, serialize_twist
+import importlib
 
+_EXPORTS = {
+    "scalars": ("Cyclo", "Field", "RATIONAL", "cyclotomic_field"),
+    "tensor": ("Algebra", "AlgElement", "LinearMap", "TensorElement", "contract",
+               "contract_element", "tensor_of"),
+    "structures": ("QuasiAntipode", "QuasiBialgebra", "check_qqybe", "opposite_structure",
+                   "primed_structure", "verify_qba", "verify_quasi_antipode",
+                   "verify_rmatrix", "zero_structure"),
+    "twists": ("Twist", "central_to_compatible", "compatible_to_central", "compose_twists",
+               "is_compatible", "is_quasi_cocycle", "quadratic_invariants",
+               "twist_structure"),
+    "antipode": ("AntipodePair", "antipode_from_v", "check_v_universality", "compute_v"),
+    "drinfeld": ("DrinfeldData", "compute_drinfeld_data", "compute_drinfeld_twist",
+                 "compute_gamma", "compute_gamma_bar", "compute_second_drinfeld",
+                 "drinfeld_under_twist", "gamma_bar_under_twist", "opposite_drinfeld"),
+    "qtriangular": ("UOperators", "altschuler_coste_operator", "canonical_r_elements",
+                    "check_ssr_identity", "check_u_universality", "compute_u",
+                    "opposite_by_r_vs_cop"),
+    "dynamical": ("DynamicalTwist", "ShiftSystem", "check_dynamical_coproduct",
+                  "check_opposite_qdqybe", "check_qdqybe", "check_shifted_quasi_cocycle",
+                  "constant_family", "dynamical_coassociator", "shifted_insert"),
+    "catalog": ("CatalogEntry", "builtin", "default_entries"),
+    "serial": ("parse_structure", "parse_twist", "serialize_structure", "serialize_twist"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -1,0 +1,226 @@
+"""The rational block basis of a cyclic group algebra, and transport of a bundle into it.
+
+By Perlis and Walker, Q[Z/n] is the direct sum over the divisors d of n of
+the blocks eps_d Q[Z/n], each a copy of Q(zeta_d).  The idempotent of a
+block is eps_d = (1/n) sum_k c_d(k) g^k with c_d the Ramanujan sum, and the
+block has the basis eps_d g^j, 0 <= j < phi(d): the power basis of
+Q(zeta_d).  Every coefficient is rational, so a bundle over Q stays over Q.
+Products of elements of different blocks vanish, so the legwise product
+(whose kernel skips leg pairs without structure constants) does much less
+work in this basis: for Z/4, 6 of the 16 leg pairs carry structure
+constants, for Z/6, 10 of 36.
+
+``transport`` carries a bundle into the basis of ``block_basis`` and
+verifies the result in full; ``transported`` decides, by two fixed rules,
+which bundles are carried, and keeps the verified result in the bundle's
+memo.  A bundle is carried only when
+
+* its algebra table is exactly e_i e_j = e_{(i+j) mod n} with unit e_0,
+  over Q or Q(zeta_k): the table of ``group_z<n>`` and of every file
+  twisted from it, and
+* the block table has fewer structure constants than the group table's
+  n^2 (not so for Z/5 and Z/7, whose power bases multiply densely), and
+  its coassociator is not 1 (x) 1 (x) 1 (checked by the caller,
+  ``structures._block_form``, so that such jobs never import this module).
+
+Everything is decided in the block basis only where it passes: a
+verification or a check that fails there is redone in the original basis,
+and what reaches a file, report or output is always in the original basis.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import namedtuple
+from fractions import Fraction
+from functools import lru_cache
+
+from .dynamical import DynamicalTwist, ShiftSystem
+from .errors import QhaError, StructureError
+from .scalars import RATIONAL, _zeta_powers, totient
+from .structures import QuasiAntipode, QuasiBialgebra, _memoized
+from .tensor import AlgElement, Algebra, LinearMap, TensorElement
+from .twists import Twist
+
+__all__ = []
+
+# matrix: column a holds basis vector a in group coordinates; inverse: its
+# inverse, built independently; names: the basis names; constants: the number
+# of nonzero structure constants in this basis
+BlockBasis = namedtuple("BlockBasis", "matrix inverse names constants")
+
+
+def _ramanujan(d: int, k: int) -> int:
+    """c_d(k) = sum of zeta_d^(a k) over the units a mod d = sum_{e | gcd(d, k)} mu(d/e) e."""
+    g = math.gcd(d, k)
+    return sum(_mobius(d // e) * e for e in range(1, g + 1) if g % e == 0)
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def block_basis(n: int) -> BlockBasis:
+    """The basis eps_d g^j of Q[Z/n], d | n and 0 <= j < phi(d), with its inverse.
+
+    Column (d, j) of ``matrix`` is eps_d g^j in the group basis,
+    (1/n) c_d(k - j) on g^k.  ``inverse`` comes from the other side: g^k
+    is the sum over the blocks of eps_d g^(k mod d), reduced to the power
+    basis by the d-th cyclotomic polynomial.  ``transport`` checks that
+    the two are inverse to each other.
+    """
+    blocks = [(d, j) for d in range(1, n + 1) if n % d == 0 for j in range(totient(d))]
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    inverse = [[0] * n for _ in range(n)]
+    for a, (d, j) in enumerate(blocks):
+        powers = _zeta_powers(d)
+        for k in range(n):
+            matrix[k][a] = Fraction(_ramanujan(d, (k - j) % n), n)
+            inverse[a][k] = powers[k % d][j]
+    constants = sum(sum(1 for c in _zeta_powers(d)[(i + j) % d] if c)
+                    for d in range(1, n + 1) if n % d == 0
+                    for i in range(totient(d)) for j in range(totient(d)))
+    names = tuple(f"b{d}" if j == 0 else f"b{d}g{j}" for d, j in blocks)
+    return BlockBasis(tuple(map(tuple, matrix)), tuple(map(tuple, inverse)), names, constants)
+
+
+def _is_group_table(alg) -> bool:
+    """e_i e_j = e_{(i+j) mod n} with coefficient 1, and the unit e_0."""
+    n, one = alg.dim, alg.field.one
+    return (alg.unit == (one,) + (alg.field.zero,) * (n - 1)
+            and alg._mult == {(i, j): {(i + j) % n: one} for i in range(n) for j in range(n)})
+
+
+def _rational_map(alg, matrix) -> LinearMap:
+    """The map e_j -> sum_i matrix[i][j] e_i, with values in ``alg``; ``matrix`` is rational."""
+    n = len(matrix)
+    cols = []
+    for j in range(n):
+        nums, den = RATIONAL.clear(row[j] for row in matrix)
+        cols.append(TensorElement._reduced(alg, 1, {(i,): v for i, v in enumerate(nums) if v},
+                                           den))
+    return LinearMap(alg, cols)
+
+
+def _apply(m: LinearMap, x):
+    """``m`` on every leg of a tensor or on an element; the result lies in ``m.algebra``."""
+    if isinstance(x, AlgElement):
+        return m.on_leg(x.to_tensor(), 1).as_element()
+    return m.map_tensor(x)
+
+
+class Transported(namedtuple("Transported", "s down up")):
+    """A verified bundle ``s`` in the block basis, with the two basis changes.
+
+    ``down`` takes group coordinates to block coordinates, ``up`` the way back.
+    """
+
+    __slots__ = ()
+
+    def carry(self, x):
+        """An element, tensor, twist or dynamical family of the original bundle, in ``s``'s basis.
+
+        The basis change is verified, so a carried twist is a twist and is not checked again.
+        """
+        if isinstance(x, Twist):
+            return Twist(self.carry(x.f), self.s.counit, self.carry(x.f_inv), check=False)
+        if isinstance(x, DynamicalTwist):
+            shift = ShiftSystem([self.carry(p) for p in x.shift.idempotents], x.shift.weights)
+            return DynamicalTwist(x.domain, {lam: self.carry(t) for lam, t in x.twists.items()},
+                                  shift)
+        return _apply(self.down, x)
+
+    def back(self, x):
+        """An element or tensor of ``s``, in the original bundle's basis."""
+        return _apply(self.up, x)
+
+
+def _change(old, basis: BlockBasis):
+    """(algebra, down, up): ``old`` rebuilt on ``basis`` and the two basis changes.
+
+    Raises StructureError unless P^{-1} P = 1 exactly.
+    """
+    n = old.dim
+    p, p_inv = basis.matrix, basis.inverse
+    if any(sum(p_inv[a][k] * p[k][b] for k in range(n)) != (a == b)
+           for a in range(n) for b in range(n)):
+        raise StructureError("block basis: P^{-1} P is not the identity")
+    up, coords = _rational_map(old, p), _rational_map(old, p_inv)
+    vectors = [up.col_element(a) for a in range(n)]
+    mult = {(a, b): _apply(coords, x * y).coeffs
+            for a, x in enumerate(vectors) for b, y in enumerate(vectors)}
+    alg = Algebra(old.field, n, mult, unit=_apply(coords, old.unit_element).coeffs,
+                  basis=basis.names)
+    return alg, _rational_map(alg, p_inv), up
+
+
+def transport(s, basis: BlockBasis) -> Transported:
+    """``s`` carried into ``basis`` and verified in full.
+
+    The basis must invert exactly (P^{-1} P = 1); the structure constants
+    and the unit are rebuilt from it, and the coproduct, counit,
+    coassociator and its inverse, the antipode and its inverse, alpha,
+    beta, and R and its inverse are carried over.  Raises StructureError
+    if the basis does not invert or the carried bundle fails a verifier.
+    """
+    alg, down, up = _change(s.algebra, basis)
+    vectors = [up.col_element(a) for a in range(alg.dim)]
+
+    def mapped(m):
+        return LinearMap(alg, [down.map_tensor(m.on_leg(v.to_tensor(), 1)) for v in vectors])
+
+    def carried(t):
+        return None if t is None else _apply(down, t)
+
+    anti = None
+    if s.antipode is not None:
+        anti = QuasiAntipode(mapped(s.s), carried(s.alpha), carried(s.beta),
+                             s_inv=mapped(s.s_inv))
+    out = QuasiBialgebra(alg, mapped(s.coproduct),
+                         LinearMap.scalar_map(alg, [s.counit(v) for v in vectors]),
+                         carried(s.phi), carried(s.phi_inv), anti,
+                         carried(s.r), carried(s.r_inv))
+    return Transported(out, down, up)
+
+
+def _selected(alg):
+    """The block basis for ``alg`` if the rules pick it (see the module docstring), else None."""
+    if not _is_group_table(alg):
+        return None
+    basis = block_basis(alg.dim)
+    return basis if basis.constants < alg.dim ** 2 else None
+
+
+@_memoized
+def transported(s):
+    """``s`` carried into the block basis and verified there, or None.
+
+    None when the rules do not pick the algebra, or when the carried
+    bundle fails verification (the original basis then decides).  The
+    caller has ruled out the trivial coassociator.
+    """
+    basis = _selected(s.algebra)
+    if basis is None:
+        return None
+    try:
+        return transport(s, basis)
+    except QhaError:
+        return None
+
+
+def inverse(t: TensorElement) -> TensorElement:
+    """The inverse of ``t``, computed in the block basis where the rules pick the algebra."""
+    basis = _selected(t.algebra)
+    if basis is None:
+        return t.invert()
+    _, down, up = _change(t.algebra, basis)
+    return up.map_tensor(down.map_tensor(t).invert())

@@ -21,8 +21,9 @@ from .drinfeld import compute_drinfeld_data
 from .errors import QhaError, StructureError
 from .qtriangular import altschuler_coste_operator, compute_u
 from .randgen import random_invertible_element, random_twist
-from .serial import _enc_vector, parse_structure, parse_twist, serialize_structure
+from .structures import _block_form, verify_structure
 from .suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites
+from .tensor import AlgElement
 from .twists import quadratic_invariants, twist_structure
 
 PROG = "qhakit"
@@ -95,6 +96,7 @@ def _resolve_seed(args) -> int:
 
 def _load_input(spec: str) -> CatalogEntry:
     if os.path.exists(spec):
+        from .serial import parse_structure
         with open(spec, "r", encoding="utf-8") as fh:
             return parse_structure(fh.read())
     return builtin(spec)
@@ -108,9 +110,12 @@ def _emit(text: str, output):
         sys.stdout.write(text)
 
 
-def _enc_tensor(field, t) -> list:
+def _encode(field, x) -> list:
+    """An element as its coefficient list, a tensor as its sorted sparse entries."""
+    if isinstance(x, AlgElement):
+        return [field.format_scalar(v) for v in x.coeffs]
     return [{"key": list(k), "scalar": field.format_scalar(v)}
-            for k, v in sorted(t.entries.items())]
+            for k, v in sorted(x.entries.items())]
 
 
 def cmd_verify(args) -> int:
@@ -140,6 +145,26 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _compute(s, what, m, w) -> dict:
+    """The values ``what`` names, computed on the bundle ``s``; ``w`` is v's generator."""
+    if what in ("drinfeld", "second-drinfeld", "gamma", "gammabar"):
+        data = compute_drinfeld_data(s)
+        key, value = {"drinfeld": ("f_delta", data.f_delta.f),
+                      "second-drinfeld": ("f_zero", data.f_zero.f),
+                      "gamma": ("gamma", data.gamma),
+                      "gammabar": ("gamma_bar", data.gamma_bar)}[what]
+        return {key: value}
+    if what == "u":
+        ops = compute_u(s)
+        return {"u": ops.u, "u_tilde": ops.u_tilde}
+    if what == "v":
+        antipode_from_v(s, w)  # verifies the triple and the round trip
+        return {"v": w}
+    if what == "invariants":
+        return {f"z_{m}": quadratic_invariants(s, m)}
+    return {"a": altschuler_coste_operator(s)}
+
+
 def cmd_compute(args) -> int:
     entry = _load_input(args.input)
     seed = _resolve_seed(args)
@@ -155,31 +180,25 @@ def cmd_compute(args) -> int:
         print("error: 'invariants' needs the power m", file=sys.stderr)
         return 2
 
-    values = {}
-    post = "all postconditions verified"
-    if what in ("drinfeld", "second-drinfeld", "gamma", "gammabar"):
-        data = compute_drinfeld_data(s)
-        key, value = {"drinfeld": ("f_delta", data.f_delta.f),
-                      "second-drinfeld": ("f_zero", data.f_zero.f),
-                      "gamma": ("gamma", data.gamma),
-                      "gammabar": ("gamma_bar", data.gamma_bar)}[what]
-        values[key] = _enc_tensor(field, value)
-    elif what == "u":
-        ops = compute_u(s)
-        values["u"] = _enc_vector(field, ops.u.coeffs)
-        values["u_tilde"] = _enc_vector(field, ops.u_tilde.coeffs)
-    elif what == "v":
+    w = None
+    if what == "v":
         rng = random.Random(f"{seed}:compute-v:{entry.name}")
         w = random_invertible_element(rng, s.algebra)
-        antipode_from_v(s, w)  # verifies the triple and the round trip
-        values["v"] = _enc_vector(field, w.coeffs)
-        post = "antipode round trip recovered the generator exactly"
-    elif what == "invariants":
-        z = quadratic_invariants(s, args.m)
-        values[f"z_{args.m}"] = _enc_vector(field, z.coeffs)
-    elif what == "ac-operator":
-        a = altschuler_coste_operator(s)
-        values["a"] = _enc_tensor(field, a)
+    # in the block basis where it applies and succeeds, mapped back; else in s's own basis
+    values = None
+    carried = _block_form(s)
+    if carried is not None:
+        try:
+            w_block = None if w is None else carried.carry(w)
+            values = {key: carried.back(x)
+                      for key, x in _compute(carried.s, what, args.m, w_block).items()}
+        except QhaError:
+            pass   # computed again in the original basis, which decides
+    if values is None:
+        values = _compute(s, what, args.m, w)
+    values = {key: _encode(field, x) for key, x in values.items()}
+    post = ("antipode round trip recovered the generator exactly" if what == "v"
+            else "all postconditions verified")
 
     if args.format == "structured":
         payload = {"command": "compute", "input": entry.name, "what": what,
@@ -196,6 +215,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    from .serial import parse_twist, serialize_structure
     entry = _load_input(args.input)
     s = entry.structure
     if args.twist_file:
@@ -204,7 +224,8 @@ def cmd_twist(args) -> int:
     else:
         rng = random.Random(f"{args.generate_seed}:twist:{entry.name}")
         tw = random_twist(rng, s)
-    twisted = twist_structure(s, tw, verify=True)
+    twisted = twist_structure(s, tw, verify=False)
+    verify_structure(twisted)
     text = serialize_structure(twisted, name=f"{entry.name}-twisted")
     _emit(text, args.output)
     if not args.output:

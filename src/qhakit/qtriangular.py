@@ -50,6 +50,16 @@ def _canonical(t: QuasiBialgebra, which: str):
     return twist, twisted_antipode(t, twist)
 
 
+@_memoized
+def _r_twisted(t: QuasiBialgebra, which: str) -> QuasiBialgebra:
+    """The bundle twisted by the R-twist of ``which``, verified in full.
+
+    A failed verification raises and caches nothing, so it raises again
+    on the next call.
+    """
+    return twist_structure(t.with_r(None), _canonical(t, which)[0], verify=True)
+
+
 def canonical_r_elements(t: QuasiBialgebra, which: str = "r"):
     """(alpha_R, beta_R) for R or for (R^T)^{-1}.
 
@@ -58,9 +68,9 @@ def canonical_r_elements(t: QuasiBialgebra, which: str = "r"):
     unchanged antipode, and that the resulting structure passes the full
     verifier battery.
     """
-    twist, anti = _canonical(t, which)
+    anti = _canonical(t, which)[1]
     alpha_r, beta_r = anti.alpha, anti.beta
-    twisted = twist_structure(t.with_r(None), twist, verify=True)
+    twisted = _r_twisted(t, which)
     if twisted.coproduct != t.coproduct_t:
         raise ConsistencyError("twisting by the R-matrix does not reverse the coproduct")
     if twisted.phi != t.phi_inv.perm((3, 2, 1)):

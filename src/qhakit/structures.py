@@ -14,6 +14,15 @@ with an empty memo, and no memo is ever copied to another bundle, so a
 check that recomputes a value on a derived or twisted bundle really
 recomputes it.  A bundle stores no verified flag; whether it satisfies
 its axioms is what the verifiers report.
+
+A bundle on a cyclic group algebra may be verified in the rational block
+basis of :mod:`qhakit.blocks` (``verify_structure``): that
+module carries it there when its algebra is exactly the table of
+``group_z<n>`` over Q or Q(zeta_k), its coassociator is not trivial, and
+the block table has fewer structure constants than n^2.  The carried
+bundle, verified in full, is kept in the memo (``_block_form``); where it
+fails, the verifiers run on the bundle itself, so every error and report
+is that of the original basis.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .report import Report
 from .tensor import LinearMap, contract_element
 
 __all__ = [
-    "QuasiBialgebra", "QuasiAntipode",
+    "QuasiBialgebra", "QuasiAntipode", "verify_structure",
     "verify_qba", "verify_quasi_antipode", "verify_rmatrix",
     "opposite_structure", "primed_structure", "zero_structure", "check_qqybe",
 ]
@@ -205,6 +214,35 @@ class QuasiBialgebra:
     @property
     def beta(self):
         return self.antipode.beta
+
+
+def _block_form(s):
+    """``s`` carried into the rational block basis and verified there, or None.
+
+    :mod:`qhakit.blocks` holds the basis and its selection rules; a bundle
+    with the trivial coassociator is never carried, and is turned away
+    here so that its jobs never import that module.
+    """
+    if s.phi == s.algebra.tensor_unit(3):
+        return None
+    from .blocks import transported
+    return transported(s)
+
+
+def verify_structure(s) -> None:
+    """Raise StructureError unless ``s`` passes every verifier that applies.
+
+    The verifiers run in the rational block basis where it applies; if the
+    carried bundle fails there, they run again on ``s`` itself, in the
+    constructor's order, so the error and its report are those of ``s``.
+    """
+    if _block_form(s) is not None:
+        return
+    _require(verify_qba(s), "quasi-bialgebra axioms fail")
+    if s.antipode is not None:
+        _require(verify_quasi_antipode(s), "quasi-antipode axioms fail")
+    if s.r is not None:
+        _require(verify_rmatrix(s), "R-matrix axioms fail")
 
 
 # ---------------------------------------------------------------------------

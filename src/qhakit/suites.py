@@ -5,6 +5,11 @@ to a Report.  Randomness is derived from ``Random(f"{seed}:{suite}:{name}")``
 so reports are byte-identical for a fixed (input, seed) pair.  Checks
 that are implemented as asserting operations are wrapped: a clean return
 records a pass, a ConsistencyError records the failure message.
+
+A suite may run in the rational block basis of :mod:`qhakit.blocks`
+(``run_suites``).  Its random twists and elements are then still drawn on
+the original bundle, with the same RNG calls, and carried over (``_Draw``),
+so a seed means the same draws in either basis.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .qtriangular import (altschuler_coste_operator, canonical_r_elements,
                           opposite_by_r_vs_cop, r_tilde)
 from .randgen import random_invertible_element, random_twist
 from .report import Report
-from .structures import (check_qqybe, opposite_structure, primed_structure,
+from .structures import (_block_form, check_qqybe, opposite_structure, primed_structure,
                          qqybe_sides, structures_equal, verify_qba,
                          verify_quasi_antipode, verify_rmatrix, zero_structure)
 from .twists import (Twist, central_to_compatible, compatible_to_central,
@@ -67,7 +72,24 @@ def _holds(rep: Report, check_id: str, fn, witness: str):
     return rep.add(check_id, ok, witness)
 
 
-def suite_axioms(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
+class _Draw:
+    """Random twists and elements, drawn on the original bundle with its RNG calls.
+
+    ``carry`` takes what is drawn into the basis the checks run in, so a
+    seed draws the same twists whichever basis the suite runs in.
+    """
+
+    def __init__(self, original, carry):
+        self.original, self.carry = original, carry
+
+    def twist(self, rng):
+        return self.carry(random_twist(rng, self.original))
+
+    def element(self, rng):
+        return self.carry(random_invertible_element(rng, self.original.algebra))
+
+
+def suite_axioms(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("axioms")
     s = entry.structure
     rep.extend(verify_qba(s), prefix="qba")
@@ -85,7 +107,7 @@ def suite_axioms(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     return rep
 
 
-def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
+def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("twist")
     s = entry.structure
     h = s.with_r(None)  # the antipode checks twist no R-matrix
@@ -96,9 +118,9 @@ def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
             "identity twist fails the quasi-cocycle condition")
 
     for k in range(trials):
-        f = random_twist(rng, s)
-        g = random_twist(rng, s)
-        w = random_invertible_element(rng, h.algebra)
+        f = draw.twist(rng)
+        g = draw.twist(rng)
+        w = draw.element(rng)
 
         ts = (_guard(rep, f"E6.verify@{k}", lambda: twist_structure(s, f))
               or twist_structure(s, f, verify=False))
@@ -135,7 +157,7 @@ def suite_twist(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
     return rep
 
 
-def suite_drinfeld(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
+def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("drinfeld")
     h = entry.structure.with_r(None)  # the opposite and twisted bundles need no R-matrix
     rng = _rng(seed, "drinfeld", entry.name)
@@ -145,14 +167,15 @@ def suite_drinfeld(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report
         return rep
     _guard(rep, "P4", lambda: opposite_drinfeld(h))
     for k in range(trials):
-        g = random_twist(rng, h)
+        g = draw.twist(rng)
         tw = twist_structure(h, g, verify=False)
         _guard(rep, f"P9@{k}", lambda: gamma_bar_under_twist(h, g, tw))
         _guard(rep, f"T4@{k}", lambda: drinfeld_under_twist(h, g, tw))
     return rep
 
 
-def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
+def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
+                      trials=DEFAULT_TRIALS) -> Report:
     rep = Report("qtriangular")
     s = entry.structure
     if s.r is None:
@@ -203,7 +226,7 @@ def suite_qtriangular(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Rep
                   data.f_delta.f.transpose() * s.r_inv.transpose() * s.r_inv)
 
     for k in range(trials):
-        f = random_twist(rng, s)
+        f = draw.twist(rng)
         rep.add(f"uni-u@{k}", check_u_universality(s, f), "u changed under a twist")
     return rep
 
@@ -217,14 +240,14 @@ def _dynamical_r_checks(rep: Report, dyn, s, lam, label: str) -> None:
                 f"opposite dynamical QYBE ({variant}) fails")
 
 
-def suite_dynamical(entry: CatalogEntry, seed=0, trials=DEFAULT_TRIALS) -> Report:
+def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
     rep = Report("dynamical")
     s = entry.structure
     rng = _rng(seed, "dynamical", entry.name)
 
     # degeneration: a constant zero-weight family reduces the shifted condition
     # to the plain quasi-cocycle condition, term by term (any twist)
-    f = random_twist(rng, s)
+    f = draw.twist(rng)
     const = constant_family(s, f)
     rep.add("E43-to-E23", shifted_cocycle_sides(const, s, 0) == quasi_cocycle_sides(f, s),
             "zero-weight shifted condition does not reduce to the plain one")
@@ -268,7 +291,13 @@ _SUITES = {
 
 
 def run_suites(entry: CatalogEntry, suites, seed=0, trials=DEFAULT_TRIALS):
-    """Run the named suites in canonical order; returns a list of Reports."""
+    """Run the named suites in canonical order; returns a list of Reports.
+
+    Where the rational block basis applies (:mod:`qhakit.blocks`), a suite
+    runs there first, on the carried bundle with its draws carried; a
+    suite that fails there runs again in the original basis, and that
+    report is the one returned, so witnesses are those of the original.
+    """
     if suites == "all" or suites == ["all"]:
         names = SUITE_NAMES
     else:
@@ -276,4 +305,30 @@ def run_suites(entry: CatalogEntry, suites, seed=0, trials=DEFAULT_TRIALS):
         for n in names:
             if n not in _SUITES:
                 raise ValueError(f"unknown suite {n!r}; choose from {SUITE_NAMES} or 'all'")
-    return [_SUITES[n](entry, seed=seed, trials=trials) for n in names]
+    carried = _block_form(entry.structure)
+    plain = _setting(entry, None)
+    block = None if carried is None else _setting(entry, carried)
+    reports = []
+    for n in names:
+        rep = None
+        if block is not None:
+            try:
+                rep = _SUITES[n](*block, seed=seed, trials=trials)
+            except QhaError:
+                pass   # run again in the original basis, which decides
+        if rep is None or not rep.ok:
+            rep = _SUITES[n](*plain, seed=seed, trials=trials)
+        reports.append(rep)
+    return reports
+
+
+def _setting(entry: CatalogEntry, carried):
+    """(entry, draw) to run a suite in the basis of ``carried`` (a ``blocks.Transported``),
+    or in the original basis for None."""
+    s = entry.structure
+    if carried is None:
+        return entry, _Draw(s, lambda x: x)
+    dyn = entry.dynamical
+    if dyn is not None:
+        dyn = carried.carry(dyn)
+    return CatalogEntry(entry.name, carried.s, entry.notes, dyn), _Draw(s, carried.carry)

@@ -1,0 +1,218 @@
+"""The rational block basis of Q[Z/n] and the transport of bundles into it.
+
+A run in the block basis must be indistinguishable from the run in the
+group basis: every suite report and every computed value is compared byte
+for byte, with the transport forced (through ``suites._setting``) on
+bundles the selection rules would leave alone.  A run "without" the
+transport is made by making the rules pick nothing (``blocks._selected``).
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from qhakit import blocks, cli, qtriangular, suites
+from qhakit.catalog import builtin
+from qhakit.errors import StructureError
+from qhakit.scalars import RATIONAL, Cyclo
+from qhakit.serial import parse_structure, serialize_structure
+from qhakit.structures import _block_form
+from qhakit.tensor import tensor_of
+from qhakit.twists import Twist, twist_structure
+
+
+def _dense_twist(h):
+    """F = 1 (x) 1 + sum c_ij (g_i - 1) (x) (g_j - 1): dense, counital, invertible."""
+    alg = h.algebra
+    one = alg.unit_element
+    f = alg.tensor_unit(2)
+    for i in range(1, alg.dim):
+        for j in range(1, alg.dim):
+            c = Fraction(1 + (i * j) % 3, 1 + (i + j) % 2)
+            f = f + tensor_of(alg.basis_element(i) - one, alg.basis_element(j) - one).scale(c)
+    return Twist(f, h.counit)
+
+
+def _twisted_file(n):
+    """A dense twist of group_z<n>, written to text and loaded back as a file is."""
+    s = builtin(f"group_z{n}").structure
+    text = serialize_structure(twist_structure(s, _dense_twist(s)), name=f"t{n}")
+    return parse_structure(text)
+
+
+def _entry(name):
+    return _twisted_file(4) if name == "t4" else builtin(name)
+
+
+def _without_blocks(monkeypatch):
+    monkeypatch.setattr(blocks, "_selected", lambda alg: None)
+
+
+def _report_bytes(rep):
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+# -- the basis ------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, constants, pairs", [(2, 2, 2), (3, 6, 5), (4, 6, 6), (5, 26, 17),
+                                                 (6, 12, 10), (8, 22, 22)])
+def test_block_table_size(n, constants, pairs):
+    """The counted constants match the rebuilt table; Z/4 and Z/6 leave 6 and 10 pairs."""
+    basis = blocks.block_basis(n)
+    alg, _, _ = blocks._change(builtin(f"group_z{n}").structure.algebra, basis)
+    assert basis.constants == constants == sum(len(c) for c in alg._mult.values())
+    assert len(alg._mult) == pairs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_is_rational_and_inverts(n):
+    basis = blocks.block_basis(n)
+    assert all(isinstance(v, Fraction) for row in basis.matrix for v in row)
+    assert all(isinstance(v, int) for row in basis.inverse for v in row)
+    ident = [[sum(a * b for a, b in zip(row, col)) for col in zip(*basis.matrix)]
+             for row in basis.inverse]
+    assert ident == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_changed_entry_is_refused():
+    s = _twisted_file(4).structure
+    basis = blocks.block_basis(4)
+    matrix = [list(row) for row in basis.matrix]
+    matrix[2][1] += Fraction(1, 7)
+    with pytest.raises(StructureError, match="P\\^\\{-1\\} P is not the identity"):
+        blocks.transport(s, basis._replace(matrix=matrix))
+
+
+@pytest.mark.parametrize("name, picked", [
+    ("t4", True), ("semion", True), ("group_z4", False), ("z2_triangular", False),
+    ("sweedler_h4", False), ("t5", False)])
+def test_selection_rules(name, picked):
+    """Twisted Z/4 and the semion are carried; trivial coassociators, a non-group
+    table and Z/5, whose block table is not smaller, are not."""
+    entry = _twisted_file(5) if name == "t5" else _entry(name)
+    assert (_block_form(entry.structure) is not None) == picked
+
+
+def test_round_trip_returns_every_tensor():
+    for entry in (_twisted_file(4), builtin("semion")):
+        s = entry.structure
+        c = blocks.transport(s, blocks.block_basis(s.algebra.dim))
+        t = c.s
+        for name in ("phi", "phi_inv", "alpha", "beta", "r", "r_inv"):
+            if getattr(s, name) is not None:
+                assert c.back(getattr(t, name)) == getattr(s, name), name
+        for name in ("coproduct", "s", "s_inv"):
+            mine, theirs = getattr(s, name), getattr(t, name)
+            for i in range(s.algebra.dim):
+                e = s.algebra.basis_element(i)
+                assert c.back(theirs(c.carry(e))) == mine(e), name
+        for i in range(s.algebra.dim):
+            e = s.algebra.basis_element(i)
+            assert t.counit(c.carry(e)) == s.counit(e)
+
+
+# -- byte-identical runs ----------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["group_z2", "group_z3", "group_z4", "group_z5", "group_z6",
+                                  "semion", "z2_triangular", "t4"])
+def test_forced_transport_gives_the_same_reports(name):
+    """z2_triangular carries its dynamical family, too."""
+    entry = _entry(name)
+    s = entry.structure
+    carried = blocks.transport(s, blocks.block_basis(s.algebra.dim))
+    for suite in suites.SUITE_NAMES:
+        plain = suites._SUITES[suite](*suites._setting(entry, None), seed=0, trials=1)
+        block = suites._SUITES[suite](*suites._setting(entry, carried), seed=0, trials=1)
+        assert block.ok, (suite, block.failure_ids())
+        assert _report_bytes(block) == _report_bytes(plain), suite
+
+
+@pytest.mark.parametrize("name", ["group_z3", "group_z4", "semion", "t4"])
+def test_forced_transport_gives_the_same_values(name):
+    entry = _entry(name)
+    s = entry.structure
+    carried = blocks.transport(s, blocks.block_basis(s.algebra.dim))
+    w = s.algebra.unit_element + s.algebra.basis_element(1).scale(Fraction(1, 3))
+    whats = ["drinfeld", "second-drinfeld", "gamma", "gammabar", "v"]
+    if s.r is not None:
+        whats += ["u", "invariants", "ac-operator"]
+    field = s.algebra.field
+    for what in whats:
+        plain = cli._compute(s, what, 2, w)
+        block = cli._compute(carried.s, what, 2, carried.carry(w))
+        assert ({k: cli._encode(field, carried.back(x)) for k, x in block.items()}
+                == {k: cli._encode(field, x) for k, x in plain.items()}), what
+
+
+def _cli_outputs(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_structure(_entry(name)))
+    outs = []
+    structured = ["--format", "structured"]
+    for argv in (["verify", str(path), "--suite", "all", "--trials", "1"] + structured,
+                 ["compute", str(path), "v"] + structured,
+                 ["compute", str(path), "drinfeld"] + structured,
+                 ["twist", str(path), "--generate-seed", "4"]):
+        code = cli.main(argv)
+        outs.append((code, capsys.readouterr().out))
+    return outs
+
+
+@pytest.mark.parametrize("name", ["t4", "semion"])
+def test_cli_bytes_with_and_without_blocks(capsys, tmp_path, monkeypatch, name):
+    carried = _cli_outputs(capsys, tmp_path, name)
+    _without_blocks(monkeypatch)
+    assert _cli_outputs(capsys, tmp_path, name) == carried
+
+
+def test_refusal_text_is_the_group_basis_one(capsys, tmp_path, monkeypatch):
+    """A file that fails in the block basis is refused with the group-basis error."""
+    doc = json.loads(serialize_structure(_twisted_file(4)))
+    doc["phi"][0]["scalar"] = str(2 * Fraction(doc["phi"][0]["scalar"]))
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(doc))
+
+    def refusal():
+        code = cli.main(["verify", str(path), "--suite", "axioms"])
+        err = capsys.readouterr().err
+        return code, [line for line in err.splitlines() if not line.startswith("elapsed")]
+
+    carried = refusal()
+    assert carried[0] == 2 and "failed check" in "\n".join(carried[1])
+    _without_blocks(monkeypatch)
+    assert refusal() == carried
+
+
+def test_no_cyclotomic_arithmetic_on_rational_files(monkeypatch):
+    """A twisted group_z4 file is verified with no Q(zeta_n) operation: the basis stays in Q."""
+    calls = []
+    for attr in ("__mul__", "__add__", "inverse"):
+        original = getattr(Cyclo, attr)
+
+        def counted(self, *args, _original=original, _attr=attr):
+            calls.append(_attr)
+            return _original(self, *args)
+        monkeypatch.setattr(Cyclo, attr, counted)
+    entry = _twisted_file(4)
+    carried = _block_form(entry.structure)
+    assert carried is not None and carried.s.algebra.field == RATIONAL
+    reports = suites.run_suites(entry, ["twist", "drinfeld"], seed=0, trials=1)
+    assert all(r.ok for r in reports)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["semion", "sweedler_h4"])
+def test_r_twist_is_verified_once_per_matrix(monkeypatch, name):
+    """P6+E17 and compute_u share the verified twist by R: 2 verifications, not 3."""
+    verified = []
+    original = qtriangular.twist_structure
+
+    def counting(h, f, verify=True):
+        if verify:
+            verified.append(f)
+        return original(h, f, verify=verify)
+    monkeypatch.setattr(qtriangular, "twist_structure", counting)
+    (report,) = suites.run_suites(builtin(name), "qtriangular", seed=0, trials=1)
+    assert report.ok
+    assert len(verified) == 2

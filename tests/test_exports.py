@@ -33,3 +33,19 @@ def test_cli_import_leaves_out_inspect_and_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_axioms_job_leaves_out_serial_and_blocks():
+    """A job on a bundle that is never carried into the block basis loads neither
+    the file format nor the block-basis module."""
+    src = str(Path(qhakit.__file__).resolve().parent.parent)
+    code = ("import contextlib, io, sys\n"
+            "from qhakit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert cli.main(['verify', 'trivial', '--suite', 'axioms']) == 0\n"
+            "print(sorted({'qhakit.serial', 'qhakit.blocks'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
