@@ -11,21 +11,25 @@ work in this basis: for Z/4, 6 of the 16 leg pairs carry structure
 constants, for Z/6, 10 of 36.
 
 ``transport`` carries a bundle into the basis of ``block_basis`` and
-verifies the result in full; ``transported`` decides, by two fixed rules,
-which bundles are carried, and keeps the verified result in the bundle's
-memo.  A bundle is carried only when
+verifies the result in full; ``transported`` keeps the verified result
+in the bundle's memo.  The rule, stated here once: a bundle on the
+``group_z<n>`` table with a nontrivial coassociator is verified in the
+block basis wherever it is verified (``QuasiBialgebra``'s constructor
+asks ``structures._block_form``), and its suites and ``compute`` run
+there.  Precisely, a bundle is carried only when
 
 * its algebra table is exactly e_i e_j = e_{(i+j) mod n} with unit e_0,
-  over Q or Q(zeta_k): the table of ``group_z<n>`` and of every file
-  twisted from it, and
+  over Q or Q(zeta_k): the table of ``group_z<n>``, of every file
+  twisted from it and of every bundle a suite derives from one, and
 * the block table has fewer structure constants than the group table's
   n^2 (not so for Z/5 and Z/7, whose power bases multiply densely), and
-  its coassociator is not 1 (x) 1 (x) 1 (checked by the caller,
+  its coassociator is not 1 (x) 1 (x) 1 (checked by
   ``structures._block_form``, so that such jobs never import this module).
 
-Everything is decided in the block basis only where it passes: a
-verification or a check that fails there is redone in the original basis,
-and what reaches a file, report or output is always in the original basis.
+Both rules are fixed; there is no option.  Everything is decided in the
+block basis only where it passes: a verification, suite or computation
+that fails there is redone in the original basis, and what reaches a
+file, report or output is always in the original basis.
 """
 
 from __future__ import annotations
@@ -216,11 +220,3 @@ def transported(s):
     except QhaError:
         return None
 
-
-def inverse(t: TensorElement) -> TensorElement:
-    """The inverse of ``t``, computed in the block basis where the rules pick the algebra."""
-    basis = _selected(t.algebra)
-    if basis is None:
-        return t.invert()
-    _, down, up = _change(t.algebra, basis)
-    return up.map_tensor(down.map_tensor(t).invert())

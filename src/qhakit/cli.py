@@ -21,7 +21,7 @@ from .drinfeld import compute_drinfeld_data
 from .errors import QhaError, StructureError
 from .qtriangular import altschuler_coste_operator, compute_u
 from .randgen import random_invertible_element, random_twist
-from .structures import _block_form, verify_structure
+from .structures import _block_form
 from .suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites
 from .tensor import AlgElement
 from .twists import quadratic_invariants, twist_structure
@@ -224,8 +224,7 @@ def cmd_twist(args) -> int:
     else:
         rng = random.Random(f"{args.generate_seed}:twist:{entry.name}")
         tw = random_twist(rng, s)
-    twisted = twist_structure(s, tw, verify=False)
-    verify_structure(twisted)
+    twisted = twist_structure(s, tw)
     text = serialize_structure(twisted, name=f"{entry.name}-twisted")
     _emit(text, args.output)
     if not args.output:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .catalog import CatalogEntry
 from .errors import QhaError, SchemaError, StructureError, TwistError
 from .scalars import RATIONAL, Field
-from .structures import QuasiAntipode, QuasiBialgebra, verify_structure
+from .structures import QuasiAntipode, QuasiBialgebra
 from .dynamical import DynamicalTwist, ShiftSystem
 from .tensor import Algebra, LinearMap, TensorElement
 from .twists import Twist
@@ -244,34 +244,19 @@ def parse_structure(text: str) -> CatalogEntry:
     if "r_matrix" in doc:
         r = _dec_sparse(field, alg, _expect(doc, "r_matrix", list, "r_matrix"),
                         2, "r_matrix")
+    try:
+        antipode = QuasiAntipode(s, alpha, beta, s_inv)
+    except StructureError:   # a failing coassociator is reported before a singular antipode
+        QuasiBialgebra(alg, coproduct, counit, phi)
+        raise
     # verified here; StructureError propagates with its report
-    structure = _assemble(alg, coproduct, counit, phi, (s, alpha, beta, s_inv), r)
+    structure = QuasiBialgebra(alg, coproduct, counit, phi, antipode=antipode, r=r)
 
     dynamical = None
     if "dynamical" in doc:
         dynamical = _dec_dynamical(field, alg, structure, doc["dynamical"])
 
     return CatalogEntry(name, structure, dynamical=dynamical)
-
-
-def _assemble(alg, coproduct, counit, phi, antipode, r) -> QuasiBialgebra:
-    """The verified bundle of these parts; ``antipode`` is (S, alpha, beta, S^{-1} or None).
-
-    A failing part raises as the constructors raise it, in their order:
-    the coassociator's inverse, the quasi-bialgebra axioms, the antipode's
-    inverse, its axioms, R's inverse, the R-matrix axioms.  Where the block
-    basis of :mod:`qhakit.blocks` applies, the coassociator is inverted and
-    the bundle verified there.
-    """
-    from .blocks import inverse
-    try:
-        s = QuasiBialgebra(alg, coproduct, counit, phi, inverse(phi), QuasiAntipode(*antipode),
-                           r, verify=False)
-    except QhaError:
-        s = QuasiBialgebra(alg, coproduct, counit, phi).with_antipode(QuasiAntipode(*antipode))
-        return s if r is None else s.with_r(r)
-    verify_structure(s)
-    return s
 
 
 def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:

@@ -15,14 +15,12 @@ check that recomputes a value on a derived or twisted bundle really
 recomputes it.  A bundle stores no verified flag; whether it satisfies
 its axioms is what the verifiers report.
 
-A bundle on a cyclic group algebra may be verified in the rational block
-basis of :mod:`qhakit.blocks` (``verify_structure``): that
-module carries it there when its algebra is exactly the table of
-``group_z<n>`` over Q or Q(zeta_k), its coassociator is not trivial, and
-the block table has fewer structure constants than n^2.  The carried
-bundle, verified in full, is kept in the memo (``_block_form``); where it
-fails, the verifiers run on the bundle itself, so every error and report
-is that of the original basis.
+The constructor is the one place that chooses the rational block basis
+of :mod:`qhakit.blocks` (whose docstring states the rule): where that
+basis applies, the bundle is verified there and the carried bundle is
+kept in the memo (``_block_form``); where it fails, the verifiers run on
+the bundle itself, so every error and report is that of the original
+basis.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .report import Report
 from .tensor import LinearMap, contract_element
 
 __all__ = [
-    "QuasiBialgebra", "QuasiAntipode", "verify_structure",
+    "QuasiBialgebra", "QuasiAntipode",
     "verify_qba", "verify_quasi_antipode", "verify_rmatrix",
     "opposite_structure", "primed_structure", "zero_structure", "check_qqybe",
 ]
@@ -147,8 +145,11 @@ class QuasiBialgebra:
     """(H, coproduct, counit, coassociator), optionally with a quasi-antipode and an R-matrix.
 
     The inverses of the coassociator and of R are cached.  Verification
-    runs in a fixed order: the quasi-bialgebra axioms, the quasi-antipode,
-    invertibility of R, the R-matrix identities.
+    runs in the rational block basis where :mod:`qhakit.blocks` picks the
+    bundle, and the inverses not given are then taken from there.
+    Otherwise, or where the carried bundle fails, it runs here in a fixed
+    order: invertibility of the coassociator, the quasi-bialgebra axioms,
+    the quasi-antipode, invertibility of R, the R-matrix identities.
     """
 
     def __init__(self, algebra, coproduct, counit, phi, phi_inv=None, antipode=None,
@@ -156,19 +157,25 @@ class QuasiBialgebra:
         self.algebra = algebra
         self.coproduct = coproduct
         self.counit = counit
-        self.phi = phi
-        if phi_inv is None:
-            phi_inv = _inverse(phi, "qba", "phi-invertible", "coassociator is not invertible")
-        self.phi_inv = phi_inv
+        self.phi, self.phi_inv = phi, phi_inv
         self.antipode = antipode
+        self.r, self.r_inv = r, r_inv
         self._memo = {}
+        carried = _block_form(self) if verify else None
+        if carried is not None:
+            if phi_inv is None:
+                self.phi_inv = carried.back(carried.s.phi_inv)
+            if r is not None and r_inv is None:
+                self.r_inv = carried.back(carried.s.r_inv)
+            return
+        if phi_inv is None:
+            self.phi_inv = _inverse(phi, "qba", "phi-invertible", "coassociator is not invertible")
         if verify:
             _require(verify_qba(self), "quasi-bialgebra axioms fail")
             if antipode is not None:
                 _require(verify_quasi_antipode(self), "quasi-antipode axioms fail")
         if r is not None and r_inv is None:
-            r_inv = _inverse(r, "rmatrix", "R-invertible", "R-matrix is not invertible")
-        self.r, self.r_inv = r, r_inv
+            self.r_inv = _inverse(r, "rmatrix", "R-invertible", "R-matrix is not invertible")
         if verify and r is not None:
             _require(verify_rmatrix(self), "R-matrix axioms fail")
 
@@ -227,22 +234,6 @@ def _block_form(s):
         return None
     from .blocks import transported
     return transported(s)
-
-
-def verify_structure(s) -> None:
-    """Raise StructureError unless ``s`` passes every verifier that applies.
-
-    The verifiers run in the rational block basis where it applies; if the
-    carried bundle fails there, they run again on ``s`` itself, in the
-    constructor's order, so the error and its report are those of ``s``.
-    """
-    if _block_form(s) is not None:
-        return
-    _require(verify_qba(s), "quasi-bialgebra axioms fail")
-    if s.antipode is not None:
-        _require(verify_quasi_antipode(s), "quasi-antipode axioms fail")
-    if s.r is not None:
-        _require(verify_rmatrix(s), "R-matrix axioms fail")
 
 
 # ---------------------------------------------------------------------------

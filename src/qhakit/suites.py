@@ -6,10 +6,11 @@ so reports are byte-identical for a fixed (input, seed) pair.  Checks
 that are implemented as asserting operations are wrapped: a clean return
 records a pass, a ConsistencyError records the failure message.
 
-A suite may run in the rational block basis of :mod:`qhakit.blocks`
-(``run_suites``).  Its random twists and elements are then still drawn on
-the original bundle, with the same RNG calls, and carried over (``_Draw``),
-so a seed means the same draws in either basis.
+A suite runs in the rational block basis where the rule stated in
+:mod:`qhakit.blocks` applies (``run_suites``).  Its random twists and
+elements are then still drawn on the original bundle, with the same RNG
+calls, and carried over (``_Draw``), so a seed means the same draws in
+either basis.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ _SUITES = {
 def run_suites(entry: CatalogEntry, suites, seed=0, trials=DEFAULT_TRIALS):
     """Run the named suites in canonical order; returns a list of Reports.
 
-    Where the rational block basis applies (:mod:`qhakit.blocks`), a suite
+    Where the bundle has a block form (:mod:`qhakit.blocks`), a suite
     runs there first, on the carried bundle with its draws carried; a
     suite that fails there runs again in the original basis, and that
     report is the one returned, so witnesses are those of the original.

@@ -30,11 +30,8 @@ The support join is what makes a change of basis pay: in the rational
 block basis of a cyclic group algebra (:mod:`qhakit.blocks`, eps_d g^j
 for d | n, 0 <= j < phi(d)), products across blocks vanish, so 6 of the
 16 leg pairs of Z/4 and 10 of the 36 of Z/6 carry structure constants,
-and an arity-k product walks that much less.  The basis is rational, so a
-bundle over Q stays over Q.  It is used only for a table that is exactly
-e_i e_j = e_{(i+j) mod n} with unit e_0 (over Q or Q(zeta_k)) whose block
-table has fewer than n^2 structure constants, and a coassociator other
-than 1 (x) 1 (x) 1.
+and an arity-k product walks that much less.  Which bundles use that
+basis is stated in :mod:`qhakit.blocks`.
 
 Conventions used throughout:
 

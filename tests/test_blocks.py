@@ -159,7 +159,7 @@ def _cli_outputs(capsys, tmp_path, name):
     return outs
 
 
-@pytest.mark.parametrize("name", ["t4", "semion"])
+@pytest.mark.parametrize("name", ["t4", "semion", "group_z4"])
 def test_cli_bytes_with_and_without_blocks(capsys, tmp_path, monkeypatch, name):
     carried = _cli_outputs(capsys, tmp_path, name)
     _without_blocks(monkeypatch)
@@ -182,6 +182,31 @@ def test_refusal_text_is_the_group_basis_one(capsys, tmp_path, monkeypatch):
     assert carried[0] == 2 and "failed check" in "\n".join(carried[1])
     _without_blocks(monkeypatch)
     assert refusal() == carried
+
+
+def test_coassociator_failure_comes_before_a_singular_antipode():
+    """A file failing both its axioms and its antipode's invertibility reports the axioms."""
+    doc = json.loads(serialize_structure(_twisted_file(4)))
+    del doc["antipode_inv"]
+    doc["antipode"]["matrix"][1] = ["0"] * 4
+    doc["phi"][0]["scalar"] = str(2 * Fraction(doc["phi"][0]["scalar"]))
+    with pytest.raises(StructureError, match="^quasi-bialgebra axioms fail: "):
+        parse_structure(json.dumps(doc))
+
+
+def test_one_block_algebra_per_load(monkeypatch):
+    """Loading a twisted group_z4 file builds the block algebra once: the inverses
+    the file leaves out come from the verified carried bundle."""
+    text = serialize_structure(_twisted_file(4))
+    calls = []
+    original = blocks._change
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(blocks, "_change", counted)
+    parse_structure(text)
+    assert len(calls) == 1
 
 
 def test_no_cyclotomic_arithmetic_on_rational_files(monkeypatch):

@@ -1,8 +1,10 @@
 """Every name a module lists in ``__all__`` resolves, so deleted code cannot linger there.
 
-Also: importing the CLI pulls in no module it does not use.
+Also: importing the CLI pulls in no module it does not use, and the block
+basis is reached through one door.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -49,3 +51,38 @@ def test_axioms_job_leaves_out_serial_and_blocks():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _block_uses(path):
+    """(imports of qhakit.blocks, uses of _block_form) in one module's source."""
+    imports = uses = 0
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            names = {a.name for a in node.names}
+            imports += module in (".blocks", "qhakit.blocks") or (
+                module in (".", "qhakit") and "blocks" in names)
+            uses += "_block_form" in names
+        elif isinstance(node, ast.Import):
+            imports += any(a.name == "qhakit.blocks" for a in node.names)
+        elif isinstance(node, ast.Name):
+            uses += node.id == "_block_form"
+        elif isinstance(node, ast.Attribute):
+            uses += node.attr == "_block_form"
+    return imports, uses
+
+
+def test_block_basis_is_chosen_in_one_place():
+    """Only structures.py imports the block-basis module; ``_block_form`` (the
+    bundle's carried form, chosen by the constructor) is read only by the
+    suites and the CLI, which run in it."""
+    package = Path(qhakit.__file__).resolve().parent
+    importers, users = [], []
+    for path in sorted(package.glob("*.py")):
+        imports, uses = _block_uses(path)
+        if imports:
+            importers.append(path.name)
+        if uses:
+            users.append(path.name)
+    assert importers == ["structures.py"]
+    assert set(users) <= {"structures.py", "suites.py", "cli.py"}
