@@ -26,10 +26,13 @@ there.  Precisely, a bundle is carried only when
   its coassociator is not 1 (x) 1 (x) 1 (checked by
   ``structures._block_form``, so that such jobs never import this module).
 
-Both rules are fixed; there is no option.  Everything is decided in the
-block basis only where it passes: a verification, suite or computation
-that fails there is redone in the original basis, and what reaches a
-file, report or output is always in the original basis.
+Both rules are fixed; there is no option.  A bundle that fails
+verification in the block basis is verified again in the original basis,
+so refusals name original basis elements.  A bundle verified there is
+decided there: each suite and computation runs once (``suites.setting``)
+and its values are mapped back.  An entry with a dynamical family, which
+load checks only member by member, stays in the original basis, so its
+dynamical-suite witnesses name original multi-indices.
 """
 
 from __future__ import annotations

@@ -20,9 +20,8 @@ from .catalog import CatalogEntry, builtin
 from .drinfeld import compute_drinfeld_data
 from .errors import QhaError, StructureError
 from .qtriangular import altschuler_coste_operator, compute_u
-from .randgen import random_invertible_element, random_twist
-from .structures import _block_form
-from .suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites
+from .randgen import random_twist
+from .suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites, setting
 from .tensor import AlgElement
 from .twists import quadratic_invariants, twist_structure
 
@@ -180,23 +179,13 @@ def cmd_compute(args) -> int:
         print("error: 'invariants' needs the power m", file=sys.stderr)
         return 2
 
+    # one run, in the basis the suites on this entry run in; values are mapped back
+    chosen, draw = setting(entry)
     w = None
     if what == "v":
-        rng = random.Random(f"{seed}:compute-v:{entry.name}")
-        w = random_invertible_element(rng, s.algebra)
-    # in the block basis where it applies and succeeds, mapped back; else in s's own basis
-    values = None
-    carried = _block_form(s)
-    if carried is not None:
-        try:
-            w_block = None if w is None else carried.carry(w)
-            values = {key: carried.back(x)
-                      for key, x in _compute(carried.s, what, args.m, w_block).items()}
-        except QhaError:
-            pass   # computed again in the original basis, which decides
-    if values is None:
-        values = _compute(s, what, args.m, w)
-    values = {key: _encode(field, x) for key, x in values.items()}
+        w = draw.element(random.Random(f"{seed}:compute-v:{entry.name}"))
+    values = {key: _encode(field, draw.back(x))
+              for key, x in _compute(chosen.structure, what, args.m, w).items()}
     post = ("antipode round trip recovered the generator exactly" if what == "v"
             else "all postconditions verified")
 

@@ -208,6 +208,8 @@ def parse_structure(text: str) -> CatalogEntry:
             raise SchemaError("expected an object", f"mult[{n}]")
         i = _expect(row, "i", int, f"mult[{n}].i")
         j = _expect(row, "j", int, f"mult[{n}].j")
+        if (i, j) in mult:
+            raise SchemaError(f"duplicate index {(i, j)}", f"mult[{n}]")
         coeffs = _dec_vector(field, _expect(row, "coeffs", list, f"mult[{n}].coeffs"),
                              dim, f"mult[{n}].coeffs")
         mult[(i, j)] = {k: v for k, v in enumerate(coeffs)}
@@ -263,8 +265,12 @@ def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
     path = "dynamical"
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", path)
-    domain = [_dec_fraction(x, f"{path}.domain") for x in
-              _expect(doc, "domain", list, f"{path}.domain")]
+    domain = set()
+    for n, x in enumerate(_expect(doc, "domain", list, f"{path}.domain")):
+        lam = _dec_fraction(x, f"{path}.domain")
+        if lam in domain:
+            raise SchemaError(f"duplicate value {lam}", f"{path}.domain[{n}]")
+        domain.add(lam)
     shift_doc = _expect(doc, "shift", dict, f"{path}.shift")
     idem = [alg.element(_dec_vector(field, row, alg.dim, f"{path}.shift.idempotents[{n}]"))
             for n, row in enumerate(_expect(shift_doc, "idempotents", list,
@@ -280,6 +286,8 @@ def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
             raise SchemaError("expected an object", f"{path}.twists[{n}]")
         lam = _dec_fraction(_expect(row, "lambda", str, f"{path}.twists[{n}].lambda"),
                             f"{path}.twists[{n}].lambda")
+        if lam in twists:
+            raise SchemaError(f"duplicate lambda {lam}", f"{path}.twists[{n}].lambda")
         f = _dec_sparse(field, alg, _expect(row, "f", list, f"{path}.twists[{n}].f"),
                         2, f"{path}.twists[{n}].f")
         try:

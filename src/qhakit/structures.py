@@ -18,9 +18,10 @@ its axioms is what the verifiers report.
 The constructor is the one place that chooses the rational block basis
 of :mod:`qhakit.blocks` (whose docstring states the rule): where that
 basis applies, the bundle is verified there and the carried bundle is
-kept in the memo (``_block_form``); where it fails, the verifiers run on
-the bundle itself, so every error and report is that of the original
-basis.
+kept in the memo (``_block_form``); where it fails, the verifiers run
+again on the bundle itself, so every refusal is that of the original
+basis.  This is the only place that retries in the original basis: the
+suites and computations on a carried bundle run once, in its basis.
 """
 
 from __future__ import annotations

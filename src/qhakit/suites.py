@@ -6,8 +6,8 @@ so reports are byte-identical for a fixed (input, seed) pair.  Checks
 that are implemented as asserting operations are wrapped: a clean return
 records a pass, a ConsistencyError records the failure message.
 
-A suite runs in the rational block basis where the rule stated in
-:mod:`qhakit.blocks` applies (``run_suites``).  Its random twists and
+A suite runs once, in the rational block basis where the rule stated in
+:mod:`qhakit.blocks` applies (``setting``).  Its random twists and
 elements are then still drawn on the original bundle, with the same RNG
 calls, and carried over (``_Draw``), so a seed means the same draws in
 either basis.
@@ -77,11 +77,12 @@ class _Draw:
     """Random twists and elements, drawn on the original bundle with its RNG calls.
 
     ``carry`` takes what is drawn into the basis the checks run in, so a
-    seed draws the same twists whichever basis the suite runs in.
+    seed draws the same twists whichever basis the suite runs in;
+    ``back`` takes a value computed there to the original basis.
     """
 
-    def __init__(self, original, carry):
-        self.original, self.carry = original, carry
+    def __init__(self, original, carry, back):
+        self.original, self.carry, self.back = original, carry, back
 
     def twist(self, rng):
         return self.carry(random_twist(rng, self.original))
@@ -294,10 +295,7 @@ _SUITES = {
 def run_suites(entry: CatalogEntry, suites, seed=0, trials=DEFAULT_TRIALS):
     """Run the named suites in canonical order; returns a list of Reports.
 
-    Where the bundle has a block form (:mod:`qhakit.blocks`), a suite
-    runs there first, on the carried bundle with its draws carried; a
-    suite that fails there runs again in the original basis, and that
-    report is the one returned, so witnesses are those of the original.
+    Each suite runs once, in the basis ``setting`` picks for ``entry``.
     """
     if suites == "all" or suites == ["all"]:
         names = SUITE_NAMES
@@ -306,21 +304,16 @@ def run_suites(entry: CatalogEntry, suites, seed=0, trials=DEFAULT_TRIALS):
         for n in names:
             if n not in _SUITES:
                 raise ValueError(f"unknown suite {n!r}; choose from {SUITE_NAMES} or 'all'")
-    carried = _block_form(entry.structure)
-    plain = _setting(entry, None)
-    block = None if carried is None else _setting(entry, carried)
-    reports = []
-    for n in names:
-        rep = None
-        if block is not None:
-            try:
-                rep = _SUITES[n](*block, seed=seed, trials=trials)
-            except QhaError:
-                pass   # run again in the original basis, which decides
-        if rep is None or not rep.ok:
-            rep = _SUITES[n](*plain, seed=seed, trials=trials)
-        reports.append(rep)
-    return reports
+    entry, draw = setting(entry)
+    return [_SUITES[n](entry, draw, seed=seed, trials=trials) for n in names]
+
+
+def setting(entry: CatalogEntry):
+    """(entry, draw) in the basis every suite and computation on ``entry`` runs in:
+    the block basis of the constructor's carried bundle, if any and if ``entry``
+    has no dynamical family (see :mod:`qhakit.blocks`), else the original one."""
+    carried = None if entry.dynamical is not None else _block_form(entry.structure)
+    return _setting(entry, carried)
 
 
 def _setting(entry: CatalogEntry, carried):
@@ -328,8 +321,9 @@ def _setting(entry: CatalogEntry, carried):
     or in the original basis for None."""
     s = entry.structure
     if carried is None:
-        return entry, _Draw(s, lambda x: x)
+        return entry, _Draw(s, lambda x: x, lambda x: x)
     dyn = entry.dynamical
     if dyn is not None:
         dyn = carried.carry(dyn)
-    return CatalogEntry(entry.name, carried.s, entry.notes, dyn), _Draw(s, carried.carry)
+    return (CatalogEntry(entry.name, carried.s, entry.notes, dyn),
+            _Draw(s, carried.carry, carried.back))

@@ -8,13 +8,16 @@ transport is made by making the rules pick nothing (``blocks._selected``).
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from qhakit import blocks, cli, qtriangular, suites
 from qhakit.catalog import builtin
-from qhakit.errors import StructureError
+from qhakit.dynamical import constant_family
+from qhakit.errors import ConsistencyError, StructureError
+from qhakit.randgen import random_twist
 from qhakit.scalars import RATIONAL, Cyclo
 from qhakit.serial import parse_structure, serialize_structure
 from qhakit.structures import _block_form
@@ -164,6 +167,55 @@ def test_cli_bytes_with_and_without_blocks(capsys, tmp_path, monkeypatch, name):
     carried = _cli_outputs(capsys, tmp_path, name)
     _without_blocks(monkeypatch)
     assert _cli_outputs(capsys, tmp_path, name) == carried
+
+
+# -- one run per request: a bundle verified in the block basis is decided there --------
+
+def _fails_in_block_basis(monkeypatch, module, name):
+    """Make ``module.name`` raise on a bundle in the block basis (basis names ``b...``)
+    and work as before on any other: a defect of the block-basis path alone."""
+    original = getattr(module, name)
+
+    def mutant(h, *args):
+        if h.algebra.basis_names[0].startswith("b"):
+            raise ConsistencyError(f"{name} mutant: block basis")
+        return original(h, *args)
+    monkeypatch.setattr(module, name, mutant)
+
+
+def test_a_suite_defect_in_the_block_basis_shows(monkeypatch):
+    """The suite runs once, in the block basis; no rerun in the group basis hides the defect."""
+    _fails_in_block_basis(monkeypatch, suites, "gamma_bar_under_twist")
+    (report,) = suites.run_suites(_twisted_file(4), "drinfeld", seed=0, trials=1)
+    assert report.failure_ids() == ["P9@0"]
+    (check,) = report.failures()
+    assert check.witness == "gamma_bar_under_twist mutant: block basis"
+
+
+def test_a_compute_defect_in_the_block_basis_shows(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "t4.json"
+    path.write_text(serialize_structure(_twisted_file(4)))
+    _fails_in_block_basis(monkeypatch, cli, "compute_drinfeld_data")
+    assert cli.main(["compute", str(path), "drinfeld"]) == 2
+    assert "error: compute_drinfeld_data mutant: block basis" in capsys.readouterr().err
+
+
+def test_a_dynamical_family_is_checked_in_the_original_basis(monkeypatch):
+    """Load checks only that each member of a family is a twist, so the dynamical suite
+    can fail on a bundle verified in the block basis; its witnesses are then those of
+    the original basis, as with the blocks off."""
+    s = _twisted_file(4).structure
+    family = constant_family(s, random_twist(random.Random(1), s), domain=(0, 1))
+    text = serialize_structure(s, name="t4", dynamical=family)
+
+    def report():
+        (rep,) = suites.run_suites(parse_structure(text), "dynamical", seed=0, trials=1)
+        return rep
+
+    carried = report()
+    assert "E43@0" in carried.failure_ids()
+    _without_blocks(monkeypatch)
+    assert _report_bytes(report()) == _report_bytes(carried)
 
 
 def test_refusal_text_is_the_group_basis_one(capsys, tmp_path, monkeypatch):

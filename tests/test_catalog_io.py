@@ -113,6 +113,33 @@ class TestParseErrors:
         with pytest.raises(SchemaError, match="duplicate index"):
             parse_structure(json.dumps(doc))
 
+    def test_duplicate_mult_row_rejected(self):
+        doc = json.loads(serialize_structure(entry("group_z3")))
+        doc["mult"].append(dict(doc["mult"][1]))
+        with pytest.raises(SchemaError, match=r"^mult\[9\]: duplicate index \(0, 1\)$"):
+            parse_structure(json.dumps(doc))
+
+    def test_duplicate_dynamical_lambda_rejected(self):
+        """A second twist at one lambda would replace the first unseen."""
+        doc = json.loads(serialize_structure(entry("z2_triangular")))
+        twists = doc["dynamical"]["twists"]
+        twists.append(dict(twists[1], f=twists[0]["f"]))
+        n = len(twists) - 1
+        with pytest.raises(SchemaError, match=rf"^dynamical\.twists\[{n}\]\.lambda: "
+                                              r"duplicate lambda "):
+            parse_structure(json.dumps(doc))
+
+    def test_duplicate_dynamical_domain_value_rejected(self):
+        """A repeated value (here written two ways) would repeat its checks."""
+        doc = json.loads(serialize_structure(entry("z2_triangular")))
+        domain = doc["dynamical"]["domain"]
+        lam = Fraction(domain[1])
+        domain.append(f"{2 * lam.numerator}/{2 * lam.denominator}")
+        n = len(domain) - 1
+        with pytest.raises(SchemaError, match=rf"^dynamical\.domain\[{n}\]: "
+                                              rf"duplicate value {lam}$"):
+            parse_structure(json.dumps(doc))
+
     def test_bad_scalar_path(self):
         doc = json.loads(serialize_structure(entry("group_z3")))
         doc["alpha"][0] = "not-a-number"

@@ -75,7 +75,7 @@ def _block_uses(path):
 def test_block_basis_is_chosen_in_one_place():
     """Only structures.py imports the block-basis module; ``_block_form`` (the
     bundle's carried form, chosen by the constructor) is read only by the
-    suites and the CLI, which run in it."""
+    suites, whose ``setting`` is the CLI's one way to it."""
     package = Path(qhakit.__file__).resolve().parent
     importers, users = [], []
     for path in sorted(package.glob("*.py")):
@@ -85,4 +85,8 @@ def test_block_basis_is_chosen_in_one_place():
         if uses:
             users.append(path.name)
     assert importers == ["structures.py"]
-    assert set(users) <= {"structures.py", "suites.py", "cli.py"}
+    assert set(users) <= {"structures.py", "suites.py"}
+    cli_imports = {a.name for node in ast.walk(ast.parse((package / "cli.py").read_text()))
+                   if isinstance(node, ast.ImportFrom) and node.module == "suites"
+                   for a in node.names}
+    assert "setting" in cli_imports
