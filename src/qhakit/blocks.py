@@ -29,10 +29,12 @@ there.  Precisely, a bundle is carried only when
 Both rules are fixed; there is no option.  A bundle that fails
 verification in the block basis is verified again in the original basis,
 so refusals name original basis elements.  A bundle verified there is
-decided there: each suite and computation runs once (``suites.setting``)
-and its values are mapped back.  An entry with a dynamical family, which
-load checks only member by member, stays in the original basis, so its
-dynamical-suite witnesses name original multi-indices.
+decided there: each suite and computation runs once (``suites.setting``),
+random twists and elements are drawn in the original basis with the same
+RNG calls and carried over, and computed values are mapped back.  An
+entry with a dynamical family, which load checks only member by member,
+stays in the original basis, so its dynamical-suite witnesses name
+original multi-indices.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .dynamical import DynamicalTwist, ShiftSystem
 from .errors import QhaError, StructureError
-from .scalars import RATIONAL, _zeta_powers, totient
+from .scalars import _zeta_powers, totient
 from .structures import QuasiAntipode, QuasiBialgebra, _memoized
-from .tensor import AlgElement, Algebra, LinearMap, TensorElement
+from .tensor import AlgElement, Algebra, LinearMap
 from .twists import Twist
 
 __all__ = []
@@ -58,21 +59,10 @@ BlockBasis = namedtuple("BlockBasis", "matrix inverse names constants")
 
 
 def _ramanujan(d: int, k: int) -> int:
-    """c_d(k) = sum of zeta_d^(a k) over the units a mod d = sum_{e | gcd(d, k)} mu(d/e) e."""
-    g = math.gcd(d, k)
-    return sum(_mobius(d // e) * e for e in range(1, g + 1) if g % e == 0)
-
-
-def _mobius(n: int) -> int:
-    out, p = 1, 2
-    while n > 1:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return out
+    """c_d(k), the sum of zeta_d^(a k) over the units a mod d: an integer, so the
+    constant term of that sum in the power basis of Q(zeta_d)."""
+    powers = _zeta_powers(d)
+    return sum(powers[a * k % d][0] for a in range(d) if math.gcd(a, d) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -107,17 +97,6 @@ def _is_group_table(alg) -> bool:
             and alg._mult == {(i, j): {(i + j) % n: one} for i in range(n) for j in range(n)})
 
 
-def _rational_map(alg, matrix) -> LinearMap:
-    """The map e_j -> sum_i matrix[i][j] e_i, with values in ``alg``; ``matrix`` is rational."""
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        nums, den = RATIONAL.clear(row[j] for row in matrix)
-        cols.append(TensorElement._reduced(alg, 1, {(i,): v for i, v in enumerate(nums) if v},
-                                           den))
-    return LinearMap(alg, cols)
-
-
 def _apply(m: LinearMap, x):
     """``m`` on every leg of a tensor or on an element; the result lies in ``m.algebra``."""
     if isinstance(x, AlgElement):
@@ -134,16 +113,12 @@ class Transported(namedtuple("Transported", "s down up")):
     __slots__ = ()
 
     def carry(self, x):
-        """An element, tensor, twist or dynamical family of the original bundle, in ``s``'s basis.
+        """An element, tensor or twist of the original bundle, in ``s``'s basis.
 
         The basis change is verified, so a carried twist is a twist and is not checked again.
         """
         if isinstance(x, Twist):
             return Twist(self.carry(x.f), self.s.counit, self.carry(x.f_inv), check=False)
-        if isinstance(x, DynamicalTwist):
-            shift = ShiftSystem([self.carry(p) for p in x.shift.idempotents], x.shift.weights)
-            return DynamicalTwist(x.domain, {lam: self.carry(t) for lam, t in x.twists.items()},
-                                  shift)
         return _apply(self.down, x)
 
     def back(self, x):
@@ -161,13 +136,13 @@ def _change(old, basis: BlockBasis):
     if any(sum(p_inv[a][k] * p[k][b] for k in range(n)) != (a == b)
            for a in range(n) for b in range(n)):
         raise StructureError("block basis: P^{-1} P is not the identity")
-    up, coords = _rational_map(old, p), _rational_map(old, p_inv)
+    up, coords = LinearMap.from_matrix(old, p), LinearMap.from_matrix(old, p_inv)
     vectors = [up.col_element(a) for a in range(n)]
     mult = {(a, b): _apply(coords, x * y).coeffs
             for a, x in enumerate(vectors) for b, y in enumerate(vectors)}
     alg = Algebra(old.field, n, mult, unit=_apply(coords, old.unit_element).coeffs,
                   basis=basis.names)
-    return alg, _rational_map(alg, p_inv), up
+    return alg, LinearMap.from_matrix(alg, p_inv), up
 
 
 def transport(s, basis: BlockBasis) -> Transported:

@@ -312,18 +312,8 @@ def setting(entry: CatalogEntry):
     """(entry, draw) in the basis every suite and computation on ``entry`` runs in:
     the block basis of the constructor's carried bundle, if any and if ``entry``
     has no dynamical family (see :mod:`qhakit.blocks`), else the original one."""
-    carried = None if entry.dynamical is not None else _block_form(entry.structure)
-    return _setting(entry, carried)
-
-
-def _setting(entry: CatalogEntry, carried):
-    """(entry, draw) to run a suite in the basis of ``carried`` (a ``blocks.Transported``),
-    or in the original basis for None."""
     s = entry.structure
+    carried = None if entry.dynamical is not None else _block_form(s)
     if carried is None:
         return entry, _Draw(s, lambda x: x, lambda x: x)
-    dyn = entry.dynamical
-    if dyn is not None:
-        dyn = carried.carry(dyn)
-    return (CatalogEntry(entry.name, carried.s, entry.notes, dyn),
-            _Draw(s, carried.carry, carried.back))
+    return entry._replace(structure=carried.s), _Draw(s, carried.carry, carried.back)

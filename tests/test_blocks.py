@@ -2,9 +2,10 @@
 
 A run in the block basis must be indistinguishable from the run in the
 group basis: every suite report and every computed value is compared byte
-for byte, with the transport forced (through ``suites._setting``) on
-bundles the selection rules would leave alone.  A run "without" the
-transport is made by making the rules pick nothing (``blocks._selected``).
+for byte, with the transport forced on bundles the selection rules would
+leave alone, by patching ``suites._block_form``, the one door through
+which a run reaches the carried bundle.  A run "without" the transport is
+made by making the rules pick nothing (``blocks._selected``).
 """
 
 import json
@@ -52,6 +53,11 @@ def _without_blocks(monkeypatch):
     monkeypatch.setattr(blocks, "_selected", lambda alg: None)
 
 
+def _set_door(monkeypatch, s, carried):
+    """Make ``suites.setting`` see ``carried`` as the carried form of ``s``."""
+    monkeypatch.setattr(suites, "_block_form", lambda x: carried if x is s else None)
+
+
 def _report_bytes(rep):
     return json.dumps(rep.to_dict(), sort_keys=True)
 
@@ -68,7 +74,7 @@ def test_block_table_size(n, constants, pairs):
     assert len(alg._mult) == pairs
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_basis_is_rational_and_inverts(n):
     basis = blocks.block_basis(n)
     assert all(isinstance(v, Fraction) for row in basis.matrix for v in row)
@@ -119,16 +125,33 @@ def test_round_trip_returns_every_tensor():
 
 @pytest.mark.parametrize("name", ["group_z2", "group_z3", "group_z4", "group_z5", "group_z6",
                                   "semion", "z2_triangular", "t4"])
-def test_forced_transport_gives_the_same_reports(name):
-    """z2_triangular carries its dynamical family, too."""
-    entry = _entry(name)
+def test_forced_transport_gives_the_same_reports(monkeypatch, name):
+    """z2_triangular runs without its dynamical family: an entry with one stays in the
+    original basis (see the next test)."""
+    entry = _entry(name)._replace(dynamical=None)
     s = entry.structure
     carried = blocks.transport(s, blocks.block_basis(s.algebra.dim))
-    for suite in suites.SUITE_NAMES:
-        plain = suites._SUITES[suite](*suites._setting(entry, None), seed=0, trials=1)
-        block = suites._SUITES[suite](*suites._setting(entry, carried), seed=0, trials=1)
-        assert block.ok, (suite, block.failure_ids())
-        assert _report_bytes(block) == _report_bytes(plain), suite
+
+    def reports(door):
+        _set_door(monkeypatch, s, door)
+        assert suites.setting(entry)[0].structure is (s if door is None else carried.s)
+        return suites.run_suites(entry, suites.SUITE_NAMES, seed=0, trials=1)
+
+    for plain, block in zip(reports(None), reports(carried)):
+        assert block.ok, (block.name, block.failure_ids())
+        assert _report_bytes(block) == _report_bytes(plain), block.name
+
+
+def test_an_entry_with_a_family_stays_in_the_original_basis(monkeypatch):
+    """``setting`` returns z2_triangular as it is, even with the door patched to carry it."""
+    entry = builtin("z2_triangular")
+    assert entry.dynamical is not None
+    s = entry.structure
+    _set_door(monkeypatch, s, blocks.transport(s, blocks.block_basis(s.algebra.dim)))
+    chosen, draw = suites.setting(entry)
+    assert chosen is entry
+    g = s.algebra.basis_element(1)
+    assert draw.carry(g) is g and draw.back(g) is g
 
 
 @pytest.mark.parametrize("name", ["group_z3", "group_z4", "semion", "t4"])

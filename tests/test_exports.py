@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` resolves, so deleted code cannot linger there.
 
-Also: importing the CLI pulls in no module it does not use, and the block
-basis is reached through one door.
+Also: importing the CLI pulls in no module it does not use, the block
+basis is reached through one door, and no private helper is left without
+a caller.
 """
 
 import ast
@@ -90,3 +91,30 @@ def test_block_basis_is_chosen_in_one_place():
                    if isinstance(node, ast.ImportFrom) and node.module == "suites"
                    for a in node.names}
     assert "setting" in cli_imports
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_every_private_helper_has_a_caller():
+    """A private module-level function or class, or a private method, that nothing in
+    the package refers to besides its own definition is dead code."""
+    package = Path(qhakit.__file__).resolve().parent
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for node in tree.body:
+            if isinstance(node, defs) and _private(node.name):
+                defined.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, defs) and _private(item.name):
+                        defined.append((f"{path.name}:{node.name}", item.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [f"{where}.{name}" for where, name in defined if name not in used] == []

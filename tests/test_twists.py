@@ -7,9 +7,9 @@ import pytest
 
 from qhakit import twists
 from qhakit.antipode import AntipodePair, compute_v
-from qhakit.errors import TwistError
+from qhakit.errors import ConsistencyError, TwistError
 from qhakit.randgen import random_twist
-from qhakit.structures import structures_equal
+from qhakit.structures import QuasiAntipode, _connecting_element, structures_equal
 from qhakit.tensor import tensor_of
 from qhakit.twists import (Twist, central_to_compatible, compatible_to_central,
                            compose_twists, is_compatible, is_quasi_cocycle,
@@ -231,6 +231,17 @@ class TestCompatibleToCentral:
         c = central_to_compatible(z, h)
         pair = AntipodePair(h, twisted_antipode(h, c))  # verifies (S, alpha_C, beta_C)
         assert compatible_to_central(c, h) == compute_v(pair)
+
+    def test_a_non_central_candidate_is_refused_by_the_routine(self):
+        """Centrality is not checked apart: the routine's S~-conjugation scan, with S~ = S,
+        refuses a candidate z that does not commute with S(H) = H."""
+        h = hopf("sweedler_h4")
+        alg, anti = h.algebra, h.antipode
+        w = alg.unit_element + alg.basis_element(2)  # 1 + x, invertible, not central
+        other = QuasiAntipode(anti.s, w * anti.alpha, anti.beta * w.inverse(), s_inv=anti.s_inv)
+        with pytest.raises(ConsistencyError,
+                           match="^S~ is not conjugation by v on basis element g$"):
+            _connecting_element(h.phi, h.phi_inv, anti, other)
 
     def test_incompatible_rejected(self):
         h = hopf("sweedler_h4")
