@@ -8,10 +8,16 @@ equality of tensors, never a numerical approximation.
 
 The names below resolve on first use (PEP 562), so importing one module
 of the package, such as the command-line driver, loads only what that
-module needs.
+module needs.  The suite names and the default trial count live here, and
+not in :mod:`qhakit.suites`, because the driver's argument parser needs
+them and must load no layer to print its help.
 """
 
 import importlib
+
+SUITE_NAMES = ("axioms", "twist", "drinfeld", "qtriangular", "dynamical")
+
+DEFAULT_TRIALS = 5
 
 _EXPORTS = {
     "scalars": ("Cyclo", "Field", "RATIONAL", "cyclotomic_field"),

@@ -24,6 +24,10 @@ _GROUP_RE = re.compile(r"group_z(0|[1-9][0-9]*)")
 
 BUILTIN_NAMES = ("trivial", "group_zn", "z2_triangular", "sweedler_h4", "semion")
 
+# the cap the file format puts on cyclotomic orders; the n x n multiplication
+# table of group_z<n> takes 40 s to build and verify at n = 128
+MAX_GROUP_ORDER = 256
+
 
 # structure: a QuasiBialgebra with a quasi-antipode, and an R-matrix or none;
 # dynamical: an optional DynamicalTwist family
@@ -37,7 +41,12 @@ def builtin(name: str) -> CatalogEntry:
         return _trivial()
     match = _GROUP_RE.fullmatch(name)
     if match:
-        n = int(match.group(1))
+        digits = match.group(1)
+        # no leading zero: more than three digits is past the cap, and int()
+        # is never handed an over-long numeral
+        if len(digits) > 3 or int(digits) > MAX_GROUP_ORDER:
+            raise CatalogError(f"group order must be at most {MAX_GROUP_ORDER}")
+        n = int(digits)
         if n < 1:
             raise CatalogError("group order must be positive")
         return _group_zn(n)

@@ -4,26 +4,27 @@ Exit codes: 0 when every requested check passes, 1 when a check fails,
 2 on parse errors, load-time verification failures, or inapplicable
 requests.  Reports are deterministic for a fixed (input, seed): timing
 goes to stderr, never into the report payload.
+
+Import rule: each process compiles only the layers its command runs.
+This module imports nothing of the package at its top but the errors and
+the suite names, so ``--help`` loads no kernel.  Each ``cmd_*`` imports
+what it runs: ``verify`` the suites, ``compute`` the one layer its
+``what`` names, ``twist`` the file format and the twists.
+:mod:`qhakit.suites` and :mod:`qhakit.serial` import a layer where they
+first use it.  Every job is a cold start that compiles its modules from
+source when no bytecode cache is written, so a module that a command
+never runs is pure start-up cost.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 import time
 
-from .antipode import antipode_from_v
-from .catalog import CatalogEntry, builtin
-from .drinfeld import compute_drinfeld_data
+from . import DEFAULT_TRIALS, SUITE_NAMES
 from .errors import QhaError, StructureError
-from .qtriangular import altschuler_coste_operator, compute_u
-from .randgen import random_twist
-from .suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites, setting
-from .tensor import AlgElement
-from .twists import quadratic_invariants, twist_structure
 
 PROG = "qhakit"
 
@@ -98,6 +99,7 @@ def _load_input(spec: str) -> CatalogEntry:
         from .serial import parse_structure
         with open(spec, "r", encoding="utf-8") as fh:
             return parse_structure(fh.read())
+    from .catalog import builtin
     return builtin(spec)
 
 
@@ -111,6 +113,7 @@ def _emit(text: str, output):
 
 def _encode(field, x) -> list:
     """An element as its coefficient list, a tensor as its sorted sparse entries."""
+    from .tensor import AlgElement
     if isinstance(x, AlgElement):
         return [field.format_scalar(v) for v in x.coeffs]
     return [{"key": list(k), "scalar": field.format_scalar(v)}
@@ -118,11 +121,13 @@ def _encode(field, x) -> list:
 
 
 def cmd_verify(args) -> int:
+    from .suites import run_suites
     entry = _load_input(args.input)
     seed = _resolve_seed(args)
     reports = run_suites(entry, args.suite, seed=seed, trials=args.trials)
     ok = all(r.ok for r in reports)
     if args.format == "structured":
+        import json
         payload = {
             "command": "verify",
             "input": entry.name,
@@ -147,6 +152,7 @@ def cmd_verify(args) -> int:
 def _compute(s, what, m, w) -> dict:
     """The values ``what`` names, computed on the bundle ``s``; ``w`` is v's generator."""
     if what in ("drinfeld", "second-drinfeld", "gamma", "gammabar"):
+        from .drinfeld import compute_drinfeld_data
         data = compute_drinfeld_data(s)
         key, value = {"drinfeld": ("f_delta", data.f_delta.f),
                       "second-drinfeld": ("f_zero", data.f_zero.f),
@@ -154,17 +160,24 @@ def _compute(s, what, m, w) -> dict:
                       "gammabar": ("gamma_bar", data.gamma_bar)}[what]
         return {key: value}
     if what == "u":
+        from .qtriangular import compute_u
         ops = compute_u(s)
         return {"u": ops.u, "u_tilde": ops.u_tilde}
     if what == "v":
+        from .antipode import antipode_from_v
         antipode_from_v(s, w)  # verifies the triple and the round trip
         return {"v": w}
     if what == "invariants":
+        from .twists import quadratic_invariants
         return {f"z_{m}": quadratic_invariants(s, m)}
+    from .qtriangular import altschuler_coste_operator
     return {"a": altschuler_coste_operator(s)}
 
 
 def cmd_compute(args) -> int:
+    import json
+
+    from .suites import setting
     entry = _load_input(args.input)
     seed = _resolve_seed(args)
     s = entry.structure
@@ -183,6 +196,7 @@ def cmd_compute(args) -> int:
     chosen, draw = setting(entry)
     w = None
     if what == "v":
+        import random
         w = draw.element(random.Random(f"{seed}:compute-v:{entry.name}"))
     values = {key: _encode(field, draw.back(x))
               for key, x in _compute(chosen.structure, what, args.m, w).items()}
@@ -205,12 +219,16 @@ def cmd_compute(args) -> int:
 
 def cmd_twist(args) -> int:
     from .serial import parse_twist, serialize_structure
+    from .twists import twist_structure
     entry = _load_input(args.input)
     s = entry.structure
     if args.twist_file:
         with open(args.twist_file, "r", encoding="utf-8") as fh:
             tw = parse_twist(fh.read(), s)
     else:
+        import random
+
+        from .randgen import random_twist
         rng = random.Random(f"{args.generate_seed}:twist:{entry.name}")
         tw = random_twist(rng, s)
     twisted = twist_structure(s, tw)

@@ -10,7 +10,9 @@ mult (rows {i, j, coeffs}), coproduct (per-basis sparse {i, j, scalar}
 lists), counit, antipode {matrix}, antipode_inv (optional), alpha, beta,
 phi (sparse {i, j, k, scalar}), r_matrix (optional sparse {i, j, scalar}),
 dynamical (optional {domain, shift {idempotents, weights}, twists
-[{lambda, f}]}), name (optional).
+[{lambda, f}]}), name (optional).  A key that an object of the format
+does not define is refused, since a misspelled optional key would
+otherwise drop its checks.
 
 Parsing reports three distinct error classes: SchemaError for malformed
 JSON or schema violations (with a field path), AlgebraError for invalid
@@ -19,6 +21,9 @@ fails its axiom verification (a singular antipode or a dynamical entry
 that is no twist included).  Load-time verification is mandatory.
 Cyclotomic orders above MAX_CYCLOTOMIC_ORDER are refused: the n-th
 cyclotomic polynomial alone takes seconds to build past a few hundred.
+
+:mod:`qhakit.dynamical` is imported only for a file with a ``dynamical``
+section (the import rule is stated in :mod:`qhakit.cli`).
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .catalog import CatalogEntry
 from .errors import QhaError, SchemaError, StructureError, TwistError
 from .scalars import RATIONAL, Field
 from .structures import QuasiAntipode, QuasiBialgebra
-from .dynamical import DynamicalTwist, ShiftSystem
 from .tensor import Algebra, LinearMap, TensorElement
 from .twists import Twist
 
@@ -40,6 +44,9 @@ MAX_CYCLOTOMIC_ORDER = 256
 
 # the index fields of a sparse entry, one per leg
 _INDEX_KEYS = ("i", "j", "k")
+
+_TOP_KEYS = ("name", "field", "dimension", "basis", "unit", "mult", "coproduct", "counit",
+             "antipode", "antipode_inv", "alpha", "beta", "phi", "r_matrix", "dynamical")
 
 
 # -- encoding ---------------------------------------------------------------
@@ -129,6 +136,13 @@ def _load_json(text):
     return doc
 
 
+def _only(doc, keys, path=None):
+    """Refuse a key of the object ``doc`` (at ``path``) that is not in ``keys``."""
+    for key in doc:
+        if key not in keys:
+            raise SchemaError("unknown field", f"{path}.{key}" if path else key)
+
+
 def _expect(doc, key, kind, path):
     if key not in doc:
         raise SchemaError(f"missing required field {key!r}", path)
@@ -141,6 +155,7 @@ def _expect(doc, key, kind, path):
 
 def _dec_field(doc) -> Field:
     spec = _expect(doc, "field", dict, "field")
+    _only(spec, ("kind", "order"), "field")
     kind = _expect(spec, "kind", str, "field.kind")
     order = _expect(spec, "order", int, "field.order")
     try:
@@ -174,6 +189,7 @@ def _dec_sparse(field, alg, rows, arity, path):
     for n, row in enumerate(rows):
         if not isinstance(row, dict):
             raise SchemaError("expected an object with index fields", f"{path}[{n}]")
+        _only(row, keys + ("scalar",), f"{path}[{n}]")
         idx = tuple(_expect(row, k, int, f"{path}[{n}].{k}") for k in keys)
         if any(not 0 <= v < alg.dim for v in idx):
             raise SchemaError(f"index {idx} out of range", f"{path}[{n}]")
@@ -185,6 +201,7 @@ def _dec_sparse(field, alg, rows, arity, path):
 
 
 def _dec_map(field, alg, obj, path):
+    _only(obj, ("matrix",), path)
     mat = _expect(obj, "matrix", list, f"{path}.matrix")
     if len(mat) != alg.dim:
         raise SchemaError(f"matrix must have {alg.dim} rows", f"{path}.matrix")
@@ -196,6 +213,7 @@ def _dec_map(field, alg, obj, path):
 def parse_structure(text: str) -> CatalogEntry:
     """Parse and fully verify a structure file; verification is not bypassable."""
     doc = _load_json(text)
+    _only(doc, _TOP_KEYS)
     field = _dec_field(doc)
     dim = _expect(doc, "dimension", int, "dimension")
     if dim < 1:
@@ -206,6 +224,7 @@ def parse_structure(text: str) -> CatalogEntry:
     for n, row in enumerate(mult_rows):
         if not isinstance(row, dict):
             raise SchemaError("expected an object", f"mult[{n}]")
+        _only(row, ("i", "j", "coeffs"), f"mult[{n}]")
         i = _expect(row, "i", int, f"mult[{n}].i")
         j = _expect(row, "j", int, f"mult[{n}].j")
         if (i, j) in mult:
@@ -262,9 +281,11 @@ def parse_structure(text: str) -> CatalogEntry:
 
 
 def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
+    from .dynamical import DynamicalTwist, ShiftSystem
     path = "dynamical"
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", path)
+    _only(doc, ("domain", "shift", "twists"), path)
     domain = set()
     for n, x in enumerate(_expect(doc, "domain", list, f"{path}.domain")):
         lam = _dec_fraction(x, f"{path}.domain")
@@ -272,6 +293,7 @@ def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
             raise SchemaError(f"duplicate value {lam}", f"{path}.domain[{n}]")
         domain.add(lam)
     shift_doc = _expect(doc, "shift", dict, f"{path}.shift")
+    _only(shift_doc, ("idempotents", "weights"), f"{path}.shift")
     idem = [alg.element(_dec_vector(field, row, alg.dim, f"{path}.shift.idempotents[{n}]"))
             for n, row in enumerate(_expect(shift_doc, "idempotents", list,
                                             f"{path}.shift.idempotents"))]
@@ -284,6 +306,7 @@ def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
     for n, row in enumerate(_expect(doc, "twists", list, f"{path}.twists")):
         if not isinstance(row, dict):
             raise SchemaError("expected an object", f"{path}.twists[{n}]")
+        _only(row, ("lambda", "f"), f"{path}.twists[{n}]")
         lam = _dec_fraction(_expect(row, "lambda", str, f"{path}.twists[{n}].lambda"),
                             f"{path}.twists[{n}].lambda")
         if lam in twists:
@@ -309,6 +332,7 @@ def _dec_fraction(obj, path) -> Fraction:
 def parse_twist(text: str, structure) -> Twist:
     """Parse a twist file against an already-loaded structure."""
     doc = _load_json(text)
+    _only(doc, ("twist",))
     alg = structure.algebra
     f = _dec_sparse(alg.field, alg, _expect(doc, "twist", list, "twist"), 2, "twist")
     return Twist(f, structure.counit)

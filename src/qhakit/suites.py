@@ -11,6 +11,10 @@ A suite runs once, in the rational block basis where the rule stated in
 elements are then still drawn on the original bundle, with the same RNG
 calls, and carried over (``_Draw``), so a seed means the same draws in
 either basis.
+
+Each suite imports its own layers when it runs, and the random draws
+import :mod:`qhakit.randgen` when first made, so an axioms job compiles
+none of them (the import rule is stated in :mod:`qhakit.cli`).
 """
 
 from __future__ import annotations
@@ -18,32 +22,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .antipode import AntipodePair, antipode_from_v, check_v_universality
+from . import DEFAULT_TRIALS, SUITE_NAMES
 from .catalog import CatalogEntry
-from .drinfeld import (compute_drinfeld_data, drinfeld_under_twist,
-                       gamma_bar_under_twist, opposite_drinfeld)
-from .dynamical import (check_classical_dqybe, check_dynamical_coproduct,
-                        check_opposite_qdqybe, check_qdqybe,
-                        check_shifted_quasi_cocycle, constant_family,
-                        dynamical_coassociator, qdqybe_sides,
-                        shifted_cocycle_sides)
 from .errors import QhaError
-from .qtriangular import (altschuler_coste_operator, canonical_r_elements,
-                          check_ssr_identity, check_u_universality, compute_u,
-                          opposite_by_r_vs_cop, r_tilde)
-from .randgen import random_invertible_element, random_twist
 from .report import Report
 from .structures import (_block_form, check_qqybe, opposite_structure, primed_structure,
                          qqybe_sides, structures_equal, verify_qba,
                          verify_quasi_antipode, verify_rmatrix, zero_structure)
-from .twists import (Twist, central_to_compatible, compatible_to_central,
-                     compose_twists, is_compatible, is_quasi_cocycle,
-                     quadratic_invariants, quasi_cocycle_sides, twist_structure,
-                     twisted_coassociator)
-
-SUITE_NAMES = ("axioms", "twist", "drinfeld", "qtriangular", "dynamical")
-
-DEFAULT_TRIALS = 5
 
 
 def _rng(seed, suite, name):
@@ -85,9 +70,11 @@ class _Draw:
         self.original, self.carry, self.back = original, carry, back
 
     def twist(self, rng):
+        from .randgen import random_twist
         return self.carry(random_twist(rng, self.original))
 
     def element(self, rng):
+        from .randgen import random_invertible_element
         return self.carry(random_invertible_element(rng, self.original.algebra))
 
 
@@ -110,6 +97,10 @@ def suite_axioms(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS
 
 
 def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
+    from .antipode import AntipodePair, antipode_from_v, check_v_universality
+    from .twists import (Twist, central_to_compatible, compatible_to_central,
+                         compose_twists, is_compatible, is_quasi_cocycle,
+                         twist_structure, twisted_coassociator)
     rep = Report("twist")
     s = entry.structure
     h = s.with_r(None)  # the antipode checks twist no R-matrix
@@ -160,6 +151,9 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS)
 
 
 def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
+    from .drinfeld import (compute_drinfeld_data, drinfeld_under_twist,
+                           gamma_bar_under_twist, opposite_drinfeld)
+    from .twists import twist_structure
     rep = Report("drinfeld")
     h = entry.structure.with_r(None)  # the opposite and twisted bundles need no R-matrix
     rng = _rng(seed, "drinfeld", entry.name)
@@ -183,6 +177,11 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
     if s.r is None:
         rep.add("skip", True, None)
         return rep
+    from .drinfeld import compute_drinfeld_data, drinfeld_under_twist
+    from .qtriangular import (altschuler_coste_operator, canonical_r_elements,
+                              check_ssr_identity, check_u_universality, compute_u,
+                              opposite_by_r_vs_cop, r_tilde)
+    from .twists import Twist, is_compatible, quadratic_invariants, twist_structure
     rng = _rng(seed, "qtriangular", entry.name)
 
     _guard(rep, "P6+E17", lambda: canonical_r_elements(s, "r"))
@@ -235,6 +234,7 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
 
 def _dynamical_r_checks(rep: Report, dyn, s, lam, label: str) -> None:
     """E46, E47 and the three opposite QYBEs of one family at one point, tagged ``label``."""
+    from .dynamical import check_dynamical_coproduct, check_opposite_qdqybe, check_qdqybe
     rep.extend(check_dynamical_coproduct(dyn, s, lam), prefix=label)
     rep.add(f"E47@{label}", check_qdqybe(dyn, s, lam), "quasi-dynamical QYBE fails")
     for variant in ("primed", "zero", "transpose"):
@@ -243,6 +243,10 @@ def _dynamical_r_checks(rep: Report, dyn, s, lam, label: str) -> None:
 
 
 def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
+    from .dynamical import (check_classical_dqybe, check_qdqybe,
+                            check_shifted_quasi_cocycle, constant_family,
+                            dynamical_coassociator, qdqybe_sides, shifted_cocycle_sides)
+    from .twists import Twist, quasi_cocycle_sides, twist_structure
     rep = Report("dynamical")
     s = entry.structure
     rng = _rng(seed, "dynamical", entry.name)

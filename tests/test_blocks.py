@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit import blocks, cli, qtriangular, suites
+from qhakit import blocks, cli, drinfeld, qtriangular, suites
 from qhakit.catalog import builtin
 from qhakit.dynamical import constant_family
 from qhakit.errors import ConsistencyError, StructureError
@@ -196,7 +196,9 @@ def test_cli_bytes_with_and_without_blocks(capsys, tmp_path, monkeypatch, name):
 
 def _fails_in_block_basis(monkeypatch, module, name):
     """Make ``module.name`` raise on a bundle in the block basis (basis names ``b...``)
-    and work as before on any other: a defect of the block-basis path alone."""
+    and work as before on any other: a defect of the block-basis path alone.  The
+    suites and the driver import a layer's names when they run, so ``module`` is
+    the layer that defines ``name``."""
     original = getattr(module, name)
 
     def mutant(h, *args):
@@ -208,7 +210,7 @@ def _fails_in_block_basis(monkeypatch, module, name):
 
 def test_a_suite_defect_in_the_block_basis_shows(monkeypatch):
     """The suite runs once, in the block basis; no rerun in the group basis hides the defect."""
-    _fails_in_block_basis(monkeypatch, suites, "gamma_bar_under_twist")
+    _fails_in_block_basis(monkeypatch, drinfeld, "gamma_bar_under_twist")
     (report,) = suites.run_suites(_twisted_file(4), "drinfeld", seed=0, trials=1)
     assert report.failure_ids() == ["P9@0"]
     (check,) = report.failures()
@@ -218,7 +220,7 @@ def test_a_suite_defect_in_the_block_basis_shows(monkeypatch):
 def test_a_compute_defect_in_the_block_basis_shows(capsys, tmp_path, monkeypatch):
     path = tmp_path / "t4.json"
     path.write_text(serialize_structure(_twisted_file(4)))
-    _fails_in_block_basis(monkeypatch, cli, "compute_drinfeld_data")
+    _fails_in_block_basis(monkeypatch, drinfeld, "compute_drinfeld_data")
     assert cli.main(["compute", str(path), "drinfeld"]) == 2
     assert "error: compute_drinfeld_data mutant: block basis" in capsys.readouterr().err
 

@@ -43,6 +43,13 @@ class TestBuiltin:
         with pytest.raises(CatalogError, match="group order must be positive"):
             builtin("group_z0")
 
+    @pytest.mark.parametrize("name", ["group_z257", "group_z99999999999",
+                                      "group_z1" + "0" * 5000])
+    def test_group_order_above_the_cap_rejected(self, name):
+        """The n x n table is never built past the cap, and no over-long numeral is read."""
+        with pytest.raises(CatalogError, match="^group order must be at most 256$"):
+            builtin(name)
+
     def test_all_verified_at_build(self, any_entry):
         assert_verified(any_entry.structure)
 
@@ -185,6 +192,45 @@ class TestParseErrors:
         edit(doc)
         with pytest.raises(SchemaError, match=rf"^{path}: field '\w+' has wrong type bool"):
             parse_structure(json.dumps(doc))
+
+    @pytest.mark.parametrize("name, edit, path", [
+        ("semion", lambda doc: doc.update(r_matrx=doc.pop("r_matrix")), "r_matrx"),
+        ("semion", lambda doc: doc["field"].update(ordr=4), "field.ordr"),
+        ("semion", lambda doc: doc["antipode"].update(inverse=[]), "antipode.inverse"),
+        ("semion", lambda doc: doc["antipode_inv"].update(matrx=[]), "antipode_inv.matrx"),
+        ("group_z3", lambda doc: doc["mult"][0].update(k=0), r"mult\[0\]\.k"),
+        ("group_z3", lambda doc: doc["phi"][0].update(l=0), r"phi\[0\]\.l"),
+        ("group_z3", lambda doc: doc["coproduct"][1][0].update(k=1),
+         r"coproduct\[1\]\[0\]\.k"),
+        ("semion", lambda doc: doc["r_matrix"][0].update(k=0), r"r_matrix\[0\]\.k"),
+        ("z2_triangular", lambda doc: doc["dynamical"].update(domian=[]), r"dynamical\.domian"),
+        ("z2_triangular", lambda doc: doc["dynamical"]["shift"].update(weight=[]),
+         r"dynamical\.shift\.weight"),
+        ("z2_triangular", lambda doc: doc["dynamical"]["twists"][2].update(mu="1"),
+         r"dynamical\.twists\[2\]\.mu"),
+        ("z2_triangular", lambda doc: doc["dynamical"]["twists"][0]["f"][0].update(k=0),
+         r"dynamical\.twists\[0\]\.f\[0\]\.k"),
+    ], ids=["top", "field", "antipode", "antipode_inv", "mult-row", "phi-entry",
+            "coproduct-entry", "r_matrix-entry", "dynamical", "dynamical.shift",
+            "dynamical.twists", "dynamical.twists.f"])
+    def test_unknown_key_rejected(self, name, edit, path):
+        """A misspelled key is refused with its path; ignored, a misspelled optional
+        key would drop its checks without a word."""
+        doc = json.loads(serialize_structure(entry(name)))
+        edit(doc)
+        with pytest.raises(SchemaError, match=rf"^{path}: unknown field$"):
+            parse_structure(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: doc.update(twsit=[]), "twsit"),
+        (lambda doc: doc["twist"][0].update(k=0), r"twist\[0\]\.k"),
+    ], ids=["top", "entry"])
+    def test_unknown_key_in_a_twist_file_rejected(self, edit, path):
+        h = entry("semion").structure
+        doc = json.loads(serialize_twist(h.algebra.field, random_twist(random.Random(0), h)))
+        edit(doc)
+        with pytest.raises(SchemaError, match=rf"^{path}: unknown field$"):
+            parse_twist(json.dumps(doc), h)
 
     def test_nonassociative_mult_names_triple(self):
         doc = json.loads(serialize_structure(entry("group_z3")))

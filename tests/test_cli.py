@@ -1,6 +1,7 @@
 """CLI contract: exit codes, deterministic reports, compute and twist commands."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,27 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "group_z03")
         assert code == 2
         assert "unknown builtin 'group_z03'" in err
+
+    @pytest.mark.parametrize("name", ["group_z257", "group_z99999999999"])
+    def test_group_order_above_the_cap_exits_2_at_once(self, capsys, name):
+        """The n x n table of group_z<n> is refused before it is built."""
+        start = time.monotonic()
+        code, _, err = run(capsys, "verify", name, "--suite", "axioms")
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert "error: group order must be at most 256" in err
+
+    def test_misspelled_r_matrix_exits_2(self, capsys, tmp_path):
+        """Ignored, the key would leave a file without an R-matrix: the qtriangular
+        suite would pass on its one ``skip`` check."""
+        path = tmp_path / "twisted.json"
+        assert main(["twist", "semion", "--generate-seed", "3", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["r_matrx"] = doc.pop("r_matrix")
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path), "--suite", "qtriangular")
+        assert code == 2 and out == ""
+        assert "error: r_matrx: unknown field" in err
 
     @pytest.mark.parametrize("name, edit, path", [
         ("semion", lambda doc: doc["unit"].__setitem__(0, [0.1, 1]), "unit[0]"),

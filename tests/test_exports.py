@@ -1,6 +1,6 @@
 """Every name a module lists in ``__all__`` resolves, so deleted code cannot linger there.
 
-Also: importing the CLI pulls in no module it does not use, the block
+Also: each CLI command loads exactly the modules it runs, the block
 basis is reached through one door, and no private helper is left without
 a caller.
 """
@@ -38,20 +38,76 @@ def test_cli_import_leaves_out_inspect_and_dataclasses():
     assert out.strip() == "[]"
 
 
-def test_axioms_job_leaves_out_serial_and_blocks():
-    """A job on a bundle that is never carried into the block basis loads neither
-    the file format nor the block-basis module."""
+def _loaded_by(argv, cwd=None):
+    """The ``qhakit`` modules one CLI process loads to run ``argv``, compiled from
+    source as the benchmark's jobs are."""
     src = str(Path(qhakit.__file__).resolve().parent.parent)
     code = ("import contextlib, io, sys\n"
             "from qhakit import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
-            "    assert cli.main(['verify', 'trivial', '--suite', 'axioms']) == 0\n"
-            "print(sorted({'qhakit.serial', 'qhakit.blocks'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+            "    try:\n"
+            "        code = cli.main(sys.argv[1:])\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'qhakit'))")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code] + argv, env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True).stdout
+    code, modules = out.split(" ", 1)
+    assert code == "0", out
+    return set(ast.literal_eval(modules))
+
+
+HELP_MODULES = {"qhakit", "qhakit.cli", "qhakit.errors"}
+KERNEL_MODULES = HELP_MODULES | {f"qhakit.{m}" for m in (
+    "catalog", "scalars", "tensor", "linalg", "structures", "report")}
+
+
+def test_help_loads_no_kernel():
+    """``--help`` (the benchmark's start-up probe) compiles the driver and its errors only."""
+    assert _loaded_by(["--help"]) == HELP_MODULES
+
+
+def test_axioms_job_leaves_out_serial_and_blocks():
+    """A job on a bundle that is never carried into the block basis loads neither
+    the file format nor the block-basis module, nor any layer the axioms suite
+    does not run."""
+    assert (_loaded_by(["verify", "trivial", "--suite", "axioms"])
+            == KERNEL_MODULES | {"qhakit.suites"})
+
+
+def _z4_twist():
+    """group_z4 and the twist 1 (x) 1 + 2 (g - 1) (x) (g - 1), which moves its coassociator."""
+    from qhakit.catalog import builtin
+    from qhakit.twists import Twist
+
+    s = builtin("group_z4").structure
+    alg = s.algebra
+    g = alg.basis_element(1) - alg.unit_element
+    return s, Twist(alg.tensor_unit(2) + (g.to_tensor() @ g).scale(2), s.counit)
+
+
+def test_twist_job_loads_no_suite(tmp_path):
+    """``twist`` by a file loads the file format, the twists and the block basis its
+    twisted bundle is verified in, and neither the suites nor the random draws."""
+    from qhakit.serial import serialize_twist
+
+    s, f = _z4_twist()
+    (tmp_path / "f.json").write_text(serialize_twist(s.algebra.field, f))
+    assert (_loaded_by(["twist", "group_z4", "--twist", "f.json"], cwd=tmp_path)
+            == KERNEL_MODULES | {"qhakit.serial", "qhakit.twists", "qhakit.blocks"})
+
+
+def test_file_without_a_family_leaves_out_dynamical(tmp_path):
+    """The file format loads the dynamical layer only for a ``dynamical`` section."""
+    from qhakit.serial import serialize_structure
+    from qhakit.twists import twist_structure
+
+    s, f = _z4_twist()
+    (tmp_path / "t4.json").write_text(serialize_structure(twist_structure(s, f), name="t4"))
+    loaded = _loaded_by(["verify", "t4.json", "--suite", "axioms"], cwd=tmp_path)
+    assert "qhakit.blocks" in loaded and "qhakit.dynamical" not in loaded
 
 
 def _block_uses(path):
