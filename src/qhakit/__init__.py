@@ -29,7 +29,7 @@ _EXPORTS = {
     "twists": ("Twist", "central_to_compatible", "compatible_to_central", "compose_twists",
                "is_compatible", "is_quasi_cocycle", "quadratic_invariants",
                "twist_structure"),
-    "antipode": ("AntipodePair", "antipode_from_v", "check_v_universality", "compute_v"),
+    "antipode": ("antipode_from_v", "check_v_universality", "compute_v"),
     "drinfeld": ("DrinfeldData", "compute_drinfeld_data", "compute_drinfeld_twist",
                  "compute_gamma", "compute_gamma_bar", "compute_second_drinfeld",
                  "drinfeld_under_twist", "gamma_bar_under_twist", "opposite_drinfeld"),

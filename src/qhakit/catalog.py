@@ -31,8 +31,7 @@ MAX_GROUP_ORDER = 256
 
 # structure: a QuasiBialgebra with a quasi-antipode, and an R-matrix or none;
 # dynamical: an optional DynamicalTwist family
-CatalogEntry = namedtuple("CatalogEntry", "name structure notes dynamical",
-                          defaults=("", None))
+CatalogEntry = namedtuple("CatalogEntry", "name structure dynamical", defaults=(None,))
 
 
 def builtin(name: str) -> CatalogEntry:
@@ -77,45 +76,43 @@ def _group_algebra(n: int, field) -> Algebra:
     return Algebra(field, n, mult, basis=names)
 
 
-def _group_hopf(n: int, field):
-    alg = _group_algebra(n, field)
+def _group_hopf(alg: Algebra, r=None, r_inv=None) -> QuasiBialgebra:
+    """The group algebra ``alg`` of Z/n with its grouplike Hopf structure and R-matrix ``r``."""
+    n = alg.dim
     delta = LinearMap(alg, [tensor_of(alg.basis_element(k), alg.basis_element(k))
                             for k in range(n)])
     counit = LinearMap.scalar_map(alg, [1] * n)
     s = LinearMap(alg, [alg.basis_element((n - k) % n).to_tensor() for k in range(n)])
-    qba = QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3))
     anti = QuasiAntipode(s, alg.unit_element, alg.unit_element, s_inv=s)
-    return qba.with_antipode(anti)
+    return QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3), anti,
+                          r, r_inv)
 
 
 def _trivial() -> CatalogEntry:
-    h = _group_hopf(1, RATIONAL)
-    alg = h.algebra
-    qt = h.with_r(alg.tensor_unit(2), alg.tensor_unit(2))
-    return CatalogEntry("trivial", qt,
-                        "one-dimensional structure; every derived operator equals 1")
+    """The one-dimensional structure; every derived operator equals 1."""
+    alg = _group_algebra(1, RATIONAL)
+    return CatalogEntry("trivial", _group_hopf(alg, alg.tensor_unit(2), alg.tensor_unit(2)))
 
 
 def _group_zn(n: int) -> CatalogEntry:
-    h = _group_hopf(n, RATIONAL)
-    return CatalogEntry(f"group_z{n}", h,
-                        f"group algebra of Z/{n}: grouplike coproduct, trivial coassociator")
+    """The group algebra of Z/n: grouplike coproduct, trivial coassociator."""
+    return CatalogEntry(f"group_z{n}", _group_hopf(_group_algebra(n, RATIONAL)))
 
 
 def _z2_triangular() -> CatalogEntry:
-    h = _group_hopf(2, RATIONAL)
-    alg = h.algebra
+    """k[Z/2] with the nontrivial triangular R-matrix."""
+    alg = _group_algebra(2, RATIONAL)
     half = Fraction(1, 2)
     one, g = alg.unit_element, alg.basis_element(1)
     r = (tensor_of(one, one) + tensor_of(one, g) + tensor_of(g, one)
          - tensor_of(g, g)).scale(half)
-    qt = h.with_r(r)
-    return CatalogEntry("z2_triangular", qt, "k[Z/2] with the nontrivial triangular R-matrix",
-                        _z2_dynamical(qt))
+    qt = _group_hopf(alg, r)
+    return CatalogEntry("z2_triangular", qt, _z2_dynamical(qt))
 
 
 def _sweedler_h4() -> CatalogEntry:
-    """Sweedler's algebra: g^2 = 1, x^2 = 0, xg = -gx; S has order 4."""
+    """Sweedler's four-dimensional algebra, g^2 = 1, x^2 = 0, xg = -gx, with S^2 != id
+    (S has order 4) and its standard R-matrix at parameter 1."""
     field = RATIONAL
     # basis 1, g, x, gx
     mult = {
@@ -134,9 +131,6 @@ def _sweedler_h4() -> CatalogEntry:
     ])
     counit = LinearMap.scalar_map(alg, [1, 1, 0, 0])
     s = LinearMap(alg, [one.to_tensor(), g.to_tensor(), (-gx).to_tensor(), x.to_tensor()])
-    qba = QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3))
-    anti = QuasiAntipode(s, one, one)
-    h = qba.with_antipode(anti)
 
     # the standard one-parameter R-matrix family, frozen at parameter 1
     lam = Fraction(1)
@@ -145,14 +139,14 @@ def _sweedler_h4() -> CatalogEntry:
           - tensor_of(g, g)).scale(half)
     r1 = (tensor_of(x, x) - tensor_of(x, gx) + tensor_of(gx, x)
           + tensor_of(gx, gx)).scale(half * lam)
-    qt = h.with_r(r0 + r1)
-    return CatalogEntry("sweedler_h4", qt,
-                        "four-dimensional structure with S^2 != id and its standard "
-                        "R-matrix at parameter 1")
+    qt = QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3),
+                        QuasiAntipode(s, one, one), r0 + r1)
+    return CatalogEntry("sweedler_h4", qt)
 
 
 def _semion() -> CatalogEntry:
-    """k[Z/2] over Q(zeta_4) with coassociator 1 - 2 p(x)p(x)p, p = (1-g)/2."""
+    """k[Z/2] over Q(zeta_4), genuinely quasi: coassociator 1 - 2 p(x)p(x)p with
+    p = (1-g)/2 and Phi^2 = 1, and an R-matrix entry at a primitive fourth root of unity."""
     field = cyclotomic_field(4)
     alg = Algebra(field, 2,
                   {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}},
@@ -166,9 +160,7 @@ def _semion() -> CatalogEntry:
     phi = alg.tensor_unit(3) - tensor_of(p, p, p).scale(2)
     r = alg.tensor_unit(2) + tensor_of(p, p).scale(field.zeta - 1)
     qt = QuasiBialgebra(alg, delta, counit, phi, phi, QuasiAntipode(s, g, one, s_inv=s), r)
-    return CatalogEntry("semion", qt,
-                        "genuinely quasi: nontrivial coassociator with Phi^2 = 1 and "
-                        "an R-matrix entry at a primitive fourth root of unity")
+    return CatalogEntry("semion", qt)
 
 
 def _z2_dynamical(qt: QuasiBialgebra):

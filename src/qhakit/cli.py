@@ -191,6 +191,9 @@ def cmd_compute(args) -> int:
     if what == "invariants" and args.m is None:
         print("error: 'invariants' needs the power m", file=sys.stderr)
         return 2
+    if what != "invariants" and args.m is not None:
+        print("error: only 'invariants' takes the power m", file=sys.stderr)
+        return 2
 
     # one run, in the basis the suites on this entry run in; values are mapped back
     chosen, draw = setting(entry)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .antipode import AntipodePair, compute_v
+from .antipode import compute_v
 from .errors import ConsistencyError, QhaError
 from .report import Report
-from .structures import (QuasiBialgebra, _connecting_element, _memoized, _require_scan,
-                         opposite_structure, primed_structure)
+from .structures import (QuasiBialgebra, _connecting_element, _memoized, _require,
+                         _require_scan, opposite_structure, primed_structure,
+                         verify_quasi_antipode)
 from .tensor import TensorElement, contract_element, tensor_of
 from .twists import Twist, is_compatible, twist_structure, twisted_antipode
 from .drinfeld import compute_drinfeld_data
@@ -57,7 +58,7 @@ def _r_twisted(t: QuasiBialgebra, which: str) -> QuasiBialgebra:
     A failed verification raises and caches nothing, so it raises again
     on the next call.
     """
-    return twist_structure(t.with_r(None), _canonical(t, which)[0], verify=True)
+    return twist_structure(t.without_r(), _canonical(t, which)[0], verify=True)
 
 
 def canonical_r_elements(t: QuasiBialgebra, which: str = "r"):
@@ -187,6 +188,8 @@ def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
     rep = Report("u-origin")
     s, anti = t.s, _canonical(t, "r")[1]
     u = contract_element(t.phi, [(3, s.compose(s)), s(t.beta), (2, s), anti.alpha, (1, None)])
-    v = compute_v(AntipodePair(opposite_structure(t.with_r(None)), anti))
+    op = opposite_structure(t.without_r())
+    _require(verify_quasi_antipode(op, anti), "alternative quasi-antipode fails")
+    v = compute_v(op, anti)
     rep.add("u-as-v", v == u, "connecting operator differs from u")
     return rep

@@ -237,6 +237,9 @@ def parse_structure(text: str) -> CatalogEntry:
     if basis is not None and (not isinstance(basis, list) or len(basis) != dim
                               or not all(isinstance(b, str) for b in basis)):
         raise SchemaError(f"expected a list of {dim} basis names", "basis")
+    for n, b in enumerate(basis or ()):
+        if basis.index(b) < n:  # a witness names an element by its basis name
+            raise SchemaError(f"duplicate name {b!r}", f"basis[{n}]")
     name = doc.get("name", "unnamed")
     if not isinstance(name, str):
         raise SchemaError("expected a string", "name")

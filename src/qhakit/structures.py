@@ -180,27 +180,10 @@ class QuasiBialgebra:
         if verify and r is not None:
             _require(verify_rmatrix(self), "R-matrix axioms fail")
 
-    def with_antipode(self, antipode, verify=True) -> "QuasiBialgebra":
-        """This quasi-bialgebra with ``antipode`` and no R-matrix.
-
-        Only the antipode is verified; the quasi-bialgebra is taken as it is.
-        """
-        out = QuasiBialgebra(self.algebra, self.coproduct, self.counit, self.phi,
-                             self.phi_inv, antipode, verify=False)
-        if verify:
-            _require(verify_quasi_antipode(out), "quasi-antipode axioms fail")
-        return out
-
-    def with_r(self, r, r_inv=None) -> "QuasiBialgebra":
-        """This bundle with R-matrix ``r``, or with none for ``r=None``.
-
-        Only the R-matrix is verified; the rest is taken as it is.
-        """
-        out = QuasiBialgebra(self.algebra, self.coproduct, self.counit, self.phi,
-                             self.phi_inv, self.antipode, r, r_inv, verify=False)
-        if r is not None:
-            _require(verify_rmatrix(out), "R-matrix axioms fail")
-        return out
+    def without_r(self) -> "QuasiBialgebra":
+        """This bundle without its R-matrix, taken as it is."""
+        return QuasiBialgebra(self.algebra, self.coproduct, self.counit, self.phi,
+                              self.phi_inv, self.antipode, verify=False)
 
     @property
     @_memoized
@@ -308,11 +291,12 @@ def verify_qba(q) -> Report:
     return rep
 
 
-def verify_quasi_antipode(h: QuasiBialgebra) -> Report:
-    """Check the quasi-antipode triple against its quasi-bialgebra."""
+def verify_quasi_antipode(h: QuasiBialgebra, antipode=None) -> Report:
+    """Check a quasi-antipode triple, by default h's own, against h's quasi-bialgebra."""
     alg = h.algebra
     rep = Report("antipode")
-    s, s_inv, alpha, beta = h.s, h.s_inv, h.alpha, h.beta
+    anti = h.antipode if antipode is None else antipode
+    s, s_inv, alpha, beta = anti.s, anti.s_inv, anti.alpha, anti.beta
     eps, phi, phi_inv = h.counit, h.phi, h.phi_inv
     one = alg.unit_element
 
@@ -340,11 +324,12 @@ def verify_quasi_antipode(h: QuasiBialgebra) -> Report:
     return rep
 
 
-def verify_rmatrix(t: QuasiBialgebra) -> Report:
-    """Check quasi-triangularity of the R-matrix, plus its twist credentials."""
+def verify_rmatrix(t: QuasiBialgebra, r=None, r_inv=None) -> Report:
+    """Check quasi-triangularity of R, by default t's own, plus its twist credentials."""
     alg = t.algebra
     rep = Report("rmatrix")
-    r, r_inv = t.r, t.r_inv
+    if r is None:
+        r, r_inv = t.r, t.r_inv
     phi, phi_inv = t.phi, t.phi_inv
     delta, eps = t.coproduct, t.counit
     unit2 = alg.tensor_unit(2)

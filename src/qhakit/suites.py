@@ -26,8 +26,8 @@ from . import DEFAULT_TRIALS, SUITE_NAMES
 from .catalog import CatalogEntry
 from .errors import QhaError
 from .report import Report
-from .structures import (_block_form, check_qqybe, opposite_structure, primed_structure,
-                         qqybe_sides, structures_equal, verify_qba,
+from .structures import (_block_form, _require, check_qqybe, opposite_structure,
+                         primed_structure, qqybe_sides, structures_equal, verify_qba,
                          verify_quasi_antipode, verify_rmatrix, zero_structure)
 
 
@@ -97,13 +97,13 @@ def suite_axioms(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS
 
 
 def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
-    from .antipode import AntipodePair, antipode_from_v, check_v_universality
+    from .antipode import antipode_from_v, check_v_universality
     from .twists import (Twist, central_to_compatible, compatible_to_central,
                          compose_twists, is_compatible, is_quasi_cocycle,
                          twist_structure, twisted_coassociator)
     rep = Report("twist")
     s = entry.structure
-    h = s.with_r(None)  # the antipode checks twist no R-matrix
+    h = s.without_r()  # the antipode checks twist no R-matrix
     rng = _rng(seed, "twist", entry.name)
 
     identity = Twist.identity(s)
@@ -131,8 +131,7 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS)
 
         _guard(rep, f"T1.roundtrip@{k}", lambda: antipode_from_v(h, w))
         alt = h.antipode.conjugated(w)
-        pair = AntipodePair(h, alt, verify=False)
-        _holds(rep, f"uni-v@{k}", lambda: check_v_universality(pair, f),
+        _holds(rep, f"uni-v@{k}", lambda: check_v_universality(h, alt, f),
                "v changed under a twist")
 
         # compatible twists: P7 in both directions, P8 recovery
@@ -155,7 +154,7 @@ def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIA
                            gamma_bar_under_twist, opposite_drinfeld)
     from .twists import twist_structure
     rep = Report("drinfeld")
-    h = entry.structure.with_r(None)  # the opposite and twisted bundles need no R-matrix
+    h = entry.structure.without_r()  # the opposite and twisted bundles need no R-matrix
     rng = _rng(seed, "drinfeld", entry.name)
 
     _guard(rep, "E9+E10+E11+P2+P3", lambda: compute_drinfeld_data(h))
@@ -197,7 +196,8 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
     rep.extend(opposite_by_r_vs_cop(s))
 
     rt, rt_inv = r_tilde(s)
-    _guard(rep, "Rtilde-E14", lambda: s.with_r(rt, rt_inv))
+    _guard(rep, "Rtilde-E14",
+           lambda: _require(verify_rmatrix(s, rt, rt_inv), "R-matrix axioms fail"))
     _guard(rep, "P1'-E14", lambda: opposite_structure(s))
 
     combos = {
@@ -222,7 +222,7 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
     rep.add("E42", check_qqybe(s), "quasi-QYBE fails")
     r_as_twist = Twist(s.r, s.counit, s.r_inv, check=False)
     fdr = drinfeld_under_twist(s, r_as_twist,
-                               twist_structure(s.with_r(None), r_as_twist, verify=False))
+                               twist_structure(s.without_r(), r_as_twist, verify=False))
     rep.add_equal("FdR", fdr.f,
                   data.f_delta.f.transpose() * s.r_inv.transpose() * s.r_inv)
 

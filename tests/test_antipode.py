@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit.antipode import (AntipodePair, antipode_from_v, check_v_universality,
-                             compute_v)
+from qhakit.antipode import antipode_from_v, check_v_universality, compute_v
+from qhakit.errors import StructureError
 from qhakit.randgen import random_invertible_element, random_twist
-from qhakit.structures import verify_quasi_antipode
+from qhakit.structures import QuasiAntipode, verify_quasi_antipode
 
 from conftest import ENTRY_NAMES, entry, hopf
 
@@ -17,8 +17,8 @@ class TestComputeV:
     def test_same_antipode_gives_one(self, any_entry):
         """With alt = base the zigzag identity collapses v to 1."""
         h = hopf(any_entry.name)
-        pair = AntipodePair(h, h.antipode)
-        assert compute_v(pair) == h.algebra.unit_element
+        assert verify_quasi_antipode(h, h.antipode).ok
+        assert compute_v(h, h.antipode) == h.algebra.unit_element
 
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_recovers_generator_exactly(self, name):
@@ -27,8 +27,8 @@ class TestComputeV:
         for _ in range(5):
             w = random_invertible_element(rng, h.algebra)
             alt = h.antipode.conjugated(w)
-            pair = AntipodePair(h, alt)
-            assert compute_v(pair) == w
+            assert verify_quasi_antipode(h, alt).ok
+            assert compute_v(h, alt) == w
 
     def test_semion_grouplike_generator(self):
         h = hopf("semion")
@@ -44,7 +44,8 @@ class TestComputeV:
         p = Fraction(1, 2) * alg.unit_element - Fraction(1, 2) * alg.basis_element(1)
         w = alg.unit_element + p
         alt = h.antipode.conjugated(w)
-        assert compute_v(AntipodePair(h, alt)) == w
+        assert verify_quasi_antipode(h, alt).ok
+        assert compute_v(h, alt) == w
 
     def test_central_specialization(self, any_entry):
         """When the alternative triple keeps S, the connecting operator is central."""
@@ -54,7 +55,8 @@ class TestComputeV:
         w = alg.scalar_element(Fraction(7, 3))
         alt = h.antipode.conjugated(w)
         assert alt.s == h.s
-        v = compute_v(AntipodePair(h, alt))
+        assert verify_quasi_antipode(h, alt).ok
+        v = compute_v(h, alt)
         assert v == w and v.is_central()
 
     def test_sweedler_nontrivial_conjugation(self):
@@ -67,9 +69,9 @@ class TestComputeV:
                 break
         else:
             pytest.skip("no conjugation-moving sample drawn")
-        rep = verify_quasi_antipode(h.with_antipode(alt, verify=False))
+        rep = verify_quasi_antipode(h, alt)
         assert rep.ok
-        assert compute_v(AntipodePair(h, alt)) == w
+        assert compute_v(h, alt) == w
 
 
 class TestUniqueness:
@@ -80,7 +82,8 @@ class TestUniqueness:
         rng = random.Random(4)
         w = random_invertible_element(rng, alg)
         alt = h.antipode.conjugated(w)
-        v = compute_v(AntipodePair(h, alt))
+        assert verify_quasi_antipode(h, alt).ok
+        v = compute_v(h, alt)
         candidate = v + alg.unit_element  # any perturbation
         if candidate == v:
             return
@@ -100,9 +103,25 @@ class TestBijection:
         rng = random.Random(f"bij:{name}")
         w = random_invertible_element(rng, h.algebra)
         alt = antipode_from_v(h, w)  # asserts compute_v == w internally
-        again = h.antipode.conjugated(compute_v(AntipodePair(h, alt)))
+        assert verify_quasi_antipode(h, alt).ok
+        again = h.antipode.conjugated(compute_v(h, alt))
         assert again.s == alt.s
         assert again.alpha == alt.alpha and again.beta == alt.beta
+
+    def test_a_wrong_triple_is_refused(self, monkeypatch):
+        """Mutant: a conjugation that doubles alpha builds a triple the verifier refuses."""
+        h = hopf("sweedler_h4")
+        real = QuasiAntipode.conjugated
+
+        def doubled(self, w):
+            alt = real(self, w)
+            return QuasiAntipode(alt.s, 2 * alt.alpha, alt.beta, s_inv=alt.s_inv)
+
+        monkeypatch.setattr(QuasiAntipode, "conjugated", doubled)
+        with pytest.raises(StructureError) as exc:
+            antipode_from_v(h, h.algebra.basis_element(1))
+        assert str(exc.value) == ("alternative quasi-antipode fails: "
+                                  "Sphi, Sphi-inv, eps-alpha-beta")
 
     def test_identity_generator(self, any_entry):
         h = hopf(any_entry.name)
@@ -116,8 +135,9 @@ class TestUniversality:
         h = hopf(any_entry.name)
         from qhakit.twists import Twist
         w = random_invertible_element(random.Random(9), h.algebra)
-        pair = AntipodePair(h, h.antipode.conjugated(w))
-        assert check_v_universality(pair, Twist.identity(h))
+        alt = h.antipode.conjugated(w)
+        assert verify_quasi_antipode(h, alt).ok
+        assert check_v_universality(h, alt, Twist.identity(h))
 
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_random_twists(self, name):
@@ -126,5 +146,6 @@ class TestUniversality:
         for _ in range(5):
             w = random_invertible_element(rng, h.algebra)
             f = random_twist(rng, h)
-            pair = AntipodePair(h, h.antipode.conjugated(w))
-            assert check_v_universality(pair, f)
+            alt = h.antipode.conjugated(w)
+            assert verify_quasi_antipode(h, alt).ok
+            assert check_v_universality(h, alt, f)

@@ -120,6 +120,13 @@ class TestParseErrors:
         with pytest.raises(SchemaError, match="duplicate index"):
             parse_structure(json.dumps(doc))
 
+    def test_duplicate_basis_name_rejected(self):
+        """A failure witness names a basis element; a repeated name would name two."""
+        doc = json.loads(serialize_structure(entry("semion")))
+        doc["basis"] = ["g", "g"]
+        with pytest.raises(SchemaError, match=r"^basis\[1\]: duplicate name 'g'$"):
+            parse_structure(json.dumps(doc))
+
     def test_duplicate_mult_row_rejected(self):
         doc = json.loads(serialize_structure(entry("group_z3")))
         doc["mult"].append(dict(doc["mult"][1]))

@@ -181,6 +181,13 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "semion", "invariants")
         assert code == 2
 
+    @pytest.mark.parametrize("what", ("u", "drinfeld", "v"))
+    def test_power_for_another_operator_exits_2(self, capsys, what):
+        """Only 'invariants' reads m; any other operator is refused, not run without it."""
+        code, out, err = run(capsys, "compute", "semion", what, "7")
+        assert code == 2 and out == ""
+        assert "error: only 'invariants' takes the power m" in err
+
     def test_v_roundtrip(self, capsys):
         code, out, _ = run(capsys, "compute", "sweedler_h4", "v", "--seed", "5")
         assert code == 0

@@ -10,7 +10,8 @@ from qhakit.drinfeld import (compute_drinfeld_data, compute_drinfeld_twist,
                              opposite_drinfeld)
 from qhakit.errors import ConsistencyError
 from qhakit.randgen import random_twist
-from qhakit.structures import opposite_structure, primed_structure, zero_structure
+from qhakit.structures import (QuasiBialgebra, opposite_structure, primed_structure,
+                               zero_structure)
 from qhakit.tensor import tensor_of
 from qhakit.twists import Twist, twist_structure
 
@@ -37,7 +38,7 @@ class TestGamma:
         h = hopf("z2_triangular")
         g = h.algebra.basis_element(1)
         alt = h.antipode.conjugated(g)  # alpha~ = beta~ = g
-        h2 = h.with_antipode(alt)
+        h2 = QuasiBialgebra(h.algebra, h.coproduct, h.counit, h.phi, h.phi_inv, alt)
         assert alt.alpha == g
         assert compute_gamma(h2) == tensor_of(g, g)
         assert compute_gamma_bar(h2) == tensor_of(g, g)
@@ -166,7 +167,7 @@ class TestBundleMemo:
 
     @pytest.mark.parametrize("derive", (
         opposite_structure, primed_structure, zero_structure,
-        lambda h: h.with_r(None), lambda h: twist_structure(h, Twist.identity(h))))
+        lambda h: h.without_r(), lambda h: twist_structure(h, Twist.identity(h))))
     def test_derived_bundle_computes_its_own(self, derive):
         h = hopf("semion")
         f_delta = compute_drinfeld_twist(h)

@@ -1,8 +1,8 @@
 """Every name a module lists in ``__all__`` resolves, so deleted code cannot linger there.
 
 Also: each CLI command loads exactly the modules it runs, the block
-basis is reached through one door, and no private helper is left without
-a caller.
+basis is reached through one door, no private helper is left without a
+caller, and the package's boolean switches are a fixed set.
 """
 
 import ast
@@ -174,3 +174,36 @@ def test_every_private_helper_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert [f"{where}.{name}" for where, name in defined if name not in used] == []
+
+
+# every parameter of the package that defaults to True or False
+PINNED_FLAGS = {"QuasiBialgebra.__init__.verify", "_mapped_structure.verify",
+                "twist_structure.verify", "Twist.__init__.check", "_add_scan.pairs"}
+
+
+def _boolean_parameters(node, prefix=""):
+    """``qualified.name.param`` of each parameter under ``node`` whose default is a bool."""
+    found = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = item.args
+            positional = args.posonlyargs + args.args
+            defaults = list(zip(positional[len(positional) - len(args.defaults):],
+                                args.defaults))
+            defaults += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None]
+            found |= {f"{prefix}{item.name}.{a.arg}" for a, d in defaults
+                      if isinstance(d, ast.Constant) and isinstance(d.value, bool)}
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _boolean_parameters(item, f"{prefix}{item.name}.")
+    return found
+
+
+def test_boolean_parameters_are_pinned():
+    """A switch that skips or changes work is a settable parameter; a new one must be
+    added to PINNED_FLAGS by hand, and a deleted one taken out."""
+    package = Path(qhakit.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found |= _boolean_parameters(ast.parse(path.read_text()))
+    assert found == PINNED_FLAGS

@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 
 from qhakit import qtriangular
-from qhakit.antipode import AntipodePair, compute_v
+from qhakit.antipode import compute_v
 from qhakit.catalog import builtin
 from qhakit.qtriangular import (altschuler_coste_operator, canonical_r_elements,
                                 check_ssr_identity, check_u_universality,
                                 compute_u, opposite_by_r_vs_cop, r_tilde)
 from qhakit.randgen import random_twist
-from qhakit.structures import opposite_structure
+from qhakit.errors import StructureError
+from qhakit.structures import (QuasiAntipode, opposite_structure, verify_quasi_antipode,
+                               verify_rmatrix)
 from qhakit.twists import Twist, is_compatible, twisted_antipode
 
 from conftest import QT_NAMES, assert_verified, drinfeld_data, entry, hopf
@@ -161,14 +163,30 @@ class TestUOrigin:
         rep = opposite_by_r_vs_cop(entry(name).structure)
         assert rep.ok, rep.failure_ids()
 
+    def test_a_wrong_r_triple_is_refused(self, monkeypatch):
+        """Mutant: an R-twisted triple with alpha_R doubled fails its check on H^cop."""
+        s = builtin("sweedler_h4").structure  # a new bundle: no R-twist cached yet
+        real = qtriangular.twisted_antipode
+
+        def doubled(h, f):
+            anti = real(h, f)
+            return QuasiAntipode(anti.s, 2 * anti.alpha, anti.beta, s_inv=anti.s_inv)
+
+        monkeypatch.setattr(qtriangular, "twisted_antipode", doubled)
+        with pytest.raises(StructureError) as exc:
+            opposite_by_r_vs_cop(s)
+        assert str(exc.value) == ("alternative quasi-antipode fails: "
+                                  "Sphi, Sphi-inv, eps-alpha-beta")
+
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_u_tilde_is_v_on_the_opposite_pair(self, name):
         """u~ connects the native triple of H^cop to the one twisting by (R^T)^{-1} induces."""
         s = entry(name).structure
         rt, rt_inv = r_tilde(s)
         anti = twisted_antipode(s, Twist(rt, s.counit, rt_inv))
-        pair = AntipodePair(opposite_structure(s.with_r(None)), anti)
-        assert compute_u(s).u_tilde == compute_v(pair)
+        op = opposite_structure(s.without_r())
+        assert verify_quasi_antipode(op, anti).ok
+        assert compute_u(s).u_tilde == compute_v(op, anti)
 
 
 class TestRTilde:
@@ -176,7 +194,7 @@ class TestRTilde:
     def test_r_tilde_is_rmatrix(self, name):
         s = entry(name).structure
         rt, rt_inv = r_tilde(s)
-        assert_verified(s.with_r(rt, rt_inv))
+        assert verify_rmatrix(s, rt, rt_inv).ok
 
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_opposite_r_matrix(self, name):
@@ -229,7 +247,7 @@ class TestFdeltaUnderR:
         s = entry(name).structure
         data = drinfeld_data(name)
         r_twist = Twist(s.r, s.counit, s.r_inv, check=False)
-        out = drinfeld_under_twist(s, r_twist, twist_structure(s.with_r(None), r_twist,
+        out = drinfeld_under_twist(s, r_twist, twist_structure(s.without_r(), r_twist,
                                                                verify=False))
         rrt_inv = s.r_inv.transpose() * s.r_inv
         assert out.f == data.f_delta.f.transpose() * rrt_inv

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qhakit import twists
-from qhakit.antipode import AntipodePair, compute_v
+from qhakit.antipode import compute_v
 from qhakit.errors import ConsistencyError, TwistError
 from qhakit.randgen import random_twist
-from qhakit.structures import QuasiAntipode, _connecting_element, structures_equal
+from qhakit.structures import (QuasiAntipode, _connecting_element, structures_equal,
+                               verify_quasi_antipode)
 from qhakit.tensor import tensor_of
 from qhakit.twists import (Twist, central_to_compatible, compatible_to_central,
                            compose_twists, is_compatible, is_quasi_cocycle,
@@ -229,8 +230,9 @@ class TestCompatibleToCentral:
         if not (z.is_central() and z.is_invertible() and h.counit(z)):
             z = alg.scalar_element(3)
         c = central_to_compatible(z, h)
-        pair = AntipodePair(h, twisted_antipode(h, c))  # verifies (S, alpha_C, beta_C)
-        assert compatible_to_central(c, h) == compute_v(pair)
+        alt = twisted_antipode(h, c)
+        assert verify_quasi_antipode(h, alt).ok  # (S, alpha_C, beta_C)
+        assert compatible_to_central(c, h) == compute_v(h, alt)
 
     def test_a_non_central_candidate_is_refused_by_the_routine(self):
         """Centrality is not checked apart: the routine's S~-conjugation scan, with S~ = S,
