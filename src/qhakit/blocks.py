@@ -100,7 +100,7 @@ def _is_group_table(alg) -> bool:
 def _apply(m: LinearMap, x):
     """``m`` on every leg of a tensor or on an element; the result lies in ``m.algebra``."""
     if isinstance(x, AlgElement):
-        return m.on_leg(x.to_tensor(), 1).as_element()
+        return m(x)
     return m.map_tensor(x)
 
 

@@ -7,10 +7,12 @@ result along two independent routes (the two expansion choices, or a
 closed form against a from-scratch recomputation) and raises
 ConsistencyError on any disagreement.
 
-The closed forms are sums over the entries of a tensor (a coassociator, a
-twist, a coproduct) of one arity-2 term each; ``_entry_sum`` is that sum,
-and gamma and gamma-bar share ``_intertwiner``, which differs between them
-only in its inputs.
+Each closed form sums L(x) R(y) over the entries of a tensor, for maps L, R
+from H to H (x) H: ``contract`` reduces the tensor to an arity-2 t, and
+``_paired`` forms sum_ab t_ab L(e_a) R(e_b) with ``on_leg`` and
+``contract``.  Each route builds its own t and maps from the bundle's
+inputs.  Gamma and gamma-bar share ``_intertwiner``, which differs between
+them only in its inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import namedtuple
 from .errors import ConsistencyError
 from .structures import (QuasiBialgebra, _mapped_structure, _memoized, _require_scan,
                          opposite_structure)
-from .tensor import LinearMap, TensorElement, _linear_combination, contract
+from .tensor import LinearMap, TensorElement, contract
 from .twists import Twist, twisted_alpha, twisted_beta, twisted_coassociator
 
 __all__ = [
@@ -33,9 +35,10 @@ __all__ = [
 DrinfeldData = namedtuple("DrinfeldData", "gamma gamma_bar f_delta f_zero")
 
 
-def _entry_sum(t: TensorElement, term) -> TensorElement:
-    """sum_I c_I term(*I) over the entries c_I of ``t``; every term lies in H (x) H."""
-    return _linear_combination(t, lambda idx: term(*idx), 2)
+def _paired(t: TensorElement, left: LinearMap, right: LinearMap) -> TensorElement:
+    """sum_ab t_ab left(e_a) right(e_b) for an arity-2 ``t`` and maps H -> H (x) H."""
+    u = right.on_leg(left.on_leg(t, 1), 3)
+    return contract(u, [(1, None), (3, None)], [(2, None), (4, None)])
 
 
 @_memoized
@@ -50,13 +53,14 @@ def _intertwiner(h, name: str, w1, w2, spec, law) -> TensorElement:
     """Contract ``spec`` over both four-leg expansions ``w1``, ``w2`` and check the law.
 
     The two contractions must agree, and on every basis element e
-    sum law(a1, x, a2) over Delta(e) = sum a1 (x) a2 must equal eps(e) x.
+    ``_paired(Delta(e), *law(x))`` must equal eps(e) x.
     """
     x = contract(w1, *spec)
     if x != contract(w2, *spec):
         raise ConsistencyError(f"the two expansion choices of {name} disagree")
+    left, right = law(x)
     _require_scan(h.algebra,
-                  lambda i: (_entry_sum(h.coproduct.col(i), lambda a1, a2: law(a1, x, a2))
+                  lambda i: (_paired(h.coproduct.col(i), left, right)
                              != x.scale(h.counit.col(i).scalar())),
                   f"{name} intertwining fails on basis element {{name}}")
     return x
@@ -76,7 +80,7 @@ def compute_gamma(h: QuasiBialgebra) -> TensorElement:
         h.phi_inv.embed((1, 2, 3), 4) * delta.on_leg(h.phi, 1),
         h.phi.embed((2, 3, 4), 4) * delta.on_leg(h.phi_inv, 3),
         ([(2, h.s), h.alpha, (3, None)], [(1, h.s), h.alpha, (4, None)]),
-        lambda a1, x, a2: sdt.col(a1) * x * delta.col(a2))
+        lambda x: (LinearMap(h.algebra, [c * x for c in sdt.columns]), delta))
 
 
 @_memoized
@@ -88,7 +92,7 @@ def compute_gamma_bar(h: QuasiBialgebra) -> TensorElement:
         delta.on_leg(h.phi_inv, 1) * h.phi.embed((1, 2, 3), 4),
         delta.on_leg(h.phi, 3) * h.phi_inv.embed((2, 3, 4), 4),
         ([(1, None), h.beta, (4, h.s)], [(2, None), h.beta, (3, h.s)]),
-        lambda a1, x, a2: delta.col(a1) * x * sdt.col(a2))
+        lambda x: (delta, LinearMap(h.algebra, [x * c for c in sdt.columns])))
 
 
 @_memoized
@@ -106,18 +110,17 @@ def compute_drinfeld_twist(h: QuasiBialgebra) -> Twist:
     primed = _mapped_structure(h, s, verify=False)
     dprime = primed.coproduct
 
-    e = alg.basis_element
-    f = _entry_sum(h.phi, lambda i1, i2, i3:
-                   sdt.col(i1) * gamma * delta(e(i2) * h.beta * s.col_element(i3)))
-    f_alt = _entry_sum(h.phi_inv, lambda i1, i2, i3:
-                       dprime(e(i1) * h.beta * s.col_element(i2)) * gamma * delta.col(i3))
+    f = _paired(contract(h.phi, [(1, None)], [(2, None), h.beta, (3, s)]),
+                LinearMap(alg, [c * gamma for c in sdt.columns]), delta)
+    f_alt = _paired(contract(h.phi_inv, [(1, None), h.beta, (2, s)], [(3, None)]),
+                    LinearMap(alg, [c * gamma for c in dprime.columns]), delta)
     if f != f_alt:
         raise ConsistencyError("the two closed forms of the Drinfeld twist disagree")
 
-    f_inv = _entry_sum(h.phi_inv, lambda i1, i2, i3:
-                       delta.col(i1) * gamma_bar * dprime(s.col_element(i2) * h.alpha * e(i3)))
-    f_inv_alt = _entry_sum(h.phi, lambda i1, i2, i3:
-                           delta(s.col_element(i1) * h.alpha * e(i2)) * gamma_bar * sdt.col(i3))
+    f_inv = _paired(contract(h.phi_inv, [(1, None)], [(2, s), h.alpha, (3, None)]),
+                    delta, LinearMap(alg, [gamma_bar * c for c in dprime.columns]))
+    f_inv_alt = _paired(contract(h.phi, [(1, s), h.alpha, (2, None)], [(3, None)]),
+                        delta, LinearMap(alg, [gamma_bar * c for c in sdt.columns]))
     if f_inv != f_inv_alt:
         raise ConsistencyError("the two closed forms of the inverse Drinfeld twist disagree")
 
@@ -194,8 +197,8 @@ def gamma_bar_under_twist(h: QuasiBialgebra, g: Twist, twisted) -> TensorElement
 
     gamma_bar = compute_gamma_bar(h)
     gt = g.f.transpose()
-    closed = _entry_sum(g.f, lambda i1, i2: g.f * h.coproduct.col(i1) * gamma_bar
-                        * h.s.map_tensor(gt * h.coproduct_t.col(i2)))
+    closed = _paired(g.f, LinearMap(h.algebra, [g.f * c * gamma_bar for c in h.coproduct.columns]),
+                     LinearMap(h.algebra, [h.s.map_tensor(gt * c) for c in h.coproduct_t.columns]))
     if recomputed != closed:
         raise ConsistencyError("twisted gamma-bar closed form disagrees with recomputation")
     return closed

@@ -291,7 +291,7 @@ def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
     _only(doc, ("domain", "shift", "twists"), path)
     domain = set()
     for n, x in enumerate(_expect(doc, "domain", list, f"{path}.domain")):
-        lam = _dec_fraction(x, f"{path}.domain")
+        lam = _dec_fraction(x, f"{path}.domain[{n}]")
         if lam in domain:
             raise SchemaError(f"duplicate value {lam}", f"{path}.domain[{n}]")
         domain.add(lam)
@@ -302,8 +302,8 @@ def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
                                             f"{path}.shift.idempotents"))]
     if not idem:
         raise SchemaError("expected at least one idempotent", f"{path}.shift.idempotents")
-    weights = [_dec_fraction(x, f"{path}.shift.weights") for x in
-               _expect(shift_doc, "weights", list, f"{path}.shift.weights")]
+    weights = [_dec_fraction(x, f"{path}.shift.weights[{n}]") for n, x in
+               enumerate(_expect(shift_doc, "weights", list, f"{path}.shift.weights"))]
     shift = ShiftSystem(idem, weights)
     twists = {}
     for n, row in enumerate(_expect(doc, "twists", list, f"{path}.twists")):

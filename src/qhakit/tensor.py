@@ -18,13 +18,14 @@ legwise product, the product in H and the columns of ``left_matrix``) runs
 in one kernel, ``_walk``: the right operand is indexed as a trie over its
 legs, each left entry walks it leg by leg sharing prefixes, and leg pairs
 with no structure constants are skipped whole.  ``contract`` and the tensor
-units expand outer products through ``_expand``, and weighted sums of
-tensors (a linear map applied to an element, the closed forms of
-``qhakit.drinfeld``) accumulate over one denominator in
-``_linear_combination``.  Field values appear only at the boundary: the
-public constructors clear them (``Field.clear``) and ``entries``/``coeffs``
-restore them (``Field.restore``) on each access, for files, reports,
-witnesses and ``repr``.
+units expand outer products through ``_expand``, and a linear map applied
+to an element or a leg accumulates over one denominator in ``on_leg``.
+``_walk``, ``_expand`` and ``on_leg`` are the only weighted sums; other
+modules (the closed forms of ``qhakit.drinfeld``) build theirs from them
+through products, ``contract`` and ``on_leg``.  Field values appear only
+at the boundary: the public constructors clear them (``Field.clear``) and
+``entries``/``coeffs`` restore them (``Field.restore``) on each access,
+for files, reports, witnesses and ``repr``.
 
 The support join is what makes a change of basis pay: in the rational
 block basis of a cyclic group algebra (:mod:`qhakit.blocks`, eps_d g^j
@@ -134,24 +135,6 @@ def _legwise(a, b):
     alg = a.algebra
     nums = _walk(alg._numerators, a.arity, a._nums.items(), b._nums.items())
     return type(a)._reduced(alg, a.arity, nums, a._den * b._den * alg._denominator ** a.arity)
-
-
-def _linear_combination(t, term, arity):
-    """sum_I c_I term(I) over the entries c_I of ``t``; every term has the given arity.
-
-    All terms are accumulated into one numerator table over the lcm of their
-    denominators, which is reduced once.
-    """
-    terms = [(c, term(I)) for I, c in t._nums.items()]
-    den = math.lcm(*[s._den for _, s in terms])
-    out = {}
-    get = out.get
-    for c, s in terms:
-        c *= den // s._den
-        for k, v in s._nums.items():
-            out[k] = get(k, 0) + c * v
-    return TensorElement._reduced(t.algebra, arity, {k: v for k, v in out.items() if v},
-                                  t._den * den)
 
 
 class Algebra:
@@ -623,7 +606,7 @@ class LinearMap:
 
     def __call__(self, x: AlgElement):
         """Apply to an element; returns a scalar, AlgElement, or TensorElement by arity."""
-        out = _linear_combination(x, lambda i: self.columns[i[0]], self.out_arity)
+        out = self.on_leg(x.to_tensor(), 1)
         if self.out_arity == 0:
             return out.scalar()
         if self.out_arity == 1:
@@ -662,9 +645,7 @@ class LinearMap:
         """self after other; other must be 1 -> 1."""
         if other.out_arity != 1:
             raise ArityMismatch("can only precompose with a 1 -> 1 map")
-        cols = [_linear_combination(c, lambda i: self.columns[i[0]], self.out_arity)
-                for c in other.columns]
-        return LinearMap(self.algebra, cols)
+        return LinearMap(self.algebra, [self.on_leg(c, 1) for c in other.columns])
 
     def matrix(self):
         if self.out_arity != 1:

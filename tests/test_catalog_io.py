@@ -177,7 +177,19 @@ class TestParseErrors:
     def test_dynamical_rational_outside_the_grammar_rejected(self):
         doc = json.loads(serialize_structure(entry("z2_triangular")))
         doc["dynamical"]["domain"][0] = "1e999999999"
-        with pytest.raises(SchemaError, match=r"^dynamical\.domain: bad rational"):
+        with pytest.raises(SchemaError, match=r"^dynamical\.domain\[0\]: bad rational"):
+            parse_structure(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, text", [
+        (lambda d: d["domain"].__setitem__(2, 1),
+         r"dynamical\.domain\[2\]: expected a rational string, got 1"),
+        (lambda d: d["shift"]["weights"].__setitem__(1, "x"),
+         r"dynamical\.shift\.weights\[1\]: bad rational 'x'"),
+    ], ids=["domain", "weights"])
+    def test_dynamical_rational_error_names_its_entry(self, edit, text):
+        doc = json.loads(serialize_structure(entry("z2_triangular")))
+        edit(doc["dynamical"])
+        with pytest.raises(SchemaError, match=rf"^{text}$"):
             parse_structure(json.dumps(doc))
 
     def test_unexpected_error_in_scalar_parsing_propagates(self, monkeypatch):

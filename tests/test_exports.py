@@ -2,7 +2,8 @@
 
 Also: each CLI command loads exactly the modules it runs, the block
 basis is reached through one door, no private helper is left without a
-caller, and the package's boolean switches are a fixed set.
+caller, no module reaches into the tensor kernel's private names, and the
+package's boolean switches are a fixed set.
 """
 
 import ast
@@ -174,6 +175,21 @@ def test_every_private_helper_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert [f"{where}.{name}" for where, name in defined if name not in used] == []
+
+
+def test_no_module_imports_a_private_kernel_name():
+    """The kernel's weighted sums stay inside ``tensor.py``; other modules build
+    theirs from its public operations (``contract``, ``on_leg``, the product)."""
+    package = Path(qhakit.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and ("." * node.level) + (node.module or "") in (".tensor", "qhakit.tensor")):
+                found += [f"{path.name}: {a.name}" for a in node.names if _private(a.name)]
+    assert found == []
 
 
 # every parameter of the package that defaults to True or False

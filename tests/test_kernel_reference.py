@@ -3,8 +3,9 @@
 ``reference_kernel`` keeps the Fraction/Cyclo product kernel, Gaussian
 elimination and the fraction-free (Bareiss) elimination; here they compute
 the same products, outer products, leg maps, left matrices, contractions,
-inverses and solutions on random inputs, and must agree entry by entry
-(same values, same scalar types) and error text by error text. The
+the Drinfeld closed-form sum, inverses and solutions on random inputs, and
+must agree entry by entry (same values, same scalar types) and error text
+by error text. The
 algebras cover what the catalog does not: structure constants with
 denominators (k[Z/2] on the bases {1, g/2} and {2, g}, whose unit e0 / 2
 has a denominator, 2x2 matrices on a scaled matrix-unit basis), cyclotomic
@@ -33,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 import reference_kernel as ref
 from qhakit import linalg
 from qhakit.catalog import builtin
+from qhakit.drinfeld import _paired
 from qhakit.errors import SingularError
 from qhakit.scalars import RATIONAL, _Integral, cyclotomic_field, totient
 from qhakit.serial import parse_twist
@@ -267,6 +269,30 @@ class TestKernelAgainstReference:
             m = LinearMap(alg, [data.draw(tensors(alg, out_arity)) for _ in range(alg.dim)])
             leg = data.draw(st.integers(1, arity))
             same_tensor(m.on_leg(s, leg), ref.on_leg(m, s, leg))
+            # applying and precomposing are on_leg at leg 1
+            a = data.draw(elements(alg))
+            applied, expected = m(a), ref.on_leg(m, a.to_tensor(), 1)
+            if out_arity == 0:
+                same([applied], [expected.scalar()])
+            else:
+                same_tensor(applied.to_tensor() if out_arity == 1 else applied, expected)
+            k = LinearMap(alg, [data.draw(tensors(alg, 1)) for _ in range(alg.dim)])
+            for col, c in zip(m.compose(k).columns, k.columns):
+                same_tensor(col, ref.on_leg(m, c, 1))
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_paired_closed_form(self, data):
+        """The Drinfeld closed-form helper, sum_ab t_ab (L(e_a) x) R(e_b), against that
+        sum formed term by term."""
+        alg = data.draw(st.sampled_from([a for a in ALGEBRAS if a.field in (RATIONAL, Q8)]))
+        t, x = data.draw(tensors(alg, 2)), data.draw(tensors(alg, 2))
+        ls, rs = ([data.draw(tensors(alg, 2)) for _ in range(alg.dim)] for _ in range(2))
+        left = LinearMap(alg, [ref.mul(c, x) for c in ls])
+        expected = alg.tensor_zero(2)
+        for (a, b), c in t.entries.items():
+            expected = ref.add(expected, ref.scale(ref.mul(left.columns[a], rs[b]), c))
+        same_tensor(_paired(t, left, LinearMap(alg, rs)), expected)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
