@@ -16,9 +16,8 @@ quasi-antipodes.
 
 from __future__ import annotations
 
-from .errors import ConsistencyError
 from .structures import (QuasiAntipode, QuasiBialgebra, _connecting_element, _require,
-                         verify_quasi_antipode)
+                         _require_equal, verify_quasi_antipode)
 from .twists import Twist, twist_structure, twisted_antipode
 
 __all__ = ["compute_v", "antipode_from_v", "check_v_universality"]
@@ -43,8 +42,7 @@ def antipode_from_v(h: QuasiBialgebra, w) -> QuasiAntipode:
     """
     alt = h.antipode.conjugated(w)
     _require(verify_quasi_antipode(h, alt), "alternative quasi-antipode fails")
-    if compute_v(h, alt) != w:
-        raise ConsistencyError("round trip through compute_v did not recover w")
+    _require_equal(compute_v(h, alt), w, "round trip through compute_v did not recover w")
     return alt
 
 

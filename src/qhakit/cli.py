@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
 2 on parse errors, load-time verification failures, or inapplicable
-requests.  Reports are deterministic for a fixed (input, seed): timing
-goes to stderr, never into the report payload.
+requests, with the failed checks or the first difference on stderr.
+Reports are deterministic for a fixed (input, seed): timing goes to
+stderr, never into the report payload.
 
 Import rule: each process compiles only the layers its command runs.
 This module imports nothing of the package at its top but the errors and
@@ -24,7 +25,7 @@ import sys
 import time
 
 from . import DEFAULT_TRIALS, SUITE_NAMES
-from .errors import QhaError, StructureError
+from .errors import ConsistencyError, QhaError, StructureError
 
 PROG = "qhakit"
 
@@ -259,6 +260,8 @@ def main(argv=None) -> int:
             for c in exc.report.failures():
                 print(f"  failed check: {c.check_id}"
                       + (f" [{c.witness}]" if c.witness else ""), file=sys.stderr)
+        if isinstance(exc, ConsistencyError) and exc.witness is not None:
+            print(f"  first difference: {exc.witness}", file=sys.stderr)
         return 2
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import ConsistencyError
-from .structures import (QuasiBialgebra, _mapped_structure, _memoized, _require_scan,
-                         opposite_structure)
+from .structures import (QuasiBialgebra, _mapped_structure, _memoized, _require_equal,
+                         _require_scan, opposite_structure)
 from .tensor import LinearMap, TensorElement, contract
 from .twists import Twist, twisted_alpha, twisted_beta, twisted_coassociator
 
@@ -55,13 +54,12 @@ def _intertwiner(h, name: str, w1, w2, spec, law) -> TensorElement:
     The two contractions must agree, and on every basis element e
     ``_paired(Delta(e), *law(x))`` must equal eps(e) x.
     """
-    x = contract(w1, *spec)
-    if x != contract(w2, *spec):
-        raise ConsistencyError(f"the two expansion choices of {name} disagree")
+    x = _require_equal(contract(w1, *spec), contract(w2, *spec),
+                       f"the two expansion choices of {name} disagree")
     left, right = law(x)
     _require_scan(h.algebra,
-                  lambda i: (_paired(h.coproduct.col(i), left, right)
-                             != x.scale(h.counit.col(i).scalar())),
+                  lambda i: (_paired(h.coproduct.col(i), left, right),
+                             x.scale(h.counit.col(i).scalar())),
                   f"{name} intertwining fails on basis element {{name}}")
     return x
 
@@ -110,33 +108,31 @@ def compute_drinfeld_twist(h: QuasiBialgebra) -> Twist:
     primed = _mapped_structure(h, s, verify=False)
     dprime = primed.coproduct
 
-    f = _paired(contract(h.phi, [(1, None)], [(2, None), h.beta, (3, s)]),
-                LinearMap(alg, [c * gamma for c in sdt.columns]), delta)
-    f_alt = _paired(contract(h.phi_inv, [(1, None), h.beta, (2, s)], [(3, None)]),
-                    LinearMap(alg, [c * gamma for c in dprime.columns]), delta)
-    if f != f_alt:
-        raise ConsistencyError("the two closed forms of the Drinfeld twist disagree")
-
-    f_inv = _paired(contract(h.phi_inv, [(1, None)], [(2, s), h.alpha, (3, None)]),
-                    delta, LinearMap(alg, [gamma_bar * c for c in dprime.columns]))
-    f_inv_alt = _paired(contract(h.phi, [(1, s), h.alpha, (2, None)], [(3, None)]),
-                        delta, LinearMap(alg, [gamma_bar * c for c in sdt.columns]))
-    if f_inv != f_inv_alt:
-        raise ConsistencyError("the two closed forms of the inverse Drinfeld twist disagree")
+    f = _require_equal(
+        _paired(contract(h.phi, [(1, None)], [(2, None), h.beta, (3, s)]),
+                LinearMap(alg, [c * gamma for c in sdt.columns]), delta),
+        _paired(contract(h.phi_inv, [(1, None), h.beta, (2, s)], [(3, None)]),
+                LinearMap(alg, [c * gamma for c in dprime.columns]), delta),
+        "the two closed forms of the Drinfeld twist disagree")
+    f_inv = _require_equal(
+        _paired(contract(h.phi_inv, [(1, None)], [(2, s), h.alpha, (3, None)]),
+                delta, LinearMap(alg, [gamma_bar * c for c in dprime.columns])),
+        _paired(contract(h.phi, [(1, s), h.alpha, (2, None)], [(3, None)]),
+                delta, LinearMap(alg, [gamma_bar * c for c in sdt.columns])),
+        "the two closed forms of the inverse Drinfeld twist disagree")
 
     twist = Twist(f, h.counit, f_inv)
 
-    _require_scan(alg, lambda i: dprime.col(i) != f * delta.col(i) * f_inv,
+    _require_scan(alg, lambda i: (dprime.col(i), f * delta.col(i) * f_inv),
                   "F_delta does not conjugate the coproduct onto the primed coproduct "
                   "at basis element {name}")
-    if twisted_coassociator(h, f, f_inv) != primed.phi:
-        raise ConsistencyError("the coassociator does not twist onto its primed form")
-    if f * delta(h.alpha) != gamma:
-        raise ConsistencyError("F_delta Delta(alpha) != gamma")
-    if delta(h.beta) * f_inv != gamma_bar:
-        raise ConsistencyError("Delta(beta) F_delta^{-1} != gamma-bar")
-    if twisted_alpha(h, twist) != primed.alpha or twisted_beta(h, twist) != primed.beta:
-        raise ConsistencyError("twisted canonical elements are not (S(beta), S(alpha))")
+    _require_equal(twisted_coassociator(h, f, f_inv), primed.phi,
+                   "the coassociator does not twist onto its primed form")
+    _require_equal(f * delta(h.alpha), gamma, "F_delta Delta(alpha) != gamma")
+    _require_equal(delta(h.beta) * f_inv, gamma_bar, "Delta(beta) F_delta^{-1} != gamma-bar")
+    canonical = "twisted canonical elements are not (S(beta), S(alpha))"
+    _require_equal(twisted_alpha(h, twist), primed.alpha, canonical)
+    _require_equal(twisted_beta(h, twist), primed.beta, canonical)
     return twist
 
 
@@ -150,14 +146,14 @@ def compute_second_drinfeld(h: QuasiBialgebra) -> Twist:
     twist = Twist(f0, h.counit, f0_inv)
 
     zero = _mapped_structure(h, s_inv, verify=False)
-    _require_scan(h.algebra, lambda i: zero.coproduct.col(i) != f0 * h.coproduct.col(i) * f0_inv,
+    _require_scan(h.algebra, lambda i: (zero.coproduct.col(i), f0 * h.coproduct.col(i) * f0_inv),
                   "F_0 does not conjugate the coproduct onto the zero coproduct "
                   "at basis element {name}")
-    if twisted_coassociator(h, f0, f0_inv) != zero.phi:
-        raise ConsistencyError("the coassociator does not twist onto its zero form")
-    if twisted_alpha(h, twist) != zero.alpha or twisted_beta(h, twist) != zero.beta:
-        raise ConsistencyError(
-            "twisted canonical elements are not (S^{-1}(beta), S^{-1}(alpha))")
+    _require_equal(twisted_coassociator(h, f0, f0_inv), zero.phi,
+                   "the coassociator does not twist onto its zero form")
+    canonical = "twisted canonical elements are not (S^{-1}(beta), S^{-1}(alpha))"
+    _require_equal(twisted_alpha(h, twist), zero.alpha, canonical)
+    _require_equal(twisted_beta(h, twist), zero.beta, canonical)
     return twist
 
 
@@ -173,17 +169,12 @@ def opposite_drinfeld(h: QuasiBialgebra) -> Twist:
     f_delta = compute_drinfeld_twist(h)
     h_op = opposite_structure(h)
     via_opposite = compute_drinfeld_twist(h_op)
-    closed = h.s_inv.map_tensor(f_delta.f)
-    if via_opposite.f != closed:
-        raise ConsistencyError(
-            "opposite-structure Drinfeld twist disagrees with (S^{-1} (x) S^{-1})F_delta")
-    f0 = compute_second_drinfeld(h)
-    if via_opposite.f != f0.f.transpose():
-        raise ConsistencyError("opposite-structure Drinfeld twist is not F_0^T")
-    second_op = compute_second_drinfeld(h_op)
-    if second_op.f != f_delta.f.transpose():
-        raise ConsistencyError(
-            "second Drinfeld twist of the opposite structure is not F_delta^T")
+    _require_equal(via_opposite.f, h.s_inv.map_tensor(f_delta.f),
+                   "opposite-structure Drinfeld twist disagrees with (S^{-1} (x) S^{-1})F_delta")
+    _require_equal(via_opposite.f, compute_second_drinfeld(h).f.transpose(),
+                   "opposite-structure Drinfeld twist is not F_0^T")
+    _require_equal(compute_second_drinfeld(h_op).f, f_delta.f.transpose(),
+                   "second Drinfeld twist of the opposite structure is not F_delta^T")
     return via_opposite
 
 
@@ -199,9 +190,8 @@ def gamma_bar_under_twist(h: QuasiBialgebra, g: Twist, twisted) -> TensorElement
     gt = g.f.transpose()
     closed = _paired(g.f, LinearMap(h.algebra, [g.f * c * gamma_bar for c in h.coproduct.columns]),
                      LinearMap(h.algebra, [h.s.map_tensor(gt * c) for c in h.coproduct_t.columns]))
-    if recomputed != closed:
-        raise ConsistencyError("twisted gamma-bar closed form disagrees with recomputation")
-    return closed
+    return _require_equal(closed, recomputed,
+                          "twisted gamma-bar closed form disagrees with recomputation")
 
 
 def drinfeld_under_twist(h: QuasiBialgebra, g: Twist, twisted) -> Twist:
@@ -215,18 +205,14 @@ def drinfeld_under_twist(h: QuasiBialgebra, g: Twist, twisted) -> Twist:
     recomputed = compute_drinfeld_twist(twisted)
 
     s, s_inv = h.s, h.s_inv
-    closed = s.map_tensor(g.f_inv.transpose()) * f_delta.f * g.f_inv
-    if recomputed.f != closed:
-        raise ConsistencyError("twisted Drinfeld twist disagrees with its closed form")
-    closed_inv = g.f * f_delta.f_inv * s.map_tensor(g.f.transpose())
-    if recomputed.f_inv != closed_inv:
-        raise ConsistencyError("twisted inverse Drinfeld twist disagrees with its closed form")
+    _require_equal(recomputed.f, s.map_tensor(g.f_inv.transpose()) * f_delta.f * g.f_inv,
+                   "twisted Drinfeld twist disagrees with its closed form")
+    _require_equal(recomputed.f_inv, g.f * f_delta.f_inv * s.map_tensor(g.f.transpose()),
+                   "twisted inverse Drinfeld twist disagrees with its closed form")
 
-    f0_twisted = compute_second_drinfeld(twisted)
-    f0 = compute_second_drinfeld(h)
-    f0_closed = s_inv.map_tensor(g.f_inv.transpose()) * f0.f * g.f_inv
-    if f0_twisted.f != f0_closed:
-        raise ConsistencyError("twisted second Drinfeld twist disagrees with its closed form")
+    _require_equal(compute_second_drinfeld(twisted).f,
+                   s_inv.map_tensor(g.f_inv.transpose()) * compute_second_drinfeld(h).f * g.f_inv,
+                   "twisted second Drinfeld twist disagrees with its closed form")
     return recomputed
 
 

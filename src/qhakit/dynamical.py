@@ -18,10 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (ArityMismatch, ConsistencyError, DomainError,
-                     StructureError, TwistError)
+from .errors import ArityMismatch, DomainError, StructureError, TwistError
 from .report import Report
-from .structures import QuasiBialgebra, _mapped_structure, _qybe_sides
+from .structures import QuasiBialgebra, _mapped_structure, _qybe_sides, _require_equal
 from .tensor import LinearMap, TensorElement
 from .twists import (Twist, _cocycle_head, _twisted_coproduct, twisted_coassociator,
                      twisted_coassociator_inv)
@@ -188,11 +187,10 @@ def dynamical_coassociator(dyn: DynamicalTwist, h, lam) -> TensorElement:
     lam = Fraction(lam)
     f, f_inv = dyn.f(lam), dyn.f_inv(lam)
     closed, closed_inv = _telescoped(dyn, h, lam)
-    if twisted_coassociator(h, f, f_inv) != closed:
-        raise ConsistencyError(
-            f"coassociator routes disagree at {lam} (shifted condition fails there?)")
-    if twisted_coassociator_inv(h, f, f_inv) != closed_inv:
-        raise ConsistencyError(f"inverse coassociator routes disagree at {lam}")
+    _require_equal(twisted_coassociator(h, f, f_inv), closed,
+                   f"coassociator routes disagree at {lam} (shifted condition fails there?)")
+    _require_equal(twisted_coassociator_inv(h, f, f_inv), closed_inv,
+                   f"inverse coassociator routes disagree at {lam}")
     return closed
 
 

@@ -44,8 +44,13 @@ class ConsistencyError(QhaError):
     """Two independent evaluation routes of the same quantity disagree.
 
     This signals either an invalid input structure or a kernel bug; it is
-    never expected on verified inputs.
+    never expected on verified inputs.  ``witness`` names where the values
+    part (``at (0, 1): 2 != 3``); ``str(exc)`` is the message alone.
     """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class CatalogError(QhaError):

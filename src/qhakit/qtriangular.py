@@ -14,11 +14,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .antipode import compute_v
-from .errors import ConsistencyError, QhaError
+from .errors import QhaError
 from .report import Report
 from .structures import (QuasiBialgebra, _connecting_element, _memoized, _require,
-                         _require_scan, opposite_structure, primed_structure,
-                         verify_quasi_antipode)
+                         _require_equal, _require_scan, opposite_structure,
+                         primed_structure, verify_quasi_antipode)
 from .tensor import TensorElement, contract_element, tensor_of
 from .twists import Twist, is_compatible, twist_structure, twisted_antipode
 from .drinfeld import compute_drinfeld_data
@@ -70,11 +70,10 @@ def canonical_r_elements(t: QuasiBialgebra, which: str = "r"):
     verifier battery.
     """
     twisted = _r_twisted(t, which)
-    if twisted.coproduct != t.coproduct_t:
-        raise ConsistencyError("twisting by the R-matrix does not reverse the coproduct")
-    if twisted.phi != t.phi_inv.perm((3, 2, 1)):
-        raise ConsistencyError(
-            "twisting by the R-matrix does not reverse the coassociator")
+    _require_equal(twisted.coproduct, t.coproduct_t,
+                   "twisting by the R-matrix does not reverse the coproduct")
+    _require_equal(twisted.phi, t.phi_inv.perm((3, 2, 1)),
+                   "twisting by the R-matrix does not reverse the coassociator")
     return twisted.alpha, twisted.beta
 
 
@@ -109,15 +108,18 @@ def compute_u(t: QuasiBialgebra) -> UOperators:
     alpha_r, beta_r = canonical_r_elements(t, "r")
     alpha_rt, beta_rt = canonical_r_elements(t, "r_tilde")
     ops = u, u_inv, ut, ut_inv = _u_operators(t)
-    if beta_rt != s(u) * s(t.beta) or alpha_rt != s(t.alpha) * s(u_inv):
-        raise ConsistencyError("cross relations for the tilde canonical elements fail")
-    if beta_r != s(ut) * s(t.beta) or alpha_r != s(t.alpha) * s(ut_inv):
-        raise ConsistencyError("cross relations for the plain canonical elements fail")
-    if ut != s(u_inv):
-        raise ConsistencyError("u~ != S(u^{-1})")
+    tilde = "cross relations for the tilde canonical elements fail"
+    _require_equal(beta_rt, s(u) * s(t.beta), tilde)
+    _require_equal(alpha_rt, s(t.alpha) * s(u_inv), tilde)
+    plain = "cross relations for the plain canonical elements fail"
+    _require_equal(beta_r, s(ut) * s(t.beta), plain)
+    _require_equal(alpha_r, s(t.alpha) * s(ut_inv), plain)
+    _require_equal(ut, s(u_inv), "u~ != S(u^{-1})")
     usu = u * s(u)
-    if usu != s(u) * u or not usu.is_central():
-        raise ConsistencyError("u S(u) is not central")
+    central = "u S(u) is not central"
+    _require_equal(usu, s(u) * u, central)
+    e = t.algebra.basis_element
+    _require_scan(t.algebra, lambda i: (usu * e(i), e(i) * usu), central)
     return ops
 
 
@@ -158,22 +160,20 @@ def altschuler_coste_operator(t: QuasiBialgebra) -> TensorElement:
     ops = _u_operators(t)
     u, u_inv = ops.u, ops.u_inv
     core = data.f_delta.f_inv * tensor_of(u, u) * data.f_zero.f
-    a = t.coproduct(u_inv) * core
-    a_alt = core * t.coproduct(u_inv)
-    if a != a_alt:
-        raise ConsistencyError("the two orderings of the ribbon-type operator disagree")
+    a = _require_equal(t.coproduct(u_inv) * core, core * t.coproduct(u_inv),
+                       "the two orderings of the ribbon-type operator disagree")
     alg = t.algebra
-    _require_scan(alg, lambda i: a * t.coproduct.col(i) != t.coproduct.col(i) * a,
+    _require_scan(alg, lambda i: (a * t.coproduct.col(i), t.coproduct.col(i) * a),
                   "operator does not commute with the coproduct at {name}")
     # counit normalization: (eps (x) 1)A = eps(u) 1, so divide by eps(u)
-    eps_a = t.counit.on_leg(a, 1)
     unit1 = alg.tensor_unit(1)
     eps_u = t.counit(u)
-    if eps_a != unit1.scale(eps_u) or t.counit.on_leg(a, 2) != unit1.scale(eps_u):
-        raise ConsistencyError("operator counit is not the expected scalar")
+    counit = "operator counit is not the expected scalar"
+    _require_equal(t.counit.on_leg(a, 1), unit1.scale(eps_u), counit)
+    _require_equal(t.counit.on_leg(a, 2), unit1.scale(eps_u), counit)
     normalized = Twist(a.scale(alg.field.inv(eps_u)), t.counit)
-    if not is_compatible(normalized, t):
-        raise ConsistencyError("normalized operator is not a compatible twist")
+    _require_equal(is_compatible(normalized, t), True,
+                   "normalized operator is not a compatible twist")
     return a
 
 

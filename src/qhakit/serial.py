@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .catalog import CatalogEntry
+from .catalog import MAX_GROUP_ORDER, CatalogEntry
 from .errors import QhaError, SchemaError, StructureError, TwistError
 from .scalars import RATIONAL, Field
 from .structures import QuasiAntipode, QuasiBialgebra
@@ -218,6 +218,8 @@ def parse_structure(text: str) -> CatalogEntry:
     dim = _expect(doc, "dimension", int, "dimension")
     if dim < 1:
         raise SchemaError("dimension must be positive", "dimension")
+    if dim > MAX_GROUP_ORDER:  # the algebra allocates a dim x dim table before any check
+        raise SchemaError(f"dimension must be at most {MAX_GROUP_ORDER}", "dimension")
 
     mult_rows = _expect(doc, "mult", list, "mult")
     mult = {}

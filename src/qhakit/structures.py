@@ -22,6 +22,10 @@ kept in the memo (``_block_form``); where it fails, the verifiers run
 again on the bundle itself, so every refusal is that of the original
 basis.  This is the only place that retries in the original basis: the
 suites and computations on a carried bundle run once, in its basis.
+
+Every route check (two routes to one value must agree exactly) calls one
+primitive, :func:`_require_equal`.  It only compares values that each
+route has already built on its own, and names where they part.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ import functools
 import itertools
 
 from .errors import ConsistencyError, SingularError, StructureError
-from .report import Report
-from .tensor import LinearMap, contract_element
+from .report import Report, _diff_witness
+from .tensor import AlgElement, LinearMap, contract_element
 
 __all__ = [
     "QuasiBialgebra", "QuasiAntipode",
@@ -117,27 +121,22 @@ def _connecting_element(phi, phi_inv, own: QuasiAntipode, other: QuasiAntipode):
     st, alpha_t, beta_t = other.s, other.alpha, other.beta
     st_sinv = st.compose(s_inv)
 
-    v = contract_element(phi, [(1, st), alpha_t, (2, None), beta, (3, s)])
-    v_alt = contract_element(
-        phi_inv, [(1, st_sinv), st(s_inv(beta)), (2, st), alpha_t, (3, None)])
-    if v != v_alt:
-        raise ConsistencyError("the two closed forms of v disagree")
-
-    v_inv = contract_element(phi, [(1, s), alpha, (2, None), beta_t, (3, st)])
-    v_inv_alt = contract_element(
-        phi_inv, [(1, None), beta_t, (2, st), st(s_inv(alpha)), (3, st_sinv)])
-    if v_inv != v_inv_alt:
-        raise ConsistencyError("the two closed forms of v^{-1} disagree")
+    v = _require_equal(
+        contract_element(phi, [(1, st), alpha_t, (2, None), beta, (3, s)]),
+        contract_element(phi_inv, [(1, st_sinv), st(s_inv(beta)), (2, st), alpha_t, (3, None)]),
+        "the two closed forms of v disagree")
+    v_inv = _require_equal(
+        contract_element(phi, [(1, s), alpha, (2, None), beta_t, (3, st)]),
+        contract_element(phi_inv, [(1, None), beta_t, (2, st), st(s_inv(alpha)), (3, st_sinv)]),
+        "the two closed forms of v^{-1} disagree")
 
     alg = s.algebra
-    one = alg.unit_element
-    if v * v_inv != one or v_inv * v != one:
-        raise ConsistencyError("closed-form inverse of v is not a two-sided inverse")
-    if v * alpha != alpha_t:
-        raise ConsistencyError("v alpha != alpha~")
-    if beta_t * v != beta:
-        raise ConsistencyError("beta~ v != beta")
-    _require_scan(alg, lambda i: st.col_element(i) != v * s.col_element(i) * v_inv,
+    two_sided = "closed-form inverse of v is not a two-sided inverse"
+    _require_equal(v * v_inv, alg.unit_element, two_sided)
+    _require_equal(v_inv * v, alg.unit_element, two_sided)
+    _require_equal(v * alpha, alpha_t, "v alpha != alpha~")
+    _require_equal(beta_t * v, beta, "beta~ v != beta")
+    _require_scan(alg, lambda i: (st.col_element(i), v * s.col_element(i) * v_inv),
                   "S~ is not conjugation by v on basis element {name}")
     return v, v_inv
 
@@ -240,14 +239,22 @@ def _add_scan(rep: Report, check_id: str, alg, fails, pairs=False) -> None:
     rep.add(check_id, witness is None, witness)
 
 
-def _require_scan(alg, fails, message: str) -> None:
-    """Raise ConsistencyError at the first basis index ``i`` where ``fails(i)`` holds.
+def _require_equal(left, right, message: str):
+    """``left`` where it equals ``right``; else a ConsistencyError whose witness is the
+    first differing multi-index (an AlgElement read as its arity-1 tensor)."""
+    if left == right:
+        return left
+    left, right = (x.to_tensor() if isinstance(x, AlgElement) else x for x in (left, right))
+    raise ConsistencyError(message, _diff_witness(left, right))
+
+
+def _require_scan(alg, sides, message: str) -> None:
+    """:func:`_require_equal` on the pair ``sides(i)`` at each basis index ``i`` in turn.
 
     The raising twin of :func:`_add_scan`; ``{name}`` in ``message`` names the basis element.
     """
     for i in range(alg.dim):
-        if fails(i):
-            raise ConsistencyError(message.format(name=alg.basis_names[i]))
+        _require_equal(*sides(i), message.format(name=alg.basis_names[i]))
 
 
 def verify_qba(q) -> Report:

@@ -1,12 +1,16 @@
 """Antipode equivalence: the connecting operator v and its twist invariance."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from qhakit import structures, suites
 from qhakit.antipode import antipode_from_v, check_v_universality, compute_v
-from qhakit.errors import StructureError
+from qhakit.catalog import builtin
+from qhakit.cli import main
+from qhakit.errors import ConsistencyError, StructureError
 from qhakit.randgen import random_invertible_element, random_twist
 from qhakit.structures import QuasiAntipode, verify_quasi_antipode
 
@@ -149,3 +153,49 @@ class TestUniversality:
             alt = h.antipode.conjugated(w)
             assert verify_quasi_antipode(h, alt).ok
             assert check_v_universality(h, alt, f)
+
+
+# -- route mutants: one closed form of the connecting element changed --------------
+
+_CONTRACT = structures.contract_element
+
+
+def _double_in_each_run(monkeypatch, n):
+    """Double the n-th ``contract_element`` result of each run of ``_connecting_element``."""
+    run = {"frame": None, "calls": 0}
+
+    def mutant(*args):
+        out = _CONTRACT(*args)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_connecting_element":
+            if frame is not run["frame"]:
+                run.update(frame=frame, calls=0)
+            run["calls"] += 1
+            if run["calls"] == n:
+                return out.scale(2)
+        return out
+
+    monkeypatch.setattr(structures, "contract_element", mutant)
+
+
+@pytest.mark.parametrize("n, text, witness", [
+    (2, "the two closed forms of v disagree", "at (0,): 2 != 4"),
+    (4, "the two closed forms of v^{-1} disagree", "at (0,): 2/3 != 4/3"),
+], ids=["v_alt", "v_inv_alt"])
+def test_a_route_mutant_fails_its_check(monkeypatch, capsys, n, text, witness):
+    """The second closed form of v, or of v^{-1}, doubled: compute_v raises the check's
+    text with the first differing entry, the twist suite fails each check that connects
+    two quasi-antipodes with that text, and the CLI prints the entry under the error."""
+    _double_in_each_run(monkeypatch, n)
+    h = builtin("sweedler_h4").structure
+    alg = h.algebra
+    alt = h.antipode.conjugated(alg.unit_element.scale(2) + alg.basis_element(1))
+    with pytest.raises(ConsistencyError) as exc:
+        compute_v(h, alt)
+    assert (str(exc.value), exc.value.witness) == (text, witness)
+    (rep,) = suites.run_suites(builtin("sweedler_h4"), "twist", seed=0, trials=1)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("T1.roundtrip@0", text), ("uni-v@0", text), ("P8@0", text)]
+    assert main(["compute", "sweedler_h4", "v"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {text}", "  first difference: at (0,): 1 != 2"]

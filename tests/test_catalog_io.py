@@ -201,6 +201,15 @@ class TestParseErrors:
         with pytest.raises(RuntimeError, match="bug in parse_scalar"):
             parse_structure(serialize_structure(entry("group_z3")))
 
+    def test_dimension_above_the_cap_rejected(self):
+        """The algebra allocates a dim x dim table before any check: a short file
+        must not ask for it."""
+        doc = json.loads(serialize_structure(entry("group_z3")))
+        doc.pop("basis", None)
+        doc.update(dimension=257, mult=[], unit=["1"] + ["0"] * 256)
+        with pytest.raises(SchemaError, match=r"^dimension: dimension must be at most 256$"):
+            parse_structure(json.dumps(doc))
+
     @pytest.mark.parametrize("edit, path", [
         (lambda doc: doc.update(dimension=True), "dimension"),
         (lambda doc: doc["phi"][0].update(i=False), r"phi\[0\]\.i"),

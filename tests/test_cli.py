@@ -79,6 +79,16 @@ class TestVerify:
         assert code == 2
         assert "error: group order must be at most 256" in err
 
+    def test_dimension_above_the_cap_exits_2(self, capsys, tmp_path):
+        doc = json.loads(serialize_structure(entry("group_z3")))
+        doc.pop("basis", None)
+        doc.update(dimension=257, mult=[], unit=["1"] + ["0"] * 256)
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert "error: dimension: dimension must be at most 256" in err
+
     def test_misspelled_r_matrix_exits_2(self, capsys, tmp_path):
         """Ignored, the key would leave a file without an R-matrix: the qtriangular
         suite would pass on its one ``skip`` check."""

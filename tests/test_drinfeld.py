@@ -56,7 +56,7 @@ class TestGamma:
     def test_semion_gamma_nontrivial(self):
         h = hopf("semion")
         gamma = compute_gamma(h)
-        assert gamma != tensor_of(h.alpha, h.alpha) or gamma == gamma  # computed value
+        assert gamma != tensor_of(h.alpha, h.alpha)  # gamma = alpha (x) alpha when Phi = 1
         # the intertwining identity was already asserted inside compute_gamma;
         # cross-check the defining contraction once more, densely
         delta = h.coproduct

@@ -2,8 +2,9 @@
 
 Also: each CLI command loads exactly the modules it runs, the block
 basis is reached through one door, no private helper is left without a
-caller, no module reaches into the tensor kernel's private names, and the
-package's boolean switches are a fixed set.
+caller, no module reaches into the tensor kernel's private names, every
+route check raises through one primitive, and the package's boolean
+switches are a fixed set.
 """
 
 import ast
@@ -190,6 +191,32 @@ def test_no_module_imports_a_private_kernel_name():
                     and ("." * node.level) + (node.module or "") in (".tensor", "qhakit.tensor")):
                 found += [f"{path.name}: {a.name}" for a in node.names if _private(a.name)]
     assert found == []
+
+
+def _raise_scopes(tree, name):
+    """The innermost function around each ``raise name(...)`` under ``tree``."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == name:
+                    scopes.append(scope)
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if defines else scope)
+
+    visit(tree, "<module>")
+    return scopes
+
+
+def test_every_route_check_raises_through_require_equal():
+    """A route check hands its two values to ``structures._require_equal``, the one
+    place that raises ConsistencyError, so every such error names its first difference."""
+    package = Path(qhakit.__file__).resolve().parent
+    found = [f"{path.name}: {scope}" for path in sorted(package.glob("*.py"))
+             for scope in _raise_scopes(ast.parse(path.read_text()), "ConsistencyError")]
+    assert found == ["structures.py: _require_equal"]
 
 
 # every parameter of the package that defaults to True or False

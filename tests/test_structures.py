@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit.errors import SingularError, StructureError
-from qhakit.structures import (QuasiAntipode, QuasiBialgebra, check_qqybe,
-                               opposite_structure, primed_structure,
-                               structures_equal, verify_qba,
+from qhakit.errors import ConsistencyError, SingularError, StructureError
+from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _require_equal,
+                               _require_scan, check_qqybe, opposite_structure,
+                               primed_structure, structures_equal, verify_qba,
                                verify_quasi_antipode, verify_rmatrix,
                                zero_structure)
 from qhakit.tensor import LinearMap, contract, tensor_of
@@ -30,6 +30,48 @@ class TestVerifiers:
         assert s.phi == alg.tensor_unit(3)
         assert s.r == alg.tensor_unit(2)
         assert s.alpha == alg.unit_element and s.beta == alg.unit_element
+
+
+class TestRequireEqual:
+    """The one route-check primitive: it returns the agreed value or names where
+    the two values part."""
+
+    def test_returns_left_on_equality(self):
+        alg = hopf("sweedler_h4").algebra
+        left, right = alg.basis_element(1), alg.basis_element(1)
+        assert _require_equal(left, right, "routes disagree") is left
+
+    def test_tensor_witness_is_the_first_differing_multi_index(self):
+        alg = hopf("sweedler_h4").algebra
+        one, g = alg.unit_element, alg.basis_element(1)
+        left = tensor_of(one, g) + tensor_of(g, one)
+        right = tensor_of(one, g) + tensor_of(g, one).scale(3) + tensor_of(g, g)
+        with pytest.raises(ConsistencyError) as exc:
+            _require_equal(left, right, "routes disagree")
+        assert str(exc.value) == "routes disagree"
+        assert exc.value.witness == "at (1, 0): 1 != 3"
+
+    def test_element_witness_is_its_arity_1_entry(self):
+        alg = hopf("sweedler_h4").algebra
+        one, x = alg.unit_element, alg.basis_element(2)
+        with pytest.raises(ConsistencyError) as exc:
+            _require_equal(one + x, one + x.scale(Fraction(1, 2)), "v alpha != alpha~")
+        assert (str(exc.value), exc.value.witness) == ("v alpha != alpha~",
+                                                       "at (2,): 1 != 1/2")
+
+    def test_a_verdict_is_compared_as_a_value(self):
+        with pytest.raises(ConsistencyError) as exc:
+            _require_equal(False, True, "not a compatible twist")
+        assert exc.value.witness == "False != True"
+
+    def test_scan_names_the_first_failing_basis_element(self):
+        alg = hopf("sweedler_h4").algebra
+        e = alg.basis_element
+        with pytest.raises(ConsistencyError) as exc:
+            _require_scan(alg, lambda i: (e(i), e(i).scale(2) if i >= 2 else e(i)),
+                          "fails on basis element {name}")
+        assert (str(exc.value), exc.value.witness) == ("fails on basis element x",
+                                                       "at (2,): 1 != 2")
 
 
 class TestNegativeControls:
