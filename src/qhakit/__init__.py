@@ -21,8 +21,7 @@ DEFAULT_TRIALS = 5
 
 _EXPORTS = {
     "scalars": ("Cyclo", "Field", "RATIONAL", "cyclotomic_field"),
-    "tensor": ("Algebra", "AlgElement", "LinearMap", "TensorElement", "contract",
-               "contract_element", "tensor_of"),
+    "tensor": ("Algebra", "AlgElement", "LinearMap", "TensorElement", "contract", "tensor_of"),
     "structures": ("QuasiAntipode", "QuasiBialgebra", "check_qqybe", "opposite_structure",
                    "primed_structure", "verify_qba", "verify_quasi_antipode",
                    "verify_rmatrix", "zero_structure"),

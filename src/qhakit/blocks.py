@@ -47,7 +47,7 @@ from functools import lru_cache
 from .errors import QhaError, StructureError
 from .scalars import _zeta_powers, totient
 from .structures import QuasiAntipode, QuasiBialgebra, _memoized
-from .tensor import AlgElement, Algebra, LinearMap
+from .tensor import Algebra, LinearMap
 from .twists import Twist
 
 __all__ = []
@@ -97,13 +97,6 @@ def _is_group_table(alg) -> bool:
             and alg._mult == {(i, j): {(i + j) % n: one} for i in range(n) for j in range(n)})
 
 
-def _apply(m: LinearMap, x):
-    """``m`` on every leg of a tensor or on an element; the result lies in ``m.algebra``."""
-    if isinstance(x, AlgElement):
-        return m(x)
-    return m.map_tensor(x)
-
-
 class Transported(namedtuple("Transported", "s down up")):
     """A verified bundle ``s`` in the block basis, with the two basis changes.
 
@@ -119,11 +112,11 @@ class Transported(namedtuple("Transported", "s down up")):
         """
         if isinstance(x, Twist):
             return Twist(self.carry(x.f), self.s.counit, self.carry(x.f_inv), check=False)
-        return _apply(self.down, x)
+        return self.down.map_tensor(x)
 
     def back(self, x):
         """An element or tensor of ``s``, in the original bundle's basis."""
-        return _apply(self.up, x)
+        return self.up.map_tensor(x)
 
 
 def _change(old, basis: BlockBasis):
@@ -137,10 +130,10 @@ def _change(old, basis: BlockBasis):
            for a in range(n) for b in range(n)):
         raise StructureError("block basis: P^{-1} P is not the identity")
     up, coords = LinearMap.from_matrix(old, p), LinearMap.from_matrix(old, p_inv)
-    vectors = [up.col_element(a) for a in range(n)]
-    mult = {(a, b): _apply(coords, x * y).coeffs
+    vectors = up.columns
+    mult = {(a, b): coords(x * y).coeffs
             for a, x in enumerate(vectors) for b, y in enumerate(vectors)}
-    alg = Algebra(old.field, n, mult, unit=_apply(coords, old.unit_element).coeffs,
+    alg = Algebra(old.field, n, mult, unit=coords(old.unit_element).coeffs,
                   basis=basis.names)
     return alg, LinearMap.from_matrix(alg, p_inv), up
 
@@ -155,13 +148,13 @@ def transport(s, basis: BlockBasis) -> Transported:
     if the basis does not invert or the carried bundle fails a verifier.
     """
     alg, down, up = _change(s.algebra, basis)
-    vectors = [up.col_element(a) for a in range(alg.dim)]
+    vectors = up.columns
 
     def mapped(m):
-        return LinearMap(alg, [down.map_tensor(m.on_leg(v.to_tensor(), 1)) for v in vectors])
+        return LinearMap(alg, [down.map_tensor(m(v)) for v in vectors])
 
     def carried(t):
-        return None if t is None else _apply(down, t)
+        return None if t is None else down.map_tensor(t)
 
     anti = None
     if s.antipode is not None:

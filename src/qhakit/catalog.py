@@ -82,7 +82,7 @@ def _group_hopf(alg: Algebra, r=None, r_inv=None) -> QuasiBialgebra:
     delta = LinearMap(alg, [tensor_of(alg.basis_element(k), alg.basis_element(k))
                             for k in range(n)])
     counit = LinearMap.scalar_map(alg, [1] * n)
-    s = LinearMap(alg, [alg.basis_element((n - k) % n).to_tensor() for k in range(n)])
+    s = LinearMap(alg, [alg.basis_element((n - k) % n) for k in range(n)])
     anti = QuasiAntipode(s, alg.unit_element, alg.unit_element, s_inv=s)
     return QuasiBialgebra(alg, delta, counit, alg.tensor_unit(3), alg.tensor_unit(3), anti,
                           r, r_inv)
@@ -130,7 +130,7 @@ def _sweedler_h4() -> CatalogEntry:
         tensor_of(gx, g) + tensor_of(one, gx),
     ])
     counit = LinearMap.scalar_map(alg, [1, 1, 0, 0])
-    s = LinearMap(alg, [one.to_tensor(), g.to_tensor(), (-gx).to_tensor(), x.to_tensor()])
+    s = LinearMap(alg, [one, g, -gx, x])
 
     # the standard one-parameter R-matrix family, frozen at parameter 1
     lam = Fraction(1)

@@ -122,7 +122,7 @@ def _insert_shifted(shift: ShiftSystem, lam, leg: int, arity: int, table) -> Ten
         member = table(lam + w)
         if member.arity != len(rest):
             raise ArityMismatch("family member arity does not fit the remaining legs")
-        out = out + p.to_tensor().embed((leg,), arity) * member.embed(rest, arity)
+        out = out + p.embed((leg,), arity) * member.embed(rest, arity)
     return out
 
 

@@ -19,7 +19,7 @@ from .report import Report
 from .structures import (QuasiBialgebra, _connecting_element, _memoized, _require,
                          _require_equal, _require_scan, opposite_structure,
                          primed_structure, verify_quasi_antipode)
-from .tensor import TensorElement, contract_element, tensor_of
+from .tensor import TensorElement, contract, tensor_of
 from .twists import Twist, is_compatible, twist_structure, twisted_antipode
 from .drinfeld import compute_drinfeld_data
 
@@ -187,7 +187,7 @@ def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
     """
     rep = Report("u-origin")
     s, anti = t.s, _canonical(t, "r")[1]
-    u = contract_element(t.phi, [(3, s.compose(s)), s(t.beta), (2, s), anti.alpha, (1, None)])
+    u = contract(t.phi, [(3, s.compose(s)), s(t.beta), (2, s), anti.alpha, (1, None)])
     op = opposite_structure(t.without_r())
     _require(verify_quasi_antipode(op, anti), "alternative quasi-antipode fails")
     v = compute_v(op, anti)

@@ -59,10 +59,10 @@ def random_twist(rng: random.Random, q) -> Twist:
         if not scale:
             continue
         t = t.scale(alg.field.inv(scale))
-        a = eps.on_leg(t, 1).as_element()
-        b = eps.on_leg(t, 2).as_element()
+        a = eps.on_leg(t, 1)
+        b = eps.on_leg(t, 2)
         try:
-            correction = b.inverse().to_tensor() @ a.inverse().to_tensor()
+            correction = b.inverse() @ a.inverse()
             return Twist(correction * t, eps)
         except (SingularError, TwistError):
             continue

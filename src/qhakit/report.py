@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .tensor import TensorElement, first_difference
+from .tensor import AlgElement, TensorElement, first_difference
 
 
 class Check(namedtuple("Check", "check_id ok witness", defaults=(None,))):
@@ -29,9 +29,13 @@ class Report:
         return ok
 
     def add_equal(self, check_id: str, left, right):
-        """Record an exact equality check, with the first differing entry on failure."""
-        ok = left == right
-        return self.add(check_id, ok, None if ok else _diff_witness(left, right))
+        """Record an exact equality check, with the first differing entry of two tensors
+        on failure; elements of H are shown whole."""
+        if left == right:
+            return self.add(check_id, True)
+        if isinstance(left, AlgElement):
+            return self.add(check_id, False, f"{left!r} != {right!r}")
+        return self.add(check_id, False, _diff_witness(left, right))
 
     def extend(self, other: "Report", prefix: str | None = None):
         for c in other.checks:

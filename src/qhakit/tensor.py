@@ -2,15 +2,18 @@
 
 An :class:`Algebra` is a finite-dimensional unital associative algebra
 given by sparse structure constants c_{ij}^k (e_i e_j = sum_k c_{ij}^k e_k),
-checked for associativity and the unit laws at construction.  Elements of H
-(:class:`AlgElement`) and of H^(x)n (:class:`TensorElement`) share one
-stored form: a sparse table from multi-indices to nonzero integral
-numerators over one positive int denominator, with no common factor (the
-gcd of the denominator and every numerator coefficient is 1).  Numerators
-are ints over Q and lie in Z[zeta_n] over Q(zeta_n) (ints, or ``_Integral``
-vectors, which compare and hash like ints when constant), so each value
-has one stored form and equality and hashing are structural.  The algebra
-holds its structure constants in the same form.
+checked for associativity and the unit laws at construction.  An element
+of H^(x)n is a :class:`TensorElement`, and an element of H is the tensor
+of arity 1: :class:`AlgElement` is the subclass that every constructor
+and every operation with an arity-1 result returns (the class is chosen
+by arity in one place, ``TensorElement._of``), so nothing converts
+between the two.  The stored form is a sparse table from multi-indices to
+nonzero integral numerators over one positive int denominator, with no
+common factor (the gcd of the denominator and every numerator coefficient
+is 1).  Numerators are ints over Q and lie in Z[zeta_n] over Q(zeta_n)
+(ints, or ``_Integral`` vectors, which compare and hash like ints when
+constant), so each value has one stored form and equality and hashing are
+structural.  The algebra holds its structure constants in the same form.
 
 Every operation runs on numerators and reduces its result once, with one
 gcd over the table.  Every product through the structure constants (the
@@ -134,7 +137,7 @@ def _legwise(a, b):
     a._require_like(b)
     alg = a.algebra
     nums = _walk(alg._numerators, a.arity, a._nums.items(), b._nums.items())
-    return type(a)._reduced(alg, a.arity, nums, a._den * b._den * alg._denominator ** a.arity)
+    return TensorElement._reduced(alg, a.arity, nums, a._den * b._den * alg._denominator ** a.arity)
 
 
 class Algebra:
@@ -179,7 +182,7 @@ class Algebra:
             if len(unit_coeffs) != dim:
                 raise AlgebraError("unit vector has wrong length")
         self.unit = tuple(unit_coeffs)
-        self.unit_element = AlgElement(self, self.unit)
+        self.unit_element = self.element(self.unit)
         self._tensor_units = {}
         self._check()
 
@@ -208,18 +211,19 @@ class Algebra:
         return self._mult.get((i, j), {})
 
     def element(self, coeffs) -> "AlgElement":
-        coeffs = [self.field.coerce(v) for v in coeffs]
+        """The element with the given field-valued coefficients on the basis."""
+        coeffs = list(coeffs)
         if len(coeffs) != self.dim:
             raise AlgebraError("coefficient vector has wrong length")
-        return AlgElement(self, coeffs)
+        return TensorElement(self, 1, {(i,): v for i, v in enumerate(coeffs)})
 
     def basis_element(self, i) -> "AlgElement":
         if not 0 <= i < self.dim:
             raise IndexError(f"basis index {i} out of range")
-        return AlgElement._of(self, 1, {(i,): 1}, 1)
+        return TensorElement._of(self, 1, {(i,): 1}, 1)
 
     def zero_element(self) -> "AlgElement":
-        return AlgElement._of(self, 1, {}, 1)
+        return TensorElement._of(self, 1, {}, 1)
 
     def scalar_element(self, value) -> "AlgElement":
         return self.field.coerce(value) * self.unit_element
@@ -253,22 +257,42 @@ class Algebra:
         return f"Algebra(dim={self.dim}, field={self.field})"
 
 
-class _Numerators:
-    """The stored form shared by AlgElement (arity 1) and TensorElement: ``_nums``
-    over ``_den`` (see the module docstring), with the linear structure, equality
-    and hashing.  Instances are never mutated, so results may share tables."""
+class TensorElement:
+    """A sparse element of H^(x)arity in the stored form of the module docstring.
+
+    An arity-1 tensor is an element of H: every constructor makes it an
+    :class:`AlgElement`.  Instances are never mutated, so results may share
+    tables.
+    """
 
     __slots__ = ("algebra", "arity", "_nums", "_den")
+    _MIXED = "tensors over different algebras"
 
-    @classmethod
-    def _of(cls, algebra, arity, nums, den):
-        """An element from a table already in stored form."""
-        self = object.__new__(cls)
+    def __new__(cls, algebra, arity, entries=None):
+        """The tensor with the given field values; keys are checked, values coerced."""
+        if arity < 0:
+            raise ArityMismatch("arity must be nonnegative")
+        field = algebra.field
+        values = {}
+        for key, val in (entries or {}).items():
+            key = tuple(key)
+            if len(key) != arity or not all(0 <= i < algebra.dim for i in key):
+                raise ArityMismatch(f"bad multi-index {key} for arity {arity}")
+            val = field.coerce(val)
+            values[key] = values[key] + val if key in values else val
+        values = {k: v for k, v in values.items() if v}
+        nums, den = field.clear(values.values())
+        return TensorElement._of(algebra, arity, dict(zip(values, nums)), den)
+
+    @staticmethod
+    def _of(algebra, arity, nums, den):
+        """An element from a table already in stored form; the class is chosen by arity."""
+        self = object.__new__(AlgElement if arity == 1 else TensorElement)
         self.algebra, self.arity, self._nums, self._den = algebra, arity, nums, den
         return self
 
-    @classmethod
-    def _reduced(cls, algebra, arity, nums, den):
+    @staticmethod
+    def _reduced(algebra, arity, nums, den):
         """An element from nonzero numerators over a positive ``den``: divides out
         the gcd of ``den`` and every numerator coefficient, one gcd for the table."""
         if den != 1:
@@ -282,7 +306,7 @@ class _Numerators:
                         break
             if g != 1:
                 nums, den = {k: v // g for k, v in nums.items()}, den // g
-        return cls._of(algebra, arity, nums, den)
+        return TensorElement._of(algebra, arity, nums, den)
 
     def _require_like(self, other):
         if not self.algebra.compatible(other.algebra):
@@ -290,15 +314,16 @@ class _Numerators:
         if self.arity != other.arity:
             raise ArityMismatch(f"arity mismatch: {self.arity} vs {other.arity}")
 
-    def _values(self):
-        """multi-index -> field value, restored from the numerators."""
+    @property
+    def entries(self) -> dict:
+        """multi-index -> nonzero field value, restored on each access."""
         return dict(zip(self._nums, self.algebra.field.restore(self._nums.values(), self._den)))
 
     # -- linear structure --
 
     def _combine(self, other, op):
         """``op(self, other)`` for ``op`` the addition or the subtraction of numerators."""
-        if not isinstance(other, type(self)):
+        if not isinstance(other, TensorElement):
             return NotImplemented
         self._require_like(other)
         a, b = self._den, other._den
@@ -332,99 +357,17 @@ class _Numerators:
         return self._reduced(self.algebra, self.arity, {k: v * n for k, v in self._nums.items()},
                              self._den * scalar.denominator)
 
+    def __rmul__(self, scalar):
+        return self.scale(scalar)
+
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, TensorElement):
             return NotImplemented
         return (self.algebra.compatible(other.algebra) and self.arity == other.arity
                 and self._den == other._den and self._nums == other._nums)
 
     def __hash__(self):
         return hash((self.arity, self._den, frozenset(self._nums.items())))
-
-
-class AlgElement(_Numerators):
-    """An element of H: the stored form at arity 1, with a dense ``coeffs`` view."""
-
-    __slots__ = ()
-    _MIXED = "elements of different algebras"
-
-    def __init__(self, algebra, coeffs):
-        """The element with the given field-valued coefficients on the basis."""
-        nums, den = algebra.field.clear(coeffs)
-        self.algebra, self.arity, self._den = algebra, 1, den
-        self._nums = {(i,): n for i, n in enumerate(nums) if n}
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients on the basis, as field values."""
-        out = [self.algebra.field.zero] * self.algebra.dim
-        for (i,), v in self._values().items():
-            out[i] = v
-        return tuple(out)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            return _legwise(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalar * element (scalars commute with everything)
-        return self.__mul__(other)
-
-    def to_tensor(self) -> "TensorElement":
-        return TensorElement._of(self.algebra, 1, self._nums, self._den)
-
-    def inverse(self) -> "AlgElement":
-        return self.to_tensor().invert().as_element()
-
-    def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except SingularError:
-            return False
-
-    def is_central(self) -> bool:
-        alg = self.algebra
-        return all(self * alg.basis_element(i) == alg.basis_element(i) * self
-                   for i in range(alg.dim))
-
-    def __repr__(self):
-        names = self.algebra.basis_names
-        terms = [f"({v})*{names[i]}" for i, v in enumerate(self.coeffs) if v]
-        return " + ".join(terms) if terms else "0"
-
-
-class TensorElement(_Numerators):
-    """A sparse element of H^(x)arity: multi-index -> nonzero coefficient."""
-
-    __slots__ = ()
-    _MIXED = "tensors over different algebras"
-
-    def __init__(self, algebra, arity, entries=None):
-        """The tensor with the given field values; keys are checked, values coerced."""
-        if arity < 0:
-            raise ArityMismatch("arity must be nonnegative")
-        field = algebra.field
-        values = {}
-        for key, val in (entries or {}).items():
-            key = tuple(key)
-            if len(key) != arity or not all(0 <= i < algebra.dim for i in key):
-                raise ArityMismatch(f"bad multi-index {key} for arity {arity}")
-            val = field.coerce(val)
-            values[key] = values[key] + val if key in values else val
-        values = {k: v for k, v in values.items() if v}
-        nums, den = field.clear(values.values())
-        self.algebra, self.arity, self._den = algebra, arity, den
-        self._nums = dict(zip(values, nums))
-
-    @property
-    def entries(self) -> dict:
-        """multi-index -> nonzero field value, restored on each access."""
-        return self._values()
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
 
     # -- multiplicative structure --
 
@@ -436,8 +379,6 @@ class TensorElement(_Numerators):
 
     def __matmul__(self, other):
         """Outer (Kronecker) product: arities add."""
-        if isinstance(other, AlgElement):
-            other = other.to_tensor()
         if not isinstance(other, TensorElement):
             return NotImplemented
         if not self.algebra.compatible(other.algebra):
@@ -520,18 +461,11 @@ class TensorElement(_Numerators):
                 row = row * d + idx
             rhs[row] = den * v
         nums, x_den = alg.field.clear(linalg.solve(alg.field, rows, rhs))
-        candidate = TensorElement._of(alg, n, {J: v for J, v in zip(alg.multi_indices(n), nums)
-                                               if v}, x_den)
+        candidate = self._of(alg, n, {J: v for J, v in zip(alg.multi_indices(n), nums) if v},
+                             x_den)
         if candidate * self != unit:
             raise SingularError("element has a right inverse but no left inverse")
         return candidate
-
-    # -- conversions --
-
-    def as_element(self) -> AlgElement:
-        if self.arity != 1:
-            raise ArityMismatch("only arity-1 tensors identify with algebra elements")
-        return AlgElement._of(self.algebra, 1, self._nums, self._den)
 
     def scalar(self):
         if self.arity != 0:
@@ -546,6 +480,46 @@ class TensorElement(_Numerators):
             label = "(x)".join(names[i] for i in key) if key else "1"
             terms.append(f"({entries[key]})*{label}")
         return " + ".join(terms) if terms else "0"
+
+
+class AlgElement(TensorElement):
+    """An element of H: a tensor of arity 1, with a dense ``coeffs`` view.
+
+    ``Algebra.element`` builds one from coefficients, ``TensorElement(alg, 1, ...)``
+    from entries; every operation with an arity-1 result returns one.
+    """
+
+    __slots__ = ()
+    _MIXED = "elements of different algebras"
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients on the basis, as field values."""
+        out = [self.algebra.field.zero] * self.algebra.dim
+        for (i,), v in self.entries.items():
+            out[i] = v
+        return tuple(out)
+
+    def __mul__(self, other):
+        """The product in H (its own method, so that it is timed apart from tensor products)."""
+        if isinstance(other, TensorElement):
+            return _legwise(self, other)
+        return self.scale(other)
+
+    def inverse(self) -> "AlgElement":
+        return self.invert()
+
+    def is_invertible(self) -> bool:
+        try:
+            self.invert()
+            return True
+        except SingularError:
+            return False
+
+    def is_central(self) -> bool:
+        alg = self.algebra
+        return all(self * alg.basis_element(i) == alg.basis_element(i) * self
+                   for i in range(alg.dim))
 
 
 def first_difference(a: TensorElement, b: TensorElement):
@@ -583,7 +557,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, algebra):
-        return cls(algebra, [algebra.basis_element(i).to_tensor() for i in range(algebra.dim)])
+        return cls(algebra, [algebra.basis_element(i) for i in range(algebra.dim)])
 
     @classmethod
     def from_matrix(cls, algebra, matrix):
@@ -599,19 +573,10 @@ class LinearMap:
     def col(self, i) -> TensorElement:
         return self.columns[i]
 
-    def col_element(self, i) -> AlgElement:
-        if self.out_arity != 1:
-            raise ArityMismatch("columns are not algebra elements")
-        return self.columns[i].as_element()
-
     def __call__(self, x: AlgElement):
-        """Apply to an element; returns a scalar, AlgElement, or TensorElement by arity."""
-        out = self.on_leg(x.to_tensor(), 1)
-        if self.out_arity == 0:
-            return out.scalar()
-        if self.out_arity == 1:
-            return out.as_element()
-        return out
+        """Apply to an element; a map to scalars returns the scalar, others a tensor."""
+        out = self.on_leg(x, 1)
+        return out.scalar() if self.out_arity == 0 else out
 
     def on_leg(self, t: TensorElement, leg: int) -> TensorElement:
         """Apply on one leg of a tensor; the arity changes by out_arity - 1."""
@@ -633,7 +598,7 @@ class LinearMap:
                                       {k: v for k, v in out.items() if v}, t._den * col_den)
 
     def map_tensor(self, t: TensorElement) -> TensorElement:
-        """Apply a 1 -> 1 map on every leg (e.g. (S (x) S)R)."""
+        """Apply a 1 -> 1 map on every leg (e.g. (S (x) S)R, or S(a) for an element)."""
         if self.out_arity != 1:
             raise ArityMismatch("map_tensor needs a 1 -> 1 map")
         out = t
@@ -681,9 +646,9 @@ def tensor_of(*elements) -> TensorElement:
     """Outer product a_1 (x) ... (x) a_n of algebra elements."""
     if not elements:
         raise ArityMismatch("tensor_of needs at least one factor")
-    out = elements[0].to_tensor()
+    out = elements[0]
     for e in elements[1:]:
-        out = out @ e.to_tensor()
+        out = out @ e
     return out
 
 
@@ -703,6 +668,8 @@ def contract(t: TensorElement, *specs) -> TensorElement:
         for item in spec:
             if not isinstance(item, AlgElement):
                 used.append(item[0])
+                if item[1] is not None and item[1].out_arity != 1:
+                    raise ArityMismatch("contract applies 1 -> 1 maps only")
     if sorted(used) != list(range(1, t.arity + 1)):
         raise ArityMismatch(f"legs {sorted(used)} do not cover 1..{t.arity} exactly once")
     unit = alg.unit_element
@@ -724,7 +691,7 @@ def contract(t: TensorElement, *specs) -> TensorElement:
                         f = item
                     else:
                         m = item[1]
-                        f = alg.basis_element(read[-1]) if m is None else m.col_element(read[-1])
+                        f = alg.basis_element(read[-1]) if m is None else m.col(read[-1])
                     prefix = prefixes[s, p, read] = f if elt is None else elt * f
                 elt = prefix
             factors.append(unit if elt is None else elt)
@@ -742,7 +709,3 @@ def contract(t: TensorElement, *specs) -> TensorElement:
         _expand(out, num, leg_list)
     return TensorElement._reduced(alg, len(specs), out, den)
 
-
-def contract_element(t: TensorElement, spec) -> AlgElement:
-    """Contract a whole tensor into a single algebra element."""
-    return contract(t, spec).as_element()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import SingularError, TwistError
 from .structures import QuasiAntipode, QuasiBialgebra, _connecting_element
-from .tensor import LinearMap, TensorElement, contract_element, tensor_of
+from .tensor import LinearMap, TensorElement, contract, tensor_of
 
 __all__ = [
     "Twist", "twist_structure", "compose_twists", "is_quasi_cocycle",
@@ -111,12 +111,12 @@ def twisted_coassociator_inv(q, f: TensorElement, f_inv: TensorElement) -> Tenso
 
 def twisted_alpha(h, f: Twist):
     """alpha_F = sum S(fbar_i) alpha fbar^i over the inverse twist."""
-    return contract_element(f.f_inv, [(1, h.s), h.alpha, (2, None)])
+    return contract(f.f_inv, [(1, h.s), h.alpha, (2, None)])
 
 
 def twisted_beta(h, f: Twist):
     """beta_F = sum f_i beta S(f^i)."""
-    return contract_element(f.f, [(1, None), h.beta, (2, h.s)])
+    return contract(f.f, [(1, None), h.beta, (2, h.s)])
 
 
 def twisted_antipode(h, f: Twist) -> QuasiAntipode:

@@ -189,7 +189,7 @@ def alg_mul(a: AlgElement, b: AlgElement) -> AlgElement:
             xy = x * y
             for k, c in alg.basis_product(i, j).items():
                 out[k] = out[k] + xy * c
-    return AlgElement(alg, tuple(out))
+    return alg.element(out)
 
 
 def left_matrix(t: TensorElement):
@@ -223,7 +223,7 @@ def contract(t: TensorElement, *specs) -> TensorElement:
                     f = item
                 else:
                     leg, m = item
-                    f = alg.basis_element(key[leg - 1]) if m is None else m.col_element(key[leg - 1])
+                    f = alg.basis_element(key[leg - 1]) if m is None else m.col(key[leg - 1])
                 elt = alg_mul(elt, f)
             factors.append(elt)
         expand(out, val, [{i: c for i, c in enumerate(f.coeffs) if c} for f in factors])

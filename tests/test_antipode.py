@@ -157,11 +157,11 @@ class TestUniversality:
 
 # -- route mutants: one closed form of the connecting element changed --------------
 
-_CONTRACT = structures.contract_element
+_CONTRACT = structures.contract
 
 
 def _double_in_each_run(monkeypatch, n):
-    """Double the n-th ``contract_element`` result of each run of ``_connecting_element``."""
+    """Double the n-th ``contract`` result of each run of ``_connecting_element``."""
     run = {"frame": None, "calls": 0}
 
     def mutant(*args):
@@ -175,7 +175,7 @@ def _double_in_each_run(monkeypatch, n):
                 return out.scale(2)
         return out
 
-    monkeypatch.setattr(structures, "contract_element", mutant)
+    monkeypatch.setattr(structures, "contract", mutant)
 
 
 @pytest.mark.parametrize("n, text, witness", [

@@ -64,8 +64,8 @@ class TestGamma:
         alg = h.algebra
         acc = alg.tensor_zero(2)
         for (a, b, c, d), v in w.entries.items():
-            left = h.s.col_element(b) * h.alpha * alg.basis_element(c)
-            right = h.s.col_element(a) * h.alpha * alg.basis_element(d)
+            left = h.s.col(b) * h.alpha * alg.basis_element(c)
+            right = h.s.col(a) * h.alpha * alg.basis_element(d)
             acc = acc + tensor_of(left, right).scale(v)
         assert acc == gamma
 

@@ -87,7 +87,7 @@ def _z4_twist():
     s = builtin("group_z4").structure
     alg = s.algebra
     g = alg.basis_element(1) - alg.unit_element
-    return s, Twist(alg.tensor_unit(2) + (g.to_tensor() @ g).scale(2), s.counit)
+    return s, Twist(alg.tensor_unit(2) + (g @ g).scale(2), s.counit)
 
 
 def test_twist_job_loads_no_suite(tmp_path):

@@ -213,7 +213,7 @@ class TestHelperIdentities:
                 term = contract(h.phi,
                                 [alg.basis_element(a1), (1, None)],
                                 [alg.basis_element(a2), (2, None), beta, (3, s),
-                                 s.col_element(a3)])
+                                 s.col(a3)])
                 rhs = rhs + term.scale(c)
             assert lhs == rhs, name
 
