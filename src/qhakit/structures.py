@@ -239,7 +239,8 @@ def _add_scan(rep: Report, check_id: str, alg, fails, pairs=False) -> None:
 
 def _require_equal(left, right, message: str):
     """``left`` where it equals ``right``; else a ConsistencyError whose witness is the
-    first differing multi-index of two tensors (elements included)."""
+    first differing multi-index of two tensors, elements of H among them (an element
+    is the arity-1 tensor), and both values whole for anything else (two maps)."""
     if left == right:
         return left
     raise ConsistencyError(message, _diff_witness(left, right))

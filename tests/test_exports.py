@@ -219,6 +219,34 @@ def test_every_route_check_raises_through_require_equal():
     assert found == ["structures.py: _require_equal"]
 
 
+# names that converted between an element of H and the arity-1 tensor it is
+DELETED_CONVERSIONS = {"to_tensor", "as_element", "col_element", "contract_element"}
+
+
+def test_no_element_tensor_conversion_is_defined_or_called():
+    """An AlgElement is the arity-1 TensorElement, so the package needs no conversion
+    between the two: no module defines, imports or calls one of the old names."""
+    package = Path(qhakit.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name in DELETED_CONVERSIONS:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
 # every parameter of the package that defaults to True or False
 PINNED_FLAGS = {"QuasiBialgebra.__init__.verify", "_mapped_structure.verify",
                 "twist_structure.verify", "Twist.__init__.check", "_add_scan.pairs"}

@@ -1,6 +1,7 @@
 """The tensor kernel: structure-constant algebras, leg operations, inversion."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from qhakit.errors import AlgebraError, ArityMismatch, SingularError
 from qhakit.linalg import invert_matrix, solve
 from qhakit.scalars import RATIONAL, cyclotomic_field
-from qhakit.tensor import Algebra, LinearMap, TensorElement, contract, tensor_of
+from qhakit.randgen import random_invertible_element
+from qhakit.tensor import AlgElement, Algebra, LinearMap, TensorElement, contract, tensor_of
 
 from conftest import entry, hopf
 from reference_kernel import nullspace
@@ -185,6 +187,75 @@ class TestApplyOnLeg:
             t = h.phi + h.algebra.tensor_unit(3).scale(Fraction(1, 5))
             expanded = h.coproduct.on_leg(t, 1)
             assert h.counit.on_leg(expanded, 1) == t
+
+
+def _seeded_tensor(rng, alg, arity):
+    """A few seeded entries with small rational values (zeta multiples over Q(zeta_n))."""
+    keys = list(alg.multi_indices(arity))
+    field = alg.field
+    out = {}
+    for _ in range(3):
+        value = field.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        if field.kind == "cyclotomic" and rng.random() < 0.5:
+            value = value * field.zeta
+        out[rng.choice(keys)] = value
+    return TensorElement(alg, arity, out)
+
+
+class TestArityOneIsAnElement:
+    """An element of H is the tensor of arity 1: every operation that lands in
+    arity 1 returns an AlgElement, whichever constructor or route built it."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["group_z3", "sweedler_h4", "semion"])
+    def test_every_arity_one_result_is_an_element(self, name, seed):
+        rng = random.Random(f"{seed}:{name}")
+        h = hopf(name)
+        alg, s, eps = h.algebra, h.s, h.counit
+        a, b = _seeded_tensor(rng, alg, 1), _seeded_tensor(rng, alg, 1)
+        t2, t3 = _seeded_tensor(rng, alg, 2), _seeded_tensor(rng, alg, 3)
+        w = random_invertible_element(rng, alg)
+        results = {
+            "constructor": a,
+            "on_leg": eps.on_leg(t2, 1),
+            "on_leg twice": eps.on_leg(eps.on_leg(t3, 3), 1),
+            "on_leg 1 -> 1": s.on_leg(b, 1),
+            "contract": contract(t3, [(1, s), b, (2, None), (3, s)]),
+            "invert": w.invert(),
+            "inverse": w.inverse(),
+            "perm": a.perm((1,)),
+            "+": a + b,
+            "-": a - b,
+            "neg": -a,
+            "scale": a.scale(Fraction(-2, 3)),
+            "scalar *": Fraction(1, 2) * a,
+            "* scalar": a * 3,
+            "product": a * b,
+            "call": s(a),
+            "call twice": s.compose(s)(b),
+            "map_tensor": s.map_tensor(a),
+            "col": s.col(0),
+            "tensor_unit": alg.tensor_unit(1),
+            "tensor_zero": alg.tensor_zero(1),
+            "outer with a scalar": a @ alg.tensor_unit(0),
+        }
+        assert {k: type(v).__name__ for k, v in results.items()
+                if type(v) is not AlgElement} == {}
+        assert type(a @ b) is TensorElement and type(eps.on_leg(a, 1)) is TensorElement
+        assert results["invert"] * w == alg.unit_element
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["group_z3", "sweedler_h4", "semion"])
+    def test_coefficients_and_entries_build_one_element(self, name, seed):
+        rng = random.Random(f"{seed}:{name}:coeffs")
+        alg = hopf(name).algebra
+        entries = _seeded_tensor(rng, alg, 1).entries
+        coeffs = [entries.get((i,), alg.field.zero) for i in range(alg.dim)]
+        from_coeffs = alg.element(coeffs)
+        from_entries = TensorElement(alg, 1, entries)
+        assert from_coeffs == from_entries and hash(from_coeffs) == hash(from_entries)
+        assert from_coeffs.coeffs == tuple(coeffs) and from_entries.entries == entries
+        assert {from_coeffs, from_entries} == {from_entries}
 
 
 class TestInvertAndMatrices:
