@@ -134,18 +134,29 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS)
         _holds(rep, f"uni-v@{k}", lambda: check_v_universality(h, alt, f),
                "v changed under a twist")
 
-        # compatible twists: P7 in both directions, P8 recovery
-        z = h.algebra.scalar_element(rng.choice([2, 3, Fraction(1, 2)]))
+        # compatible twists: P7 in both directions, P8 recovery.  C is built from a
+        # random central z (a scalar where the draw is not central: then C = 1).
+        # Twisting by FC keeps the coproduct, coassociator and R of twisting by F
+        # and moves the canonical elements by zeta = eps(z)^2 (z S(z))^{-1}, the
+        # central element that P8 recovers from C.
+        z = draw.element(rng)
+        if not z.is_central():
+            z = h.algebra.scalar_element(rng.choice([2, 3, Fraction(1, 2)]))
         c = central_to_compatible(z, s)
+        eps_z = s.counit(z)
+        zeta = (z * h.s(z)).inverse().scale(eps_z * eps_z)
         rep.add(f"L4@{k}", is_compatible(c, s), "central construction is not compatible")
         g_fc = compose_twists(f, c)
+        moved = twist_structure(s, g_fc, verify=False)
         rep.add(f"P7.fwd@{k}",
-                structures_equal(twist_structure(s, g_fc, verify=False), ts),
+                moved.coproduct == ts.coproduct and moved.phi == ts.phi and moved.r == ts.r
+                and moved.alpha == zeta * ts.alpha and moved.beta * zeta == ts.beta,
                 "twisting by F and by FC differ")
         residual = compose_twists(f.inverse(), g_fc)
         rep.add(f"P7.rev@{k}", is_compatible(residual, s),
                 "F^{-1}G of structure-equal twists is not compatible")
-        _guard(rep, f"P8@{k}", lambda: compatible_to_central(c, h))
+        _holds(rep, f"P8@{k}", lambda: compatible_to_central(c, h) == zeta,
+               "the central element of C is not eps(z)^2 (z S(z))^{-1}")
     return rep
 
 

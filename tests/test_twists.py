@@ -1,14 +1,19 @@
 """The twist engine: twisted structures, composition, quasi-cocycles, compatibility."""
 
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qhakit import twists
+from qhakit import suites, twists
+from qhakit.catalog import builtin
 from qhakit.antipode import compute_v
 from qhakit.errors import ConsistencyError, TwistError
 from qhakit.randgen import random_twist
+from qhakit.serial import parse_structure, parse_twist, serialize_structure
 from qhakit.structures import (QuasiAntipode, _connecting_element, structures_equal,
                                verify_quasi_antipode)
 from qhakit.tensor import tensor_of
@@ -18,6 +23,9 @@ from qhakit.twists import (Twist, central_to_compatible, compatible_to_central,
                            twisted_coassociator)
 
 from conftest import ENTRY_NAMES, assert_verified, entry, hopf
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from harness import group_twist  # noqa: E402
 
 
 def semion_p():
@@ -288,6 +296,59 @@ class TestUniquenessOfTwistedStructures:
         g = compose_twists(f, c)
         assert g == f
         assert twist_structure(s, g) is not twist_structure(s, f)
+
+    @pytest.mark.parametrize("name", ["group_z3", "semion"])
+    def test_a_central_element_moves_the_canonical_elements(self, name):
+        """For a non-scalar central z, C = central_to_compatible(z) is not 1 (x) 1:
+        twisting by FC keeps the coproduct, the coassociator and R of twisting by F,
+        and moves alpha and beta by zeta = eps(z)^2 (z S(z))^{-1}, which is the
+        central element compatible_to_central recovers from C."""
+        s = entry(name).structure
+        h = hopf(name)
+        f = random_twist(random.Random(5), s)
+        z = s.algebra.unit_element + s.algebra.basis_element(1).scale(2)   # 1 + 2g
+        c = central_to_compatible(z, s)
+        eps_z = s.counit(z)
+        zeta = (z * h.s(z)).inverse().scale(eps_z * eps_z)
+        assert c.f != s.algebra.tensor_unit(2) and zeta != s.algebra.unit_element
+        by_f = twist_structure(s, f, verify=False)
+        by_fc = twist_structure(s, compose_twists(f, c), verify=False)
+        assert not structures_equal(by_fc, by_f)
+        assert (by_fc.coproduct, by_fc.phi, by_fc.r) == (by_f.coproduct, by_f.phi, by_f.r)
+        assert by_fc.alpha == zeta * by_f.alpha and by_fc.beta * zeta == by_f.beta
+        assert compatible_to_central(c, h) == zeta
+
+
+def _dense_twisted_z4():
+    """group_z4 twisted by the dense workload's twist (seed 0) and loaded from its file."""
+    s = builtin("group_z4").structure
+    g = parse_twist(json.dumps(group_twist(4, random.Random(0))), s)
+    return parse_structure(serialize_structure(twist_structure(s, g), name="t4"))
+
+
+@pytest.mark.parametrize("name, seed", [("group_z3", 0), ("semion", 0), ("t4", 0),
+                                        ("z2_triangular", 1)])
+def test_an_identity_compatible_twist_fails_p7_and_p8(monkeypatch, name, seed):
+    """The twist suite's C comes from a random central z, so it is not 1 (x) 1 at
+    trial 0 on these entries (z2_triangular's five draws at seed 0 are all multiples
+    of 1 or of g, whose C is 1 (x) 1).  A central_to_compatible that returns the
+    identity twist then fails P7.fwd and P8, and only those."""
+    e = _dense_twisted_z4() if name == "t4" else builtin(name)
+    original, built = twists.central_to_compatible, []
+
+    def spy(z, q):
+        c = original(z, q)
+        built.append(c.f != q.algebra.tensor_unit(2))
+        return c
+
+    monkeypatch.setattr(twists, "central_to_compatible", spy)
+    (rep,) = suites.run_suites(e, "twist", seed=seed, trials=1)
+    assert rep.ok and built == [True]
+    monkeypatch.setattr(twists, "central_to_compatible", lambda z, q: Twist.identity(q))
+    (rep,) = suites.run_suites(e, "twist", seed=seed, trials=1)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("P7.fwd@0", "twisting by F and by FC differ"),
+        ("P8@0", "the central element of C is not eps(z)^2 (z S(z))^{-1}")]
 
 
 class TestQuadraticInvariants:
