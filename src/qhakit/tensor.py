@@ -369,6 +369,10 @@ class TensorElement:
     def __hash__(self):
         return hash((self.arity, self._den, frozenset(self._nums.items())))
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the stored form, not through __new__
+        return TensorElement._of, (self.algebra, self.arity, self._nums, self._den)
+
     # -- multiplicative structure --
 
     def __mul__(self, other):

@@ -1,6 +1,8 @@
 """The tensor kernel: structure-constant algebras, leg operations, inversion."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -243,6 +245,11 @@ class TestArityOneIsAnElement:
                 if type(v) is not AlgElement} == {}
         assert type(a @ b) is TensorElement and type(eps.on_leg(a, 1)) is TensorElement
         assert results["invert"] * w == alg.unit_element
+        for x in (a, t2):
+            copies = [copy.copy(x)]
+            if alg.field.kind == "rational":   # a Cyclo does not pickle
+                copies.append(pickle.loads(pickle.dumps(x)))
+            assert all(type(y) is type(x) and y == x for y in copies)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", ["group_z3", "sweedler_h4", "semion"])
