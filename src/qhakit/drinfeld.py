@@ -9,10 +9,10 @@ ConsistencyError on any disagreement.
 
 Each closed form sums L(x) R(y) over the entries of a tensor, for maps L, R
 from H to H (x) H: ``contract`` reduces the tensor to an arity-2 t, and
-``_paired`` forms sum_ab t_ab L(e_a) R(e_b) with ``on_leg`` and
-``contract``.  Each route builds its own t and maps from the bundle's
-inputs.  Gamma and gamma-bar share ``_intertwiner``, which differs between
-them only in its inputs.
+``_paired`` forms sum_ab t_ab L(e_a) R(e_b) grouped by a, one ``on_leg``
+and one product per distinct a.  Each route builds its own t and maps
+from the bundle's inputs.  Gamma and gamma-bar share ``_intertwiner``,
+which differs between them only in its inputs.
 """
 
 from __future__ import annotations
@@ -35,9 +35,13 @@ DrinfeldData = namedtuple("DrinfeldData", "gamma gamma_bar f_delta f_zero")
 
 
 def _paired(t: TensorElement, left: LinearMap, right: LinearMap) -> TensorElement:
-    """sum_ab t_ab left(e_a) right(e_b) for an arity-2 ``t`` and maps H -> H (x) H."""
-    u = right.on_leg(left.on_leg(t, 1), 3)
-    return contract(u, [(1, None), (3, None)], [(2, None), (4, None)])
+    """sum_ab t_ab left(e_a) right(e_b) for an arity-2 ``t`` and maps H -> H (x) H,
+    grouped by a: sum_a left(e_a) right(y_a) with y_a = sum_b t_ab e_b."""
+    rows = {}
+    for (a, b), v in t._nums.items():
+        rows.setdefault(a, {})[(b,)] = v
+    return sum((left.col(a) * right(TensorElement._reduced(t.algebra, 1, y, t._den))
+                for a, y in rows.items()), t.algebra.tensor_zero(2))
 
 
 @_memoized

@@ -138,6 +138,10 @@ class Cyclo:
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the stored form, not through __new__
+        return Cyclo._raw, (self.order, self.num, self.den)
+
     @classmethod
     def _raw(cls, order, num, den):
         self = object.__new__(cls)

@@ -17,10 +17,11 @@ structural.  The algebra holds its structure constants in the same form.
 
 Every operation runs on numerators and reduces its result once, with one
 gcd over the table.  Every product through the structure constants (the
-legwise product, the product in H and the columns of ``left_matrix``) runs
-in one kernel, ``_walk``: the right operand is indexed as a trie over its
-legs, each left entry walks it leg by leg sharing prefixes, and leg pairs
-with no structure constants are skipped whole.  ``contract`` and the tensor
+legwise product, the product in H and ``left_matrix``, all of whose columns
+are one walk) runs in one kernel, ``_walk``: both operands are indexed as
+tries over their legs, each left prefix walks the right trie once, the
+numerators join at the last leg, and leg pairs with no structure constants
+are skipped whole.  ``contract`` and the tensor
 units expand outer products through ``_expand``, and a linear map applied
 to an element or a leg accumulates over one denominator in ``on_leg``.
 ``_walk``, ``_expand`` and ``on_leg`` are the only weighted sums; other
@@ -88,55 +89,73 @@ def _expand(out, coeff, legs):
             del out[key]
 
 
+def _trie(nums):
+    """A numerator table as nested dicts over its legs; the leaves keep 1-tuple keys."""
+    trie = {}
+    for K, v in nums.items():
+        node = trie
+        for k in K[:-1]:
+            node = node.setdefault(k, {})
+        node[K[-1:]] = v
+    return trie
+
+
 def _walk(table, arity, left, right):
     """Numerators of the legwise product of two numerator tables of H^(x)arity.
 
-    This is the one structure-constant kernel: ``left`` and ``right`` are
-    (multi-index, numerator) pairs and ``table[i][j]`` maps the key (k,) to
-    the numerator of c_{ij}^k.  The right operand is indexed once as a trie
-    over its first arity - 1 legs.  For each left entry I the trie is walked
-    leg by leg, with a frontier of (key prefix, partial product, trie node),
-    so everything above the last leg is formed once per trie node rather
-    than once per pair of entries.  A subtree under a leg pair (I_l, j) with
-    no structure constants is skipped whole (the per-leg support join).
-    Sums are accumulated without testing for cancellation; the zeros are
-    swept once at the end.
+    The one structure-constant kernel: ``table[i][j]`` maps a key tuple to
+    the numerator of c_{ij}^k (the key is (k,) for the product).  Both
+    operands are indexed as tries over their legs and the left one is walked
+    depth first, each left prefix with a frontier of (key prefix, product of
+    structure constants, right node) extended from its parent's: what lies
+    above the last leg is formed once per pair of prefixes, not of entries,
+    and one frontier per depth is alive.  A right subtree under a leg pair
+    with no structure constants is skipped whole (the per-leg support join);
+    the numerators join only at the last leg.
     """
-    if not arity:   # scalars: at most one entry each, and their product is nonzero
-        return {(): u * v for _, u in left for _, v in right}
-    trie = {}
-    for J, v in right:
-        node = trie
-        for j in J[:-1]:
-            node = node.setdefault(j, {})
-        node[J[-1]] = v
-    out = {}
-    get = out.get
-    for I, u in left:
-        frontier = [((), u, trie)]
-        for i in I[:-1]:
+    if not (left and right):
+        return {}
+    if not arity:   # scalars: one entry each, and their product is nonzero
+        return {(): left[()] * right[()]}
+    if arity > 1:   # at arity 1 a table is its own trie
+        left, right = _trie(left), _trie(right)
+    out = {}   # key prefix -> last key -> sum
+    _descend(table, out, left, [((), 1, right)], arity - 1)
+    return {key + k: v for key, acc in out.items() for k, v in acc.items() if v}
+
+
+def _descend(table, out, node, frontier, legs):
+    """``_walk`` below the left node ``node``, ``legs`` legs above the last; the
+    last leg's sums go to ``out[key prefix]`` (no cancellation test)."""
+    if legs:
+        for i, child in node.items():
             row = table[i]
-            frontier = [(key + k, val * c, child)
-                        for key, val, node in frontier
-                        for j, child in node.items()
-                        for k, c in row[j].items()]
-        row = table[I[-1]]
-        for key, val, node in frontier:
-            for j, v in node.items():
+            _descend(table, out, child, [(key + k, val * c, rchild)
+                                         for key, val, rnode in frontier
+                                         for j, rchild in rnode.items()
+                                         for k, c in row[j].items()], legs - 1)
+        return
+    for key, val, rnode in frontier:
+        acc = out.get(key)
+        if acc is None:
+            acc = out[key] = {}
+        get = acc.get
+        for (i,), u in node.items():
+            row = table[i]
+            w = val * u
+            for (j,), v in rnode.items():
                 col = row[j]
                 if col:
-                    w = val * v
+                    wv = w * v
                     for k, c in col.items():
-                        k = key + k
-                        out[k] = get(k, 0) + w * c
-    return {k: v for k, v in out.items() if v}
+                        acc[k] = get(k, 0) + wv * c
 
 
 def _legwise(a, b):
     """The legwise product of two elements of one arity (the product in H at arity 1)."""
     a._require_like(b)
     alg = a.algebra
-    nums = _walk(alg._numerators, a.arity, a._nums.items(), b._nums.items())
+    nums = _walk(alg._numerators, a.arity, a._nums, b._nums)
     return TensorElement._reduced(alg, a.arity, nums, a._den * b._den * alg._denominator ** a.arity)
 
 
@@ -433,17 +452,15 @@ class TensorElement:
         Q(zeta_n)), so the matrix is never built from field values.
         """
         alg = self.algebra
-        d, n = alg.dim, self.arity
-        size = d ** n
-        rows = [[0] * size for _ in range(size)]
-        entries = list(self._nums.items())
-        for col, J in enumerate(alg.multi_indices(n)):
-            for K, val in _walk(alg._numerators, n, entries, [(J, 1)]).items():
-                row = 0
-                for idx in K:
-                    row = row * d + idx
-                rows[row][col] = val
-        return rows, self._den * alg._denominator ** n
+        index = {J: pos for pos, J in enumerate(alg.multi_indices(self.arity))}
+        rows = [[0] * len(index) for _ in index]
+        # one walk against every e_J at once: each leg's key (k,) becomes (k, j),
+        # so a result key interleaves the row K and the column J
+        table = [[{(k, j): c for (k,), c in col.items()} for j, col in enumerate(row)]
+                 for row in alg._numerators]
+        for key, val in _walk(table, self.arity, self._nums, dict.fromkeys(index, 1)).items():
+            rows[index[key[::2]]][index[key[1::2]]] = val
+        return rows, self._den * alg._denominator ** self.arity
 
     def invert(self) -> "TensorElement":
         """Two-sided inverse, via one exact solve of the left-multiplication matrix.
@@ -451,19 +468,13 @@ class TensorElement:
         Both one-sided identities are verified before returning; a left
         inverse that is not also a right inverse raises SingularError.
         """
-        alg = self.algebra
-        d, n = alg.dim, self.arity
+        alg, n = self.algebra, self.arity
         unit = alg.tensor_unit(n)
         rows, den = self.left_matrix()
         # (rows / den) x = unit = nums / unit_den  <=>  (unit_den * rows) x = den * nums
         if unit._den != 1:
             rows = [[unit._den * v for v in row] for row in rows]
-        rhs = [0] * (d ** n)
-        for K, v in unit._nums.items():
-            row = 0
-            for idx in K:
-                row = row * d + idx
-            rhs[row] = den * v
+        rhs = [den * unit._nums.get(K, 0) for K in alg.multi_indices(n)]
         nums, x_den = alg.field.clear(linalg.solve(alg.field, rows, rhs))
         candidate = self._of(alg, n, {J: v for J, v in zip(alg.multi_indices(n), nums) if v},
                              x_den)

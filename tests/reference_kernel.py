@@ -15,7 +15,9 @@ The ``bareiss_*`` functions are the fraction-free elimination that
 a Z[zeta_n] pivot (``divider``) and the restore over a Z[zeta_n]
 denominator (``restore``) it needed: a second elimination oracle, on
 numerators, beside the Gaussian one.  ``nullspace`` is a Gauss-Jordan
-kernel basis that only tests need.
+kernel basis that only tests need.  ``paired`` is the four-leg expansion
+that ``qhakit.drinfeld._paired`` formed before it grouped its sum by the
+first index.
 
 The ``cyclo_*`` functions are the Q(zeta_n) arithmetic ``Cyclo`` used
 before it moved to int vectors over one denominator: polynomials with
@@ -228,6 +230,13 @@ def contract(t: TensorElement, *specs) -> TensorElement:
             factors.append(elt)
         expand(out, val, [{i: c for i, c in enumerate(f.coeffs) if c} for f in factors])
     return TensorElement(alg, len(specs), out)
+
+
+def paired(t: TensorElement, left: LinearMap, right: LinearMap) -> TensorElement:
+    """sum_ab t_ab left(e_a) right(e_b) as ``drinfeld._paired`` first formed it: both
+    maps applied as legs of an arity-4 tensor, which ``contract`` multiplies out."""
+    u = on_leg(right, on_leg(left, t, 1), 3)
+    return contract(u, [(1, None), (3, None)], [(2, None), (4, None)])
 
 
 def solve_columns(field, matrix, columns):

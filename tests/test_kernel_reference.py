@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernel as ref
-from qhakit import linalg
+from qhakit import blocks, linalg, tensor
 from qhakit.catalog import builtin
 from qhakit.drinfeld import _paired
 from qhakit.errors import SingularError
@@ -127,6 +127,22 @@ def tensors(draw, alg, arity):
     else:
         chosen = draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
     return TensorElement(alg, arity, {k: field.coerce(draw(scalars(field))) for k in chosen})
+
+
+@st.composite
+def shared_prefix_tensors(draw, alg, arity):
+    """Entries under one or two heads of arity - 2 legs, each with at least two
+    indices on leg arity - 1 and at least two on the last leg, so left entries
+    share both their last-leg prefix and a shorter one."""
+    field = alg.field
+    idx = st.integers(0, alg.dim - 1)
+    heads = draw(st.lists(st.tuples(*[idx] * (arity - 2)), min_size=1, max_size=2, unique=True))
+    entries = {}
+    for head in heads:
+        for mid in draw(st.lists(idx, min_size=2, max_size=3, unique=True)):
+            for last in draw(st.lists(idx, min_size=2, max_size=3, unique=True)):
+                entries[head + (mid, last)] = draw(nonzero_scalars(field))
+    return TensorElement(alg, arity, entries)
 
 
 def same(a, b):
@@ -227,6 +243,45 @@ class TestKernelAgainstReference:
                 for _ in range(2))
         same_tensor(s * t, ref.mul(s, t))
 
+    @pytest.mark.parametrize("alg", [z3(RATIONAL), M2[RATIONAL], z3_scaled(Q3, Q3.zeta), M2[Q8]],
+                             ids=["z3", "m2", "z3-Q3", "m2-Q8"])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_mul_left_entries_sharing_prefixes(self, alg, data):
+        """Left entries that share prefixes walk the right trie once per prefix."""
+        arity = data.draw(st.sampled_from([3, 4]))
+        s = data.draw(shared_prefix_tensors(alg, arity))
+        t = data.draw(st.one_of(shared_prefix_tensors(alg, arity), tensors(alg, arity)))
+        assert len({k[:-1] for k in s.entries}) < len(s.entries)
+        same_tensor(s * t, ref.mul(s, t))
+        same_tensor(t * s, ref.mul(t, s))
+
+    @pytest.mark.parametrize("field", [RATIONAL, Q8], ids=str)
+    def test_mul_with_frontiers_emptied_above_the_last_leg(self, field, monkeypatch):
+        """2x2 matrix units, f_ij f_kl = 0 unless j == k: every right entry starts with
+        f11 or f12, so the left prefixes (f12,) and (f22,) die after leg 1 and
+        (f11, f12) after leg 2, while (f21, f11) survives to the last leg."""
+        alg = M2[field]
+        f11, f12, f21, f22 = range(4)
+        c = field.zeta if field.kind == "cyclotomic" else Fraction(5, 7)
+        s = TensorElement(alg, 3, {(f12, f11, f11): 1, (f22, f21, f12): Fraction(-2, 3),
+                                   (f11, f12, f21): 3, (f11, f12, f22): c,
+                                   (f21, f11, f12): Fraction(1, 2), (f21, f11, f22): -4})
+        t = TensorElement(alg, 3, {(f11, f11, f21): 5, (f12, f12, f22): -1, (f11, f12, f11): c,
+                                   (f12, f11, f21): 2})
+        frontiers = []
+        descend = tensor._descend
+
+        def recording(table, out, node, frontier, legs):
+            frontiers.append(len(frontier))
+            return descend(table, out, node, frontier, legs)
+
+        monkeypatch.setattr(tensor, "_descend", recording)
+        same_tensor(s * t, ref.mul(s, t))
+        assert (s * t).entries and 0 in frontiers
+        dying = TensorElement(alg, 3, {k: v for k, v in s.entries.items() if k[0] != f21})
+        assert (dying * t).entries == ref.mul(dying, t).entries == {}
+
     @pytest.mark.parametrize("alg", [z3(RATIONAL), M2[RATIONAL], M2[Q8]], ids=["z3", "m2", "m2-Q8"])
     def test_arity_zero_and_empty_operands(self, alg):
         field = alg.field
@@ -295,12 +350,36 @@ class TestKernelAgainstReference:
         same_tensor(_paired(t, left, LinearMap(alg, rs)), expected)
 
     @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_paired_against_the_four_leg_expansion(self, data):
+        """The grouped sum against the expansion it replaced: both maps applied as legs of
+        an arity-4 tensor, which ``contract`` multiplies out."""
+        alg = data.draw(st.sampled_from(ALGEBRAS))
+        t = data.draw(tensors(alg, 2))
+        left, right = (LinearMap(alg, [data.draw(tensors(alg, 2)) for _ in range(alg.dim)])
+                       for _ in range(2))
+        same_tensor(_paired(t, left, right), ref.paired(t, left, right))
+
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_left_matrix(self, data):
         alg, arity = algebra_and_arity(data, max_arity=2)
         t = data.draw(tensors(alg, arity))
         for new, old in zip(field_matrix(t), ref.left_matrix(t)):
             same(new, old)
+
+    def test_left_matrix_arity_three_in_the_z4_block_basis(self):
+        """The benchmark's dense twisted coassociator, carried into the Z/4 block basis
+        (6 of its 16 leg pairs carry structure constants), and a sparse tensor there."""
+        h = builtin("group_z4").structure
+        f = parse_twist(json.dumps(group_twist(4, Random(0))), h)
+        alg, down, _ = blocks._change(h.algebra, blocks.block_basis(4))
+        phi = down.map_tensor(twist_structure(h, f, verify=False).phi)
+        sparse = TensorElement(alg, 3, {(0, 2, 3): Fraction(1, 3), (2, 3, 3): -2, (3, 1, 0): 5})
+        assert len(phi.entries) > 20
+        for t in (phi, sparse):
+            for new, old in zip(field_matrix(t), ref.left_matrix(t), strict=True):
+                same(new, old)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

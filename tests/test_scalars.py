@@ -1,6 +1,8 @@
 """Exact field arithmetic: rationals and cyclotomic extensions."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernel as ref
+from qhakit.catalog import builtin
 from qhakit.errors import FieldMismatch, SingularError
 from qhakit.scalars import (Cyclo, RATIONAL, _reduction_rows, _zeta_powers, cyclotomic_field,
                             cyclotomic_polynomial, totient)
@@ -50,6 +53,17 @@ class TestCyclotomic:
     def test_zeta3_sum_of_powers(self):
         z = cyclotomic_field(3).zeta
         assert z + z * z == -1
+
+    @pytest.mark.parametrize("order", [4, 5, 12])
+    def test_pickle_and_deepcopy(self, order):
+        """A value, and the semion's coassociator (over Q(zeta_4)), survive a round trip."""
+        field = cyclotomic_field(order)
+        z = field.zeta * Fraction(3, 7) + 1
+        phi = builtin("semion").structure.phi
+        for x in (z, field.zeta, field.one, phi):
+            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+                assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        assert pickle.loads(pickle.dumps(z)).coeffs == z.coeffs
 
     def test_one_plus_zeta4_inverse(self):
         # (1 + z)(1 - z)/2 = (1 - z^2)/2 = (1 + 1)/2 = 1

@@ -246,9 +246,7 @@ class TestArityOneIsAnElement:
         assert type(a @ b) is TensorElement and type(eps.on_leg(a, 1)) is TensorElement
         assert results["invert"] * w == alg.unit_element
         for x in (a, t2):
-            copies = [copy.copy(x)]
-            if alg.field.kind == "rational":   # a Cyclo does not pickle
-                copies.append(pickle.loads(pickle.dumps(x)))
+            copies = [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
             assert all(type(y) is type(x) and y == x for y in copies)
 
     @pytest.mark.parametrize("seed", range(3))
