@@ -14,11 +14,14 @@ Q(zeta_n) for n = 3, 4, 5, 8, 12 (degrees 2 and 4, with non-trivial
 reduction rows), dense arity-3 tensors over k[Z/3], dense arity-4 tensors
 over k[Z/2] and k[Z/3], and sparse arity-3/4 tensors over the 2x2
 matrices, whose zero structure constants the kernel's per-leg support join
-prunes. Cyclotomic values mix constants, which clear to int numerators,
-with general values, which clear to Z[zeta_n] vectors. The stored form
-itself (numerators over one denominator, content-reduced) is checked to be
-canonical on every result, and equal under equality and hashing whichever
-route reached a value.
+prunes (down to frontiers emptied above the last leg). Arity-3/4 operands
+whose entries share prefixes, arity-3 left matrices in the Z/4 block basis,
+and the grouped Drinfeld sum against the four-leg expansion it replaced
+(``reference_kernel.paired``) cover the two-sided walk. Cyclotomic values
+mix constants, which clear to int numerators, with general values, which
+clear to Z[zeta_n] vectors. The stored form itself (numerators over one
+denominator, content-reduced) is checked to be canonical on every result,
+and equal under equality and hashing whichever route reached a value.
 """
 
 import json
