@@ -1,9 +1,13 @@
-"""Structured check reports: named pass/fail results with failure witnesses."""
+"""Structured check reports: named pass/fail results with failure witnesses.
+
+Every check of the package is recorded by :meth:`Report.check`, the one place
+that builds a :class:`Check`; ``add_equal`` and ``extend`` are written on it."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+from .errors import QhaError
 from .tensor import AlgElement, TensorElement, first_difference
 
 
@@ -24,23 +28,34 @@ class Report:
         self.name = name
         self.checks = []
 
-    def add(self, check_id: str, ok: bool, witness=None):
-        self.checks.append(Check(check_id, bool(ok), None if ok else witness))
-        return ok
+    def check(self, check_id: str, fn, witness=None):
+        """Run ``fn()``, record check ``check_id`` and return what ``fn`` returned.
+
+        A ``False`` result fails the check with ``witness``, called first (so only on
+        failure) if it is callable; a QhaError fails it with the error's text and
+        returns None; any other result passes.  Every predicate recorded here returns
+        a real bool, so no other falsy value can pass a check."""
+        try:
+            result = fn()
+        except QhaError as exc:
+            self.checks.append(Check(check_id, False, str(exc)))
+            return None
+        failed = result is False
+        if failed and callable(witness):
+            witness = witness()
+        self.checks.append(Check(check_id, not failed, witness if failed else None))
+        return result
 
     def add_equal(self, check_id: str, left, right):
         """Record an exact equality check, with the first differing entry of two tensors
         on failure; elements of H are shown whole."""
-        if left == right:
-            return self.add(check_id, True)
-        if isinstance(left, AlgElement):
-            return self.add(check_id, False, f"{left!r} != {right!r}")
-        return self.add(check_id, False, _diff_witness(left, right))
+        whole = isinstance(left, AlgElement)
+        return self.check(check_id, lambda: left == right,
+                          lambda: f"{left!r} != {right!r}" if whole else _diff_witness(left, right))
 
     def extend(self, other: "Report", prefix: str | None = None):
         for c in other.checks:
-            cid = f"{prefix}/{c.check_id}" if prefix else c.check_id
-            self.checks.append(Check(cid, c.ok, c.witness))
+            self.check(f"{prefix}/{c.check_id}" if prefix else c.check_id, lambda: c.ok, c.witness)
         return self
 
     @property

@@ -25,7 +25,9 @@ suites and computations on a carried bundle run once, in its basis.
 
 Every route check (two routes to one value must agree exactly) calls one
 primitive, :func:`_require_equal`.  It only compares values that each
-route has already built on its own, and names where they part.
+route has already built on its own, and names where they part.  One
+basis scan, :func:`_require_scan`, serves the route checks that raise and
+the verifiers' checks that :meth:`Report.check` records.
 """
 
 from __future__ import annotations
@@ -62,12 +64,11 @@ def _memoized(fn):
 
 def _inverse(t, report_name: str, check_id: str, message: str):
     """The inverse of ``t``, or a StructureError whose report names the failed check."""
-    try:
-        return t.invert()
-    except SingularError as exc:
-        report = Report(report_name)
-        report.add(check_id, False, str(exc))
-        raise StructureError(message, report) from exc
+    report = Report(report_name)
+    inverse = report.check(check_id, t.invert)
+    if not report.ok:
+        raise StructureError(message, report)
+    return inverse
 
 
 def _require(report: Report, message: str) -> None:
@@ -221,22 +222,6 @@ def _block_form(s):
 # verifiers
 # ---------------------------------------------------------------------------
 
-def _add_scan(rep: Report, check_id: str, alg, fails, pairs=False) -> None:
-    """Record ``check_id`` as passed unless ``fails`` holds on some basis element.
-
-    With ``pairs`` the cases are the ordered pairs of basis elements.  The
-    first failing case, in basis order, is the witness.
-    """
-    witness = None
-    for idx in itertools.product(range(alg.dim), repeat=2 if pairs else 1):
-        if fails(*(alg.basis_element(i) for i in idx)):
-            names = [alg.basis_names[i] for i in idx]
-            witness = (f"pair ({names[0]}, {names[1]})" if pairs
-                       else f"basis element {names[0]}")
-            break
-    rep.add(check_id, witness is None, witness)
-
-
 def _require_equal(left, right, message: str):
     """``left`` where it equals ``right``; else a ConsistencyError whose witness is the
     first differing multi-index of two tensors, elements of H among them (an element
@@ -246,13 +231,13 @@ def _require_equal(left, right, message: str):
     raise ConsistencyError(message, _diff_witness(left, right))
 
 
-def _require_scan(alg, sides, message: str) -> None:
-    """:func:`_require_equal` on the pair ``sides(i)`` at each basis index ``i`` in turn.
-
-    The raising twin of :func:`_add_scan`; ``{name}`` in ``message`` names the basis element.
-    """
-    for i in range(alg.dim):
-        _require_equal(*sides(i), message.format(name=alg.basis_names[i]))
+def _require_scan(alg, sides, message: str, pairs=False) -> None:
+    """:func:`_require_equal` on the pair ``sides(i)`` at each basis index ``i`` in turn, or
+    with ``pairs`` on ``sides(i, j)`` at each ordered pair of indices.  ``{name}`` in
+    ``message`` names the basis element, or the pair's two names."""
+    for idx in itertools.product(range(alg.dim), repeat=2 if pairs else 1):
+        names = ", ".join(alg.basis_names[i] for i in idx)
+        _require_equal(*sides(*idx), message.format(name=names))
 
 
 def verify_qba(q) -> Report:
@@ -261,38 +246,40 @@ def verify_qba(q) -> Report:
     rep = Report("qba")
     unit2 = alg.tensor_unit(2)
     delta, eps, phi, phi_inv = q.coproduct, q.counit, q.phi, q.phi_inv
+    e = [alg.basis_element(i) for i in range(alg.dim)]
 
     rep.add_equal("delta-unital", delta(alg.unit_element), unit2)
-    one = alg.field.one
-    rep.add("eps-unital", eps(alg.unit_element) == one,
-            f"eps(1) = {eps(alg.unit_element)}")
+    rep.check("eps-unital", lambda: eps(alg.unit_element) == alg.field.one,
+              lambda: f"eps(1) = {eps(alg.unit_element)}")
 
-    _add_scan(rep, "delta-hom", alg, lambda a, b: delta(a * b) != delta(a) * delta(b),
-              pairs=True)
-    _add_scan(rep, "eps-hom", alg, lambda a, b: eps(a * b) != eps(a) * eps(b), pairs=True)
+    rep.check("delta-hom", lambda: _require_scan(
+        alg, lambda i, j: (delta(e[i] * e[j]), delta(e[i]) * delta(e[j])), "pair ({name})",
+        pairs=True))
+    rep.check("eps-hom", lambda: _require_scan(
+        alg, lambda i, j: (eps(e[i] * e[j]), eps(e[i]) * eps(e[j])), "pair ({name})",
+        pairs=True))
 
-    def counit_fails(e):
-        d = delta(e)
-        return eps.on_leg(d, 1) != e or eps.on_leg(d, 2) != e
-    _add_scan(rep, "counit", alg, counit_fails)
+    def counit(i):
+        d = delta(e[i])
+        return (eps.on_leg(d, 1), eps.on_leg(d, 2)), (e[i], e[i])
+    rep.check("counit", lambda: _require_scan(alg, counit, "basis element {name}"))
 
-    rep.add("phi-invertible",
-            phi * phi_inv == alg.tensor_unit(3) and phi_inv * phi == alg.tensor_unit(3),
-            "product with cached inverse is not the unit")
+    rep.check("phi-invertible",
+              lambda: phi * phi_inv == alg.tensor_unit(3) and phi_inv * phi == alg.tensor_unit(3),
+              "product with cached inverse is not the unit")
 
-    def qco_fails(e):
-        d = delta(e)
-        return delta.on_leg(d, 2) != phi_inv * delta.on_leg(d, 1) * phi
-    _add_scan(rep, "qco", alg, qco_fails)
+    def qco(i):
+        d = delta(e[i])
+        return delta.on_leg(d, 2), phi_inv * delta.on_leg(d, 1) * phi
+    rep.check("qco", lambda: _require_scan(alg, qco, "basis element {name}"))
 
     pent_lhs = delta.on_leg(phi, 1) * delta.on_leg(phi, 3)
     pent_rhs = phi.embed((1, 2, 3), 4) * delta.on_leg(phi, 2) * phi.embed((2, 3, 4), 4)
     rep.add_equal("pentagon", pent_lhs, pent_rhs)
 
     rep.add_equal("epsphi", eps.on_leg(phi, 2), unit2)
-    rep.add("epsphi-derived",
-            eps.on_leg(phi, 1) == unit2 and eps.on_leg(phi, 3) == unit2,
-            "outer-leg counit of the coassociator is not the unit")
+    rep.check("epsphi-derived", lambda: eps.on_leg(phi, 1) == unit2 and eps.on_leg(phi, 3) == unit2,
+              "outer-leg counit of the coassociator is not the unit")
     return rep
 
 
@@ -303,29 +290,32 @@ def verify_quasi_antipode(h: QuasiBialgebra, antipode=None) -> Report:
     anti = h.antipode if antipode is None else antipode
     s, s_inv, alpha, beta = anti.s, anti.s_inv, anti.alpha, anti.beta
     eps, phi, phi_inv = h.counit, h.phi, h.phi_inv
-    one = alg.unit_element
+    one, e = alg.unit_element, [alg.basis_element(i) for i in range(alg.dim)]
 
     rep.add_equal("S-unital", s(one), one)
-    _add_scan(rep, "S-antihom", alg, lambda a, b: s(a * b) != s(b) * s(a), pairs=True)
-    _add_scan(rep, "S-inverse", alg, lambda e: s_inv(s(e)) != e or s(s_inv(e)) != e)
+    rep.check("S-antihom", lambda: _require_scan(
+        alg, lambda i, j: (s(e[i] * e[j]), s(e[j]) * s(e[i])), "pair ({name})", pairs=True))
+    rep.check("S-inverse", lambda: _require_scan(
+        alg, lambda i: ((s_inv(s(e[i])), s(s_inv(e[i]))), (e[i], e[i])), "basis element {name}"))
 
     zig = contract(phi, [(1, s), alpha, (2, None), beta, (3, s)])
     rep.add_equal("Sphi", zig, one)
     zag = contract(phi_inv, [(1, None), beta, (2, s), alpha, (3, None)])
     rep.add_equal("Sphi-inv", zag, one)
 
-    _add_scan(rep, "Sab-alpha", alg,
-              lambda e: contract(h.coproduct(e), [(1, s), alpha, (2, None)])
-              != eps(e) * alpha)
-    _add_scan(rep, "Sab-beta", alg,
-              lambda e: contract(h.coproduct(e), [(1, None), beta, (2, s)])
-              != eps(e) * beta)
+    rep.check("Sab-alpha", lambda: _require_scan(
+        alg, lambda i: (contract(h.coproduct(e[i]), [(1, s), alpha, (2, None)]),
+                        eps(e[i]) * alpha), "basis element {name}"))
+    rep.check("Sab-beta", lambda: _require_scan(
+        alg, lambda i: (contract(h.coproduct(e[i]), [(1, None), beta, (2, s)]),
+                        eps(e[i]) * beta), "basis element {name}"))
 
-    rep.add("eps-alpha-beta", eps(alpha) * eps(beta) == alg.field.one,
-            f"eps(alpha)*eps(beta) = {eps(alpha) * eps(beta)}")
+    rep.check("eps-alpha-beta", lambda: eps(alpha) * eps(beta) == alg.field.one,
+              lambda: f"eps(alpha)*eps(beta) = {eps(alpha) * eps(beta)}")
 
-    _add_scan(rep, "eps-S", alg,
-              lambda e: eps(s(e)) != eps(e) or eps(s_inv(e)) != eps(e))
+    rep.check("eps-S", lambda: _require_scan(
+        alg, lambda i: ((eps(s(e[i])), eps(s_inv(e[i]))), (eps(e[i]), eps(e[i]))),
+        "basis element {name}"))
     return rep
 
 
@@ -339,10 +329,12 @@ def verify_rmatrix(t: QuasiBialgebra, r=None, r_inv=None) -> Report:
     delta, eps = t.coproduct, t.counit
     unit2 = alg.tensor_unit(2)
 
-    rep.add("R-invertible", r * r_inv == unit2 and r_inv * r == unit2,
-            "product with cached inverse is not the unit")
+    rep.check("R-invertible", lambda: r * r_inv == unit2 and r_inv * r == unit2,
+              "product with cached inverse is not the unit")
 
-    _add_scan(rep, "E14.i", alg, lambda e: t.coproduct_t(e) * r != r * delta(e))
+    e = [alg.basis_element(i) for i in range(alg.dim)]
+    rep.check("E14.i", lambda: _require_scan(
+        alg, lambda i: (t.coproduct_t(e[i]) * r, r * delta(e[i])), "basis element {name}"))
 
     lhs = delta.on_leg(r, 1)
     rhs = (phi_inv.perm((2, 3, 1)) * r.embed((1, 3), 3) * phi.perm((1, 3, 2))
@@ -354,9 +346,9 @@ def verify_rmatrix(t: QuasiBialgebra, r=None, r_inv=None) -> Report:
            * r.embed((1, 2), 3) * phi)
     rep.add_equal("E14.iii", lhs, rhs)
 
-    rep.add("R-counit",
-            eps.on_leg(r, 1) == alg.tensor_unit(1) and eps.on_leg(r, 2) == alg.tensor_unit(1),
-            "counit of R is not 1")
+    unit1 = alg.tensor_unit(1)
+    rep.check("R-counit", lambda: eps.on_leg(r, 1) == unit1 and eps.on_leg(r, 2) == unit1,
+              "counit of R is not 1")
     return rep
 
 

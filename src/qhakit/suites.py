@@ -2,9 +2,10 @@
 
 Each suite maps a catalog entry (plus a seed for the randomized checks)
 to a Report.  Randomness is derived from ``Random(f"{seed}:{suite}:{name}")``
-so reports are byte-identical for a fixed (input, seed) pair.  Checks
-that are implemented as asserting operations are wrapped: a clean return
-records a pass, a ConsistencyError records the failure message.
+so reports are byte-identical for a fixed (input, seed) pair.  Every
+check goes through :meth:`Report.check`: a predicate records its
+verdict, an asserting operation records a pass when it returns, and a
+kernel error raised by either fails that one check with its message.
 
 A suite runs once, in the rational block basis where the rule stated in
 :mod:`qhakit.blocks` applies (``setting``).  Its random twists and
@@ -24,7 +25,6 @@ from fractions import Fraction
 
 from . import DEFAULT_TRIALS, SUITE_NAMES
 from .catalog import CatalogEntry
-from .errors import QhaError
 from .report import Report
 from .structures import (_block_form, _require, check_qqybe, opposite_structure,
                          primed_structure, qqybe_sides, structures_equal, verify_qba,
@@ -33,29 +33,6 @@ from .structures import (_block_form, _require, check_qqybe, opposite_structure,
 
 def _rng(seed, suite, name):
     return random.Random(f"{seed}:{suite}:{name}")
-
-
-def _guard(rep: Report, check_id: str, fn):
-    """Run an asserting operation; record pass/fail with the failure message.
-
-    Returns what the operation returned, or None when it failed.
-    """
-    try:
-        result = fn()
-    except QhaError as exc:
-        rep.add(check_id, False, str(exc))
-        return None
-    rep.add(check_id, True)
-    return result
-
-
-def _holds(rep: Report, check_id: str, fn, witness: str):
-    """Record the verdict ``fn()`` returns; an error it raises fails the check with its text."""
-    try:
-        ok = fn()
-    except QhaError as exc:
-        return rep.add(check_id, False, str(exc))
-    return rep.add(check_id, ok, witness)
 
 
 class _Draw:
@@ -85,14 +62,13 @@ def suite_axioms(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS
     rep.extend(verify_quasi_antipode(s), prefix="antipode")
     if s.r is not None:
         rep.extend(verify_rmatrix(s), prefix="rmatrix")
-    op = _guard(rep, "P1", lambda: opposite_structure(s))
-    _guard(rep, "P2", lambda: primed_structure(s))
-    _guard(rep, "P2'", lambda: zero_structure(s))
-    if op is None:
-        rep.add("P1.involution", False, "no opposite structure (P1 failed)")
-    else:
-        _holds(rep, "P1.involution", lambda: structures_equal(opposite_structure(op), s),
-               "the opposite of the opposite differs from the original")
+    op = rep.check("P1", lambda: opposite_structure(s))
+    rep.check("P2", lambda: primed_structure(s))
+    rep.check("P2'", lambda: zero_structure(s))
+    rep.check("P1.involution",
+              lambda: op is not None and structures_equal(opposite_structure(op), s),
+              "no opposite structure (P1 failed)" if op is None
+              else "the opposite of the opposite differs from the original")
     return rep
 
 
@@ -106,32 +82,31 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS)
     rng = _rng(seed, "twist", entry.name)
 
     identity = Twist.identity(s)
-    rep.add("E23.identity", is_quasi_cocycle(identity, s),
-            "identity twist fails the quasi-cocycle condition")
+    rep.check("E23.identity", lambda: is_quasi_cocycle(identity, s),
+              "identity twist fails the quasi-cocycle condition")
 
     for k in range(trials):
         f = draw.twist(rng)
         g = draw.twist(rng)
         w = draw.element(rng)
 
-        ts = (_guard(rep, f"E6.verify@{k}", lambda: twist_structure(s, f))
+        ts = (rep.check(f"E6.verify@{k}", lambda: twist_structure(s, f))
               or twist_structure(s, f, verify=False))
-        _holds(rep, f"L3.group@{k}",
-               lambda: structures_equal(twist_structure(s, compose_twists(f, g)),
-                                        twist_structure(twist_structure(s, g, verify=False), f,
-                                                        verify=False)),
-               "twisting by FG differs from twisting by G then F")
-        rep.add(f"L3.untwist@{k}",
-                structures_equal(twist_structure(ts, f.inverse(), verify=False), s),
-                "twisting then untwisting does not return the original")
-        rep.add(f"E23.equiv@{k}",
-                is_quasi_cocycle(f, s) == (ts.phi == s.phi),
-                "quasi-cocycle check disagrees with coassociator invariance")
+        rep.check(f"L3.group@{k}",
+                  lambda: structures_equal(twist_structure(s, compose_twists(f, g)),
+                                           twist_structure(twist_structure(s, g, verify=False),
+                                                           f, verify=False)),
+                  "twisting by FG differs from twisting by G then F")
+        rep.check(f"L3.untwist@{k}",
+                  lambda: structures_equal(twist_structure(ts, f.inverse(), verify=False), s),
+                  "twisting then untwisting does not return the original")
+        rep.check(f"E23.equiv@{k}", lambda: is_quasi_cocycle(f, s) == (ts.phi == s.phi),
+                  "quasi-cocycle check disagrees with coassociator invariance")
 
-        _guard(rep, f"T1.roundtrip@{k}", lambda: antipode_from_v(h, w))
+        rep.check(f"T1.roundtrip@{k}", lambda: antipode_from_v(h, w))
         alt = h.antipode.conjugated(w)
-        _holds(rep, f"uni-v@{k}", lambda: check_v_universality(h, alt, f),
-               "v changed under a twist")
+        rep.check(f"uni-v@{k}", lambda: check_v_universality(h, alt, f),
+                  "v changed under a twist")
 
         # compatible twists: P7 in both directions, P8 recovery.  C is built from a
         # random central z (a scalar where the draw is not central: then C = 1).
@@ -144,18 +119,19 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS)
         c = central_to_compatible(z, s)
         eps_z = s.counit(z)
         zeta = (z * h.s(z)).inverse().scale(eps_z * eps_z)
-        rep.add(f"L4@{k}", is_compatible(c, s), "central construction is not compatible")
+        rep.check(f"L4@{k}", lambda: is_compatible(c, s), "central construction is not compatible")
         g_fc = compose_twists(f, c)
         moved = twist_structure(s, g_fc, verify=False)
-        rep.add(f"P7.fwd@{k}",
-                moved.coproduct == ts.coproduct and moved.phi == ts.phi and moved.r == ts.r
-                and moved.alpha == zeta * ts.alpha and moved.beta * zeta == ts.beta,
-                "twisting by F and by FC differ")
+        rep.check(f"P7.fwd@{k}",
+                  lambda: moved.coproduct == ts.coproduct and moved.phi == ts.phi
+                  and moved.r == ts.r and moved.alpha == zeta * ts.alpha
+                  and moved.beta * zeta == ts.beta,
+                  "twisting by F and by FC differ")
         residual = compose_twists(f.inverse(), g_fc)
-        rep.add(f"P7.rev@{k}", is_compatible(residual, s),
-                "F^{-1}G of structure-equal twists is not compatible")
-        _holds(rep, f"P8@{k}", lambda: compatible_to_central(c, h) == zeta,
-               "the central element of C is not eps(z)^2 (z S(z))^{-1}")
+        rep.check(f"P7.rev@{k}", lambda: is_compatible(residual, s),
+                  "F^{-1}G of structure-equal twists is not compatible")
+        rep.check(f"P8@{k}", lambda: compatible_to_central(c, h) == zeta,
+                  "the central element of C is not eps(z)^2 (z S(z))^{-1}")
     return rep
 
 
@@ -167,15 +143,15 @@ def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIA
     h = entry.structure.without_r()  # the opposite and twisted bundles need no R-matrix
     rng = _rng(seed, "drinfeld", entry.name)
 
-    _guard(rep, "E9+E10+E11+P2+P3", lambda: compute_drinfeld_data(h))
+    rep.check("E9+E10+E11+P2+P3", lambda: compute_drinfeld_data(h))
     if not rep.ok:
         return rep
-    _guard(rep, "P4", lambda: opposite_drinfeld(h))
+    rep.check("P4", lambda: opposite_drinfeld(h))
     for k in range(trials):
         g = draw.twist(rng)
         tw = twist_structure(h, g, verify=False)
-        _guard(rep, f"P9@{k}", lambda: gamma_bar_under_twist(h, g, tw))
-        _guard(rep, f"T4@{k}", lambda: drinfeld_under_twist(h, g, tw))
+        rep.check(f"P9@{k}", lambda: gamma_bar_under_twist(h, g, tw))
+        rep.check(f"T4@{k}", lambda: drinfeld_under_twist(h, g, tw))
     return rep
 
 
@@ -184,7 +160,7 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
     rep = Report("qtriangular")
     s = entry.structure
     if s.r is None:
-        rep.add("skip", True, None)
+        rep.check("skip", lambda: True)
         return rep
     from .drinfeld import compute_drinfeld_data, drinfeld_under_twist
     from .qtriangular import (altschuler_coste_operator, canonical_r_elements,
@@ -193,22 +169,22 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
     from .twists import Twist, is_compatible, quadratic_invariants, twist_structure
     rng = _rng(seed, "qtriangular", entry.name)
 
-    _guard(rep, "P6+E17", lambda: canonical_r_elements(s, "r"))
-    ops = _guard(rep, "E18+E19+E20+L1+L2", lambda: compute_u(s))
+    rep.check("P6+E17", lambda: canonical_r_elements(s, "r"))
+    ops = rep.check("E18+E19+E20+L1+L2", lambda: compute_u(s))
     if ops is None:
         return rep
-    rep.add("u-central-product", (ops.u * s.s(ops.u)).is_central(),
-            "u S(u) is not central")
+    rep.check("u-central-product", lambda: (ops.u * s.s(ops.u)).is_central(),
+              "u S(u) is not central")
 
     data = compute_drinfeld_data(s)
     rep.extend(check_ssr_identity(s))
-    _guard(rep, "E24AC", lambda: altschuler_coste_operator(s))
+    rep.check("E24AC", lambda: altschuler_coste_operator(s))
     rep.extend(opposite_by_r_vs_cop(s))
 
     rt, rt_inv = r_tilde(s)
-    _guard(rep, "Rtilde-E14",
-           lambda: _require(verify_rmatrix(s, rt, rt_inv), "R-matrix axioms fail"))
-    _guard(rep, "P1'-E14", lambda: opposite_structure(s))
+    rep.check("Rtilde-E14",
+              lambda: _require(verify_rmatrix(s, rt, rt_inv), "R-matrix axioms fail"))
+    rep.check("P1'-E14", lambda: opposite_structure(s))
 
     combos = {
         "QinvR": rt_inv * s.r,
@@ -218,18 +194,18 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
         "RtR": s.r.transpose() * s.r,
     }
     for label, f_c in combos.items():
-        rep.add(f"compat.{label}", is_compatible(Twist(f_c, s.counit), s),
-                f"{label} is not a compatible twist")
+        rep.check(f"compat.{label}", lambda: is_compatible(Twist(f_c, s.counit), s),
+                  f"{label} is not a compatible twist")
 
     for m in (0, 1, 2):
-        _guard(rep, f"P8.invariants@{m}", lambda m=m: quadratic_invariants(s, m))
+        rep.check(f"P8.invariants@{m}", lambda: quadratic_invariants(s, m))
     one = s.algebra.unit_element
-    rep.add("P8.inverse-pairing",
-            quadratic_invariants(s, 1) * quadratic_invariants(s, -1) == one
-            and quadratic_invariants(s, 2) * quadratic_invariants(s, -2) == one,
-            "invariants at m and -m are not mutually inverse")
+    rep.check("P8.inverse-pairing",
+              lambda: quadratic_invariants(s, 1) * quadratic_invariants(s, -1) == one
+              and quadratic_invariants(s, 2) * quadratic_invariants(s, -2) == one,
+              "invariants at m and -m are not mutually inverse")
 
-    rep.add("E42", check_qqybe(s), "quasi-QYBE fails")
+    rep.check("E42", lambda: check_qqybe(s), "quasi-QYBE fails")
     r_as_twist = Twist(s.r, s.counit, s.r_inv, check=False)
     fdr = drinfeld_under_twist(s, r_as_twist,
                                twist_structure(s.without_r(), r_as_twist, verify=False))
@@ -238,7 +214,7 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
 
     for k in range(trials):
         f = draw.twist(rng)
-        rep.add(f"uni-u@{k}", check_u_universality(s, f), "u changed under a twist")
+        rep.check(f"uni-u@{k}", lambda: check_u_universality(s, f), "u changed under a twist")
     return rep
 
 
@@ -246,10 +222,11 @@ def _dynamical_r_checks(rep: Report, dyn, s, lam, label: str) -> None:
     """E46, E47 and the three opposite QYBEs of one family at one point, tagged ``label``."""
     from .dynamical import check_dynamical_coproduct, check_opposite_qdqybe, check_qdqybe
     rep.extend(check_dynamical_coproduct(dyn, s, lam), prefix=label)
-    rep.add(f"E47@{label}", check_qdqybe(dyn, s, lam), "quasi-dynamical QYBE fails")
+    rep.check(f"E47@{label}", lambda: check_qdqybe(dyn, s, lam), "quasi-dynamical QYBE fails")
     for variant in ("primed", "zero", "transpose"):
-        rep.add(f"op-qdqybe.{variant}@{label}", check_opposite_qdqybe(dyn, s, variant, lam),
-                f"opposite dynamical QYBE ({variant}) fails")
+        rep.check(f"op-qdqybe.{variant}@{label}",
+                  lambda: check_opposite_qdqybe(dyn, s, variant, lam),
+                  f"opposite dynamical QYBE ({variant}) fails")
 
 
 def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
@@ -265,8 +242,9 @@ def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRI
     # to the plain quasi-cocycle condition, term by term (any twist)
     f = draw.twist(rng)
     const = constant_family(s, f)
-    rep.add("E43-to-E23", shifted_cocycle_sides(const, s, 0) == quasi_cocycle_sides(f, s),
-            "zero-weight shifted condition does not reduce to the plain one")
+    rep.check("E43-to-E23",
+              lambda: shifted_cocycle_sides(const, s, 0) == quasi_cocycle_sides(f, s),
+              "zero-weight shifted condition does not reduce to the plain one")
 
     if s.r is not None:
         # the semantic reduction to the plain quasi-QYBE of the twisted
@@ -276,18 +254,18 @@ def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRI
                      s.r_inv * s.r_inv.transpose(), check=False)
         const_qc = constant_family(s, f_qc)
         twisted = twist_structure(s, f_qc, verify=False)
-        rep.add("E47-to-E42", qdqybe_sides(const_qc, s, 0) == qqybe_sides(twisted),
-                "zero-weight dynamical QYBE does not reduce to the plain one")
+        rep.check("E47-to-E42", lambda: qdqybe_sides(const_qc, s, 0) == qqybe_sides(twisted),
+                  "zero-weight dynamical QYBE does not reduce to the plain one")
         if s.phi == s.algebra.tensor_unit(3):
-            rep.add("E47-to-classical", check_qdqybe(const, s, 0)
-                    == check_classical_dqybe(const, s, 0),
-                    "trivial-coassociator reduction to the classical dynamical QYBE fails")
+            rep.check("E47-to-classical",
+                      lambda: check_qdqybe(const, s, 0) == check_classical_dqybe(const, s, 0),
+                      "trivial-coassociator reduction to the classical dynamical QYBE fails")
 
     dyn = entry.dynamical
     if dyn is not None:
         rep.extend(check_shifted_quasi_cocycle(dyn, s))
         for lam in dyn.checkable():
-            _guard(rep, f"E45@{lam}", lambda lam=lam: dynamical_coassociator(dyn, s, lam))
+            rep.check(f"E45@{lam}", lambda: dynamical_coassociator(dyn, s, lam))
             if s.r is not None:
                 _dynamical_r_checks(rep, dyn, s, lam, f"{lam}")
     elif s.r is not None:

@@ -3,8 +3,8 @@
 Also: each CLI command loads exactly the modules it runs, the block
 basis is reached through one door, no private helper is left without a
 caller, no module reaches into the tensor kernel's private names, every
-route check raises through one primitive, and the package's boolean
-switches are a fixed set.
+route check raises through one primitive, every check is recorded
+through one method, and the package's boolean switches are a fixed set.
 """
 
 import ast
@@ -193,21 +193,38 @@ def test_no_module_imports_a_private_kernel_name():
     assert found == []
 
 
-def _raise_scopes(tree, name):
-    """The innermost function around each ``raise name(...)`` under ``tree``."""
+def _scopes(tree, hit):
+    """The innermost function around each node under ``tree`` that ``hit`` accepts,
+    qualified by its class (``Report.check``)."""
     scopes = []
 
-    def visit(node, scope):
+    def visit(node, scope, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == name:
-                    scopes.append(scope)
-            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if defines else scope)
+            if hit(child):
+                scopes.append(scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope, prefix + child.name + ".")
+            else:
+                visit(child, scope, prefix)
 
-    visit(tree, "<module>")
+    visit(tree, "<module>", "")
     return scopes
+
+
+def _named(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _raise_scopes(tree, name):
+    """The innermost function around each ``raise name(...)`` under ``tree``."""
+    def hit(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        return _named(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == name
+
+    return _scopes(tree, hit)
 
 
 def test_every_route_check_raises_through_require_equal():
@@ -217,6 +234,66 @@ def test_every_route_check_raises_through_require_equal():
     found = [f"{path.name}: {scope}" for path in sorted(package.glob("*.py"))
              for scope in _raise_scopes(ast.parse(path.read_text()), "ConsistencyError")]
     assert found == ["structures.py: _require_equal"]
+
+
+def _builds_a_check(node):
+    """A call that builds a Check or appends to a report's ``checks``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "append":
+        return _named(func.value) == "checks"
+    return _named(func) == "Check"
+
+
+def _records_a_check(node):
+    """A call that builds a Check or calls a method of Report that records one."""
+    return _builds_a_check(node) or (isinstance(node, ast.Call) and _named(node.func)
+                                     in ("check", "add", "add_equal", "extend"))
+
+
+def test_only_report_check_builds_a_check():
+    """``Report.check`` is the one place a Check is built or appended to a report."""
+    package = Path(qhakit.__file__).resolve().parent
+    found = {f"{path.name}: {scope}" for path in sorted(package.glob("*.py"))
+             for scope in _scopes(ast.parse(path.read_text()), _builds_a_check)}
+    assert found == {"report.py: Report.check"}
+
+
+def test_no_kernel_error_handler_records_a_check():
+    """A kernel error inside a check reaches ``Report.check``, which records it; no
+    ``except`` naming QhaError in the checking modules records a check by hand."""
+    package = Path(qhakit.__file__).resolve().parent
+    found = []
+    for name in ("suites.py", "qtriangular.py", "structures.py"):
+        for handler in ast.walk(ast.parse((package / name).read_text())):
+            if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+                continue
+            if "QhaError" not in {_named(n) for n in ast.walk(handler.type)}:
+                continue
+            if any(_records_a_check(n) for stmt in handler.body for n in ast.walk(stmt)):
+                found.append(f"{name}:{handler.lineno}")
+    assert found == []
+
+
+# the recording paths that Report.check replaced
+DELETED_RECORDERS = {"_guard", "_holds", "_add_scan", "Report.add"}
+
+
+def test_no_deleted_recorder_is_defined():
+    """Checks are recorded by ``Report.check`` alone: no module defines one of the
+    old recording helpers again."""
+    package = Path(qhakit.__file__).resolve().parent
+    defined = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined |= {f"{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert defined & DELETED_RECORDERS == set()
 
 
 # names that converted between an element of H and the arity-1 tensor it is
@@ -249,7 +326,7 @@ def test_no_element_tensor_conversion_is_defined_or_called():
 
 # every parameter of the package that defaults to True or False
 PINNED_FLAGS = {"QuasiBialgebra.__init__.verify", "_mapped_structure.verify",
-                "twist_structure.verify", "Twist.__init__.check", "_add_scan.pairs"}
+                "twist_structure.verify", "Twist.__init__.check", "_require_scan.pairs"}
 
 
 def _boolean_parameters(node, prefix=""):

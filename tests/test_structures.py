@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from qhakit import suites
 from qhakit.errors import ConsistencyError, SingularError, StructureError
-from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _require_equal,
+from qhakit.report import Report
+from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _require, _require_equal,
                                _require_scan, check_qqybe, opposite_structure,
                                primed_structure, structures_equal, verify_qba,
                                verify_quasi_antipode, verify_rmatrix,
@@ -72,6 +74,72 @@ class TestRequireEqual:
                           "fails on basis element {name}")
         assert (str(exc.value), exc.value.witness) == ("fails on basis element x",
                                                        "at (2,): 1 != 2")
+
+    def test_pair_scan_names_the_first_failing_pair(self):
+        alg = hopf("sweedler_h4").algebra
+        e = alg.basis_element
+        with pytest.raises(ConsistencyError, match=r"^pair \(g, x\)$"):
+            _require_scan(alg, lambda i, j: (e(i) * e(j), e(i) if (i, j) >= (1, 2)
+                                             else e(i) * e(j)), "pair ({name})", pairs=True)
+
+
+class TestReportCheck:
+    """The one place a check is recorded: a verdict, a clean return or a kernel error."""
+
+    def test_false_fails_with_the_witness(self):
+        rep = Report("r")
+        assert rep.check("c", lambda: False, "w") is False
+        assert [c.to_dict() for c in rep.checks] == [{"id": "c", "ok": False, "witness": "w"}]
+
+    def test_a_callable_witness_is_called_only_on_failure(self):
+        calls = []
+
+        def witness():
+            calls.append(1)
+            return "computed"
+
+        rep = Report("r")
+        rep.check("pass", lambda: True, witness)
+        assert calls == []
+        rep.check("fail", lambda: False, witness)
+        assert calls == [1]
+        assert rep.checks[-1].witness == "computed"
+
+    @pytest.mark.parametrize("error", [ConsistencyError("routes part", "at (0,): 1 != 2"),
+                                       StructureError("axioms fail")])
+    def test_a_kernel_error_fails_with_its_text(self, error):
+        def raising():
+            raise error
+
+        rep = Report("r")
+        assert rep.check("c", raising, "unused") is None
+        assert rep.checks == [("c", False, str(error))]
+
+    @pytest.mark.parametrize("value", [True, None, 0, "", [], "a value"])
+    def test_any_other_result_passes_and_is_returned(self, value):
+        rep = Report("r")
+        assert rep.check("c", lambda: value, "w") is value
+        assert rep.checks == [("c", True, None)]
+        assert rep.check("required", lambda: _require(rep, "unused")) is None
+        assert rep.ok
+
+    def test_other_errors_propagate(self):
+        rep = Report("r")
+        with pytest.raises(ZeroDivisionError):
+            rep.check("c", lambda: 1 / 0)
+        assert rep.checks == []
+
+    def test_a_kernel_error_in_a_suite_check_fails_that_check(self, monkeypatch):
+        """A kernel error raised by a predicate fails its own check, and the suite goes on."""
+        def raising(t):
+            raise ConsistencyError("x")
+
+        monkeypatch.setattr(suites, "check_qqybe", raising)
+        rep, = suites.run_suites(entry("semion"), "qtriangular", trials=1)
+        checks = {c.check_id: c for c in rep.checks}
+        assert checks["E42"] == ("E42", False, "x")
+        assert "FdR" in checks and "uni-u@0" in checks
+        assert rep.failure_ids() == ["E42"]
 
 
 class TestNegativeControls:
