@@ -11,6 +11,7 @@ alpha_R, beta_R).  u~ is the same with (R^T)^{-1} in place of R.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .antipode import compute_v
@@ -134,13 +135,13 @@ def check_ssr_identity(t: QuasiBialgebra) -> Report:
     (S (x) S)R as its R-matrix.
     """
     rep = Report("ssr")
-    data = compute_drinfeld_data(t)
-    ssr = t.s.map_tensor(t.r)
-    rep.add_equal("E16", ssr, data.f_delta.f.transpose() * t.r * data.f_delta.f_inv)
-    rep.add_equal("E16.gamma", ssr * data.gamma, data.gamma.transpose() * t.r)
-    rep.add_equal("E16.gammabar", t.r * data.gamma_bar,
-                  data.gamma_bar.transpose() * ssr)
-    rep.check("P5", lambda: primed_structure(t).r == ssr,
+    data = functools.cache(lambda: compute_drinfeld_data(t))
+    ssr = functools.cache(lambda: t.s.map_tensor(t.r))
+    rep.add_equal("E16", lambda: (ssr(), data().f_delta.f.transpose() * t.r * data().f_delta.f_inv))
+    rep.add_equal("E16.gamma", lambda: (ssr() * data().gamma, data().gamma.transpose() * t.r))
+    rep.add_equal("E16.gammabar",
+                  lambda: (t.r * data().gamma_bar, data().gamma_bar.transpose() * ssr()))
+    rep.check("P5", lambda: primed_structure(t).r == ssr(),
               "primed structure R-matrix is not (S (x) S)R")
     return rep
 
@@ -178,7 +179,8 @@ def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
     The verified opposite structure carries the native quasi-antipode
     (S^{-1}, S^{-1}(alpha), S^{-1}(beta)) and, by the R-twist, the triple
     (S, alpha_R, beta_R); the connecting operator between them must equal
-    u's closed form read in leg order on the coassociator of H.
+    u's closed form read in leg order on the coassociator of H.  Its operands are
+    computed before the check, so a wrong R triple raises StructureError there.
     """
     rep = Report("u-origin")
     s, anti = t.s, _canonical(t, "r")[1]

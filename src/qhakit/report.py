@@ -1,7 +1,7 @@
 """Structured check reports: named pass/fail results with failure witnesses.
 
-Every check of the package is recorded by :meth:`Report.check`, the one place
-that builds a :class:`Check`; ``add_equal`` and ``extend`` are written on it."""
+A check is an id and a thunk that computes what it compares, recorded by
+:meth:`Report.check`, the one place that builds a :class:`Check`."""
 
 from __future__ import annotations
 
@@ -46,17 +46,21 @@ class Report:
         self.checks.append(Check(check_id, not failed, witness if failed else None))
         return result
 
-    def add_equal(self, check_id: str, left, right):
-        """Record an exact equality check, with the first differing entry of two tensors
-        on failure; elements of H are shown whole."""
-        whole = isinstance(left, AlgElement)
-        return self.check(check_id, lambda: left == right,
-                          lambda: f"{left!r} != {right!r}" if whole else _diff_witness(left, right))
+    def add_equal(self, check_id: str, sides):
+        """Record that the pair ``sides()``, computed once inside the check, is equal; on
+        failure the witness is built from that pair: the first differing entry of two
+        tensors, or both elements of H shown whole."""
+        pair = []
+
+        def equal():
+            pair.extend(sides())
+            return pair[0] == pair[1]
+        return self.check(check_id, equal, lambda: f"{pair[0]!r} != {pair[1]!r}"
+                          if isinstance(pair[0], AlgElement) else _diff_witness(*pair))
 
     def extend(self, other: "Report", prefix: str | None = None):
         for c in other.checks:
             self.check(f"{prefix}/{c.check_id}" if prefix else c.check_id, lambda: c.ok, c.witness)
-        return self
 
     @property
     def ok(self) -> bool:

@@ -3,9 +3,11 @@
 Each suite maps a catalog entry (plus a seed for the randomized checks)
 to a Report.  Randomness is derived from ``Random(f"{seed}:{suite}:{name}")``
 so reports are byte-identical for a fixed (input, seed) pair.  Every
-check goes through :meth:`Report.check`: a predicate records its
-verdict, an asserting operation records a pass when it returns, and a
-kernel error raised by either fails that one check with its message.
+check goes through :meth:`Report.check` and computes inside it every value
+it reads, a value two checks share by a ``functools.cache`` thunk, so a
+kernel error fails each check that needs the value and no other.  Only the
+draws, the bundle without its R-matrix, the family that ``_dynamical_r_checks``
+is handed and the operands of ``opposite_by_r_vs_cop`` come first.
 
 A suite runs once, in the rational block basis where the rule stated in
 :mod:`qhakit.blocks` applies (``setting``).  Its random twists and
@@ -20,6 +22,7 @@ none of them (the import rule is stated in :mod:`qhakit.cli`).
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -55,7 +58,7 @@ class _Draw:
         return self.carry(random_invertible_element(rng, self.original.algebra))
 
 
-def suite_axioms(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
+def suite_axioms(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
     rep = Report("axioms")
     s = entry.structure
     rep.extend(verify_qba(s), prefix="qba")
@@ -72,7 +75,7 @@ def suite_axioms(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS
     return rep
 
 
-def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
+def suite_twist(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
     from .antipode import antipode_from_v, check_v_universality
     from .twists import (Twist, central_to_compatible, compatible_to_central,
                          compose_twists, is_compatible, is_quasi_cocycle, twist_structure)
@@ -81,8 +84,7 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS)
     h = s.without_r()  # the antipode checks twist no R-matrix
     rng = _rng(seed, "twist", entry.name)
 
-    identity = Twist.identity(s)
-    rep.check("E23.identity", lambda: is_quasi_cocycle(identity, s),
+    rep.check("E23.identity", lambda: is_quasi_cocycle(Twist.identity(s), s),
               "identity twist fails the quasi-cocycle condition")
 
     for k in range(trials):
@@ -90,22 +92,21 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS)
         g = draw.twist(rng)
         w = draw.element(rng)
 
-        ts = (rep.check(f"E6.verify@{k}", lambda: twist_structure(s, f))
-              or twist_structure(s, f, verify=False))
+        verified = rep.check(f"E6.verify@{k}", lambda: twist_structure(s, f))
+        ts = functools.cache(lambda: verified or twist_structure(s, f, verify=False))
         rep.check(f"L3.group@{k}",
                   lambda: structures_equal(twist_structure(s, compose_twists(f, g)),
                                            twist_structure(twist_structure(s, g, verify=False),
                                                            f, verify=False)),
                   "twisting by FG differs from twisting by G then F")
         rep.check(f"L3.untwist@{k}",
-                  lambda: structures_equal(twist_structure(ts, f.inverse(), verify=False), s),
+                  lambda: structures_equal(twist_structure(ts(), f.inverse(), verify=False), s),
                   "twisting then untwisting does not return the original")
-        rep.check(f"E23.equiv@{k}", lambda: is_quasi_cocycle(f, s) == (ts.phi == s.phi),
+        rep.check(f"E23.equiv@{k}", lambda: is_quasi_cocycle(f, s) == (ts().phi == s.phi),
                   "quasi-cocycle check disagrees with coassociator invariance")
 
         rep.check(f"T1.roundtrip@{k}", lambda: antipode_from_v(h, w))
-        alt = h.antipode.conjugated(w)
-        rep.check(f"uni-v@{k}", lambda: check_v_universality(h, alt, f),
+        rep.check(f"uni-v@{k}", lambda: check_v_universality(h, h.antipode.conjugated(w), f),
                   "v changed under a twist")
 
         # compatible twists: P7 in both directions, P8 recovery.  C is built from a
@@ -116,26 +117,25 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS)
         z = draw.element(rng)
         if not z.is_central():
             z = h.algebra.scalar_element(rng.choice([2, 3, Fraction(1, 2)]))
-        c = central_to_compatible(z, s)
-        eps_z = s.counit(z)
-        zeta = (z * h.s(z)).inverse().scale(eps_z * eps_z)
-        rep.check(f"L4@{k}", lambda: is_compatible(c, s), "central construction is not compatible")
-        g_fc = compose_twists(f, c)
-        moved = twist_structure(s, g_fc, verify=False)
-        rep.check(f"P7.fwd@{k}",
-                  lambda: moved.coproduct == ts.coproduct and moved.phi == ts.phi
-                  and moved.r == ts.r and moved.alpha == zeta * ts.alpha
-                  and moved.beta * zeta == ts.beta,
-                  "twisting by F and by FC differ")
-        residual = compose_twists(f.inverse(), g_fc)
-        rep.check(f"P7.rev@{k}", lambda: is_compatible(residual, s),
+        c = functools.cache(lambda: central_to_compatible(z, s))
+        zeta = functools.cache(lambda: (z * h.s(z)).inverse().scale((eps := s.counit(z)) * eps))
+        g_fc = functools.cache(lambda: compose_twists(f, c()))
+        rep.check(f"L4@{k}", lambda: is_compatible(c(), s),
+                  "central construction is not compatible")
+
+        def moved_by_zeta():
+            moved, plain = twist_structure(s, g_fc(), verify=False), ts()
+            return ((moved.coproduct, moved.phi, moved.r, moved.alpha, moved.beta * zeta())
+                    == (plain.coproduct, plain.phi, plain.r, zeta() * plain.alpha, plain.beta))
+        rep.check(f"P7.fwd@{k}", moved_by_zeta, "twisting by F and by FC differ")
+        rep.check(f"P7.rev@{k}", lambda: is_compatible(compose_twists(f.inverse(), g_fc()), s),
                   "F^{-1}G of structure-equal twists is not compatible")
-        rep.check(f"P8@{k}", lambda: compatible_to_central(c, h) == zeta,
+        rep.check(f"P8@{k}", lambda: compatible_to_central(c(), h) == zeta(),
                   "the central element of C is not eps(z)^2 (z S(z))^{-1}")
     return rep
 
 
-def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
+def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
     from .drinfeld import (compute_drinfeld_data, drinfeld_under_twist,
                            gamma_bar_under_twist, opposite_drinfeld)
     from .twists import twist_structure
@@ -149,14 +149,13 @@ def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIA
     rep.check("P4", lambda: opposite_drinfeld(h))
     for k in range(trials):
         g = draw.twist(rng)
-        tw = twist_structure(h, g, verify=False)
-        rep.check(f"P9@{k}", lambda: gamma_bar_under_twist(h, g, tw))
-        rep.check(f"T4@{k}", lambda: drinfeld_under_twist(h, g, tw))
+        tw = functools.cache(lambda: twist_structure(h, g, verify=False))
+        rep.check(f"P9@{k}", lambda: gamma_bar_under_twist(h, g, tw()))
+        rep.check(f"T4@{k}", lambda: drinfeld_under_twist(h, g, tw()))
     return rep
 
 
-def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
-                      trials=DEFAULT_TRIALS) -> Report:
+def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
     rep = Report("qtriangular")
     s = entry.structure
     if s.r is None:
@@ -176,25 +175,23 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
     rep.check("u-central-product", lambda: (ops.u * s.s(ops.u)).is_central(),
               "u S(u) is not central")
 
-    data = compute_drinfeld_data(s)
     rep.extend(check_ssr_identity(s))
     rep.check("E24AC", lambda: altschuler_coste_operator(s))
     rep.extend(opposite_by_r_vs_cop(s))
 
-    rt, rt_inv = r_tilde(s)
-    rep.check("Rtilde-E14",
-              lambda: _require(verify_rmatrix(s, rt, rt_inv), "R-matrix axioms fail"))
+    rt = functools.cache(lambda: r_tilde(s))   # Q = (R^T)^{-1} and Q^{-1}
+    rep.check("Rtilde-E14", lambda: _require(verify_rmatrix(s, *rt()), "R-matrix axioms fail"))
     rep.check("P1'-E14", lambda: opposite_structure(s))
 
     combos = {
-        "QinvR": rt_inv * s.r,
-        "QtR": rt.transpose() * s.r,
-        "RinvQ": s.r_inv * rt,
-        "RtQ": s.r.transpose() * rt,
-        "RtR": s.r.transpose() * s.r,
+        "QinvR": lambda q, q_inv: q_inv * s.r,
+        "QtR": lambda q, q_inv: q.transpose() * s.r,
+        "RinvQ": lambda q, q_inv: s.r_inv * q,
+        "RtQ": lambda q, q_inv: s.r.transpose() * q,
+        "RtR": lambda q, q_inv: s.r.transpose() * s.r,
     }
-    for label, f_c in combos.items():
-        rep.check(f"compat.{label}", lambda: is_compatible(Twist(f_c, s.counit), s),
+    for label, product in combos.items():
+        rep.check(f"compat.{label}", lambda: is_compatible(Twist(product(*rt()), s.counit), s),
                   f"{label} is not a compatible twist")
 
     for m in (0, 1, 2):
@@ -206,11 +203,12 @@ def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed=0,
               "invariants at m and -m are not mutually inverse")
 
     rep.check("E42", lambda: check_qqybe(s), "quasi-QYBE fails")
-    r_as_twist = Twist(s.r, s.counit, s.r_inv, check=False)
-    fdr = drinfeld_under_twist(s, r_as_twist,
-                               twist_structure(s.without_r(), r_as_twist, verify=False))
-    rep.add_equal("FdR", fdr.f,
-                  data.f_delta.f.transpose() * s.r_inv.transpose() * s.r_inv)
+
+    def fdr():
+        r_twist = Twist(s.r, s.counit, s.r_inv, check=False)
+        tw = drinfeld_under_twist(s, r_twist, twist_structure(s.without_r(), r_twist, verify=False))
+        return tw.f, compute_drinfeld_data(s).f_delta.f.transpose() * s.r_inv.transpose() * s.r_inv
+    rep.add_equal("FdR", fdr)
 
     for k in range(trials):
         f = draw.twist(rng)
@@ -229,7 +227,7 @@ def _dynamical_r_checks(rep: Report, dyn, s, lam, label: str) -> None:
                   f"opposite dynamical QYBE ({variant}) fails")
 
 
-def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRIALS) -> Report:
+def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
     from .dynamical import (check_classical_dqybe, check_qdqybe,
                             check_shifted_quasi_cocycle, constant_family,
                             dynamical_coassociator, qdqybe_sides, shifted_cocycle_sides)
@@ -241,24 +239,24 @@ def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRI
     # degeneration: a constant zero-weight family reduces the shifted condition
     # to the plain quasi-cocycle condition, term by term (any twist)
     f = draw.twist(rng)
-    const = constant_family(s, f)
+    const = functools.cache(lambda: constant_family(s, f))
     rep.check("E43-to-E23",
-              lambda: shifted_cocycle_sides(const, s, 0) == quasi_cocycle_sides(f, s),
+              lambda: shifted_cocycle_sides(const(), s, 0) == quasi_cocycle_sides(f, s),
               "zero-weight shifted condition does not reduce to the plain one")
 
     if s.r is not None:
         # the semantic reduction to the plain quasi-QYBE of the twisted
         # structure needs a twist that fixes the coassociator; R^T R is
         # always such a twist
-        f_qc = Twist(s.r.transpose() * s.r, s.counit,
-                     s.r_inv * s.r_inv.transpose(), check=False)
-        const_qc = constant_family(s, f_qc)
-        twisted = twist_structure(s, f_qc, verify=False)
-        rep.check("E47-to-E42", lambda: qdqybe_sides(const_qc, s, 0) == qqybe_sides(twisted),
+        f_qc = functools.cache(lambda: Twist(s.r.transpose() * s.r, s.counit,
+                                             s.r_inv * s.r_inv.transpose(), check=False))
+        const_qc = functools.cache(lambda: constant_family(s, f_qc()))
+        rep.check("E47-to-E42", lambda: qdqybe_sides(const_qc(), s, 0)
+                  == qqybe_sides(twist_structure(s, f_qc(), verify=False)),
                   "zero-weight dynamical QYBE does not reduce to the plain one")
         if s.phi == s.algebra.tensor_unit(3):
             rep.check("E47-to-classical",
-                      lambda: check_qdqybe(const, s, 0) == check_classical_dqybe(const, s, 0),
+                      lambda: check_qdqybe(const(), s, 0) == check_classical_dqybe(const(), s, 0),
                       "trivial-coassociator reduction to the classical dynamical QYBE fails")
 
     dyn = entry.dynamical
@@ -271,7 +269,7 @@ def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed=0, trials=DEFAULT_TRI
     elif s.r is not None:
         # no attached family: exercise the identities on the constant family
         # built on the R^T R twist, which satisfies the zero-shift condition
-        _dynamical_r_checks(rep, const_qc, s, 0, "const")
+        _dynamical_r_checks(rep, const_qc(), s, 0, "const")
     return rep
 
 

@@ -9,7 +9,7 @@ the R-matrix by F^T R F^{-1}.
 from __future__ import annotations
 
 from .errors import SingularError, TwistError
-from .structures import QuasiAntipode, QuasiBialgebra, _connecting_element
+from .structures import QuasiAntipode, QuasiBialgebra, _connecting_element, _require_equal
 from .tensor import LinearMap, TensorElement, contract, tensor_of
 
 __all__ = [
@@ -188,8 +188,7 @@ def compatible_to_central(c: Twist, h):
     if not is_compatible(c, h):
         raise TwistError("twist is not compatible")
     z, z_inv = _connecting_element(h.phi, h.phi_inv, h.antipode, twisted_antipode(h, c))
-    if z_inv != z.inverse():
-        raise TwistError("closed-form inverse disagrees with linear-solve inverse")
+    _require_equal(z_inv, z.inverse(), "closed-form inverse disagrees with linear-solve inverse")
     return z
 
 

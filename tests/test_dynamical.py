@@ -12,7 +12,7 @@ from qhakit.dynamical import (DynamicalTwist, ShiftSystem, _insert_shifted, _pla
                               check_qdqybe, check_shifted_quasi_cocycle,
                               constant_family, dynamical_coassociator,
                               qdqybe_sides, shifted_cocycle_sides, shifted_insert)
-from qhakit.errors import DomainError, StructureError
+from qhakit.errors import DomainError, FieldMismatch, StructureError
 from qhakit.randgen import random_twist
 from qhakit.structures import qqybe_sides
 from qhakit.tensor import tensor_of
@@ -329,3 +329,19 @@ class TestDomainValidation:
         with pytest.raises(StructureError, match="shifted parameters"):
             DynamicalTwist([Fraction(0)], {Fraction(0): Twist.identity(t)},
                            ShiftSystem([p0, p1], [Fraction(0), Fraction(1)]))
+
+    @pytest.mark.parametrize("bad", [0.1, True])
+    def test_inexact_scalars_are_refused(self, bad):
+        """Weights, domain values, twist keys and parameters are exact rationals: a float
+        or a boolean is refused, as at every other scalar entry point."""
+        t, dyn, _ = z2_family({0: 2, 1: 2, 2: 2})
+        f = Twist.identity(t)
+        refusals = [lambda: ShiftSystem([t.algebra.unit_element], [bad]),
+                    lambda: constant_family(t, f, domain=(bad,)),
+                    lambda: DynamicalTwist([0, 1], {0: f, bad: f}, dyn.shift),
+                    lambda: dyn.twist(bad),
+                    lambda: shifted_insert(dyn, bad, 1),
+                    lambda: check_dynamical_coproduct(dyn, t, bad)]
+        for refused in refusals:
+            with pytest.raises(FieldMismatch):
+                refused()

@@ -276,6 +276,29 @@ def test_no_kernel_error_handler_records_a_check():
     assert found == []
 
 
+def test_every_add_equal_passes_one_thunk():
+    """``add_equal`` takes an id and one thunk that computes the pair inside the check:
+    a lambda, or a function of no parameters defined in the same module."""
+    package = Path(qhakit.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        thunks = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                  and not (node.args.args or node.args.vararg or node.args.kwarg)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _named(node.func) == "add_equal"):
+                continue
+            found.append(path.name)
+            sides = node.args[-1] if node.args else None
+            if isinstance(sides, ast.Lambda):
+                ok = not sides.args.args
+            else:
+                ok = isinstance(sides, ast.Name) and sides.id in thunks
+            assert ok and len(node.args) == 2 and not node.keywords, \
+                f"{path.name}:{node.lineno}: add_equal takes an id and one thunk"
+    assert sorted(set(found)) == ["dynamical.py", "qtriangular.py", "structures.py", "suites.py"]
+
+
 # the recording paths that Report.check replaced
 DELETED_RECORDERS = {"_guard", "_holds", "_add_scan", "Report.add"}
 

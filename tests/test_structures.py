@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit import suites
+from qhakit import structures, suites
 from qhakit.errors import ConsistencyError, SingularError, StructureError
 from qhakit.report import Report
 from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _require, _require_equal,
@@ -140,6 +140,85 @@ class TestReportCheck:
         assert checks["E42"] == ("E42", False, "x")
         assert "FdR" in checks and "uni-u@0" in checks
         assert rep.failure_ids() == ["E42"]
+
+    def test_add_equal_computes_its_sides_once_inside_the_check(self):
+        """``sides`` runs once, inside the check, and the witness comes from that same pair."""
+        alg = hopf("sweedler_h4").algebra
+        x = alg.basis_element(2)
+        calls = []
+
+        def sides(left, right):
+            def computed():
+                calls.append(1)
+                return left, right
+            return computed
+
+        rep = Report("r")
+        assert rep.add_equal("equal", sides(x, x)) is True
+        assert rep.add_equal("tensors", sides(tensor_of(x, x), tensor_of(x, x).scale(2))) is False
+        assert rep.add_equal("elements", sides(x, x.scale(2))) is False
+        assert len(calls) == 3
+        assert [c.witness for c in rep.checks] == [
+            None, "at (2, 2): 1 != 2", f"{x!r} != {x.scale(2)!r}"]
+
+        def raising():
+            raise ConsistencyError("x")
+
+        assert rep.add_equal("raising", raising) is None
+        assert rep.checks[-1] == ("raising", False, "x")
+
+
+def _raising(*args, **kwargs):
+    raise ConsistencyError("x")
+
+
+class TestOperandsInsideChecks:
+    """A kernel error while computing what a check compares fails the checks that read
+    the value, each with the error's text, and the report goes on."""
+
+    def test_fdr_operand(self, monkeypatch):
+        from qhakit import drinfeld
+        monkeypatch.setattr(drinfeld, "drinfeld_under_twist", _raising)
+        rep, = suites.run_suites(entry("semion"), "qtriangular", trials=1)
+        checks = {c.check_id: c for c in rep.checks}
+        assert checks["FdR"] == ("FdR", False, "x")
+        assert "uni-u@0" in checks
+        assert rep.failure_ids() == ["FdR"]
+
+    def test_drinfeld_data(self, monkeypatch):
+        from qhakit import drinfeld, qtriangular
+        monkeypatch.setattr(drinfeld, "compute_drinfeld_data", _raising)
+        monkeypatch.setattr(qtriangular, "compute_drinfeld_data", _raising)
+        rep, = suites.run_suites(entry("semion"), "qtriangular", trials=1)
+        assert rep.failure_ids() == ["E16", "E16.gamma", "E16.gammabar", "E24AC", "FdR"]
+        assert {c.witness for c in rep.failures()} == {"x"}
+
+    def test_verifier_contraction(self, monkeypatch):
+        h = hopf("sweedler_h4")
+        monkeypatch.setattr(structures, "contract", _raising)
+        rep = verify_quasi_antipode(h)
+        assert rep.failure_ids() == ["Sphi", "Sphi-inv", "Sab-alpha", "Sab-beta"]
+
+    def test_dynamical_coproduct_operands(self, monkeypatch):
+        from qhakit import dynamical
+        from qhakit.dynamical import check_dynamical_coproduct
+        z2 = entry("z2_triangular")
+        monkeypatch.setattr(dynamical, "_telescoped", _raising)
+        for lam in z2.dynamical.checkable():
+            rep = check_dynamical_coproduct(z2.dynamical, z2.structure, lam)
+            assert rep.checks == [(f"E46.{i}", False, "x") for i in ("i", "ii", "iii", "iv")]
+
+    def test_compatible_twist_of_the_twist_suite(self, monkeypatch):
+        from qhakit import twists
+        monkeypatch.setattr(twists, "central_to_compatible", _raising)
+        rep, = suites.run_suites(entry("sweedler_h4"), "twist", trials=1)
+        assert rep.failure_ids() == ["L4@0", "P7.fwd@0", "P7.rev@0", "P8@0"]
+
+    def test_twisted_bundle_of_the_drinfeld_suite(self, monkeypatch):
+        from qhakit import twists
+        monkeypatch.setattr(twists, "twist_structure", _raising)
+        rep, = suites.run_suites(entry("sweedler_h4"), "drinfeld", trials=1)
+        assert rep.failure_ids() == ["P9@0", "T4@0"]
 
 
 class TestNegativeControls:

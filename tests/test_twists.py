@@ -253,6 +253,22 @@ class TestCompatibleToCentral:
                            match="^S~ is not conjugation by v on basis element g$"):
             _connecting_element(h.phi, h.phi_inv, anti, other)
 
+    def test_a_wrong_closed_form_inverse_names_its_first_difference(self, monkeypatch):
+        """Mutant: the connecting element's closed-form inverse doubled.  The route check
+        raises ConsistencyError with the first entry where the two inverses part."""
+        h = hopf("sweedler_h4")
+        real = twists._connecting_element
+
+        def doubled_inverse(*args):
+            z, z_inv = real(*args)
+            return z, z_inv.scale(2)
+
+        monkeypatch.setattr(twists, "_connecting_element", doubled_inverse)
+        with pytest.raises(ConsistencyError) as exc:
+            compatible_to_central(Twist.identity(h), h)
+        assert (str(exc.value), exc.value.witness) == (
+            "closed-form inverse disagrees with linear-solve inverse", "at (0,): 2 != 1")
+
     def test_incompatible_rejected(self):
         h = hopf("sweedler_h4")
         alg = h.algebra
