@@ -22,8 +22,6 @@ from .tensor import Algebra, LinearMap, tensor_of
 # canonical spelling only: ASCII digits, no leading zero, nothing after them
 _GROUP_RE = re.compile(r"group_z(0|[1-9][0-9]*)")
 
-BUILTIN_NAMES = ("trivial", "group_zn", "z2_triangular", "sweedler_h4", "semion")
-
 # the cap the file format puts on cyclotomic orders; the n x n multiplication
 # table of group_z<n> takes 40 s to build and verify at n = 128
 MAX_GROUP_ORDER = 256

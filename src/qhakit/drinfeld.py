@@ -7,6 +7,9 @@ result along two independent routes (the two expansion choices, or a
 closed form against a from-scratch recomputation) and raises
 ConsistencyError on any disagreement.
 
+F_delta and F_0 twist H onto the primed and the zero structure, read from
+the bundle's memo; one battery, :func:`_require_twists_onto`, checks both.
+
 Each closed form sums L(x) R(y) over the entries of a tensor, for maps L, R
 from H to H (x) H: ``contract`` reduces the tensor to an arity-2 t, and
 ``_paired`` forms sum_ab t_ab L(e_a) R(e_b) grouped by a, one ``on_leg``
@@ -97,68 +100,61 @@ def compute_gamma_bar(h: QuasiBialgebra) -> TensorElement:
         lambda x: (delta, LinearMap(h.algebra, [x * c for c in sdt.columns])))
 
 
+def _require_twists_onto(h: QuasiBialgebra, twist: Twist, mapped: QuasiBialgebra,
+                         label: str, form: str, m: str) -> Twist:
+    """``twist`` (``label``) carries the coproduct, the coassociator and the canonical
+    elements of h onto those of ``mapped``, the ``form`` structure of the map ``m``."""
+    f, f_inv = twist.f, twist.f_inv
+    _require_scan(h.algebra, lambda i: (mapped.coproduct.col(i), f * h.coproduct.col(i) * f_inv),
+                  f"{label} does not conjugate the coproduct onto the {form} coproduct "
+                  "at basis element {name}")
+    _require_equal(twisted_coassociator(h, f, f_inv), mapped.phi,
+                   f"the coassociator does not twist onto its {form} form")
+    canonical = f"twisted canonical elements are not ({m}(beta), {m}(alpha))"
+    _require_equal(twisted_alpha(h, twist), mapped.alpha, canonical)
+    _require_equal(twisted_beta(h, twist), mapped.beta, canonical)
+    return twist
+
+
 @_memoized
 def compute_drinfeld_twist(h: QuasiBialgebra) -> Twist:
     """F_delta, from both closed forms, with its full postcondition battery.
 
-    Asserted: both forms of F_delta and of its inverse agree; F_delta
-    conjugates the coproduct onto the primed coproduct; the coassociator
-    twists onto the primed coassociator; F_delta Delta(alpha) = gamma and
-    Delta(beta) F_delta^{-1} = gamma-bar; the twisted canonical elements
-    are (S(beta), S(alpha)).
+    Asserted: both forms of F_delta and of its inverse agree; they make a
+    twist; F_delta Delta(alpha) = gamma and Delta(beta) F_delta^{-1} =
+    gamma-bar; then, by :func:`_require_twists_onto`, F_delta twists H
+    onto the primed structure.
     """
     alg, delta, s, sdt = h.algebra, h.coproduct, h.s, _sdt_map(h)
     gamma, gamma_bar = compute_gamma(h), compute_gamma_bar(h)
-    primed = _mapped_structure(h, s, verify=False)
-    dprime = primed.coproduct
+    primed = _mapped_structure(h, True)
 
     f = _require_equal(
         _paired(contract(h.phi, [(1, None)], [(2, None), h.beta, (3, s)]),
                 LinearMap(alg, [c * gamma for c in sdt.columns]), delta),
         _paired(contract(h.phi_inv, [(1, None), h.beta, (2, s)], [(3, None)]),
-                LinearMap(alg, [c * gamma for c in dprime.columns]), delta),
+                LinearMap(alg, [c * gamma for c in primed.coproduct.columns]), delta),
         "the two closed forms of the Drinfeld twist disagree")
     f_inv = _require_equal(
         _paired(contract(h.phi_inv, [(1, None)], [(2, s), h.alpha, (3, None)]),
-                delta, LinearMap(alg, [gamma_bar * c for c in dprime.columns])),
+                delta, LinearMap(alg, [gamma_bar * c for c in primed.coproduct.columns])),
         _paired(contract(h.phi, [(1, s), h.alpha, (2, None)], [(3, None)]),
                 delta, LinearMap(alg, [gamma_bar * c for c in sdt.columns])),
         "the two closed forms of the inverse Drinfeld twist disagree")
 
     twist = Twist(f, h.counit, f_inv)
-
-    _require_scan(alg, lambda i: (dprime.col(i), f * delta.col(i) * f_inv),
-                  "F_delta does not conjugate the coproduct onto the primed coproduct "
-                  "at basis element {name}")
-    _require_equal(twisted_coassociator(h, f, f_inv), primed.phi,
-                   "the coassociator does not twist onto its primed form")
     _require_equal(f * delta(h.alpha), gamma, "F_delta Delta(alpha) != gamma")
     _require_equal(delta(h.beta) * f_inv, gamma_bar, "Delta(beta) F_delta^{-1} != gamma-bar")
-    canonical = "twisted canonical elements are not (S(beta), S(alpha))"
-    _require_equal(twisted_alpha(h, twist), primed.alpha, canonical)
-    _require_equal(twisted_beta(h, twist), primed.beta, canonical)
-    return twist
+    return _require_twists_onto(h, twist, primed, "F_delta", "primed", "S")
 
 
 @_memoized
 def compute_second_drinfeld(h: QuasiBialgebra) -> Twist:
-    """F_0 = (S^{-1} (x) S^{-1}) F_delta^T, checked against the zero structure."""
-    f_delta = compute_drinfeld_twist(h)
-    s_inv = h.s_inv
-    f0 = s_inv.map_tensor(f_delta.f.transpose())
-    f0_inv = s_inv.map_tensor(f_delta.f_inv.transpose())
-    twist = Twist(f0, h.counit, f0_inv)
-
-    zero = _mapped_structure(h, s_inv, verify=False)
-    _require_scan(h.algebra, lambda i: (zero.coproduct.col(i), f0 * h.coproduct.col(i) * f0_inv),
-                  "F_0 does not conjugate the coproduct onto the zero coproduct "
-                  "at basis element {name}")
-    _require_equal(twisted_coassociator(h, f0, f0_inv), zero.phi,
-                   "the coassociator does not twist onto its zero form")
-    canonical = "twisted canonical elements are not (S^{-1}(beta), S^{-1}(alpha))"
-    _require_equal(twisted_alpha(h, twist), zero.alpha, canonical)
-    _require_equal(twisted_beta(h, twist), zero.beta, canonical)
-    return twist
+    """F_0 = (S^{-1} (x) S^{-1}) F_delta^T, which twists H onto the zero structure."""
+    f_delta, s_inv = compute_drinfeld_twist(h), h.s_inv
+    twist = Twist(s_inv.map_tensor(f_delta.f.transpose()), h.counit,
+                  s_inv.map_tensor(f_delta.f_inv.transpose()))
+    return _require_twists_onto(h, twist, _mapped_structure(h, False), "F_0", "zero", "S^{-1}")
 
 
 def opposite_drinfeld(h: QuasiBialgebra) -> Twist:

@@ -266,7 +266,7 @@ def check_opposite_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra,
         shift = dyn.shift
     else:
         mapper = t.s if variant == "primed" else t.s_inv
-        mapped = _mapped_structure(t, mapper, verify=False)
+        mapped = _mapped_structure(t, variant == "primed")
         phi_t, phi_t_inv = mapped.phi, mapped.phi_inv
         table = lambda mu: mapper.map_tensor(r_at(mu))
         shift = dyn.shift.mapped(mapper)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .antipode import compute_v
 from .report import Report
 from .structures import (QuasiBialgebra, _connecting_element, _memoized, _require,
                          _require_equal, _require_scan, opposite_structure,
@@ -174,19 +173,19 @@ def altschuler_coste_operator(t: QuasiBialgebra) -> TensorElement:
 
 
 def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
-    """u re-derived as the antipode-connecting operator on the opposite structure.
+    """u as the connecting operator of H^cop's two triples, against its leg-order form.
 
-    The verified opposite structure carries the native quasi-antipode
-    (S^{-1}, S^{-1}(alpha), S^{-1}(beta)) and, by the R-twist, the triple
-    (S, alpha_R, beta_R); the connecting operator between them must equal
-    u's closed form read in leg order on the coassociator of H.  Its operands are
-    computed before the check, so a wrong R triple raises StructureError there.
+    The R-twist's triple (S, alpha_R, beta_R) is verified as a quasi-antipode
+    of the opposite structure, so a wrong R triple raises StructureError.
+    ``u-as-v`` compares the memoized u (:func:`_u_operators`) with its own
+    second closed form, which the connecting routine already compared with
+    the first, read in leg order on Phi: it tests ``perm`` and ``contract``,
+    not a second derivation of u.
     """
     rep = Report("u-origin")
     s, anti = t.s, _canonical(t, "r")[1]
     u = contract(t.phi, [(3, s.compose(s)), s(t.beta), (2, s), anti.alpha, (1, None)])
-    op = opposite_structure(t.without_r())
-    _require(verify_quasi_antipode(op, anti), "alternative quasi-antipode fails")
-    v = compute_v(op, anti)
-    rep.check("u-as-v", lambda: v == u, "connecting operator differs from u")
+    _require(verify_quasi_antipode(opposite_structure(t.without_r()), anti),
+             "alternative quasi-antipode fails")
+    rep.check("u-as-v", lambda: _u_operators(t).u == u, "connecting operator differs from u")
     return rep

@@ -7,13 +7,13 @@ explicitly deferred with ``verify=False``), and the verifiers return
 structured reports that localize a failing identity to a basis element or
 multi-index rather than throwing.
 
-Data derived from one bundle alone (the opposite coproduct, the Drinfeld
-data, the u-operators, ...) is cached in that bundle's own memo by the
-functions decorated with :func:`_memoized`.  Every bundle object starts
-with an empty memo, and no memo is ever copied to another bundle, so a
-check that recomputes a value on a derived or twisted bundle really
-recomputes it.  A bundle stores no verified flag; whether it satisfies
-its axioms is what the verifiers report.
+Data derived from one bundle alone (the opposite coproduct, the unverified
+primed and zero structures, the Drinfeld data, the u-operators, ...) is
+cached in that bundle's own memo by the functions decorated with
+:func:`_memoized`.  Every bundle object starts with an empty memo, and no
+memo is ever copied to another bundle, so a check that recomputes a value
+on a derived or twisted bundle really recomputes it.  A bundle stores no
+verified flag; whether it satisfies its axioms is what the verifiers report.
 
 The constructor is the one place that chooses the rational block basis
 of :mod:`qhakit.blocks` (whose docstring states the rule): where that
@@ -50,7 +50,8 @@ def _memoized(fn):
     """Cache ``fn(h, *args)`` in the memo of the bundle ``h``, keyed by ``(fn, *args)``.
 
     Only data computed from ``h`` alone belongs here: nothing keyed by a
-    twist and no tensor product of two bundles.
+    twist and no tensor product of two bundles.  The mapped (primed and zero)
+    structures live here, unverified; twisted and opposite bundles do not.
     """
     @functools.wraps(fn)
     def wrapper(h, *args):
@@ -366,37 +367,38 @@ def opposite_structure(h):
 
 
 @_memoized
-def _mapped_coproduct(h, primed: bool) -> LinearMap:
-    """a -> (m (x) m) Delta^T(m^{-1}(a)) for m = S (primed) or m = S^{-1}."""
-    m, m_inv = (h.s, h.s_inv) if primed else (h.s_inv, h.s)
-    alg = h.algebra
-    return LinearMap(alg, [m.map_tensor(h.coproduct_t(m_inv(alg.basis_element(i))))
-                           for i in range(alg.dim)])
-
-
-def _mapped_structure(h, m, verify=True) -> QuasiBialgebra:
-    """The structure transported by m = S (the primed one) or m = S^{-1} (the zero one).
+def _mapped_structure(h, primed: bool) -> QuasiBialgebra:
+    """The structure transported by m = S (``primed``) or m = S^{-1} (the zero one), unverified.
 
     Coproduct a -> (m (x) m) Delta^T(m^{-1}(a)), coassociator m(Phi^{321}),
     canonical elements (m(beta), m(alpha)), R-matrix (m (x) m)R; the
-    antipode map stays S.
+    antipode map stays S.  F_delta, F_0 and the opposite dynamical QYBEs
+    read it here; :func:`primed_structure` and :func:`zero_structure` pass
+    its parts through the constructor, which verifies them.
     """
+    m, m_inv = (h.s, h.s_inv) if primed else (h.s_inv, h.s)
+    coproduct = LinearMap(h.algebra, [m.map_tensor(h.coproduct_t(c)) for c in m_inv.columns])
     r, r_inv = (m.map_tensor(h.r), m.map_tensor(h.r_inv)) if h.r is not None else (None, None)
     anti = QuasiAntipode(h.s, m(h.beta), m(h.alpha), s_inv=h.s_inv)
-    return QuasiBialgebra(h.algebra, _mapped_coproduct(h, m is h.s), h.counit,
-                          m.map_tensor(h.phi.perm((3, 2, 1))),
-                          m.map_tensor(h.phi_inv.perm((3, 2, 1))), anti,
-                          r, r_inv, verify=verify)
+    return QuasiBialgebra(h.algebra, coproduct, h.counit, m.map_tensor(h.phi.perm((3, 2, 1))),
+                          m.map_tensor(h.phi_inv.perm((3, 2, 1))), anti, r, r_inv, verify=False)
+
+
+def _verified_mapped(h, primed: bool) -> QuasiBialgebra:
+    """The parts of :func:`_mapped_structure` as a new bundle, verified by the constructor."""
+    b = _mapped_structure(h, primed)
+    return QuasiBialgebra(b.algebra, b.coproduct, b.counit, b.phi, b.phi_inv, b.antipode,
+                          b.r, b.r_inv)
 
 
 def primed_structure(h):
     """The structure carried by the coproduct a -> (S (x) S) Delta^T(S^{-1}(a))."""
-    return _mapped_structure(h, h.s)
+    return _verified_mapped(h, True)
 
 
 def zero_structure(h):
     """The mirror of the primed structure built from S^{-1} instead of S."""
-    return _mapped_structure(h, h.s_inv)
+    return _verified_mapped(h, False)
 
 
 def structures_equal(a, b) -> bool:

@@ -7,7 +7,8 @@ check goes through :meth:`Report.check` and computes inside it every value
 it reads, a value two checks share by a ``functools.cache`` thunk, so a
 kernel error fails each check that needs the value and no other.  Only the
 draws, the bundle without its R-matrix, the family that ``_dynamical_r_checks``
-is handed and the operands of ``opposite_by_r_vs_cop`` come first.
+is handed and the leg-order u and triple check of ``opposite_by_r_vs_cop`` come
+first.
 
 A suite runs once, in the rational block basis where the rule stated in
 :mod:`qhakit.blocks` applies (``setting``).  Its random twists and

@@ -9,7 +9,8 @@ the R-matrix by F^T R F^{-1}.
 from __future__ import annotations
 
 from .errors import SingularError, TwistError
-from .structures import QuasiAntipode, QuasiBialgebra, _connecting_element, _require_equal
+from .structures import (QuasiAntipode, QuasiBialgebra, _connecting_element, _memoized,
+                         _require_equal)
 from .tensor import LinearMap, TensorElement, contract, tensor_of
 
 __all__ = [
@@ -192,8 +193,9 @@ def compatible_to_central(c: Twist, h):
     return z
 
 
+@_memoized
 def quadratic_invariants(t, m: int):
-    """Central invariant of the compatible twist (R^T R)^m, any integer m."""
+    """Central invariant of the compatible twist (R^T R)^m, any integer m, once per (t, m)."""
     rtr = t.r.transpose() * t.r
     rtr_inv = t.r_inv * t.r_inv.transpose()
     base = Twist(rtr, t.counit, rtr_inv)

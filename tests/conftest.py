@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 from qhakit.catalog import builtin
@@ -27,6 +29,29 @@ def hopf(name):
 
 def drinfeld_data(name):
     return compute_drinfeld_data(hopf(name))
+
+
+class CountingMemo(dict):
+    """A bundle memo that counts how often each key is stored, i.e. computed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def counting_memo(s):
+    """Give the bundle ``s`` a counting memo that keeps what it holds."""
+    s._memo = CountingMemo(s._memo)
+    return s._memo.stores
+
+
+def stores_of(stores, fn):
+    """{args: times computed} for the memoized function ``fn``."""
+    return {key[1:]: n for key, n in stores.items() if key[0] is fn.__wrapped__}
 
 
 def assert_verified(s):

@@ -11,18 +11,19 @@ import pytest
 from qhakit import drinfeld, suites
 from qhakit.catalog import builtin
 from qhakit.drinfeld import (compute_drinfeld_data, compute_drinfeld_twist,
-                             compute_gamma, compute_gamma_bar,
+                             compute_gamma, compute_gamma_bar, compute_second_drinfeld,
                              drinfeld_under_twist, gamma_bar_under_twist,
                              opposite_drinfeld)
+from qhakit.dynamical import check_opposite_qdqybe, constant_family
 from qhakit.errors import ConsistencyError
 from qhakit.randgen import random_twist
 from qhakit.serial import parse_structure, parse_twist, serialize_structure
-from qhakit.structures import (QuasiBialgebra, _block_form, opposite_structure,
-                               primed_structure, zero_structure)
-from qhakit.tensor import tensor_of
-from qhakit.twists import Twist, twist_structure
+from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _block_form, _mapped_structure,
+                               opposite_structure, primed_structure, zero_structure)
+from qhakit.tensor import LinearMap, tensor_of
+from qhakit.twists import Twist, central_to_compatible, twist_structure
 
-from conftest import ENTRY_NAMES, drinfeld_data, entry, hopf
+from conftest import ENTRY_NAMES, counting_memo, drinfeld_data, entry, hopf, stores_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from harness import group_twist  # noqa: E402
@@ -175,6 +176,18 @@ class TestBundleMemo:
         with pytest.raises(ConsistencyError):
             gamma_bar_under_twist(h, g, wrong)
 
+    def test_mapped_structure_computed_once(self):
+        """F_delta, F_0, the verified primed and zero structures (P2, P2') and the three
+        opposite dynamical QYBEs read one primed and one zero bundle from the memo."""
+        h = builtin("semion").structure
+        stores = counting_memo(h)
+        compute_drinfeld_data(h)
+        primed_structure(h), zero_structure(h)
+        family = constant_family(h, Twist.identity(h))
+        for variant in ("primed", "zero", "transpose"):
+            check_opposite_qdqybe(family, h, variant, 0)
+        assert stores_of(stores, _mapped_structure) == {(True,): 1, (False,): 1}
+
     @pytest.mark.parametrize("derive", (
         opposite_structure, primed_structure, zero_structure,
         lambda h: h.without_r(), lambda h: twist_structure(h, Twist.identity(h))))
@@ -254,19 +267,24 @@ class TestClosedFormOracle:
 _PAIRED = drinfeld._paired
 
 
-def _double_nth(monkeypatch, caller, n):
-    """Double the n-th result of the closed-form helper among its calls from ``caller``."""
+def _change_calls(monkeypatch, caller, change):
+    """Replace the k-th result ``out`` of the closed-form helper among its calls from
+    ``caller`` (k counted from 1) by ``change(k, out)``."""
     calls = []
 
     def mutant(t, left, right):
         out = _PAIRED(t, left, right)
         if sys._getframe(1).f_code.co_name == caller:
             calls.append(caller)
-            if len(calls) == n:
-                return out.scale(2)
+            return change(len(calls), out)
         return out
 
     monkeypatch.setattr(drinfeld, "_paired", mutant)
+
+
+def _double_nth(monkeypatch, caller, n):
+    """Double the n-th result of the closed-form helper among its calls from ``caller``."""
+    _change_calls(monkeypatch, caller, lambda k, out: out.scale(2) if k == n else out)
 
 
 def _twisted_gamma_bar(h):
@@ -292,3 +310,93 @@ def test_a_route_mutant_fails_its_check(monkeypatch, caller, n, run, check, text
     _double_nth(monkeypatch, caller, n)
     (rep,) = suites.run_suites(builtin("semion"), "drinfeld", seed=0, trials=1)
     assert [(c.check_id, c.witness) for c in rep.failures()] == [(check, text)]
+
+
+def _with(b, **parts):
+    """The bundle ``b`` with the named parts replaced, unverified."""
+    kept = dict(coproduct=b.coproduct, phi=b.phi, phi_inv=b.phi_inv, antipode=b.antipode,
+                r=b.r, r_inv=b.r_inv)
+    return QuasiBialgebra(b.algebra, counit=b.counit, verify=False, **{**kept, **parts})
+
+
+def _double_column(b):
+    """The coproduct doubled on basis element 1 only."""
+    cols = [c.scale(2) if i == 1 else c for i, c in enumerate(b.coproduct.columns)]
+    return _with(b, coproduct=LinearMap(b.algebra, cols))
+
+
+def _double_phi(b):
+    return _with(b, phi=b.phi.scale(2))
+
+
+def _double_alpha(b):
+    return _with(b, antipode=QuasiAntipode(b.s, 2 * b.alpha, b.beta, s_inv=b.s_inv))
+
+
+_MAPPED, _GAMMA = drinfeld._mapped_structure, drinfeld.compute_gamma
+F_DELTA, F_ZERO = "compute_drinfeld_twist", "compute_second_drinfeld"
+
+
+def _mutate_mapped(monkeypatch, caller, change):
+    """Hand ``caller`` the mapped (primed or zero) bundle changed by ``change``."""
+    def mutant(h, primed):
+        out = _MAPPED(h, primed)
+        return change(out) if sys._getframe(1).f_code.co_name == caller else out
+
+    monkeypatch.setattr(drinfeld, "_mapped_structure", mutant)
+
+
+def _compatible():
+    """C = (z (x) z) Delta(z^{-1}) / eps(z) on z2_triangular, z = 2 + g: a compatible
+    twist other than 1, so twisting by F_delta C moves no coproduct or coassociator."""
+    h = builtin("z2_triangular").structure
+    alg = h.algebra
+    return central_to_compatible(alg.unit_element.scale(2) + alg.basis_element(1), h)
+
+
+def _f_delta_times_c(monkeypatch):
+    """Both closed forms give F_delta C, and both inverse forms C^{-1} F_delta^{-1}."""
+    c = _compatible()
+    _change_calls(monkeypatch, F_DELTA, lambda k, out: out * c.f if k <= 2 else c.f_inv * out)
+
+
+def _gamma_times_c(monkeypatch):
+    """gamma becomes gamma C, which moves both closed forms to F_delta C, and both
+    inverse forms become C^{-1} F_delta^{-1}; only gamma-bar stays where it was."""
+    c = _compatible()
+    monkeypatch.setattr(drinfeld, "compute_gamma", lambda h: _GAMMA(h) * c.f)
+    _change_calls(monkeypatch, F_DELTA, lambda k, out: c.f_inv * out if k > 2 else out)
+
+
+@pytest.mark.parametrize("mutate, name, run, text", [
+    # on sweedler_h4 the closed forms of F_delta read the primed coproduct at 1 only
+    (lambda mp: _mutate_mapped(mp, F_DELTA, _double_column), "sweedler_h4",
+     compute_drinfeld_twist,
+     "F_delta does not conjugate the coproduct onto the primed coproduct at basis element g"),
+    (lambda mp: _mutate_mapped(mp, F_ZERO, _double_column), "sweedler_h4",
+     compute_second_drinfeld,
+     "F_0 does not conjugate the coproduct onto the zero coproduct at basis element g"),
+    (lambda mp: _mutate_mapped(mp, F_DELTA, _double_phi), "semion", compute_drinfeld_twist,
+     "the coassociator does not twist onto its primed form"),
+    (lambda mp: _mutate_mapped(mp, F_ZERO, _double_phi), "semion", compute_second_drinfeld,
+     "the coassociator does not twist onto its zero form"),
+    (lambda mp: _mutate_mapped(mp, F_DELTA, _double_alpha), "semion", compute_drinfeld_twist,
+     "twisted canonical elements are not (S(beta), S(alpha))"),
+    (lambda mp: _mutate_mapped(mp, F_ZERO, _double_alpha), "semion", compute_second_drinfeld,
+     "twisted canonical elements are not (S^{-1}(beta), S^{-1}(alpha))"),
+    (_f_delta_times_c, "z2_triangular", compute_drinfeld_twist,
+     "F_delta Delta(alpha) != gamma"),
+    (_gamma_times_c, "z2_triangular", compute_drinfeld_twist,
+     "Delta(beta) F_delta^{-1} != gamma-bar"),
+], ids=["primed-coproduct", "zero-coproduct", "primed-phi", "zero-phi", "primed-canonical",
+        "zero-canonical", "gamma", "gamma-bar"])
+def test_a_battery_mutant_fails_its_check(monkeypatch, mutate, name, run, text):
+    """One route of an F_delta or F_0 postcondition changed: the public call raises the
+    check's text, and the drinfeld suite fails E9+E10+E11+P2+P3 alone with it."""
+    mutate(monkeypatch)
+    with pytest.raises(ConsistencyError) as exc:
+        run(builtin(name).structure)
+    assert str(exc.value) == text
+    mutate(monkeypatch)
+    (rep,) = suites.run_suites(builtin(name), "drinfeld", seed=0, trials=1)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [("E9+E10+E11+P2+P3", text)]

@@ -348,8 +348,8 @@ def test_no_element_tensor_conversion_is_defined_or_called():
 
 
 # every parameter of the package that defaults to True or False
-PINNED_FLAGS = {"QuasiBialgebra.__init__.verify", "_mapped_structure.verify",
-                "twist_structure.verify", "Twist.__init__.check", "_require_scan.pairs"}
+PINNED_FLAGS = {"QuasiBialgebra.__init__.verify", "twist_structure.verify",
+                "Twist.__init__.check", "_require_scan.pairs"}
 
 
 def _boolean_parameters(node, prefix=""):

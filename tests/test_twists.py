@@ -22,7 +22,7 @@ from qhakit.twists import (Twist, central_to_compatible, compatible_to_central,
                            quadratic_invariants, twist_structure, twisted_antipode,
                            twisted_coassociator)
 
-from conftest import ENTRY_NAMES, assert_verified, entry, hopf
+from conftest import ENTRY_NAMES, assert_verified, counting_memo, entry, hopf, stores_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from harness import group_twist  # noqa: E402
@@ -383,6 +383,13 @@ class TestQuadraticInvariants:
         one = s.algebra.unit_element
         for m in (1, 2):
             assert quadratic_invariants(s, m) * quadratic_invariants(s, -m) == one
+
+    def test_computed_once_per_m(self):
+        """The qtriangular suite's P8 checks compute each m = 0, +-1, +-2 once."""
+        qt, draw = suites.setting(builtin("semion"))
+        stores = counting_memo(qt.structure)
+        suites.suite_qtriangular(qt, draw, seed=0, trials=1)
+        assert stores_of(stores, quadratic_invariants) == {(m,): 1 for m in (0, 1, -1, 2, -2)}
 
     def test_alpha_roundtrip_under_inverse_twist(self, qt_entry):
         """Twisting the canonical elements by F then F^{-1} restores them."""
