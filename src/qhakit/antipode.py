@@ -7,11 +7,10 @@ evaluates all four closed forms of v and v^{-1} and fails loudly on any
 disagreement, which doubles as a free self-test of the tensor kernel.
 ``alt`` is checked against h's quasi-bialgebra by
 ``structures.verify_quasi_antipode(h, alt)`` where a caller needs it
-verified.  The forms and their relation battery live in one routine
-(``structures._connecting_element``), which also gives Drinfeld's u and
-u~ (:mod:`qhakit.qtriangular`) and the central element of a compatible
-twist (``twists.compatible_to_central``): each is the v of a pair of
-quasi-antipodes.
+verified.  The forms and their relation battery live in one routine,
+``structures._connecting_element(h, other)``, which also gives the central
+element of a compatible twist (``twists.compatible_to_central``) and
+Drinfeld's u and u~ (:mod:`qhakit.qtriangular`), v computed on H^cop.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ def compute_v(h: QuasiBialgebra, alt: QuasiAntipode):
     three defining relations on every basis element; raises
     ConsistencyError if anything disagrees.
     """
-    v, _ = _connecting_element(h.phi, h.phi_inv, h.antipode, alt)
-    return v
+    return _connecting_element(h, alt)[0]
 
 
 def antipode_from_v(h: QuasiBialgebra, w) -> QuasiAntipode:

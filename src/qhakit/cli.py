@@ -95,7 +95,7 @@ def _resolve_seed(args) -> int:
         raise QhaError(f"QHAKIT_SEED must be an integer, got {env!r}") from None
 
 
-def _load_input(spec: str) -> CatalogEntry:
+def _load_input(spec: str):
     if os.path.exists(spec):
         from .serial import parse_structure
         with open(spec, "r", encoding="utf-8") as fh:

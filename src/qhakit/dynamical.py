@@ -20,7 +20,7 @@ from functools import cache, lru_cache
 from .errors import ArityMismatch, DomainError, StructureError, TwistError
 from .report import Report
 from .scalars import RATIONAL
-from .structures import QuasiBialgebra, _mapped_structure, _qybe_sides, _require_equal
+from .structures import QuasiBialgebra, _mapped_structure, _opposite, _qybe_sides, _require_equal
 from .tensor import LinearMap, TensorElement
 from .twists import (Twist, _cocycle_head, _twisted_coproduct, twisted_coassociator,
                      twisted_coassociator_inv)
@@ -250,9 +250,9 @@ def check_opposite_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra,
                           variant: str, lam) -> bool:
     """The opposite quasi-dynamical QYBE for the primed, zero, or transposed family.
 
-    Each variant pairs the transported R-matrix family with its matching
-    coassociator; for the antipode variants the shift idempotents are
-    transported along the same map.
+    Each variant pairs the transported R-matrix family with the coassociator
+    of its bundle in the memo (H^cop, primed or zero); for the antipode
+    variants the shift idempotents are transported along the same map.
     """
     if variant not in _OPPOSITE_VARIANTS:
         raise ValueError(f"variant must be one of {_OPPOSITE_VARIANTS}")
@@ -260,19 +260,17 @@ def check_opposite_qdqybe(dyn: DynamicalTwist, t: QuasiBialgebra,
     r_at = _r_family(dyn, t)
 
     if variant == "transpose":
-        phi_t = t.phi_inv.perm((3, 2, 1))
-        phi_t_inv = t.phi.perm((3, 2, 1))
+        bundle = _opposite(t)
         table = lambda mu: r_at(mu).transpose()
         shift = dyn.shift
     else:
         mapper = t.s if variant == "primed" else t.s_inv
-        mapped = _mapped_structure(t, variant == "primed")
-        phi_t, phi_t_inv = mapped.phi, mapped.phi_inv
+        bundle = _mapped_structure(t, variant == "primed")
         table = lambda mu: mapper.map_tensor(r_at(mu))
         shift = dyn.shift.mapped(mapper)
 
     r12, r13, r23, r12_h3, r13_h2, r23_h1 = _placed(shift, lam, table)
-    lhs, rhs = _qybe_sides(phi_t, phi_t_inv, (r12, r13_h2, r23), (r23_h1, r13, r12_h3))
+    lhs, rhs = _qybe_sides(bundle.phi, bundle.phi_inv, (r12, r13_h2, r23), (r23_h1, r13, r12_h3))
     return lhs == rhs
 
 

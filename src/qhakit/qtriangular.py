@@ -2,11 +2,11 @@
 antipode operators u and u~, their twist invariance, and the compatible
 twist built from them.
 
-u is computed exactly as it arises structurally: as the connecting
-element (the v of :mod:`qhakit.antipode`, by the same routine) between the
-two quasi-antipodes of H^cop, its own (S^{-1}, S^{-1}(alpha),
-S^{-1}(beta)) and the one that twisting by the R-matrix induces, (S,
-alpha_R, beta_R).  u~ is the same with (R^T)^{-1} in place of R.
+u is computed exactly as it arises structurally: the v of
+:mod:`qhakit.antipode`, by the same routine, computed on H^cop (the
+unverified bundle in the memo).  It connects H^cop's own triple (S^{-1},
+S^{-1}(alpha), S^{-1}(beta)) to the one that twisting by the R-matrix
+induces, (S, alpha_R, beta_R).  u~ is the same with (R^T)^{-1} for R.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import functools
 from collections import namedtuple
 
 from .report import Report
-from .structures import (QuasiBialgebra, _connecting_element, _memoized, _require,
-                         _require_equal, _require_scan, opposite_structure,
-                         primed_structure, verify_quasi_antipode)
+from .structures import (QuasiBialgebra, _connecting_element, _memoized, _opposite, _require,
+                         _require_equal, _require_scan, primed_structure,
+                         verify_quasi_antipode)
 from .tensor import TensorElement, contract, tensor_of
 from .twists import Twist, is_compatible, twist_structure, twisted_antipode
 from .drinfeld import compute_drinfeld_data
@@ -63,34 +63,29 @@ def _r_twisted(t: QuasiBialgebra, which: str) -> QuasiBialgebra:
 def canonical_r_elements(t: QuasiBialgebra, which: str = "r"):
     """(alpha_R, beta_R) for R or for (R^T)^{-1}.
 
-    Asserts that twisting by the chosen R-matrix lands on the opposite
-    coproduct and coassociator with these canonical elements and the
+    Asserts that twisting by the chosen R-matrix lands on the coproduct
+    and coassociator of H^cop with these canonical elements and the
     unchanged antipode, and that the resulting structure passes the full
     verifier battery.
     """
-    twisted = _r_twisted(t, which)
-    _require_equal(twisted.coproduct, t.coproduct_t,
+    twisted, cop = _r_twisted(t, which), _opposite(t)
+    _require_equal(twisted.coproduct, cop.coproduct,
                    "twisting by the R-matrix does not reverse the coproduct")
-    _require_equal(twisted.phi, t.phi_inv.perm((3, 2, 1)),
+    _require_equal(twisted.phi, cop.phi,
                    "twisting by the R-matrix does not reverse the coassociator")
     return twisted.alpha, twisted.beta
 
 
 @_memoized
 def _u_operators(t: QuasiBialgebra) -> UOperators:
-    """u, u^{-1}, u~, u~^{-1}: the elements connecting the two quasi-antipodes of H^cop.
+    """u, u^{-1}, u~, u~^{-1}: the v of H^cop for the triples its R-twists induce.
 
-    H^cop has coassociator Phi^{-1}_{321} and its own triple (S^{-1},
-    S^{-1}(alpha), S^{-1}(beta)); twisting by R, or by (R^T)^{-1} for u~,
-    induces (S, alpha_R, beta_R).  No bundle is built for H^cop.
+    Each connects H^cop's own triple to (S, alpha_R, beta_R), which twisting
+    by R, or by (R^T)^{-1} for u~, induces.
     """
-    phi_cop, phi_cop_inv = t.phi_inv.perm((3, 2, 1)), t.phi.perm((3, 2, 1))
-    own = t.antipode.inverted()
-
-    def connecting(which):
-        return _connecting_element(phi_cop, phi_cop_inv, own, _canonical(t, which)[1])
-
-    return UOperators(*connecting("r"), *connecting("r_tilde"))
+    cop = _opposite(t)
+    return UOperators(*_connecting_element(cop, _canonical(t, "r")[1]),
+                      *_connecting_element(cop, _canonical(t, "r_tilde")[1]))
 
 
 def compute_u(t: QuasiBialgebra) -> UOperators:
@@ -176,7 +171,7 @@ def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
     """u as the connecting operator of H^cop's two triples, against its leg-order form.
 
     The R-twist's triple (S, alpha_R, beta_R) is verified as a quasi-antipode
-    of the opposite structure, so a wrong R triple raises StructureError.
+    of H^cop, read from the memo, so a wrong R triple raises StructureError.
     ``u-as-v`` compares the memoized u (:func:`_u_operators`) with its own
     second closed form, which the connecting routine already compared with
     the first, read in leg order on Phi: it tests ``perm`` and ``contract``,
@@ -185,7 +180,6 @@ def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
     rep = Report("u-origin")
     s, anti = t.s, _canonical(t, "r")[1]
     u = contract(t.phi, [(3, s.compose(s)), s(t.beta), (2, s), anti.alpha, (1, None)])
-    _require(verify_quasi_antipode(opposite_structure(t.without_r()), anti),
-             "alternative quasi-antipode fails")
+    _require(verify_quasi_antipode(_opposite(t), anti), "alternative quasi-antipode fails")
     rep.check("u-as-v", lambda: _u_operators(t).u == u, "connecting operator differs from u")
     return rep

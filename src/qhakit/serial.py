@@ -285,7 +285,7 @@ def parse_structure(text: str) -> CatalogEntry:
     return CatalogEntry(name, structure, dynamical=dynamical)
 
 
-def _dec_dynamical(field, alg, structure, doc) -> DynamicalTwist:
+def _dec_dynamical(field, alg, structure, doc):
     from .dynamical import DynamicalTwist, ShiftSystem
     path = "dynamical"
     if not isinstance(doc, dict):

@@ -8,12 +8,16 @@ structured reports that localize a failing identity to a basis element or
 multi-index rather than throwing.
 
 Data derived from one bundle alone (the opposite coproduct, the unverified
-primed and zero structures, the Drinfeld data, the u-operators, ...) is
-cached in that bundle's own memo by the functions decorated with
+opposite, primed and zero structures, the Drinfeld data, the u-operators,
+...) is cached in that bundle's own memo by the functions decorated with
 :func:`_memoized`.  Every bundle object starts with an empty memo, and no
 memo is ever copied to another bundle, so a check that recomputes a value
 on a derived or twisted bundle really recomputes it.  A bundle stores no
 verified flag; whether it satisfies its axioms is what the verifiers report.
+H^cop is written out once, by :func:`_opposite`, and Drinfeld's u is the
+connecting element computed over it.  No memoized function runs on an
+unverified memo bundle itself: a check that needs such a bundle's own
+derived data verifies a new copy, whose memo starts empty.
 
 The constructor is the one place that chooses the rational block basis
 of :mod:`qhakit.blocks` (whose docstring states the rule): where that
@@ -50,8 +54,8 @@ def _memoized(fn):
     """Cache ``fn(h, *args)`` in the memo of the bundle ``h``, keyed by ``(fn, *args)``.
 
     Only data computed from ``h`` alone belongs here: nothing keyed by a
-    twist and no tensor product of two bundles.  The mapped (primed and zero)
-    structures live here, unverified; twisted and opposite bundles do not.
+    twist and no tensor product of two bundles.  H^cop and the primed and zero
+    structures live here, unverified; twisted bundles do not.
     """
     @functools.wraps(fn)
     def wrapper(h, *args):
@@ -104,20 +108,16 @@ class QuasiAntipode:
                                     for i in range(alg.dim)])
         return QuasiAntipode(s_new, w * self.alpha, self.beta * w_inv, s_inv=s_new_inv)
 
-    def inverted(self) -> "QuasiAntipode":
-        """(S^{-1}, S^{-1}(alpha), S^{-1}(beta)): the triple of the opposite structure."""
-        return QuasiAntipode(self.s_inv, self.s_inv(self.alpha), self.s_inv(self.beta),
-                             s_inv=self.s)
 
-
-def _connecting_element(phi, phi_inv, own: QuasiAntipode, other: QuasiAntipode):
-    """(v, v^{-1}) for the unique invertible v taking ``own`` to ``other`` over ``phi``.
+def _connecting_element(h, other: QuasiAntipode):
+    """(v, v^{-1}) for the unique invertible v taking h's own quasi-antipode to ``other``.
 
     v alpha = alpha~, beta~ v = beta and S~ = v S(.) v^{-1}.  Both closed
-    forms of v and both of v^{-1} are evaluated, and every relation is
-    asserted on every basis element; any disagreement raises ConsistencyError.
+    forms of v and both of v^{-1} are evaluated over h's coassociator, and every
+    relation is asserted on every basis element; any disagreement raises
+    ConsistencyError.
     """
-    s, s_inv, alpha, beta = own.s, own.s_inv, own.alpha, own.beta
+    phi, phi_inv, s, s_inv, alpha, beta = h.phi, h.phi_inv, h.s, h.s_inv, h.alpha, h.beta
     st, alpha_t, beta_t = other.s, other.alpha, other.beta
     st_sinv = st.compose(s_inv)
 
@@ -355,15 +355,14 @@ def verify_rmatrix(t: QuasiBialgebra, r=None, r_inv=None) -> Report:
 # derived structures
 # ---------------------------------------------------------------------------
 
-def opposite_structure(h):
-    """The opposite structure: coproduct and coassociator reversed, antipode inverted.
-
-    An R-matrix, if present, becomes the opposite R-matrix R^T.
-    """
+@_memoized
+def _opposite(h) -> QuasiBialgebra:
+    """H^cop, unverified: Delta^T, Phi^{-1}_{321}, (S^{-1}, S^{-1}(alpha), S^{-1}(beta)), R^T.
+    Every reader of the opposite structure, verified or not, reads it here."""
+    anti = QuasiAntipode(h.s_inv, h.s_inv(h.alpha), h.s_inv(h.beta), s_inv=h.s)
     r, r_inv = (h.r.transpose(), h.r_inv.transpose()) if h.r is not None else (None, None)
-    return QuasiBialgebra(h.algebra, h.coproduct.swapped(), h.counit,
-                          h.phi_inv.perm((3, 2, 1)), h.phi.perm((3, 2, 1)),
-                          h.antipode.inverted(), r, r_inv)
+    return QuasiBialgebra(h.algebra, h.coproduct_t, h.counit, h.phi_inv.perm((3, 2, 1)),
+                          h.phi.perm((3, 2, 1)), anti, r, r_inv, verify=False)
 
 
 @_memoized
@@ -384,21 +383,25 @@ def _mapped_structure(h, primed: bool) -> QuasiBialgebra:
                           m.map_tensor(h.phi_inv.perm((3, 2, 1))), anti, r, r_inv, verify=False)
 
 
-def _verified_mapped(h, primed: bool) -> QuasiBialgebra:
-    """The parts of :func:`_mapped_structure` as a new bundle, verified by the constructor."""
-    b = _mapped_structure(h, primed)
+def _verified(b: QuasiBialgebra) -> QuasiBialgebra:
+    """The parts of the unverified bundle ``b`` as a new bundle, verified by the constructor."""
     return QuasiBialgebra(b.algebra, b.coproduct, b.counit, b.phi, b.phi_inv, b.antipode,
                           b.r, b.r_inv)
 
 
+def opposite_structure(h):
+    """The opposite structure H^cop, with R^T as its R-matrix if h has one, verified."""
+    return _verified(_opposite(h))
+
+
 def primed_structure(h):
     """The structure carried by the coproduct a -> (S (x) S) Delta^T(S^{-1}(a))."""
-    return _verified_mapped(h, True)
+    return _verified(_mapped_structure(h, True))
 
 
 def zero_structure(h):
     """The mirror of the primed structure built from S^{-1} instead of S."""
-    return _verified_mapped(h, False)
+    return _verified(_mapped_structure(h, False))
 
 
 def structures_equal(a, b) -> bool:

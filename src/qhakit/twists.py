@@ -188,7 +188,7 @@ def compatible_to_central(c: Twist, h):
     """
     if not is_compatible(c, h):
         raise TwistError("twist is not compatible")
-    z, z_inv = _connecting_element(h.phi, h.phi_inv, h.antipode, twisted_antipode(h, c))
+    z, z_inv = _connecting_element(h, twisted_antipode(h, c))
     _require_equal(z_inv, z.inverse(), "closed-form inverse disagrees with linear-solve inverse")
     return z
 

@@ -4,10 +4,12 @@ Also: each CLI command loads exactly the modules it runs, the block
 basis is reached through one door, no private helper is left without a
 caller, no module reaches into the tensor kernel's private names, every
 route check raises through one primitive, every check is recorded
-through one method, and the package's boolean switches are a fixed set.
+through one method, the package's boolean switches are a fixed set, every
+signature annotation resolves and every import is read.
 """
 
 import ast
+import builtins
 import importlib
 import os
 import pkgutil
@@ -378,3 +380,104 @@ def test_boolean_parameters_are_pinned():
     for path in sorted(package.glob("*.py")):
         found |= _boolean_parameters(ast.parse(path.read_text()))
     assert found == PINNED_FLAGS
+
+
+
+def _scope_nodes(scope):
+    """The nodes that run in ``scope`` itself.  A nested function, lambda or class is
+    entered only for what its definition evaluates where it stands: its decorators,
+    bases and parameter defaults."""
+    todo = list(scope.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo += [*getattr(node, "decorator_list", ()), *getattr(node, "bases", ())]
+            if not isinstance(node, ast.ClassDef):
+                todo += [d for d in (*node.args.defaults, *node.args.kw_defaults) if d]
+        else:
+            todo += ast.iter_child_nodes(node)
+
+
+def _bound_in(scope):
+    """The names ``scope`` binds: its parameters, imports, definitions and stores."""
+    bound = set()
+    if not isinstance(scope, ast.Module):
+        args = scope.args
+        bound |= {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None}
+    for node in _scope_nodes(scope):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+    return bound
+
+
+def _annotations(fn):
+    """Each annotation in ``fn``'s signature, a string one parsed."""
+    args = fn.args
+    params = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    for ann in [p.annotation for p in params if p is not None] + [fn.returns]:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            ann = ast.parse(ann.value, mode="eval").body
+        if ann is not None:
+            yield ann
+
+
+def _unbound_annotation_names(tree):
+    """``name@line`` for each name a signature annotation reads that neither its
+    module nor an enclosing function binds (the builtins count as bound).  A class
+    body's names are not visible in its methods, so a class adds none."""
+    found = []
+
+    def visit(node, visible):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(f"{n.id}@{n.lineno}" for ann in _annotations(child)
+                             for n in ast.walk(ann)
+                             if isinstance(n, ast.Name) and n.id not in visible)
+                visit(child, visible | _bound_in(child))
+            else:
+                visit(child, visible)
+
+    visit(tree, _bound_in(tree) | set(dir(builtins)))
+    return found
+
+
+def _unused_imports(tree):
+    """``name@line`` for each name an import binds that its scope never reads
+    (a name the module's ``__all__`` lists counts as read)."""
+    found = []
+    exported = {e.value for n in tree.body if isinstance(n, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+                for e in ast.walk(n.value) if isinstance(e, ast.Constant)}
+    for scope in [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+        read = {n.id for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if scope is tree:
+            read |= exported
+        for node in _scope_nodes(scope):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                found.extend(f"{name}@{node.lineno}" for a in node.names
+                             if (name := (a.asname or a.name).split(".")[0]) not in read)
+    return found
+
+
+def test_annotations_name_bound_types_and_every_import_is_read():
+    """``typing.get_type_hints`` resolves every signature: each name an annotation
+    reads is bound in its module or an enclosing function.  No import goes unread,
+    so an edit that drops the last use of a name drops its import too."""
+    package = Path(qhakit.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}: unbound {n}" for n in _unbound_annotation_names(tree)]
+        found += [f"{path.name}: unused {n}" for n in _unused_imports(tree)]
+    assert found == []

@@ -5,19 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit import qtriangular
+from qhakit import qtriangular, structures, suites
 from qhakit.antipode import compute_v
 from qhakit.catalog import builtin
+from qhakit.dynamical import check_opposite_qdqybe, constant_family
 from qhakit.qtriangular import (altschuler_coste_operator, canonical_r_elements,
                                 check_ssr_identity, check_u_universality,
                                 compute_u, opposite_by_r_vs_cop, r_tilde)
 from qhakit.randgen import random_twist
-from qhakit.errors import StructureError
-from qhakit.structures import (QuasiAntipode, opposite_structure, verify_quasi_antipode,
-                               verify_rmatrix)
+from qhakit.errors import ConsistencyError, StructureError
+from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _opposite, opposite_structure,
+                               verify_quasi_antipode, verify_rmatrix)
 from qhakit.twists import Twist, is_compatible, twisted_antipode
 
-from conftest import QT_NAMES, assert_verified, drinfeld_data, entry, hopf
+from conftest import (QT_NAMES, assert_verified, counting_memo, drinfeld_data, entry, hopf,
+                      stores_of)
 
 
 class TestCanonicalElements:
@@ -142,9 +144,9 @@ class TestUEvaluatedOnce:
         targets = []
         real = qtriangular._connecting_element
 
-        def counting(phi, phi_inv, own, other):
+        def counting(h, other):
             targets.append(other)
-            return real(phi, phi_inv, own, other)
+            return real(h, other)
 
         monkeypatch.setattr(qtriangular, "_connecting_element", counting)
         compute_u(s)
@@ -155,6 +157,69 @@ class TestUEvaluatedOnce:
                            qtriangular._canonical(s, "r_tilde")[1]]
         assert check_u_universality(s, f)
         assert len(targets) == 4  # the twisted bundle evaluates its own
+
+
+class TestOppositeOnce:
+    def test_opposite_computed_once_per_bundle(self):
+        """P1, P1', u and u~ with both R-twist landing checks, the u-origin triple check
+        and the transposed opposite dynamical QYBE read one H^cop from the memo."""
+        e = builtin("semion")
+        s = e.structure
+        stores = counting_memo(s)
+        draw = suites._Draw(s, lambda x: x, lambda x: x)
+        assert suites.suite_axioms(e, draw, seed=0, trials=0).ok
+        assert suites.suite_qtriangular(e, draw, seed=0, trials=0).ok
+        assert check_opposite_qdqybe(constant_family(s, Twist.identity(s)), s, "transpose", 0)
+        assert stores_of(stores, _opposite) == {(): 1}
+
+    @pytest.mark.parametrize("name", ("semion", "sweedler_h4"))
+    def test_u_origin_verifies_no_bundle(self, name, monkeypatch):
+        """Once u is memoized, the u-origin report checks the R triple against H^cop
+        from the memo and runs no quasi-bialgebra battery: P1'-E14 verifies H^cop."""
+        s = builtin(name).structure
+        compute_u(s)
+        verified = []
+        real = structures.verify_qba
+        monkeypatch.setattr(structures, "verify_qba", lambda q: verified.append(q) or real(q))
+        assert opposite_by_r_vs_cop(s).ok
+        assert verified == []
+
+
+def _r_twisted_mutant(monkeypatch, parts):
+    """Hand ``canonical_r_elements`` the R-twisted bundle with ``parts(b)`` replaced."""
+    real = qtriangular._r_twisted
+
+    def mutant(t, which):
+        b = real(t, which)
+        kept = dict(coproduct=b.coproduct, phi=b.phi, phi_inv=b.phi_inv, antipode=b.antipode)
+        return QuasiBialgebra(b.algebra, counit=b.counit, verify=False, **{**kept, **parts(b)})
+
+    monkeypatch.setattr(qtriangular, "_r_twisted", mutant)
+
+
+def _unswapped(b):
+    return dict(coproduct=b.coproduct.swapped())
+
+
+def _doubled_phi(b):
+    return dict(phi=b.phi.scale(2), phi_inv=b.phi_inv.scale(2))
+
+
+@pytest.mark.parametrize("parts, name, text", [
+    (_unswapped, "sweedler_h4", "twisting by the R-matrix does not reverse the coproduct"),
+    (_doubled_phi, "sweedler_h4", "twisting by the R-matrix does not reverse the coassociator"),
+    (_doubled_phi, "semion", "twisting by the R-matrix does not reverse the coassociator"),
+], ids=["coproduct", "phi-sweedler_h4", "phi-semion"])
+def test_an_r_twist_landing_mutant_fails_its_checks(monkeypatch, parts, name, text):
+    """The R-twisted bundle moved off H^cop: ``canonical_r_elements`` raises the landing
+    check's text, and the qtriangular suite fails P6+E17 and the u battery with it."""
+    _r_twisted_mutant(monkeypatch, parts)
+    with pytest.raises(ConsistencyError) as exc:
+        canonical_r_elements(builtin(name).structure)
+    assert str(exc.value) == text
+    (rep,) = suites.run_suites(builtin(name), "qtriangular", seed=0, trials=1)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("P6+E17", text), ("E18+E19+E20+L1+L2", text)]
 
 
 class TestUOrigin:

@@ -251,7 +251,7 @@ class TestCompatibleToCentral:
         other = QuasiAntipode(anti.s, w * anti.alpha, anti.beta * w.inverse(), s_inv=anti.s_inv)
         with pytest.raises(ConsistencyError,
                            match="^S~ is not conjugation by v on basis element g$"):
-            _connecting_element(h.phi, h.phi_inv, anti, other)
+            _connecting_element(h, other)
 
     def test_a_wrong_closed_form_inverse_names_its_first_difference(self, monkeypatch):
         """Mutant: the connecting element's closed-form inverse doubled.  The route check
