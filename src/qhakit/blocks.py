@@ -10,9 +10,10 @@ Products of elements of different blocks vanish, so the legwise product
 work in this basis: for Z/4, 6 of the 16 leg pairs carry structure
 constants, for Z/6, 10 of 36.
 
-``transport`` carries a bundle into the basis of ``block_basis`` and
-verifies the result in full; ``transported`` keeps the verified result
-in the bundle's memo.  The rule, stated here once: a bundle on the
+``transport`` carries a bundle into the basis of ``block_basis``, on the
+block algebra that ``_block_algebra`` builds once per order and field,
+and verifies the result in full; ``structures._block_form`` keeps it in
+the bundle's memo.  The rule, stated here once: a bundle on the
 ``group_z<n>`` table with a nontrivial coassociator is verified in the
 block basis wherever it is verified (``QuasiBialgebra``'s constructor
 asks ``structures._block_form``), and its suites and ``compute`` run
@@ -31,10 +32,10 @@ verification in the block basis is verified again in the original basis,
 so refusals name original basis elements.  A bundle verified there is
 decided there: each suite and computation runs once (``suites.setting``),
 random twists and elements are drawn in the original basis with the same
-RNG calls and carried over, and computed values are mapped back.  An
-entry with a dynamical family, which load checks only member by member,
-stays in the original basis, so its dynamical-suite witnesses name
-original multi-indices.
+RNG calls and carried over, and computed values are mapped back (one
+``structures.Transported`` does all three).  An entry with a dynamical
+family, which load checks only member by member, stays in the original
+basis, so its dynamical-suite witnesses name original multi-indices.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import QhaError, StructureError
+from .errors import StructureError
 from .scalars import _zeta_powers, totient
-from .structures import QuasiAntipode, QuasiBialgebra, _memoized
+from .structures import QuasiAntipode, QuasiBialgebra, Transported
 from .tensor import Algebra, LinearMap
-from .twists import Twist
 
 __all__ = []
 
@@ -72,7 +72,7 @@ def block_basis(n: int) -> BlockBasis:
     Column (d, j) of ``matrix`` is eps_d g^j in the group basis,
     (1/n) c_d(k - j) on g^k.  ``inverse`` comes from the other side: g^k
     is the sum over the blocks of eps_d g^(k mod d), reduced to the power
-    basis by the d-th cyclotomic polynomial.  ``transport`` checks that
+    basis by the d-th cyclotomic polynomial.  ``_block_algebra`` checks that
     the two are inverse to each other.
     """
     blocks = [(d, j) for d in range(1, n + 1) if n % d == 0 for j in range(totient(d))]
@@ -97,57 +97,40 @@ def _is_group_table(alg) -> bool:
             and alg._mult == {(i, j): {(i + j) % n: one} for i in range(n) for j in range(n)})
 
 
-class Transported(namedtuple("Transported", "s down up")):
-    """A verified bundle ``s`` in the block basis, with the two basis changes.
-
-    ``down`` takes group coordinates to block coordinates, ``up`` the way back.
-    """
-
-    __slots__ = ()
-
-    def carry(self, x):
-        """An element, tensor or twist of the original bundle, in ``s``'s basis.
-
-        The basis change is verified, so a carried twist is a twist and is not checked again.
-        """
-        if isinstance(x, Twist):
-            return Twist(self.carry(x.f), self.s.counit, self.carry(x.f_inv), check=False)
-        return self.down.map_tensor(x)
-
-    def back(self, x):
-        """An element or tensor of ``s``, in the original bundle's basis."""
-        return self.up.map_tensor(x)
-
-
-def _change(old, basis: BlockBasis):
-    """(algebra, down, up): ``old`` rebuilt on ``basis`` and the two basis changes.
+@lru_cache(maxsize=None)
+def _block_algebra(basis: BlockBasis, field):
+    """(algebra, down): the table of Q[Z/n] rebuilt on ``basis`` over ``field``, and the
+    map from group coordinates to block coordinates, built once per basis and field.
 
     Raises StructureError unless P^{-1} P = 1 exactly.
     """
-    n = old.dim
     p, p_inv = basis.matrix, basis.inverse
+    n = len(p)
     if any(sum(p_inv[a][k] * p[k][b] for k in range(n)) != (a == b)
            for a in range(n) for b in range(n)):
         raise StructureError("block basis: P^{-1} P is not the identity")
-    up, coords = LinearMap.from_matrix(old, p), LinearMap.from_matrix(old, p_inv)
-    vectors = up.columns
-    mult = {(a, b): coords(x * y).coeffs
+
+    def coords(z):  # P^{-1} z
+        return [sum(c * v for c, v in zip(row, z)) for row in p_inv]
+
+    vectors = list(zip(*p))
+    mult = {(a, b): coords([sum(x[i] * y[(k - i) % n] for i in range(n)) for k in range(n)])
             for a, x in enumerate(vectors) for b, y in enumerate(vectors)}
-    alg = Algebra(old.field, n, mult, unit=coords(old.unit_element).coeffs,
-                  basis=basis.names)
-    return alg, LinearMap.from_matrix(alg, p_inv), up
+    alg = Algebra(field, n, mult, unit=coords([1] + [0] * (n - 1)), basis=basis.names)
+    return alg, LinearMap.from_matrix(alg, p_inv)
 
 
 def transport(s, basis: BlockBasis) -> Transported:
     """``s`` carried into ``basis`` and verified in full.
 
-    The basis must invert exactly (P^{-1} P = 1); the structure constants
-    and the unit are rebuilt from it, and the coproduct, counit,
+    The basis must invert exactly (P^{-1} P = 1); the coproduct, counit,
     coassociator and its inverse, the antipode and its inverse, alpha,
-    beta, and R and its inverse are carried over.  Raises StructureError
-    if the basis does not invert or the carried bundle fails a verifier.
+    beta, and R and its inverse are carried over, and ``up`` maps back onto
+    ``s``'s own algebra.  Raises StructureError if the basis does not
+    invert or the carried bundle fails a verifier.
     """
-    alg, down, up = _change(s.algebra, basis)
+    alg, down = _block_algebra(basis, s.algebra.field)
+    up = LinearMap.from_matrix(s.algebra, basis.matrix)
     vectors = up.columns
 
     def mapped(m):
@@ -164,7 +147,7 @@ def transport(s, basis: BlockBasis) -> Transported:
                          LinearMap.scalar_map(alg, [s.counit(v) for v in vectors]),
                          carried(s.phi), carried(s.phi_inv), anti,
                          carried(s.r), carried(s.r_inv))
-    return Transported(out, down, up)
+    return Transported(s, out, down, up)
 
 
 def _selected(alg):
@@ -173,21 +156,4 @@ def _selected(alg):
         return None
     basis = block_basis(alg.dim)
     return basis if basis.constants < alg.dim ** 2 else None
-
-
-@_memoized
-def transported(s):
-    """``s`` carried into the block basis and verified there, or None.
-
-    None when the rules do not pick the algebra, or when the carried
-    bundle fails verification (the original basis then decides).  The
-    caller has ruled out the trivial coassociator.
-    """
-    basis = _selected(s.algebra)
-    if basis is None:
-        return None
-    try:
-        return transport(s, basis)
-    except QhaError:
-        return None
 

@@ -7,9 +7,9 @@ explicitly deferred with ``verify=False``), and the verifiers return
 structured reports that localize a failing identity to a basis element or
 multi-index rather than throwing.
 
-Data derived from one bundle alone (the opposite coproduct, the unverified
-opposite, primed and zero structures, the Drinfeld data, the u-operators,
-...) is cached in that bundle's own memo by the functions decorated with
+Data derived from one bundle alone (the opposite coproduct, the opposite,
+primed and zero structures, the Drinfeld data, the u-operators, ...) is
+cached in that bundle's own memo by the functions decorated with
 :func:`_memoized`.  Every bundle object starts with an empty memo, and no
 memo is ever copied to another bundle, so a check that recomputes a value
 on a derived or twisted bundle really recomputes it.  A bundle stores no
@@ -25,7 +25,8 @@ basis applies, the bundle is verified there and the carried bundle is
 kept in the memo (``_block_form``); where it fails, the verifiers run
 again on the bundle itself, so every refusal is that of the original
 basis.  This is the only place that retries in the original basis: the
-suites and computations on a carried bundle run once, in its basis.
+suites and computations on a carried bundle run once, in its basis,
+which a :class:`Transported` holds.
 
 Every route check (two routes to one value must agree exactly) calls one
 primitive, :func:`_require_equal`.  It only compares values that each
@@ -38,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 
-from .errors import ConsistencyError, SingularError, StructureError
+from .errors import ConsistencyError, QhaError, SingularError, StructureError
 from .report import Report, _diff_witness
 from .tensor import LinearMap, contract
 
@@ -55,7 +57,9 @@ def _memoized(fn):
 
     Only data computed from ``h`` alone belongs here: nothing keyed by a
     twist and no tensor product of two bundles.  H^cop and the primed and zero
-    structures live here, unverified; twisted bundles do not.
+    structures live here, unverified, and H^cop once more as a new verified
+    bundle (:func:`opposite_structure`), so the checks of one run that verify
+    it share one verification; twisted bundles do not.
     """
     @functools.wraps(fn)
     def wrapper(h, *args):
@@ -206,17 +210,58 @@ class QuasiBialgebra:
         return self.antipode.beta
 
 
-def _block_form(s):
-    """``s`` carried into the rational block basis and verified there, or None.
+class Transported(namedtuple("Transported", "original s down up")):
+    """The basis a run uses: ``s``, with the maps from ``original``'s basis (``down``)
+    and back (``up``); in ``original``'s own basis both are None and return their
+    argument.  Draws are made on ``original`` with its RNG calls and carried over,
+    so a seed draws the same twists in either basis.
+    """
 
-    :mod:`qhakit.blocks` holds the basis and its selection rules; a bundle
-    with the trivial coassociator is never carried, and is turned away
-    here so that its jobs never import that module.
+    __slots__ = ()
+
+    def carry(self, x):
+        """An element or tensor of ``original``, in ``s``'s basis."""
+        return x if self.down is None else self.down.map_tensor(x)
+
+    def back(self, x):
+        """An element or tensor of ``s``, in ``original``'s basis."""
+        return x if self.up is None else self.up.map_tensor(x)
+
+    def twist(self, rng):
+        """A random twist of ``original``, in ``s``'s basis.  The basis change is
+        verified, so a carried twist is a twist and is not checked again."""
+        from .randgen import random_twist
+        from .twists import Twist
+        f = random_twist(rng, self.original)
+        return f if self.down is None else Twist(self.carry(f.f), self.s.counit,
+                                                 self.carry(f.f_inv), check=False)
+
+    def element(self, rng):
+        """A random invertible element of ``original``, in ``s``'s basis."""
+        from .randgen import random_invertible_element
+        return self.carry(random_invertible_element(rng, self.original.algebra))
+
+
+@_memoized
+def _block_form(s):
+    """``s`` carried into the rational block basis and verified there (a
+    :class:`Transported`), or None: the one decision, kept in ``s``'s memo.
+
+    A bundle with the trivial coassociator is never carried, and is turned
+    away here so that its jobs never import :mod:`qhakit.blocks`.  Otherwise
+    that module's rules pick the basis, or None; a carried bundle that fails
+    verification gives None too, so the original basis decides.
     """
     if s.phi == s.algebra.tensor_unit(3):
         return None
-    from .blocks import transported
-    return transported(s)
+    from .blocks import _selected, transport
+    basis = _selected(s.algebra)
+    if basis is None:
+        return None
+    try:
+        return transport(s, basis)
+    except QhaError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +434,10 @@ def _verified(b: QuasiBialgebra) -> QuasiBialgebra:
                           b.r, b.r_inv)
 
 
+@_memoized
 def opposite_structure(h):
-    """The opposite structure H^cop, with R^T as its R-matrix if h has one, verified."""
+    """The opposite structure H^cop, with R^T as its R-matrix if h has one, verified
+    once per bundle."""
     return _verified(_opposite(h))
 
 

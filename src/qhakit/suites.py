@@ -13,8 +13,8 @@ first.
 A suite runs once, in the rational block basis where the rule stated in
 :mod:`qhakit.blocks` applies (``setting``).  Its random twists and
 elements are then still drawn on the original bundle, with the same RNG
-calls, and carried over (``_Draw``), so a seed means the same draws in
-either basis.
+calls, and carried over (``structures.Transported``, the basis the run
+uses), so a seed means the same draws in either basis.
 
 Each suite imports its own layers when it runs, and the random draws
 import :mod:`qhakit.randgen` when first made, so an axioms job compiles
@@ -30,36 +30,16 @@ from fractions import Fraction
 from . import DEFAULT_TRIALS, SUITE_NAMES
 from .catalog import CatalogEntry
 from .report import Report
-from .structures import (_block_form, _opposite, _require, check_qqybe, opposite_structure,
-                         primed_structure, qqybe_sides, structures_equal, verify_qba,
-                         verify_quasi_antipode, verify_rmatrix, zero_structure)
+from .structures import (Transported, _block_form, _opposite, _require, check_qqybe,
+                         opposite_structure, primed_structure, qqybe_sides, structures_equal,
+                         verify_qba, verify_quasi_antipode, verify_rmatrix, zero_structure)
 
 
 def _rng(seed, suite, name):
     return random.Random(f"{seed}:{suite}:{name}")
 
 
-class _Draw:
-    """Random twists and elements, drawn on the original bundle with its RNG calls.
-
-    ``carry`` takes what is drawn into the basis the checks run in, so a
-    seed draws the same twists whichever basis the suite runs in;
-    ``back`` takes a value computed there to the original basis.
-    """
-
-    def __init__(self, original, carry, back):
-        self.original, self.carry, self.back = original, carry, back
-
-    def twist(self, rng):
-        from .randgen import random_twist
-        return self.carry(random_twist(rng, self.original))
-
-    def element(self, rng):
-        from .randgen import random_invertible_element
-        return self.carry(random_invertible_element(rng, self.original.algebra))
-
-
-def suite_axioms(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
+def suite_axioms(entry: CatalogEntry, draw: Transported, seed, trials) -> Report:
     rep = Report("axioms")
     s = entry.structure
     rep.extend(verify_qba(s), prefix="qba")
@@ -78,7 +58,7 @@ def suite_axioms(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
     return rep
 
 
-def suite_twist(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
+def suite_twist(entry: CatalogEntry, draw: Transported, seed, trials) -> Report:
     from .antipode import antipode_from_v, check_v_universality
     from .twists import (Twist, central_to_compatible, compatible_to_central,
                          compose_twists, is_compatible, is_quasi_cocycle, twist_structure)
@@ -138,7 +118,7 @@ def suite_twist(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
     return rep
 
 
-def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
+def suite_drinfeld(entry: CatalogEntry, draw: Transported, seed, trials) -> Report:
     from .drinfeld import (compute_drinfeld_data, drinfeld_under_twist,
                            gamma_bar_under_twist, opposite_drinfeld)
     from .twists import twist_structure
@@ -158,7 +138,7 @@ def suite_drinfeld(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
     return rep
 
 
-def suite_qtriangular(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
+def suite_qtriangular(entry: CatalogEntry, draw: Transported, seed, trials) -> Report:
     rep = Report("qtriangular")
     s = entry.structure
     if s.r is None:
@@ -232,7 +212,7 @@ def _dynamical_r_checks(rep: Report, dyn, s, lam, label: str) -> None:
                   f"opposite dynamical QYBE ({variant}) fails")
 
 
-def suite_dynamical(entry: CatalogEntry, draw: _Draw, seed, trials) -> Report:
+def suite_dynamical(entry: CatalogEntry, draw: Transported, seed, trials) -> Report:
     from .dynamical import (check_classical_dqybe, check_qdqybe,
                             check_shifted_quasi_cocycle, constant_family,
                             dynamical_coassociator, qdqybe_sides, shifted_cocycle_sides)
@@ -304,11 +284,11 @@ def run_suites(entry: CatalogEntry, suites, seed=0, trials=DEFAULT_TRIALS):
 
 
 def setting(entry: CatalogEntry):
-    """(entry, draw) in the basis every suite and computation on ``entry`` runs in:
-    the block basis of the constructor's carried bundle, if any and if ``entry``
+    """(entry, Transported) in the basis every suite and computation on ``entry`` runs
+    in: the block basis of the constructor's carried bundle, if any and if ``entry``
     has no dynamical family (see :mod:`qhakit.blocks`), else the original one."""
     s = entry.structure
     carried = None if entry.dynamical is not None else _block_form(s)
     if carried is None:
-        return entry, _Draw(s, lambda x: x, lambda x: x)
-    return entry._replace(structure=carried.s), _Draw(s, carried.carry, carried.back)
+        return entry, Transported(s, s, None, None)
+    return entry._replace(structure=carried.s), carried

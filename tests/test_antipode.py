@@ -13,6 +13,7 @@ from qhakit.cli import main
 from qhakit.errors import ConsistencyError, StructureError
 from qhakit.randgen import random_invertible_element, random_twist
 from qhakit.structures import QuasiAntipode, verify_quasi_antipode
+from qhakit.tensor import LinearMap
 
 from conftest import ENTRY_NAMES, entry, hopf
 
@@ -199,3 +200,18 @@ def test_a_route_mutant_fails_its_check(monkeypatch, capsys, n, text, witness):
     assert main(["compute", "sweedler_h4", "v"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {text}", "  first difference: at (0,): 1 != 2"]
+
+
+@pytest.mark.parametrize("name", ["group_z2", "sweedler_h4"])
+def test_a_triple_with_a_non_unital_map_fails_v_alpha(name):
+    """(-S, 1, 1) on a bundle with the trivial coassociator and alpha = beta = 1: both
+    closed forms give v = v^{-1} = -1, so v is a two-sided inverse of v^{-1} and only
+    the relation v alpha = alpha~ (-1 against 1) fails."""
+    h = builtin(name).structure
+    alg = h.algebra
+    assert h.phi == alg.tensor_unit(3) and h.alpha == h.beta == alg.unit_element
+    negated = [LinearMap(alg, [c.scale(-1) for c in m.columns]) for m in (h.s, h.s_inv)]
+    alt = QuasiAntipode(negated[0], alg.unit_element, alg.unit_element, s_inv=negated[1])
+    with pytest.raises(ConsistencyError) as exc:
+        compute_v(h, alt)
+    assert (str(exc.value), exc.value.witness) == ("v alpha != alpha~", "at (0,): -1 != 1")

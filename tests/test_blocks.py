@@ -8,6 +8,7 @@ which a run reaches the carried bundle.  A run "without" the transport is
 made by making the rules pick nothing (``blocks._selected``).
 """
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -69,7 +70,7 @@ def _report_bytes(rep):
 def test_block_table_size(n, constants, pairs):
     """The counted constants match the rebuilt table; Z/4 and Z/6 leave 6 and 10 pairs."""
     basis = blocks.block_basis(n)
-    alg, _, _ = blocks._change(builtin(f"group_z{n}").structure.algebra, basis)
+    alg, _ = blocks._block_algebra(basis, builtin(f"group_z{n}").structure.algebra.field)
     assert basis.constants == constants == sum(len(c) for c in alg._mult.values())
     assert len(alg._mult) == pairs
 
@@ -90,7 +91,7 @@ def test_changed_entry_is_refused():
     matrix = [list(row) for row in basis.matrix]
     matrix[2][1] += Fraction(1, 7)
     with pytest.raises(StructureError, match="P\\^\\{-1\\} P is not the identity"):
-        blocks.transport(s, basis._replace(matrix=matrix))
+        blocks.transport(s, basis._replace(matrix=tuple(map(tuple, matrix))))
 
 
 @pytest.mark.parametrize("name, picked", [
@@ -272,18 +273,22 @@ def test_coassociator_failure_comes_before_a_singular_antipode():
 
 
 def test_one_block_algebra_per_load(monkeypatch):
-    """Loading a twisted group_z4 file builds the block algebra once: the inverses
-    the file leaves out come from the verified carried bundle."""
-    text = serialize_structure(_twisted_file(4))
-    calls = []
-    original = blocks._change
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-    monkeypatch.setattr(blocks, "_change", counted)
-    parse_structure(text)
-    assert len(calls) == 1
+    """Loading two twisted group_z4 files carries each once (the inverses a file leaves
+    out come from its verified carried bundle) and builds the block algebra of Z/4
+    once: the carried bundles share it."""
+    s = builtin("group_z4").structure
+    texts = [serialize_structure(_twisted_file(4)),
+             serialize_structure(twist_structure(s, random_twist(random.Random(3), s)))]
+    carried = []
+    transport = blocks.transport
+    monkeypatch.setattr(blocks, "transport",
+                        lambda s, basis: carried.append(s) or transport(s, basis))
+    built = functools.lru_cache(maxsize=None)(blocks._block_algebra.__wrapped__)
+    monkeypatch.setattr(blocks, "_block_algebra", built)
+    first, second = (parse_structure(text).structure for text in texts)
+    assert carried == [first, second]
+    assert built.cache_info().misses == 1
+    assert _block_form(first).s.algebra is _block_form(second).s.algebra
 
 
 def test_no_cyclotomic_arithmetic_on_rational_files(monkeypatch):

@@ -376,7 +376,7 @@ class TestKernelAgainstReference:
         (6 of its 16 leg pairs carry structure constants), and a sparse tensor there."""
         h = builtin("group_z4").structure
         f = parse_twist(json.dumps(group_twist(4, Random(0))), h)
-        alg, down, _ = blocks._change(h.algebra, blocks.block_basis(4))
+        alg, down = blocks._block_algebra(blocks.block_basis(4), h.algebra.field)
         phi = down.map_tensor(twist_structure(h, f, verify=False).phi)
         sparse = TensorElement(alg, 3, {(0, 2, 3): Fraction(1, 3), (2, 3, 3): -2, (3, 1, 0): 5})
         assert len(phi.entries) > 20

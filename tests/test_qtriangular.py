@@ -14,8 +14,8 @@ from qhakit.qtriangular import (altschuler_coste_operator, canonical_r_elements,
                                 compute_u, opposite_by_r_vs_cop, r_tilde)
 from qhakit.randgen import random_twist
 from qhakit.errors import ConsistencyError, StructureError
-from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _opposite, opposite_structure,
-                               verify_quasi_antipode, verify_rmatrix)
+from qhakit.structures import (QuasiAntipode, QuasiBialgebra, Transported, _opposite,
+                               opposite_structure, verify_quasi_antipode, verify_rmatrix)
 from qhakit.twists import Twist, is_compatible, twisted_antipode
 
 from conftest import (QT_NAMES, assert_verified, counting_memo, drinfeld_data, entry, hopf,
@@ -166,11 +166,23 @@ class TestOppositeOnce:
         e = builtin("semion")
         s = e.structure
         stores = counting_memo(s)
-        draw = suites._Draw(s, lambda x: x, lambda x: x)
+        draw = Transported(s, s, None, None)
         assert suites.suite_axioms(e, draw, seed=0, trials=0).ok
         assert suites.suite_qtriangular(e, draw, seed=0, trials=0).ok
         assert check_opposite_qdqybe(constant_family(s, Twist.identity(s)), s, "transpose", 0)
         assert stores_of(stores, _opposite) == {(): 1}
+
+    @pytest.mark.parametrize("name", ("semion", "sweedler_h4", "z2_triangular"))
+    def test_one_verified_opposite_per_bundle(self, name, monkeypatch):
+        """P1 and P1'-E14 share one verified H^cop; P4 verifies its own, without R:
+        all five suites build ``opposite_structure`` twice."""
+        built = []
+        real = structures._opposite
+        monkeypatch.setattr(structures, "_opposite", lambda h: built.append(h) or real(h))
+        reports = suites.run_suites(builtin(name), "all", seed=0, trials=1)
+        assert all(r.ok for r in reports)
+        assert len(built) == 2
+        assert built[0].r is not None and built[1].r is None
 
     @pytest.mark.parametrize("name", ("semion", "sweedler_h4"))
     def test_u_origin_verifies_no_bundle(self, name, monkeypatch):
