@@ -11,9 +11,10 @@ work in this basis: for Z/4, 6 of the 16 leg pairs carry structure
 constants, for Z/6, 10 of 36.
 
 ``transport`` carries a bundle into the basis of ``block_basis``, on the
-block algebra that ``_block_algebra`` builds once per order and field,
-and verifies the result in full; ``structures._block_form`` keeps it in
-the bundle's memo.  The rule, stated here once: a bundle on the
+block algebra that ``_block_algebra`` builds once per order and field (each
+product in Q[Z/n] of two columns of P, mapped by P^{-1}, through the tensor
+kernel), and verifies the result in full; ``structures._block_form`` keeps
+it in the bundle's memo.  The rule, stated here once: a bundle on the
 ``group_z<n>`` table with a nontrivial coassociator is verified in the
 block basis wherever it is verified (``QuasiBialgebra``'s constructor
 asks ``structures._block_form``), and its suites and ``compute`` run
@@ -45,6 +46,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from .catalog import _group_algebra
 from .errors import StructureError
 from .scalars import _zeta_powers, totient
 from .structures import QuasiAntipode, QuasiBialgebra, Transported
@@ -102,22 +104,18 @@ def _block_algebra(basis: BlockBasis, field):
     """(algebra, down): the table of Q[Z/n] rebuilt on ``basis`` over ``field``, and the
     map from group coordinates to block coordinates, built once per basis and field.
 
+    c_{ab} is P^{-1} of the product in Q[Z/n] of columns a and b of P.
     Raises StructureError unless P^{-1} P = 1 exactly.
     """
-    p, p_inv = basis.matrix, basis.inverse
-    n = len(p)
-    if any(sum(p_inv[a][k] * p[k][b] for k in range(n)) != (a == b)
-           for a in range(n) for b in range(n)):
+    group = _group_algebra(len(basis.matrix), field)
+    up = LinearMap.from_matrix(group, basis.matrix)
+    down = LinearMap.from_matrix(group, basis.inverse)
+    if down.compose(up) != LinearMap.identity(group):
         raise StructureError("block basis: P^{-1} P is not the identity")
-
-    def coords(z):  # P^{-1} z
-        return [sum(c * v for c, v in zip(row, z)) for row in p_inv]
-
-    vectors = list(zip(*p))
-    mult = {(a, b): coords([sum(x[i] * y[(k - i) % n] for i in range(n)) for k in range(n)])
-            for a, x in enumerate(vectors) for b, y in enumerate(vectors)}
-    alg = Algebra(field, n, mult, unit=coords([1] + [0] * (n - 1)), basis=basis.names)
-    return alg, LinearMap.from_matrix(alg, p_inv)
+    mult = {(a, b): down(x * y).coeffs
+            for a, x in enumerate(up.columns) for b, y in enumerate(up.columns)}
+    alg = Algebra(field, group.dim, mult, unit=down(group.unit_element).coeffs, basis=basis.names)
+    return alg, LinearMap.from_matrix(alg, basis.inverse)
 
 
 def transport(s, basis: BlockBasis) -> Transported:
@@ -126,8 +124,8 @@ def transport(s, basis: BlockBasis) -> Transported:
     The basis must invert exactly (P^{-1} P = 1); the coproduct, counit,
     coassociator and its inverse, the antipode and its inverse, alpha,
     beta, and R and its inverse are carried over, and ``up`` maps back onto
-    ``s``'s own algebra.  Raises StructureError if the basis does not
-    invert or the carried bundle fails a verifier.
+    ``s``'s own algebra (``original`` is None).  Raises StructureError if
+    the basis does not invert or the carried bundle fails a verifier.
     """
     alg, down = _block_algebra(basis, s.algebra.field)
     up = LinearMap.from_matrix(s.algebra, basis.matrix)
@@ -147,7 +145,7 @@ def transport(s, basis: BlockBasis) -> Transported:
                          LinearMap.scalar_map(alg, [s.counit(v) for v in vectors]),
                          carried(s.phi), carried(s.phi_inv), anti,
                          carried(s.r), carried(s.r_inv))
-    return Transported(s, out, down, up)
+    return Transported(None, out, down, up)
 
 
 def _selected(alg):

@@ -23,7 +23,7 @@ from .tensor import Algebra, LinearMap, tensor_of
 _GROUP_RE = re.compile(r"group_z(0|[1-9][0-9]*)")
 
 # the cap the file format puts on cyclotomic orders; the n x n multiplication
-# table of group_z<n> takes 40 s to build and verify at n = 128
+# table of group_z<n> takes about 7 s to build and verify at n = 128
 MAX_GROUP_ORDER = 256
 
 

@@ -214,7 +214,8 @@ class Transported(namedtuple("Transported", "original s down up")):
     """The basis a run uses: ``s``, with the maps from ``original``'s basis (``down``)
     and back (``up``); in ``original``'s own basis both are None and return their
     argument.  Draws are made on ``original`` with its RNG calls and carried over,
-    so a seed draws the same twists in either basis.
+    so a seed draws the same twists in either basis.  In a bundle's memo
+    (``_block_form``) ``original`` is None, not the bundle: ``suites.setting`` sets it.
     """
 
     __slots__ = ()

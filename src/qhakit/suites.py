@@ -145,10 +145,10 @@ def suite_qtriangular(entry: CatalogEntry, draw: Transported, seed, trials) -> R
         rep.check("skip", lambda: True)
         return rep
     from .drinfeld import compute_drinfeld_data, drinfeld_under_twist
-    from .qtriangular import (altschuler_coste_operator, canonical_r_elements,
-                              check_ssr_identity, check_u_universality, compute_u,
-                              opposite_by_r_vs_cop, r_tilde)
-    from .twists import Twist, is_compatible, quadratic_invariants, twist_structure
+    from .qtriangular import (_canonical, _r_twisted, altschuler_coste_operator,
+                              canonical_r_elements, check_ssr_identity, check_u_universality,
+                              compute_u, opposite_by_r_vs_cop, r_tilde)
+    from .twists import Twist, is_compatible, quadratic_invariants
     rng = _rng(seed, "qtriangular", entry.name)
 
     rep.check("P6+E17", lambda: canonical_r_elements(s, "r"))
@@ -189,9 +189,8 @@ def suite_qtriangular(entry: CatalogEntry, draw: Transported, seed, trials) -> R
 
     rep.check("E42", lambda: check_qqybe(s), "quasi-QYBE fails")
 
-    def fdr():
-        r_twist = Twist(s.r, s.counit, s.r_inv, check=False)
-        tw = drinfeld_under_twist(s, r_twist, twist_structure(s.without_r(), r_twist, verify=False))
+    def fdr():   # the R-twist and its bundle, as P6+E17 built and verified them
+        tw = drinfeld_under_twist(s, _canonical(s, "r")[0], _r_twisted(s, "r"))
         return tw.f, compute_drinfeld_data(s).f_delta.f.transpose() * s.r_inv.transpose() * s.r_inv
     rep.add_equal("FdR", fdr)
 
@@ -291,4 +290,4 @@ def setting(entry: CatalogEntry):
     carried = None if entry.dynamical is not None else _block_form(s)
     if carried is None:
         return entry, Transported(s, s, None, None)
-    return entry._replace(structure=carried.s), carried
+    return entry._replace(structure=carried.s), carried._replace(original=s)

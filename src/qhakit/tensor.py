@@ -17,19 +17,20 @@ structural.  The algebra holds its structure constants in the same form.
 
 Every operation runs on numerators and reduces its result once, with one
 gcd over the table.  Every product through the structure constants (the
-legwise product, the product in H and ``left_matrix``, all of whose columns
-are one walk) runs in one kernel, ``_walk``: both operands are indexed as
-tries over their legs, each left prefix walks the right trie once, the
-numerators join at the last leg, and leg pairs with no structure constants
-are skipped whole.  ``contract`` and the tensor
-units expand outer products through ``_expand``, and a linear map applied
-to an element or a leg accumulates over one denominator in ``on_leg``.
-``_walk``, ``_expand`` and ``on_leg`` are the only weighted sums; other
-modules (the closed forms of ``qhakit.drinfeld``) build theirs from them
-through products, ``contract`` and ``on_leg``.  Field values appear only
-at the boundary: the public constructors clear them (``Field.clear``) and
-``entries``/``coeffs`` restore them (``Field.restore``) on each access,
-for files, reports, witnesses and ``repr``.
+legwise product, the product in H, ``left_matrix``, all of whose columns
+are one walk, and the associativity check of an algebra's table) runs in
+one kernel, ``_walk``: both operands are indexed as tries over their legs,
+each left prefix walks the right trie once, the numerators join at the
+last leg, and leg pairs with no structure constants are skipped whole.
+``contract`` and the tensor units expand outer products through
+``_expand``, and a linear map applied to an element or a leg accumulates
+over one denominator in ``on_leg``.  ``_walk``, ``_expand`` and ``on_leg``
+are the only weighted sums; other modules (the closed forms of
+``qhakit.drinfeld``, the block table of ``qhakit.blocks``) build theirs
+from them through products, ``contract`` and ``on_leg``.  Field values
+appear only at the boundary: the public constructors clear them
+(``Field.clear``) and ``entries``/``coeffs`` restore them
+(``Field.restore``) on each access, for files, reports, witnesses and ``repr``.
 
 The support join is what makes a change of basis pay: in the rational
 block basis of a cyclic group algebra (:mod:`qhakit.blocks`, eps_d g^j
@@ -213,13 +214,12 @@ class Algebra:
             e = self.basis_element(i)
             if one * e != e or e * one != e:
                 raise AlgebraError(f"unit law fails on basis element {self.basis_names[i]}")
+        # (e_i e_j) e_k and e_i (e_j e_k) as numerators over the denominator squared
+        nums, b = self._numerators, [{(k,): 1} for k in range(self.dim)]
         for i in range(self.dim):
             for j in range(self.dim):
-                ij = self.basis_element(i) * self.basis_element(j)
                 for k in range(self.dim):
-                    left = ij * self.basis_element(k)
-                    right = self.basis_element(i) * (self.basis_element(j) * self.basis_element(k))
-                    if left != right:
+                    if _walk(nums, 1, nums[i][j], b[k]) != _walk(nums, 1, b[i], nums[j][k]):
                         raise AlgebraError(
                             "associativity fails on basis triple "
                             f"({self.basis_names[i]}, {self.basis_names[j]}, {self.basis_names[k]})")

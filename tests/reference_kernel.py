@@ -24,6 +24,12 @@ before it moved to int vectors over one denominator: polynomials with
 ``Fraction`` coefficients (ascending), reduced modulo the cyclotomic
 polynomial by long division, and inverted by the extended Euclidean
 algorithm.  They share no code with ``qhakit.scalars``.
+
+The two table builders are kept as they ran before they moved onto the
+numerator tables: ``algebra_check`` is the unit and associativity check
+of ``Algebra._check`` by products of basis elements, and ``block_algebra``
+is ``blocks._block_algebra`` by a ``Fraction`` convolution in group
+coordinates.
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from qhakit.errors import SingularError
+from qhakit.errors import AlgebraError, SingularError, StructureError
 from qhakit.scalars import _Integral
-from qhakit.tensor import AlgElement, LinearMap, TensorElement
+from qhakit.tensor import AlgElement, Algebra, LinearMap, TensorElement
 
 
 def _trim(poly):
@@ -429,3 +435,42 @@ def bareiss_invert_matrix(field, matrix):
     n = len(matrix)
     units = [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
     return [list(row) for row in zip(*bareiss_solve_columns(field, matrix, units))]
+
+
+def algebra_check(alg):
+    """Raise AlgebraError unless ``alg`` satisfies the unit laws and associativity,
+    read off products of basis elements."""
+    one = alg.unit_element
+    for i in range(alg.dim):
+        e = alg.basis_element(i)
+        if one * e != e or e * one != e:
+            raise AlgebraError(f"unit law fails on basis element {alg.basis_names[i]}")
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ij = alg.basis_element(i) * alg.basis_element(j)
+            for k in range(alg.dim):
+                left = ij * alg.basis_element(k)
+                right = alg.basis_element(i) * (alg.basis_element(j) * alg.basis_element(k))
+                if left != right:
+                    raise AlgebraError(
+                        "associativity fails on basis triple "
+                        f"({alg.basis_names[i]}, {alg.basis_names[j]}, {alg.basis_names[k]})")
+
+
+def block_algebra(basis, field):
+    """(algebra, down) of ``blocks._block_algebra``: each product of two basis vectors
+    convolved in Q[Z/n] and mapped by P^{-1}, entry by entry."""
+    p, p_inv = basis.matrix, basis.inverse
+    n = len(p)
+    if any(sum(p_inv[a][k] * p[k][b] for k in range(n)) != (a == b)
+           for a in range(n) for b in range(n)):
+        raise StructureError("block basis: P^{-1} P is not the identity")
+
+    def coords(z):  # P^{-1} z
+        return [sum(c * v for c, v in zip(row, z)) for row in p_inv]
+
+    vectors = list(zip(*p))
+    mult = {(a, b): coords([sum(x[i] * y[(k - i) % n] for i in range(n)) for k in range(n)])
+            for a, x in enumerate(vectors) for b, y in enumerate(vectors)}
+    alg = Algebra(field, n, mult, unit=coords([1] + [0] * (n - 1)), basis=basis.names)
+    return alg, LinearMap.from_matrix(alg, p_inv)

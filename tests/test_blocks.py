@@ -9,8 +9,10 @@ made by making the rules pick nothing (``blocks._selected``).
 """
 
 import functools
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -289,6 +291,24 @@ def test_one_block_algebra_per_load(monkeypatch):
     assert carried == [first, second]
     assert built.cache_info().misses == 1
     assert _block_form(first).s.algebra is _block_form(second).s.algebra
+
+
+def test_a_carried_bundle_is_freed_at_its_last_reference():
+    """The carried form in a bundle's memo holds no reference back to the bundle, so
+    the bundle dies at ``del`` without the cyclic collector, as does the run's
+    ``Transported``, which ``suites.setting`` hands the bundle."""
+    text = serialize_structure(_twisted_file(4))
+    gc.disable()
+    try:
+        entry = parse_structure(text)
+        assert _block_form(entry.structure) is not None
+        chosen, draw = suites.setting(entry)
+        assert draw.original is entry.structure
+        ref = weakref.ref(entry.structure)
+        del entry, chosen, draw
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_no_cyclotomic_arithmetic_on_rational_files(monkeypatch):

@@ -17,13 +17,18 @@ matrices, whose zero structure constants the kernel's per-leg support join
 prunes (down to frontiers emptied above the last leg). Arity-3/4 operands
 whose entries share prefixes, arity-3 left matrices in the Z/4 block basis,
 and the grouped Drinfeld sum against the four-leg expansion it replaced
-(``reference_kernel.paired``) cover the two-sided walk. Cyclotomic values
+(``reference_kernel.paired``) cover the two-sided walk. The law check of
+``Algebra`` and the block table of ``blocks._block_algebra`` are checked
+against the element-product check and the ``Fraction`` convolution they
+replaced, on the catalog's tables, the block tables and tables with one
+structure constant changed. Cyclotomic values
 mix constants, which clear to int numerators, with general values, which
 clear to Z[zeta_n] vectors. The stored form itself (numerators over one
 denominator, content-reduced) is checked to be canonical on every result,
 and equal under equality and hashing whichever route reached a value.
 """
 
+import itertools
 import json
 import math
 import sys
@@ -38,7 +43,7 @@ import reference_kernel as ref
 from qhakit import blocks, linalg, tensor
 from qhakit.catalog import builtin
 from qhakit.drinfeld import _paired
-from qhakit.errors import SingularError
+from qhakit.errors import AlgebraError, SingularError, StructureError
 from qhakit.scalars import RATIONAL, _Integral, cyclotomic_field, totient
 from qhakit.serial import parse_twist
 from qhakit.tensor import Algebra, LinearMap, TensorElement, contract, tensor_of
@@ -702,3 +707,78 @@ class TestUnluckyPrimes:
         b = [Fraction(1)] * 4
         assert agree(RATIONAL, m, [b]) == ("SingularError", "singular matrix (no pivot in column 3)")
         assert tried == [3, 2 ** 61 - 1]
+
+
+# -- the table builders ---------------------------------------------------------
+
+CHECK = Algebra._check
+
+
+def law_verdict(check, alg):
+    """None if ``check`` passes ``alg``, else the text of the AlgebraError it raised."""
+    try:
+        check(alg)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def perturbed_tables(alg):
+    """The table of ``alg`` with one structure constant c_ij^k raised by 1, for each i, j, k."""
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        mult = {key: dict(col) for key, col in alg._mult.items()}
+        col = mult.setdefault((i, j), {})
+        col[k] = col.get(k, alg.field.zero) + 1
+        yield mult
+
+
+class TestTableBuildersAgainstReference:
+    @pytest.mark.parametrize("name", ["trivial", "group_z2", "group_z3", "group_z6",
+                                      "z2_triangular", "sweedler_h4", "semion"])
+    def test_law_check_passes_the_catalog_tables(self, name):
+        alg = builtin(name).structure.algebra
+        assert law_verdict(CHECK, alg) is None
+        assert law_verdict(ref.algebra_check, alg) is None
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_law_check_passes_the_block_tables(self, n):
+        alg, _ = blocks._block_algebra(blocks.block_basis(n), RATIONAL)
+        assert law_verdict(CHECK, alg) is None
+        assert law_verdict(ref.algebra_check, alg) is None
+
+    def test_law_check_on_changed_tables(self, monkeypatch):
+        """Every one-constant change of five small tables: the same verdict and text,
+        unit-law and associativity failures among them."""
+        verdicts = set()
+        for alg in (z2_half(RATIONAL), z3(RATIONAL), M2[RATIONAL], z3_scaled(Q3, Q3.zeta),
+                    blocks._block_algebra(blocks.block_basis(4), RATIONAL)[0]):
+            for mult in perturbed_tables(alg):
+                with monkeypatch.context() as m:
+                    m.setattr(Algebra, "_check", lambda self: None)
+                    changed = Algebra(alg.field, alg.dim, mult, alg.unit, alg.basis_names)
+                verdict = law_verdict(CHECK, changed)
+                assert verdict == law_verdict(ref.algebra_check, changed)
+                verdicts.add(verdict.split(" on ")[0] if verdict else None)
+        assert verdicts == {None, "unit law fails", "associativity fails"}
+
+    @pytest.mark.parametrize("field", [RATIONAL, Q4], ids=["Q", "Q4"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_block_algebra_against_the_convolution(self, n, field):
+        basis = blocks.block_basis(n)
+        alg, down = blocks._block_algebra(basis, field)
+        ref_alg, ref_down = ref.block_algebra(basis, field)
+        assert alg._mult == ref_alg._mult
+        assert alg.unit == ref_alg.unit
+        assert alg.basis_names == ref_alg.basis_names
+        assert down.algebra is alg
+        assert [c.entries for c in down.columns] == [c.entries for c in ref_down.columns]
+
+    def test_a_changed_basis_is_refused_with_the_same_text(self):
+        basis = blocks.block_basis(4)
+        matrix = [list(row) for row in basis.matrix]
+        matrix[2][1] += Fraction(1, 7)
+        changed = basis._replace(matrix=tuple(map(tuple, matrix)))
+        for build in (blocks._block_algebra, ref.block_algebra):
+            with pytest.raises(StructureError) as err:
+                build(changed, RATIONAL)
+            assert str(err.value) == "block basis: P^{-1} P is not the identity"
