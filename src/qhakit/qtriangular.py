@@ -2,11 +2,11 @@
 antipode operators u and u~, their twist invariance, and the compatible
 twist built from them.
 
-u is computed exactly as it arises structurally: the v of
-:mod:`qhakit.antipode`, by the same routine, computed on H^cop (the
-unverified bundle in the memo).  It connects H^cop's own triple (S^{-1},
-S^{-1}(alpha), S^{-1}(beta)) to the one that twisting by the R-matrix
-induces, (S, alpha_R, beta_R).  u~ is the same with (R^T)^{-1} for R.
+Twisting H by R lands on H^cop: :func:`canonical_r_elements` proves that once
+per R choice, and no R-twisted bundle is verified on its own.  u is the v of
+:mod:`qhakit.antipode` computed on H^cop (the unverified bundle in the memo),
+connecting H^cop's own triple (S^{-1}, S^{-1}(alpha), S^{-1}(beta)) to the one
+twisting by R induces, (S, alpha_R, beta_R).  u~ is the same with (R^T)^{-1}.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .report import Report
 from .structures import (QuasiBialgebra, _connecting_element, _memoized, _opposite, _require,
-                         _require_equal, _require_scan, primed_structure,
+                         _require_equal, _require_scan, opposite_structure, primed_structure,
                          verify_quasi_antipode)
 from .tensor import TensorElement, contract, tensor_of
 from .twists import Twist, is_compatible, twist_structure, twisted_antipode
@@ -52,28 +52,29 @@ def _canonical(t: QuasiBialgebra, which: str):
 
 @_memoized
 def _r_twisted(t: QuasiBialgebra, which: str) -> QuasiBialgebra:
-    """The bundle twisted by the R-twist of ``which``, verified in full.
-
-    A failed verification raises and caches nothing, so it raises again
-    on the next call.
-    """
-    return twist_structure(t.without_r(), _canonical(t, which)[0], verify=True)
+    """The bundle twisted by the R-twist of ``which``, unverified: :func:`canonical_r_elements`
+    proves that it lands on H^cop."""
+    return twist_structure(t.without_r(), _canonical(t, which)[0], verify=False)
 
 
+@_memoized
 def canonical_r_elements(t: QuasiBialgebra, which: str = "r"):
-    """(alpha_R, beta_R) for R or for (R^T)^{-1}.
+    """(alpha_R, beta_R) for R or for (R^T)^{-1}: the one proof that twisting lands on H^cop.
 
-    Asserts that twisting by the chosen R-matrix lands on the coproduct
-    and coassociator of H^cop with these canonical elements and the
-    unchanged antipode, and that the resulting structure passes the full
-    verifier battery.
+    Asserts that the R-twisted coproduct, coassociator and its inverse are
+    H^cop's, that H^cop passes the verifier battery (:func:`opposite_structure`,
+    shared with P1'-E14) and that (S, alpha_R, beta_R) is a quasi-antipode of it:
+    all that the verifiers read of the R-twisted bundle.  A failure caches nothing.
     """
-    twisted, cop = _r_twisted(t, which), _opposite(t)
+    twisted, cop, anti = _r_twisted(t, which), _opposite(t), _canonical(t, which)[1]
     _require_equal(twisted.coproduct, cop.coproduct,
                    "twisting by the R-matrix does not reverse the coproduct")
-    _require_equal(twisted.phi, cop.phi,
-                   "twisting by the R-matrix does not reverse the coassociator")
-    return twisted.alpha, twisted.beta
+    reverse = "twisting by the R-matrix does not reverse the coassociator"
+    _require_equal(twisted.phi, cop.phi, reverse)
+    _require_equal(twisted.phi_inv, cop.phi_inv, reverse)
+    opposite_structure(t)
+    _require(verify_quasi_antipode(cop, anti), "alternative quasi-antipode fails")
+    return anti.alpha, anti.beta
 
 
 @_memoized
@@ -170,16 +171,15 @@ def altschuler_coste_operator(t: QuasiBialgebra) -> TensorElement:
 def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
     """u as the connecting operator of H^cop's two triples, against its leg-order form.
 
-    The R-twist's triple (S, alpha_R, beta_R) is verified as a quasi-antipode
-    of H^cop, read from the memo, so a wrong R triple raises StructureError.
+    alpha_R is read from :func:`canonical_r_elements`, which verifies its triple
+    as a quasi-antipode of H^cop, so a wrong R triple raises StructureError.
     ``u-as-v`` compares the memoized u (:func:`_u_operators`) with its own
     second closed form, which the connecting routine already compared with
     the first, read in leg order on Phi: it tests ``perm`` and ``contract``,
     not a second derivation of u.
     """
     rep = Report("u-origin")
-    s, anti = t.s, _canonical(t, "r")[1]
-    u = contract(t.phi, [(3, s.compose(s)), s(t.beta), (2, s), anti.alpha, (1, None)])
-    _require(verify_quasi_antipode(_opposite(t), anti), "alternative quasi-antipode fails")
+    s, (alpha_r, _) = t.s, canonical_r_elements(t, "r")
+    u = contract(t.phi, [(3, s.compose(s)), s(t.beta), (2, s), alpha_r, (1, None)])
     rep.check("u-as-v", lambda: _u_operators(t).u == u, "connecting operator differs from u")
     return rep

@@ -33,8 +33,8 @@ class Report:
 
         A ``False`` result fails the check with ``witness``, called first (so only on
         failure) if it is callable; a QhaError fails it with the error's text and
-        returns None; any other result passes.  Every predicate recorded here returns
-        a real bool, so no other falsy value can pass a check."""
+        returns None; any other result passes, None and built objects too: the
+        ``_require_scan`` thunks return None.  ROADMAP item 6 plans a pass on True only."""
         try:
             result = fn()
         except QhaError as exc:

@@ -15,9 +15,9 @@ memo is ever copied to another bundle, so a check that recomputes a value
 on a derived or twisted bundle really recomputes it.  A bundle stores no
 verified flag; whether it satisfies its axioms is what the verifiers report.
 H^cop is written out once, by :func:`_opposite`, and Drinfeld's u is the
-connecting element computed over it.  No memoized function runs on an
-unverified memo bundle itself: a check that needs such a bundle's own
-derived data verifies a new copy, whose memo starts empty.
+connecting element over it.  No memoized function runs on an unverified memo
+bundle itself (but an R-twist proved to land on H^cop, :mod:`qhakit.qtriangular`):
+a check that needs such a bundle's derived data verifies a new copy.
 
 The constructor is the one place that chooses the rational block basis
 of :mod:`qhakit.blocks` (whose docstring states the rule): where that
@@ -53,19 +53,27 @@ __all__ = [
 
 
 def _memoized(fn):
-    """Cache ``fn(h, *args)`` in the memo of the bundle ``h``, keyed by ``(fn, *args)``.
+    """Cache ``fn(h, *args)`` in the memo of the bundle ``h``, keyed by ``(fn, *args)``
+    with keywords and defaults bound to their positions: ``f(h)``, ``f(h, "r")`` and
+    ``f(h, which="r")`` share one entry.
 
     Only data computed from ``h`` alone belongs here: nothing keyed by a
     twist and no tensor product of two bundles.  H^cop and the primed and zero
-    structures live here, unverified, and H^cop once more as a new verified
-    bundle (:func:`opposite_structure`), so the checks of one run that verify
-    it share one verification; twisted bundles do not.
+    structures live here, unverified, and H^cop and the primed structure once more
+    as new verified bundles (:func:`opposite_structure`, :func:`primed_structure`),
+    so the checks of one run that verify one share one verification.
     """
+    names = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
+
     @functools.wraps(fn)
-    def wrapper(h, *args):
-        key = (fn, *args)
+    def wrapper(h, *args, **kwargs):
+        rest, bound = names[len(args):], {**defaults, **kwargs}
+        if not kwargs.keys() <= set(rest) <= bound.keys():
+            return fn(h, *args, **kwargs)  # a call that does not bind: Python's TypeError
+        key = (fn, *args, *(bound[n] for n in rest))
         if key not in h._memo:
-            h._memo[key] = fn(h, *args)
+            h._memo[key] = fn(h, *key[1:])
         return h._memo[key]
 
     return wrapper
@@ -442,8 +450,9 @@ def opposite_structure(h):
     return _verified(_opposite(h))
 
 
+@_memoized
 def primed_structure(h):
-    """The structure carried by the coproduct a -> (S (x) S) Delta^T(S^{-1}(a))."""
+    """The structure carried by a -> (S (x) S) Delta^T(S^{-1}(a)), verified once per bundle."""
     return _verified(_mapped_structure(h, True))
 
 

@@ -7,8 +7,7 @@ check goes through :meth:`Report.check` and computes inside it every value
 it reads, a value two checks share by a ``functools.cache`` thunk, so a
 kernel error fails each check that needs the value and no other.  Only the
 draws, the bundle without its R-matrix, the family that ``_dynamical_r_checks``
-is handed and the leg-order u and triple check of ``opposite_by_r_vs_cop`` come
-first.
+is handed and the leg-order u of ``opposite_by_r_vs_cop`` come first.
 
 A suite runs once, in the rational block basis where the rule stated in
 :mod:`qhakit.blocks` applies (``setting``).  Its random twists and
@@ -189,7 +188,7 @@ def suite_qtriangular(entry: CatalogEntry, draw: Transported, seed, trials) -> R
 
     rep.check("E42", lambda: check_qqybe(s), "quasi-QYBE fails")
 
-    def fdr():   # the R-twist and its bundle, as P6+E17 built and verified them
+    def fdr():   # the R-twist and its bundle, which P6+E17 proved to land on H^cop
         tw = drinfeld_under_twist(s, _canonical(s, "r")[0], _r_twisted(s, "r"))
         return tw.f, compute_drinfeld_data(s).f_delta.f.transpose() * s.r_inv.transpose() * s.r_inv
     rep.add_equal("FdR", fdr)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import collections
+import importlib
+import pkgutil
 
 import pytest
 
+import qhakit
+from qhakit import structures
 from qhakit.catalog import builtin
 from qhakit.drinfeld import compute_drinfeld_data
 from qhakit.structures import verify_qba, verify_quasi_antipode, verify_rmatrix
@@ -52,6 +56,27 @@ def counting_memo(s):
 def stores_of(stores, fn):
     """{args: times computed} for the memoized function ``fn``."""
     return {key[1:]: n for key, n in stores.items() if key[0] is fn.__wrapped__}
+
+
+VERIFIERS = ("verify_qba", "verify_quasi_antipode", "verify_rmatrix")
+
+
+def counting_verifiers(monkeypatch):
+    """Count the runs of each verifier: {name: runs}.  Every qhakit module is imported
+    first, so each binding of a verifier is wrapped, and undone, here."""
+    counts = collections.Counter()
+    modules = [importlib.import_module(f"qhakit.{m.name}")
+               for m in pkgutil.iter_modules(qhakit.__path__)]
+    for name in VERIFIERS:
+        real = getattr(structures, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        for module in modules:
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 def assert_verified(s):

@@ -17,16 +17,18 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit import blocks, cli, drinfeld, qtriangular, suites
+from qhakit import blocks, cli, drinfeld, qtriangular, structures, suites
 from qhakit.catalog import builtin
 from qhakit.dynamical import constant_family
 from qhakit.errors import ConsistencyError, StructureError
 from qhakit.randgen import random_twist
 from qhakit.scalars import RATIONAL, Cyclo
 from qhakit.serial import parse_structure, serialize_structure
-from qhakit.structures import _block_form
+from qhakit.structures import _block_form, opposite_structure
 from qhakit.tensor import tensor_of
 from qhakit.twists import Twist, twist_structure
+
+from conftest import VERIFIERS, counting_memo, counting_verifiers, stores_of
 
 
 def _dense_twist(h):
@@ -329,9 +331,14 @@ def test_no_cyclotomic_arithmetic_on_rational_files(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["semion", "sweedler_h4"])
-def test_r_twist_is_verified_once_per_matrix(monkeypatch, name):
-    """P6+E17 and compute_u share the verified twist by R: 2 verifications, not 3."""
+@pytest.mark.parametrize("name", ["semion", "sweedler_h4", "z2_triangular"])
+def test_no_r_twisted_bundle_is_verified(monkeypatch, name):
+    """P6+E17 and compute_u prove that both R-twists land on H^cop, whose battery they
+    share with P1'-E14: a qtriangular job verifies no R-twisted bundle and stores one
+    verified H^cop.  After load it runs verify_qba twice (H^cop, the primed structure)
+    and verify_quasi_antipode four times (those two, the triples of R and (R^T)^{-1})."""
+    e = builtin(name)
+    stores = counting_memo(suites.setting(e)[0].structure)
     verified = []
     original = qtriangular.twist_structure
 
@@ -340,6 +347,25 @@ def test_r_twist_is_verified_once_per_matrix(monkeypatch, name):
             verified.append(f)
         return original(h, f, verify=verify)
     monkeypatch.setattr(qtriangular, "twist_structure", counting)
-    (report,) = suites.run_suites(builtin(name), "qtriangular", seed=0, trials=1)
+    counts = counting_verifiers(monkeypatch)
+    (report,) = suites.run_suites(e, "qtriangular", seed=0, trials=1)
     assert report.ok
-    assert len(verified) == 2
+    assert verified == []
+    assert stores_of(stores, opposite_structure) == {(): 1}
+    assert [counts[v] for v in VERIFIERS] == [2, 4, 3]
+
+
+@pytest.mark.parametrize("name", ["semion", "sweedler_h4", "z2_triangular"])
+def test_an_all_run_verifies_the_primed_structure_once(monkeypatch, name):
+    """P2 and P5 share one verified primed structure: after load, the five suites run
+    verify_qba, verify_quasi_antipode and verify_rmatrix 15, 22 and 15 times."""
+    e = builtin(name)
+    built = []
+    real = structures._verified
+    monkeypatch.setattr(structures, "_verified", lambda b: built.append(b) or real(b))
+    counts = counting_verifiers(monkeypatch)
+    reports = suites.run_suites(e, "all", seed=0)
+    assert all(r.ok for r in reports)
+    primed = structures._mapped_structure(suites.setting(e)[0].structure, True)
+    assert sum(b is primed for b in built) == 1
+    assert [counts[v] for v in VERIFIERS] == [15, 22, 15]

@@ -314,7 +314,7 @@ GOLDEN_FAILURES = {
     'perturbed_r/axioms': '2a2565e9d638ff099450a4b1b8232d3e0265959680f8963ff6f748f757e97d6d',
     'perturbed_r/drinfeld': 'd8b107af8371db1529e2ac8bd9aba55ca412f200f9f8726e54fa4c92773aca6c',
     'perturbed_r/dynamical': '45addcb767786208a229a0c40326b3a6d96e20e5e0b1c922c5bbfe69cdd1c5e5',
-    'perturbed_r/qtriangular': '7bcf36f4c5bdf9a83e0111fb0f09a44f8a8d722e015c06e911859f35dd438a0f',
+    'perturbed_r/qtriangular': 'dc277057214d5d8620a2fb83492731fd156b61220b941e34c7d6635bcf170945',
     'perturbed_r/twist': '1b2826c01bc996b722dfa8251c36c61d5f6db1a7125d197bd67e5149ebd7a203',
     'perturbed_r/verify_rmatrix': '419381c86e14073d1c4cb7b796fe10be9f229874890a84d82d990b1afbc1cd97',
     'serialize/z2_triangular': '3b12712a9d87b4251c229dd405983cbfd4fbac1bd227475453c8028600468e46',

@@ -161,8 +161,8 @@ class TestUEvaluatedOnce:
 
 class TestOppositeOnce:
     def test_opposite_computed_once_per_bundle(self):
-        """P1, P1', u and u~ with both R-twist landing checks, the u-origin triple check
-        and the transposed opposite dynamical QYBE read one H^cop from the memo."""
+        """P1, P1', u and u~ with both R-twist landing proofs (their triple checks among
+        them) and the transposed opposite dynamical QYBE read one H^cop from the memo."""
         e = builtin("semion")
         s = e.structure
         stores = counting_memo(s)
@@ -217,11 +217,16 @@ def _doubled_phi(b):
     return dict(phi=b.phi.scale(2), phi_inv=b.phi_inv.scale(2))
 
 
+def _doubled_phi_inv(b):
+    return dict(phi_inv=b.phi_inv.scale(2))
+
+
 @pytest.mark.parametrize("parts, name, text", [
     (_unswapped, "sweedler_h4", "twisting by the R-matrix does not reverse the coproduct"),
     (_doubled_phi, "sweedler_h4", "twisting by the R-matrix does not reverse the coassociator"),
     (_doubled_phi, "semion", "twisting by the R-matrix does not reverse the coassociator"),
-], ids=["coproduct", "phi-sweedler_h4", "phi-semion"])
+    (_doubled_phi_inv, "semion", "twisting by the R-matrix does not reverse the coassociator"),
+], ids=["coproduct", "phi-sweedler_h4", "phi-semion", "phi-inv-semion"])
 def test_an_r_twist_landing_mutant_fails_its_checks(monkeypatch, parts, name, text):
     """The R-twisted bundle moved off H^cop: ``canonical_r_elements`` raises the landing
     check's text, and the qtriangular suite fails P6+E17 and the u battery with it."""
@@ -232,6 +237,24 @@ def test_an_r_twist_landing_mutant_fails_its_checks(monkeypatch, parts, name, te
     (rep,) = suites.run_suites(builtin(name), "qtriangular", seed=0, trials=1)
     assert [(c.check_id, c.witness) for c in rep.failures()] == [
         ("P6+E17", text), ("E18+E19+E20+L1+L2", text)]
+
+
+def test_a_wrong_r_tilde_triple_fails_the_u_battery(monkeypatch):
+    """Mutant: alpha doubled only in the triple that twisting by (R^T)^{-1} induces, which u~
+    connects to.  ``canonical_r_elements`` verifies that triple as a quasi-antipode of
+    H^cop, so the u battery fails with that check's text and P6+E17, on R, passes."""
+    real = qtriangular._canonical
+
+    def mutant(t, which):
+        twist, anti = real(t, which)
+        if which == "r_tilde":
+            anti = QuasiAntipode(anti.s, 2 * anti.alpha, anti.beta, s_inv=anti.s_inv)
+        return twist, anti
+
+    monkeypatch.setattr(qtriangular, "_canonical", mutant)
+    (rep,) = suites.run_suites(builtin("sweedler_h4"), "qtriangular", seed=0, trials=1)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("E18+E19+E20+L1+L2", "alternative quasi-antipode fails: Sphi, Sphi-inv, eps-alpha-beta")]
 
 
 class TestUOrigin:

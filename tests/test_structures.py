@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qhakit import structures, suites
+from qhakit.catalog import builtin
 from qhakit.errors import ConsistencyError, SingularError, StructureError
 from qhakit.report import Report
 from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _require, _require_equal,
@@ -14,7 +15,7 @@ from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _require, _require
                                zero_structure)
 from qhakit.tensor import LinearMap, contract, tensor_of
 
-from conftest import ENTRY_NAMES, assert_verified, entry, hopf
+from conftest import ENTRY_NAMES, assert_verified, counting_memo, entry, hopf, stores_of
 
 
 class TestVerifiers:
@@ -328,6 +329,53 @@ class TestDerivedStructures:
         h = hopf("sweedler_h4")
         assert_verified(primed_structure(h))
         assert_verified(zero_structure(h))
+
+
+def _memo_probe():
+    """A memoized function of a bundle and two parameters, the second with a default,
+    and a bundle with an empty memo."""
+    @structures._memoized
+    def pick(h, a, b=2):
+        return object()
+
+    class Bundle:
+        _memo = {}
+    return pick, Bundle()
+
+
+class TestMemoized:
+    def test_keywords_and_defaults_share_the_positional_entry(self):
+        """A call binds by position, keyword or default to one memo key."""
+        pick, h = _memo_probe()
+        assert pick(h, 1) is pick(h, 1, 2) is pick(h, a=1) is pick(h, 1, b=2) is pick(h, b=2, a=1)
+        assert pick(h, 1, 3) is pick(h, 1, b=3) is not pick(h, 1)
+        assert sorted(key[1:] for key in h._memo) == [(1, 2), (1, 3)]
+
+    @pytest.mark.parametrize("args, kwargs, text", [
+        ((), {}, "missing 1 required positional argument: 'a'"),
+        ((1,), {"a": 1}, "got multiple values for argument 'a'"),
+        ((1,), {"c": 1}, "got an unexpected keyword argument 'c'"),
+        ((1, 2, 3), {}, "takes from 2 to 3 positional arguments but 4 were given"),
+    ], ids=["missing", "twice", "unknown", "too-many"])
+    def test_a_call_that_does_not_bind_raises_and_caches_nothing(self, args, kwargs, text):
+        pick, h = _memo_probe()
+        pick(h, 1)
+        with pytest.raises(TypeError, match=text):
+            pick(h, *args, **kwargs)
+        assert len(h._memo) == 1
+
+    def test_library_calls_by_keyword(self):
+        """``quadratic_invariants(s, m=1)`` and ``canonical_r_elements(s, which="r")``
+        read the entries of their positional and default calls."""
+        from qhakit.qtriangular import canonical_r_elements
+        from qhakit.twists import quadratic_invariants
+        s = builtin("sweedler_h4").structure  # a new bundle: its memo starts empty
+        stores = counting_memo(s)
+        assert quadratic_invariants(s, m=1) is quadratic_invariants(s, 1)
+        assert (canonical_r_elements(s) is canonical_r_elements(s, "r")
+                is canonical_r_elements(s, which="r"))
+        assert stores_of(stores, quadratic_invariants) == {(1,): 1}
+        assert stores_of(stores, canonical_r_elements) == {("r",): 1}
 
 
 class TestQQYBE:
