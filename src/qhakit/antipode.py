@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .structures import (QuasiAntipode, QuasiBialgebra, _connecting_element, _require,
                          _require_equal, verify_quasi_antipode)
-from .twists import Twist, twist_structure, twisted_antipode
+from .twists import Twist, twisted_antipode
 
 __all__ = ["compute_v", "antipode_from_v", "check_v_universality"]
 
@@ -44,11 +44,11 @@ def antipode_from_v(h: QuasiBialgebra, w) -> QuasiAntipode:
     return alt
 
 
-def check_v_universality(h: QuasiBialgebra, alt: QuasiAntipode, f: Twist) -> bool:
+def check_v_universality(h: QuasiBialgebra, alt: QuasiAntipode, f: Twist, twisted) -> bool:
     """v computed on the twisted pair equals v computed on (h, alt).
 
-    compute_v asserts the full relation battery on the twisted pair, so
-    neither the twisted structure nor ``alt`` is verified here.
+    ``twisted`` is ``twist_structure(h, f)``, built (verified or not) by the
+    caller.  compute_v asserts the full relation battery on the twisted pair,
+    so neither ``twisted`` nor ``alt`` is verified here.
     """
-    twisted = twist_structure(h, f, verify=False)
     return compute_v(twisted, twisted_antipode(alt, f)) == compute_v(h, alt)

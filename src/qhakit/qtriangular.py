@@ -118,9 +118,10 @@ def compute_u(t: QuasiBialgebra) -> UOperators:
     return ops
 
 
-def check_u_universality(t: QuasiBialgebra, f: Twist) -> bool:
-    """u and u~ recomputed on the twisted structure equal the originals."""
-    return _u_operators(t) == _u_operators(twist_structure(t, f, verify=False))
+def check_u_universality(t: QuasiBialgebra, twisted) -> bool:
+    """u and u~ recomputed on ``twisted`` equal t's.  ``twisted`` is ``twist_structure(t, f)``
+    for any f, built (verified or not) by the caller: u is the same after every twist."""
+    return _u_operators(t) == _u_operators(twisted)
 
 
 def check_ssr_identity(t: QuasiBialgebra) -> Report:
@@ -171,15 +172,14 @@ def altschuler_coste_operator(t: QuasiBialgebra) -> TensorElement:
 def opposite_by_r_vs_cop(t: QuasiBialgebra) -> Report:
     """u as the connecting operator of H^cop's two triples, against its leg-order form.
 
-    alpha_R is read from :func:`canonical_r_elements`, which verifies its triple
-    as a quasi-antipode of H^cop, so a wrong R triple raises StructureError.
-    ``u-as-v`` compares the memoized u (:func:`_u_operators`) with its own
-    second closed form, which the connecting routine already compared with
-    the first, read in leg order on Phi: it tests ``perm`` and ``contract``,
-    not a second derivation of u.
+    ``u-as-v`` compares the memoized u (:func:`_u_operators`) with its own second
+    closed form, which the connecting routine already compared with the first, read
+    in leg order on Phi: it tests ``perm`` and ``contract``, not a second derivation
+    of u.  That form comes first, on alpha_R from :func:`canonical_r_elements`, which
+    verifies R's triple on H^cop, so a wrong triple fails the check with that text.
     """
     rep = Report("u-origin")
-    s, (alpha_r, _) = t.s, canonical_r_elements(t, "r")
-    u = contract(t.phi, [(3, s.compose(s)), s(t.beta), (2, s), alpha_r, (1, None)])
-    rep.check("u-as-v", lambda: _u_operators(t).u == u, "connecting operator differs from u")
+    rep.check("u-as-v", lambda: contract(t.phi, [(3, t.s.compose(t.s)), t.s(t.beta), (2, t.s),
+                                                 canonical_r_elements(t, "r")[0], (1, None)])
+              == _u_operators(t).u, "connecting operator differs from u")
     return rep

@@ -14,6 +14,12 @@ from qhakit.catalog import builtin
 from qhakit.drinfeld import compute_drinfeld_data
 from qhakit.structures import verify_qba, verify_quasi_antipode, verify_rmatrix
 
+# Every qhakit module is imported here, before any test patches a name: a module first
+# imported while a patch is on binds the patched object, and the undo restores only the
+# module that was patched.
+MODULES = [importlib.import_module(f"qhakit.{m.name}")
+           for m in pkgutil.iter_modules(qhakit.__path__)]
+
 ENTRY_NAMES = ("trivial", "group_z3", "z2_triangular", "sweedler_h4", "semion")
 QT_NAMES = ("trivial", "z2_triangular", "sweedler_h4", "semion")
 
@@ -61,21 +67,24 @@ def stores_of(stores, fn):
 VERIFIERS = ("verify_qba", "verify_quasi_antipode", "verify_rmatrix")
 
 
+def rebind(monkeypatch, real, replacement):
+    """Bind ``replacement`` in every qhakit module that binds the function ``real`` by
+    its name, so each binding is wrapped, and undone, here."""
+    for module in MODULES:
+        if vars(module).get(real.__name__) is real:
+            monkeypatch.setattr(module, real.__name__, replacement)
+
+
 def counting_verifiers(monkeypatch):
-    """Count the runs of each verifier: {name: runs}.  Every qhakit module is imported
-    first, so each binding of a verifier is wrapped, and undone, here."""
+    """Count the runs of each verifier: {name: runs}."""
     counts = collections.Counter()
-    modules = [importlib.import_module(f"qhakit.{m.name}")
-               for m in pkgutil.iter_modules(qhakit.__path__)]
     for name in VERIFIERS:
         real = getattr(structures, name)
 
         def counted(*args, _real=real, _name=name):
             counts[_name] += 1
             return _real(*args)
-        for module in modules:
-            if vars(module).get(name) is real:
-                monkeypatch.setattr(module, name, counted)
+        rebind(monkeypatch, real, counted)
     return counts
 
 

@@ -104,9 +104,10 @@ def test_criterion_3_universality():
         assert verify_quasi_antipode(h, alt).ok, e.name
         for _ in range(SEEDS):
             f = random_twist(rng, h)
-            assert check_v_universality(h, alt, f), e.name
+            twisted = twist_structure(h, f, verify=False)
+            assert check_v_universality(h, alt, f, twisted), e.name
             if e.structure.r is not None:
-                assert check_u_universality(e.structure, f), e.name
+                assert check_u_universality(e.structure, twisted), e.name
     report(3, f"v and u invariant under {SEEDS} random twists per entry")
 
 

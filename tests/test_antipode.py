@@ -14,6 +14,7 @@ from qhakit.errors import ConsistencyError, StructureError
 from qhakit.randgen import random_invertible_element, random_twist
 from qhakit.structures import QuasiAntipode, verify_quasi_antipode
 from qhakit.tensor import LinearMap
+from qhakit.twists import Twist, twist_structure
 
 from conftest import ENTRY_NAMES, entry, hopf
 
@@ -138,11 +139,11 @@ class TestBijection:
 class TestUniversality:
     def test_identity_twist(self, any_entry):
         h = hopf(any_entry.name)
-        from qhakit.twists import Twist
         w = random_invertible_element(random.Random(9), h.algebra)
         alt = h.antipode.conjugated(w)
         assert verify_quasi_antipode(h, alt).ok
-        assert check_v_universality(h, alt, Twist.identity(h))
+        f = Twist.identity(h)
+        assert check_v_universality(h, alt, f, twist_structure(h, f))
 
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_random_twists(self, name):
@@ -153,7 +154,23 @@ class TestUniversality:
             f = random_twist(rng, h)
             alt = h.antipode.conjugated(w)
             assert verify_quasi_antipode(h, alt).ok
-            assert check_v_universality(h, alt, f)
+            assert check_v_universality(h, alt, f, twist_structure(h, f, verify=False))
+
+    @pytest.mark.parametrize("name", ("group_z3", "z2_triangular", "sweedler_h4", "semion"))
+    def test_a_bundle_twisted_by_another_twist_is_caught(self, name):
+        """v on a bundle twisted by g2 != g is not taken for v under g: the check returns
+        False or a route raises, although v on (h, alt) needs no twisted bundle."""
+        h = hopf(name)
+        rng = random.Random(f"wrong:{name}")
+        alt = h.antipode.conjugated(random_invertible_element(rng, h.algebra))
+        g, g2 = random_twist(rng, h), random_twist(rng, h)
+        assert g != g2
+        wrong = twist_structure(h, g2)
+        try:
+            agreed = check_v_universality(h, alt, g, wrong)
+        except ConsistencyError:
+            agreed = None
+        assert agreed is not True
 
 
 # -- route mutants: one closed form of the connecting element changed --------------

@@ -5,7 +5,8 @@ basis is reached through one door, no private helper is left without a
 caller, no module reaches into the tensor kernel's private names, every
 route check raises through one primitive, every check is recorded
 through one method, the package's boolean switches are a fixed set, every
-signature annotation resolves and every import is read.
+signature annotation resolves and every import is read.  The test fixtures
+import every module before any test patches a name.
 """
 
 import ast
@@ -37,6 +38,21 @@ def test_cli_import_leaves_out_inspect_and_dataclasses():
     code = ("import sys, qhakit.cli; "
             "print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_the_test_fixtures_import_every_module():
+    """Loading ``conftest`` alone imports every qhakit module, so no module is first
+    imported while a test's patch is on and keeps the patched binding after the undo."""
+    src = str(Path(qhakit.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    code = ("import pkgutil, sys, conftest, qhakit; "
+            "print(sorted(m.name for m in pkgutil.iter_modules(qhakit.__path__) "
+            "if 'qhakit.' + m.name not in sys.modules))")
+    path = [tests, src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -13,10 +13,10 @@ from qhakit.qtriangular import (altschuler_coste_operator, canonical_r_elements,
                                 check_ssr_identity, check_u_universality,
                                 compute_u, opposite_by_r_vs_cop, r_tilde)
 from qhakit.randgen import random_twist
-from qhakit.errors import ConsistencyError, StructureError
+from qhakit.errors import ConsistencyError
 from qhakit.structures import (QuasiAntipode, QuasiBialgebra, Transported, _opposite,
                                opposite_structure, verify_quasi_antipode, verify_rmatrix)
-from qhakit.twists import Twist, is_compatible, twisted_antipode
+from qhakit.twists import Twist, is_compatible, twist_structure, twisted_antipode
 
 from conftest import (QT_NAMES, assert_verified, counting_memo, drinfeld_data, entry, hopf,
                       stores_of)
@@ -98,15 +98,16 @@ class TestComputeU:
 
 class TestUniversality:
     def test_identity_twist(self, qt_entry):
-        assert check_u_universality(qt_entry.structure,
-                                    Twist.identity(qt_entry.structure))
+        s = qt_entry.structure
+        assert check_u_universality(s, twist_structure(s, Twist.identity(s)))
 
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_random_twists(self, name):
         s = entry(name).structure
         rng = random.Random(f"uni-u:{name}")
         for _ in range(5):
-            assert check_u_universality(s, random_twist(rng, s))
+            assert check_u_universality(s, twist_structure(s, random_twist(rng, s),
+                                                           verify=False))
 
 
 class TestSSRIdentity:
@@ -155,7 +156,7 @@ class TestUEvaluatedOnce:
         # u from R, u~ from (R^T)^{-1}
         assert targets == [qtriangular._canonical(s, "r")[1],
                            qtriangular._canonical(s, "r_tilde")[1]]
-        assert check_u_universality(s, f)
+        assert check_u_universality(s, twist_structure(s, f, verify=False))
         assert len(targets) == 4  # the twisted bundle evaluates its own
 
 
@@ -264,7 +265,8 @@ class TestUOrigin:
         assert rep.ok, rep.failure_ids()
 
     def test_a_wrong_r_triple_is_refused(self, monkeypatch):
-        """Mutant: an R-twisted triple with alpha_R doubled fails its check on H^cop."""
+        """Mutant: an R-twisted triple with alpha_R doubled fails its check on H^cop, which
+        ``u-as-v`` runs before u, and the report records it instead of raising."""
         s = builtin("sweedler_h4").structure  # a new bundle: no R-twist cached yet
         real = qtriangular.twisted_antipode
 
@@ -273,10 +275,20 @@ class TestUOrigin:
             return QuasiAntipode(anti.s, 2 * anti.alpha, anti.beta, s_inv=anti.s_inv)
 
         monkeypatch.setattr(qtriangular, "twisted_antipode", doubled)
-        with pytest.raises(StructureError) as exc:
-            opposite_by_r_vs_cop(s)
-        assert str(exc.value) == ("alternative quasi-antipode fails: "
-                                  "Sphi, Sphi-inv, eps-alpha-beta")
+        rep = opposite_by_r_vs_cop(s)
+        assert [(c.check_id, c.witness) for c in rep.failures()] == [
+            ("u-as-v", "alternative quasi-antipode fails: Sphi, Sphi-inv, eps-alpha-beta")]
+
+    @pytest.mark.parametrize("which", ("r", "r_tilde"))
+    @pytest.mark.parametrize("name", QT_NAMES)
+    def test_the_r_twisted_bundle_carries_the_verified_triple(self, name, which):
+        """FdR reads the R-twisted bundle's triple and ``canonical_r_elements`` verifies the
+        one ``_canonical`` computes: the two computations agree."""
+        s = entry(name).structure
+        bundle = qtriangular._r_twisted(s, which).antipode
+        anti = qtriangular._canonical(s, which)[1]
+        assert (bundle.s, bundle.s_inv, bundle.alpha, bundle.beta) == (
+            anti.s, anti.s_inv, anti.alpha, anti.beta)
 
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_u_tilde_is_v_on_the_opposite_pair(self, name):

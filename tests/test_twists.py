@@ -1,5 +1,6 @@
 """The twist engine: twisted structures, composition, quasi-cocycles, compatibility."""
 
+import collections
 import json
 import random
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qhakit import suites, twists
+from qhakit import DEFAULT_TRIALS, antipode, suites, twists
 from qhakit.catalog import builtin
 from qhakit.antipode import compute_v
 from qhakit.errors import ConsistencyError, TwistError
@@ -22,7 +23,7 @@ from qhakit.twists import (Twist, central_to_compatible, compatible_to_central,
                            quadratic_invariants, twist_structure, twisted_antipode,
                            twisted_coassociator)
 
-from conftest import ENTRY_NAMES, assert_verified, counting_memo, entry, hopf, stores_of
+from conftest import ENTRY_NAMES, assert_verified, counting_memo, entry, hopf, rebind, stores_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from harness import group_twist  # noqa: E402
@@ -365,6 +366,35 @@ def test_an_identity_compatible_twist_fails_p7_and_p8(monkeypatch, name, seed):
     assert [(c.check_id, c.witness) for c in rep.failures()] == [
         ("P7.fwd@0", "twisting by F and by FC differ"),
         ("P8@0", "the central element of C is not eps(z)^2 (z S(z))^{-1}")]
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES + ("t4",))
+def test_each_bundle_is_twisted_once_by_each_twist(monkeypatch, name):
+    """All five suites twist no bundle twice by one twist, and ``uni-v`` reads the bundle
+    ``E6.verify`` built and verified.  A bundle and its copy without R share every part
+    twisting reads, so a bundle is its coproduct and coassociator.  Each bundle and
+    twist is kept, so no ``id`` is reused."""
+    e = _dense_twisted_z4() if name == "t4" else builtin(name)
+    real_twist, real_v = twists.twist_structure, antipode.check_v_universality
+    calls, uni_v = [], []
+
+    def twisting(h, f, verify=True):
+        out = real_twist(h, f, verify)
+        calls.append((h, f, verify, out))
+        return out
+
+    def recording(*args):
+        uni_v.append(args)
+        return real_v(*args)
+
+    rebind(monkeypatch, real_twist, twisting)
+    rebind(monkeypatch, real_v, recording)
+    assert all(rep.ok for rep in suites.run_suites(e, "all", seed=0))
+    twisted = collections.Counter((id(h.coproduct), id(h.phi), id(f)) for h, f, _, _ in calls)
+    assert sum(n - 1 for n in twisted.values()) == 0
+    verified = {id(f): out for _, f, verify, out in calls if verify}
+    assert len(uni_v) == DEFAULT_TRIALS
+    assert all(bundle is verified[id(f)] for _, _, f, bundle in uni_v)
 
 
 class TestQuadraticInvariants:
