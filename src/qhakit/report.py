@@ -32,13 +32,17 @@ class Report:
         """Run ``fn()``, record check ``check_id`` and return what ``fn`` returned.
 
         A ``False`` result fails the check with ``witness``, called first (so only on
-        failure) if it is callable; a QhaError fails it with the error's text and
-        returns None; any other result passes, None and built objects too: the
-        ``_require_scan`` thunks return None.  ROADMAP item 6 plans a pass on True only."""
+        failure) if it is callable; a QhaError fails it with the error's text, and a
+        ConsistencyError that names where its routes part with ``"<text>; <witness>"``
+        (``"... fails; at (0, 1): 2 != 3"``), and returns None; any other result passes,
+        None and built objects too: the ``_require_scan`` thunks return None.  ROADMAP
+        item 6 plans a pass on True only."""
         try:
             result = fn()
         except QhaError as exc:
-            self.checks.append(Check(check_id, False, str(exc)))
+            witness = getattr(exc, "witness", None)
+            self.checks.append(Check(check_id, False, str(exc) if witness is None
+                                     else f"{exc}; {witness}"))
             return None
         failed = result is False
         if failed and callable(witness):

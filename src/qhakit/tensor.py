@@ -22,14 +22,15 @@ are one walk, and the associativity check of an algebra's table) runs in
 one kernel, ``_walk``: both operands are indexed as tries over their legs,
 each left prefix walks the right trie once, the numerators join at the
 last leg, and leg pairs with no structure constants are skipped whole.
-``contract`` and the tensor units expand outer products through
-``_expand``, and a linear map applied to an element or a leg accumulates
-over one denominator in ``on_leg``.  ``_walk``, ``_expand`` and ``on_leg``
-are the only weighted sums; other modules (the closed forms of
-``qhakit.drinfeld``, the block table of ``qhakit.blocks``) build theirs
-from them through products, ``contract`` and ``on_leg``.  Field values
-appear only at the boundary: the public constructors clear them
-(``Field.clear``) and ``entries``/``coeffs`` restore them
+Every linear map on legs runs in the other kernel, the block map
+``_apply``, which replaces a run of adjacent legs by their image: ``on_leg``
+maps one leg through a map's columns, and ``contract`` collapses each
+output leg's run of input legs into the products of its factors.
+``_walk`` and ``_apply`` are the only weighted sums; other modules (the
+closed forms of ``qhakit.drinfeld``, the block table of ``qhakit.blocks``)
+build theirs from them through products, ``contract`` and ``on_leg``.
+Field values appear only at the boundary: the public constructors clear
+them (``Field.clear``) and ``entries``/``coeffs`` restore them
 (``Field.restore``) on each access, for files, reports, witnesses and ``repr``.
 
 The support join is what makes a change of basis pay: in the rational
@@ -58,36 +59,6 @@ import operator
 from . import linalg
 from .errors import AlgebraError, ArityMismatch, SingularError
 from .scalars import _Integral
-
-
-def _expand(out, coeff, legs):
-    """Add the outer product ``coeff * legs[0] (x) legs[1] (x) ...`` into ``out``.
-
-    Each leg maps a key (a tuple of basis indices, one per tensor leg it
-    covers) to a nonzero numerator; the keys of a term are concatenated and
-    an empty leg makes the term zero.  This is the helper for pure outer
-    products (``contract``, ``tensor_unit``); products through the
-    structure constants go through ``_walk``.  The keys of one expansion are
-    distinct and a product of nonzero numerators is nonzero, so only the
-    final accumulation into ``out`` can cancel, and a cancelled entry is
-    deleted.
-    """
-    terms = [((), coeff)]
-    for leg in legs:
-        if not leg:
-            return
-        terms = [(key + k, val * c) for key, val in terms for k, c in leg.items()]
-    get = out.get
-    for key, val in terms:
-        cur = get(key)
-        if cur is None:
-            out[key] = val
-            continue
-        cur = cur + val
-        if cur:
-            out[key] = cur
-        else:
-            del out[key]
 
 
 def _trie(nums):
@@ -158,6 +129,39 @@ def _legwise(a, b):
     alg = a.algebra
     nums = _walk(alg._numerators, a.arity, a._nums, b._nums)
     return TensorElement._reduced(alg, a.arity, nums, a._den * b._den * alg._denominator ** a.arity)
+
+
+def _over_one_denominator(factors):
+    """A dict of tensors as one table of numerators over one denominator (an image)."""
+    den = math.lcm(*[f._den for f in factors.values()])
+    return {b: f._nums if f._den == den else {k: v * (den // f._den) for k, v in f._nums.items()}
+            for b, f in factors.items()}, den
+
+
+def _apply(t, start, width, image, algebra, arity):
+    """The block map: legs ``start+1 .. start+width`` of ``t`` replaced by their image.
+
+    ``image`` is ``(table, den)``: ``table`` maps each index block of those
+    legs to the numerators over ``den`` of what replaces it.  The result, of
+    the given arity, lies in ``algebra`` (a map may cross algebras).  Only a
+    sum into an entry already there can cancel; a cancelled entry is deleted.
+    """
+    table, den = image
+    stop = start + width
+    out = {}
+    get = out.get
+    for key, u in t._nums.items():
+        head, tail = key[:start], key[stop:]
+        for sub, c in table[key[start:stop]].items():
+            k = head + sub + tail
+            v = get(k)
+            if v is None:
+                out[k] = u * c
+            elif v := v + u * c:
+                out[k] = v
+            else:
+                del out[k]
+    return TensorElement._reduced(algebra, arity, out, t._den * den)
 
 
 class Algebra:
@@ -249,14 +253,10 @@ class Algebra:
 
     def tensor_unit(self, arity) -> "TensorElement":
         """The unit of H^(x)arity (arity 0 gives the scalar 1)."""
-        cached = self._tensor_units.get(arity)
-        if cached is not None:
-            return cached
-        one = self.unit_element
-        nums = {}
-        _expand(nums, 1, [one._nums] * arity)
-        t = TensorElement._reduced(self, arity, nums, one._den ** arity)
-        self._tensor_units[arity] = t
+        t = self._tensor_units.get(arity)
+        if t is None:
+            t = self._tensor_units[arity] = (self.tensor_unit(arity - 1) @ self.unit_element
+                                             if arity else TensorElement._of(self, 0, {(): 1}, 1))
         return t
 
     def tensor_zero(self, arity) -> "TensorElement":
@@ -417,7 +417,10 @@ class TensorElement:
         sigma = tuple(sigma)
         if sorted(sigma) != list(range(1, self.arity + 1)):
             raise ArityMismatch(f"{sigma} is not a permutation of 1..{self.arity}")
-        out = {tuple(key[s - 1] for s in sigma): val for key, val in self._nums.items()}
+        if self.arity < 2:   # the identity is the only permutation
+            return self
+        get = operator.itemgetter(*[s - 1 for s in sigma])
+        out = {get(key): val for key, val in self._nums.items()}
         return TensorElement._of(self.algebra, self.arity, out, self._den)
 
     def transpose(self) -> "TensorElement":
@@ -598,28 +601,16 @@ class LinearMap:
         if not 1 <= leg <= t.arity:
             raise ArityMismatch(f"leg {leg} out of range for arity {t.arity}")
         if self._numerators is None:
-            col_den = math.lcm(*[c._den for c in self.columns])
-            self._numerators = [{sub: v * (col_den // c._den) for sub, v in c._nums.items()}
-                                for c in self.columns], col_den
-        cols, col_den = self._numerators
-        out = {}
-        get = out.get
-        for key, u in t._nums.items():
-            head, tail = key[:leg - 1], key[leg:]
-            for sub, c in cols[key[leg - 1]].items():
-                k = head + sub + tail
-                out[k] = get(k, 0) + u * c
-        return TensorElement._reduced(self.algebra, t.arity - 1 + self.out_arity,
-                                      {k: v for k, v in out.items() if v}, t._den * col_den)
+            self._numerators = _over_one_denominator({(i,): c for i, c in enumerate(self.columns)})
+        return _apply(t, leg - 1, 1, self._numerators, self.algebra, t.arity - 1 + self.out_arity)
 
     def map_tensor(self, t: TensorElement) -> TensorElement:
         """Apply a 1 -> 1 map on every leg (e.g. (S (x) S)R, or S(a) for an element)."""
         if self.out_arity != 1:
             raise ArityMismatch("map_tensor needs a 1 -> 1 map")
-        out = t
         for leg in range(1, t.arity + 1):
-            out = self.on_leg(out, leg)
-        return out
+            t = self.on_leg(t, leg)
+        return t
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other; other must be 1 -> 1."""
@@ -670,57 +661,46 @@ def tensor_of(*elements) -> TensorElement:
 def contract(t: TensorElement, *specs) -> TensorElement:
     """Multiply a tensor out into a lower arity, leg by leg.
 
-    Each spec describes one output leg as a sequence of factors, taken in
-    order: an AlgElement is a fixed factor, a pair ``(leg, m)`` is the
-    image of input leg ``leg`` under the 1 -> 1 map ``m`` (``None`` for
-    the identity).  Every input leg must be used exactly once.  For
-    instance the reading of ``sum S(X) a Y b S(Z)`` off an arity-3 tensor
-    is ``contract(phi, [(1, s), a, (2, None), b, (3, s)])``.
+    Each spec describes one output leg as a sequence of factors over ``t``'s
+    algebra, taken in order: an AlgElement is a fixed factor, a pair
+    ``(leg, m)`` is the image of input leg ``leg`` under the 1 -> 1 map
+    ``m`` (``None`` for the identity).  Every input leg must be used exactly
+    once.  For instance the reading of ``sum S(X) a Y b S(Z)`` off an
+    arity-3 tensor is ``contract(phi, [(1, s), a, (2, None), b, (3, s)])``.
     """
     alg = t.algebra
-    used = []
+    order = []   # the input legs in the order the specs read them
     for spec in specs:
         for item in spec:
+            other = item
             if not isinstance(item, AlgElement):
-                used.append(item[0])
-                if item[1] is not None and item[1].out_arity != 1:
+                leg, other = item
+                order.append(leg)
+                if other is None:
+                    continue
+                if other.out_arity != 1:
                     raise ArityMismatch("contract applies 1 -> 1 maps only")
-    if sorted(used) != list(range(1, t.arity + 1)):
-        raise ArityMismatch(f"legs {sorted(used)} do not cover 1..{t.arity} exactly once")
+            if not alg.compatible(other.algebra):
+                raise ArityMismatch(AlgElement._MIXED)
+    legs = list(range(1, t.arity + 1))
+    if order != legs:
+        if sorted(order) != legs:
+            raise ArityMismatch(f"legs {sorted(order)} do not cover 1..{t.arity} exactly once")
+        t = t.perm(order)   # each spec's legs side by side, in the order it reads them
     unit = alg.unit_element
-    # the product of the items of spec s up to position p depends only on
-    # the indices of the legs read so far: entries sharing them share it
-    prefixes = {}   # (s, p, indices read) -> that product
-    rows = []   # the output-leg factors of each entry of t
-    for key in t._nums:
-        factors = []
-        for s, spec in enumerate(specs):
-            elt = None
-            read = ()
-            for p, item in enumerate(spec):
-                if not isinstance(item, AlgElement):
-                    read += (key[item[0] - 1],)
-                prefix = prefixes.get((s, p, read))
-                if prefix is None:
-                    if isinstance(item, AlgElement):
-                        f = item
-                    else:
-                        m = item[1]
-                        f = alg.basis_element(read[-1]) if m is None else m.col(read[-1])
-                    prefix = prefixes[s, p, read] = f if elt is None else elt * f
-                elt = prefix
-            factors.append(unit if elt is None else elt)
-        rows.append(factors)
-    den = t._den
-    legs = [[] for _ in rows]
-    for slot in zip(*rows):   # one output leg: its factor for every entry of t
-        slot_den = math.lcm(*[f._den for f in slot])
-        den *= slot_den
-        for f, leg_list in zip(slot, legs):
-            m = slot_den // f._den
-            leg_list.append(f._nums if m == 1 else {k: v * m for k, v in f._nums.items()})
-    out = {}
-    for num, leg_list in zip(t._nums.values(), legs):
-        _expand(out, num, leg_list)
-    return TensorElement._reduced(alg, len(specs), out, den)
-
+    for s, spec in enumerate(specs):
+        # output leg s replaces the r legs the spec reads by the product of its items, formed
+        # up to each item once per distinct prefix of the index blocks those legs hold
+        products, r = {(): None if spec else unit}, 0   # indices read -> product so far
+        for item in spec:
+            if isinstance(item, AlgElement):
+                products = {b: item if p is None else p * item for b, p in products.items()}
+                continue
+            r += 1
+            col = alg.basis_element if item[1] is None else item[1].col
+            prev, products = products, {}
+            for b in {key[s:s + r] for key in t._nums}:
+                p, f = prev[b[:-1]], col(b[-1])
+                products[b] = f if p is None else p * f
+        t = _apply(t, s, r, _over_one_denominator(products), alg, t.arity - r + 1)
+    return t

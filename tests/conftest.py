@@ -37,6 +37,13 @@ def hopf(name):
     return entry(name).structure
 
 
+def where(failure):
+    """A ConsistencyError's witness, or a failed check's, without the two values: a
+    mutant doubles a route at another call in a suite than in a direct call, so the
+    values differ, but the error's text and the multi-index where its routes part do not."""
+    return failure.witness.rsplit(": ", 1)[0]
+
+
 def drinfeld_data(name):
     return compute_drinfeld_data(hopf(name))
 

@@ -175,13 +175,13 @@ def outer(s: TensorElement, t: TensorElement) -> TensorElement:
 
 
 def on_leg(m: LinearMap, t: TensorElement, leg: int) -> TensorElement:
-    """``m.on_leg(t, leg)``, entry by entry in field values."""
+    """``m.on_leg(t, leg)``, entry by entry in field values, in ``m``'s algebra."""
     out = {}
     for key, val in t.entries.items():
         head, tail = key[:leg - 1], key[leg:]
         for sub, v in m.columns[key[leg - 1]].entries.items():
             _acc(out, head + sub + tail, val * v)
-    return TensorElement(t.algebra, t.arity - 1 + m.out_arity, out)
+    return TensorElement(m.algebra, t.arity - 1 + m.out_arity, out)
 
 
 def alg_mul(a: AlgElement, b: AlgElement) -> AlgElement:

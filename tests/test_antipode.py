@@ -16,7 +16,7 @@ from qhakit.structures import QuasiAntipode, verify_quasi_antipode
 from qhakit.tensor import LinearMap
 from qhakit.twists import Twist, twist_structure
 
-from conftest import ENTRY_NAMES, entry, hopf
+from conftest import ENTRY_NAMES, entry, hopf, where
 
 
 class TestComputeV:
@@ -212,8 +212,9 @@ def test_a_route_mutant_fails_its_check(monkeypatch, capsys, n, text, witness):
         compute_v(h, alt)
     assert (str(exc.value), exc.value.witness) == (text, witness)
     (rep,) = suites.run_suites(builtin("sweedler_h4"), "twist", seed=0, trials=1)
-    assert [(c.check_id, c.witness) for c in rep.failures()] == [
-        ("T1.roundtrip@0", text), ("uni-v@0", text), ("P8@0", text)]
+    failed = f"{text}; {where(exc.value)}"
+    assert [(c.check_id, where(c)) for c in rep.failures()] == [
+        ("T1.roundtrip@0", failed), ("uni-v@0", failed), ("P8@0", failed)]
     assert main(["compute", "sweedler_h4", "v"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {text}", "  first difference: at (0,): 1 != 2"]

@@ -23,7 +23,7 @@ from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _block_form, _mapp
 from qhakit.tensor import LinearMap, tensor_of
 from qhakit.twists import Twist, central_to_compatible, twist_structure
 
-from conftest import ENTRY_NAMES, counting_memo, drinfeld_data, entry, hopf, stores_of
+from conftest import ENTRY_NAMES, counting_memo, drinfeld_data, entry, hopf, stores_of, where
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from harness import group_twist  # noqa: E402
@@ -309,7 +309,8 @@ def test_a_route_mutant_fails_its_check(monkeypatch, caller, n, run, check, text
     assert str(exc.value) == text
     _double_nth(monkeypatch, caller, n)
     (rep,) = suites.run_suites(builtin("semion"), "drinfeld", seed=0, trials=1)
-    assert [(c.check_id, c.witness) for c in rep.failures()] == [(check, text)]
+    assert [(c.check_id, where(c)) for c in rep.failures()] == [
+        (check, f"{text}; {where(exc.value)}")]
 
 
 def _with(b, **parts):
@@ -399,4 +400,5 @@ def test_a_battery_mutant_fails_its_check(monkeypatch, mutate, name, run, text):
     assert str(exc.value) == text
     mutate(monkeypatch)
     (rep,) = suites.run_suites(builtin(name), "drinfeld", seed=0, trials=1)
-    assert [(c.check_id, c.witness) for c in rep.failures()] == [("E9+E10+E11+P2+P3", text)]
+    assert [(c.check_id, where(c)) for c in rep.failures()] == [
+        ("E9+E10+E11+P2+P3", f"{text}; {where(exc.value)}")]

@@ -17,7 +17,10 @@ matrices, whose zero structure constants the kernel's per-leg support join
 prunes (down to frontiers emptied above the last leg). Arity-3/4 operands
 whose entries share prefixes, arity-3 left matrices in the Z/4 block basis,
 and the grouped Drinfeld sum against the four-leg expansion it replaced
-(``reference_kernel.paired``) cover the two-sided walk. The law check of
+(``reference_kernel.paired``) cover the two-sided walk. Contractions of
+dense arity-4 tensors by two two-leg specs (over k[Z/3] and in the Z/4
+block basis), a leg map across algebras (the block basis's ``down``) and
+the tensor units of arity 0 to 4 cover the block map. The law check of
 ``Algebra`` and the block table of ``blocks._block_algebra`` are checked
 against the element-product check and the ``Fraction`` convolution they
 replaced, on the catalog's tables, the block tables and tables with one
@@ -406,6 +409,57 @@ class TestKernelAgainstReference:
             if data.draw(st.booleans()):
                 spec.insert(data.draw(st.integers(0, len(spec))), data.draw(elements(alg)))
         same_tensor(contract(t, *specs), ref.contract(t, *specs))
+
+    @pytest.mark.parametrize("alg", [z3(RATIONAL), z3_scaled(Q3, Q3.zeta)], ids=["z3", "z3-Q3"])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_contract_dense_arity_four_by_two_two_leg_specs(self, alg, data):
+        """Two specs of two legs each, read in any leg order, so the legs are permuted
+        side by side first and each spec collapses distinct index blocks."""
+        t = TensorElement(alg, 4, {k: data.draw(rationals()) for k in alg.multi_indices(4)})
+        m = LinearMap.from_matrix(alg, [[data.draw(scalars(alg.field)) for _ in range(alg.dim)]
+                                        for _ in range(alg.dim)])
+        a, b, c = (data.draw(elements(alg)) for _ in range(3))
+        i, j, k, l = data.draw(st.permutations(range(1, 5)))
+        specs = ([(i, m), a, (j, None)], [b, (k, None), c, (l, m)])
+        same_tensor(contract(t, *specs), ref.contract(t, *specs))
+
+    def test_contract_arity_four_in_the_z4_block_basis(self):
+        """Gamma's and gamma-bar's readings of the benchmark's dense four-leg expansion,
+        carried into the Z/4 block basis."""
+        g = builtin("group_z4").structure
+        f = parse_twist(json.dumps(group_twist(4, Random(0))), g)
+        h = blocks.transport(twist_structure(g, f, verify=False), blocks.block_basis(4)).s
+        t4 = h.phi_inv.embed((1, 2, 3), 4) * h.coproduct.on_leg(h.phi, 1)
+        assert len(t4.entries) > 100
+        for specs in (([(2, h.s), h.alpha, (3, None)], [(1, h.s), h.alpha, (4, None)]),
+                      ([(1, None), h.beta, (4, h.s)], [(2, None), h.beta, (3, h.s)])):
+            same_tensor(contract(t4, *specs), ref.contract(t4, *specs))
+
+    def test_on_leg_of_a_map_across_algebras(self):
+        """``_block_algebra``'s down map takes group coordinates to block coordinates: its
+        columns lie in the block algebra, and so does every leg it maps."""
+        g = builtin("group_z4").structure
+        phi = twist_structure(g, parse_twist(json.dumps(group_twist(4, Random(0))), g),
+                              verify=False).phi
+        alg, down = blocks._block_algebra(blocks.block_basis(4), g.algebra.field)
+        assert not alg.compatible(g.algebra) and down.algebra is alg
+        for leg in (1, 2, 3):
+            out = down.on_leg(phi, leg)
+            assert out.algebra is alg
+            same_tensor(out, ref.on_leg(down, phi, leg))
+        same_tensor(down.map_tensor(phi), ref.on_leg(down, ref.on_leg(down, ref.on_leg(
+            down, phi, 1), 2), 3))
+
+    @pytest.mark.parametrize("alg", ALGEBRAS + (z2_double(RATIONAL), z2_double(Q8)),
+                             ids=lambda a: f"{','.join(a.basis_names)}@{a.field}")
+    def test_tensor_units(self, alg):
+        """The unit of H^(x)k, k = 0..4, against iterated outer products of field values
+        (``z2_double``'s unit e0 / 2 has a denominator)."""
+        expected = TensorElement(alg, 0, {(): 1})
+        for k in range(5):
+            same_tensor(alg.tensor_unit(k), expected)
+            expected = ref.outer(expected, alg.unit_element)
 
     @pytest.mark.parametrize("field", [RATIONAL, Q8], ids=str)
     @given(data=st.data())

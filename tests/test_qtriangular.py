@@ -19,7 +19,7 @@ from qhakit.structures import (QuasiAntipode, QuasiBialgebra, Transported, _oppo
 from qhakit.twists import Twist, is_compatible, twist_structure, twisted_antipode
 
 from conftest import (QT_NAMES, assert_verified, counting_memo, drinfeld_data, entry, hopf,
-                      stores_of)
+                      stores_of, where)
 
 
 class TestCanonicalElements:
@@ -235,9 +235,10 @@ def test_an_r_twist_landing_mutant_fails_its_checks(monkeypatch, parts, name, te
     with pytest.raises(ConsistencyError) as exc:
         canonical_r_elements(builtin(name).structure)
     assert str(exc.value) == text
+    failed = f"{text}; {where(exc.value)}"
     (rep,) = suites.run_suites(builtin(name), "qtriangular", seed=0, trials=1)
-    assert [(c.check_id, c.witness) for c in rep.failures()] == [
-        ("P6+E17", text), ("E18+E19+E20+L1+L2", text)]
+    assert [(c.check_id, where(c)) for c in rep.failures()] == [
+        ("P6+E17", failed), ("E18+E19+E20+L1+L2", failed)]
 
 
 def test_a_wrong_r_tilde_triple_fails_the_u_battery(monkeypatch):

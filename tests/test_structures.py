@@ -106,15 +106,18 @@ class TestReportCheck:
         assert calls == [1]
         assert rep.checks[-1].witness == "computed"
 
-    @pytest.mark.parametrize("error", [ConsistencyError("routes part", "at (0,): 1 != 2"),
-                                       StructureError("axioms fail")])
-    def test_a_kernel_error_fails_with_its_text(self, error):
+    @pytest.mark.parametrize("error, text", [
+        (ConsistencyError("routes part", "at (0,): 1 != 2"), "routes part; at (0,): 1 != 2"),
+        (ConsistencyError("routes part"), "routes part"),
+        (StructureError("axioms fail"), "axioms fail")])
+    def test_a_kernel_error_fails_with_its_text(self, error, text):
+        """The error's text, and where the routes part when a ConsistencyError names it."""
         def raising():
             raise error
 
         rep = Report("r")
         assert rep.check("c", raising, "unused") is None
-        assert rep.checks == [("c", False, str(error))]
+        assert rep.checks == [("c", False, text)]
 
     @pytest.mark.parametrize("value", [True, None, 0, "", [], "a value"])
     def test_any_other_result_passes_and_is_returned(self, value):

@@ -191,6 +191,28 @@ class TestApplyOnLeg:
             assert h.counit.on_leg(expanded, 1) == t
 
 
+class TestContractAlgebras:
+    @pytest.mark.parametrize("where", ["own spec", "next to a leg", "map"])
+    def test_a_factor_or_map_from_another_algebra_is_refused(self, where):
+        """Wherever it stands: in a spec of its own it once gave an arity-3 tensor over
+        the dim-2 algebra holding the out-of-range index 3."""
+        r = entry("z2_triangular").structure.r
+        sweedler = hopf("sweedler_h4")
+        e3 = sweedler.algebra.basis_element(3)
+        specs = {"own spec": ([(1, None)], [(2, None)], [e3]),
+                 "next to a leg": ([(1, None), e3], [(2, None)]),
+                 "map": ([(1, sweedler.s)], [(2, None)])}[where]
+        with pytest.raises(ArityMismatch, match="elements of different algebras"):
+            contract(r, *specs)
+
+    def test_a_compatible_algebra_is_accepted(self):
+        """Equal tables built twice are one algebra to ``contract``, as to products."""
+        a, b = z2(), z2()
+        t = tensor_of(a.basis_element(1), a.unit_element)
+        g = b.basis_element(1)
+        assert contract(t, [(2, None), g], [(1, LinearMap.identity(b))]) == tensor_of(g, g)
+
+
 def _seeded_tensor(rng, alg, arity):
     """A few seeded entries with small rational values (zeta multiples over Q(zeta_n))."""
     keys = list(alg.multi_indices(arity))
