@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import DEFAULT_TRIALS, SUITE_NAMES
-from .errors import ConsistencyError, QhaError, StructureError
+from .errors import ConsistencyError, QhaError, SchemaError, StructureError
 
 PROG = "qhakit"
 
@@ -95,11 +95,19 @@ def _resolve_seed(args) -> int:
         raise QhaError(f"QHAKIT_SEED must be an integer, got {env!r}") from None
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path`` as UTF-8 text; a file that is not is a SchemaError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_input(spec: str):
     if os.path.exists(spec):
         from .serial import parse_structure
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_structure(fh.read())
+        return parse_structure(_read_text(spec))
     from .catalog import builtin
     return builtin(spec)
 
@@ -227,8 +235,7 @@ def cmd_twist(args) -> int:
     entry = _load_input(args.input)
     s = entry.structure
     if args.twist_file:
-        with open(args.twist_file, "r", encoding="utf-8") as fh:
-            tw = parse_twist(fh.read(), s)
+        tw = parse_twist(_read_text(args.twist_file), s)
     else:
         import random
 

@@ -3,7 +3,7 @@ antipode operators u and u~, their twist invariance, and the compatible
 twist built from them.
 
 Twisting H by R lands on H^cop: :func:`canonical_r_elements` proves that once
-per R choice, and no R-twisted bundle is verified on its own.  u is the v of
+per R choice, and no R-twisted bundle is built.  u is the v of
 :mod:`qhakit.antipode` computed on H^cop (the unverified bundle in the memo),
 connecting H^cop's own triple (S^{-1}, S^{-1}(alpha), S^{-1}(beta)) to the one
 twisting by R induces, (S, alpha_R, beta_R).  u~ is the same with (R^T)^{-1}.
@@ -19,7 +19,8 @@ from .structures import (QuasiBialgebra, _connecting_element, _memoized, _opposi
                          _require_equal, _require_scan, opposite_structure, primed_structure,
                          verify_quasi_antipode)
 from .tensor import TensorElement, contract, tensor_of
-from .twists import Twist, is_compatible, twist_structure, twisted_antipode
+from .twists import (Twist, _twisted_coproduct, is_compatible, twisted_antipode,
+                     twisted_coassociator, twisted_coassociator_inv)
 from .drinfeld import compute_drinfeld_data
 
 __all__ = [
@@ -40,21 +41,11 @@ def r_tilde(t: QuasiBialgebra) -> tuple[TensorElement, TensorElement]:
 @_memoized
 def _canonical(t: QuasiBialgebra, which: str):
     """(R-twist, (S, alpha_R, beta_R)) for R or for (R^T)^{-1}, with nothing asserted."""
-    if which == "r":
-        r, r_inv = t.r, t.r_inv
-    elif which == "r_tilde":
-        r, r_inv = r_tilde(t)
-    else:
+    if which not in ("r", "r_tilde"):
         raise ValueError("which must be 'r' or 'r_tilde'")
+    r, r_inv = (t.r, t.r_inv) if which == "r" else r_tilde(t)
     twist = Twist(r, t.counit, r_inv, check=False)
     return twist, twisted_antipode(t, twist)
-
-
-@_memoized
-def _r_twisted(t: QuasiBialgebra, which: str) -> QuasiBialgebra:
-    """The bundle twisted by the R-twist of ``which``, unverified: :func:`canonical_r_elements`
-    proves that it lands on H^cop."""
-    return twist_structure(t.without_r(), _canonical(t, which)[0], verify=False)
 
 
 @_memoized
@@ -64,17 +55,26 @@ def canonical_r_elements(t: QuasiBialgebra, which: str = "r"):
     Asserts that the R-twisted coproduct, coassociator and its inverse are
     H^cop's, that H^cop passes the verifier battery (:func:`opposite_structure`,
     shared with P1'-E14) and that (S, alpha_R, beta_R) is a quasi-antipode of it:
-    all that the verifiers read of the R-twisted bundle.  A failure caches nothing.
+    all that the verifiers would read of an R-twisted bundle.  A failure caches nothing.
     """
-    twisted, cop, anti = _r_twisted(t, which), _opposite(t), _canonical(t, which)[1]
-    _require_equal(twisted.coproduct, cop.coproduct,
+    (twist, anti), cop = _canonical(t, which), _opposite(t)
+    _require_equal(_twisted_coproduct(t, twist), cop.coproduct,
                    "twisting by the R-matrix does not reverse the coproduct")
     reverse = "twisting by the R-matrix does not reverse the coassociator"
-    _require_equal(twisted.phi, cop.phi, reverse)
-    _require_equal(twisted.phi_inv, cop.phi_inv, reverse)
+    _require_equal(twisted_coassociator(t, twist.f, twist.f_inv), cop.phi, reverse)
+    _require_equal(twisted_coassociator_inv(t, twist.f, twist.f_inv), cop.phi_inv, reverse)
     opposite_structure(t)
     _require(verify_quasi_antipode(cop, anti), "alternative quasi-antipode fails")
     return anti.alpha, anti.beta
+
+
+def _r_landing(t: QuasiBialgebra):
+    """(R-twist, H^cop's coproduct and coassociator with R's triple and no R-matrix): what
+    twisting by R makes of t, built unverified once :func:`canonical_r_elements` proved it."""
+    canonical_r_elements(t, "r")
+    (twist, anti), cop = _canonical(t, "r"), _opposite(t)
+    return twist, QuasiBialgebra(t.algebra, cop.coproduct, t.counit, cop.phi, cop.phi_inv, anti,
+                                 verify=False)
 
 
 @_memoized

@@ -12,7 +12,8 @@ phi (sparse {i, j, k, scalar}), r_matrix (optional sparse {i, j, scalar}),
 dynamical (optional {domain, shift {idempotents, weights}, twists
 [{lambda, f}]}), name (optional).  A key that an object of the format
 does not define is refused, since a misspelled optional key would
-otherwise drop its checks.
+otherwise drop its checks; so is a key repeated in one object, whose
+earlier values JSON would drop.
 
 Parsing reports three distinct error classes: SchemaError for malformed
 JSON or schema violations (with a field path), AlgebraError for invalid
@@ -123,9 +124,19 @@ def serialize_twist(field, twist: Twist) -> str:
 
 # -- decoding ---------------------------------------------------------------
 
+def _unique_keys(pairs):
+    """An object's pairs as a dict, refusing a repeated key: json keeps only its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"repeated field {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_json(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc

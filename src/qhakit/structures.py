@@ -16,8 +16,9 @@ on a derived or twisted bundle really recomputes it.  A bundle stores no
 verified flag; whether it satisfies its axioms is what the verifiers report.
 H^cop is written out once, by :func:`_opposite`, and Drinfeld's u is the
 connecting element over it.  No memoized function runs on an unverified memo
-bundle itself (but an R-twist proved to land on H^cop, :mod:`qhakit.qtriangular`):
-a check that needs such a bundle's derived data verifies a new copy.
+bundle itself: a check that needs such a bundle's derived data verifies a new copy.
+What twisting by R makes of H, H^cop's parts with R's triple, is no memo bundle:
+:mod:`qhakit.qtriangular` builds it only once the landing on H^cop is proved.
 
 The constructor is the one place that chooses the rational block basis
 of :mod:`qhakit.blocks` (whose docstring states the rule): where that

@@ -143,7 +143,7 @@ def suite_qtriangular(entry: CatalogEntry, draw: Transported, seed, trials) -> R
         rep.check("skip", lambda: True)
         return rep
     from .drinfeld import compute_drinfeld_data, drinfeld_under_twist
-    from .qtriangular import (_canonical, _r_twisted, altschuler_coste_operator,
+    from .qtriangular import (_r_landing, altschuler_coste_operator,
                               canonical_r_elements, check_ssr_identity, check_u_universality,
                               compute_u, opposite_by_r_vs_cop, r_tilde)
     from .twists import Twist, is_compatible, quadratic_invariants, twist_structure
@@ -187,10 +187,9 @@ def suite_qtriangular(entry: CatalogEntry, draw: Transported, seed, trials) -> R
 
     rep.check("E42", lambda: check_qqybe(s), "quasi-QYBE fails")
 
-    def fdr():   # the R-twist and its bundle, which P6+E17 proved to land on H^cop
-        tw = drinfeld_under_twist(s, _canonical(s, "r")[0], _r_twisted(s, "r"))
-        return tw.f, compute_drinfeld_data(s).f_delta.f.transpose() * s.r_inv.transpose() * s.r_inv
-    rep.add_equal("FdR", fdr)
+    rep.add_equal("FdR", lambda: (drinfeld_under_twist(s, *_r_landing(s)).f,
+                                  compute_drinfeld_data(s).f_delta.f.transpose()
+                                  * s.r_inv.transpose() * s.r_inv))
 
     for k in range(trials):
         f = draw.twist(rng)

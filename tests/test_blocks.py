@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhakit import blocks, cli, drinfeld, qtriangular, structures, suites
+from qhakit import blocks, cli, drinfeld, qtriangular, structures, suites, twists
 from qhakit.catalog import builtin
 from qhakit.dynamical import constant_family
 from qhakit.errors import ConsistencyError, StructureError
@@ -28,7 +28,7 @@ from qhakit.structures import _block_form, opposite_structure
 from qhakit.tensor import tensor_of
 from qhakit.twists import Twist, twist_structure
 
-from conftest import VERIFIERS, counting_memo, counting_verifiers, stores_of
+from conftest import VERIFIERS, counting_memo, counting_verifiers, rebind, stores_of
 
 
 def _dense_twist(h):
@@ -332,25 +332,22 @@ def test_no_cyclotomic_arithmetic_on_rational_files(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["semion", "sweedler_h4", "z2_triangular"])
-def test_no_r_twisted_bundle_is_verified(monkeypatch, name):
+def test_no_r_twisted_bundle_is_built(monkeypatch, name):
     """P6+E17 and compute_u prove that both R-twists land on H^cop, whose battery they
-    share with P1'-E14: a qtriangular job verifies no R-twisted bundle and stores one
-    verified H^cop.  After load it runs verify_qba twice (H^cop, the primed structure)
+    share with P1'-E14: a qtriangular job twists no bundle by R or (R^T)^{-1} and stores
+    one verified H^cop.  After load it runs verify_qba twice (H^cop, the primed structure)
     and verify_quasi_antipode four times (those two, the triples of R and (R^T)^{-1})."""
     e = builtin(name)
-    stores = counting_memo(suites.setting(e)[0].structure)
-    verified = []
-    original = qtriangular.twist_structure
-
-    def counting(h, f, verify=True):
-        if verify:
-            verified.append(f)
-        return original(h, f, verify=verify)
-    monkeypatch.setattr(qtriangular, "twist_structure", counting)
+    s = suites.setting(e)[0].structure
+    stores = counting_memo(s)
+    twisted_by = []
+    real = twists.twist_structure
+    rebind(monkeypatch, real, lambda h, f, **kwargs: twisted_by.append(f.f) or real(h, f, **kwargs))
     counts = counting_verifiers(monkeypatch)
     (report,) = suites.run_suites(e, "qtriangular", seed=0, trials=1)
     assert report.ok
-    assert verified == []
+    assert len(twisted_by) == 1  # uni-u's one draw
+    assert s.r not in twisted_by and qtriangular.r_tilde(s)[0] not in twisted_by
     assert stores_of(stores, opposite_structure) == {(): 1}
     assert [counts[v] for v in VERIFIERS] == [2, 4, 3]
 

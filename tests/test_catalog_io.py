@@ -260,6 +260,38 @@ class TestParseErrors:
         with pytest.raises(SchemaError, match=rf"^{path}: unknown field$"):
             parse_twist(json.dumps(doc), h)
 
+    @pytest.mark.parametrize("name, anchor, key, value", [
+        ("semion", "{", "phi", "[]"),
+        ("semion", '"field": {', "kind", '"rational"'),
+        ("semion", '"antipode": {', "matrix", "[]"),
+        ("group_z3", '"mult": [{', "i", "1"),
+        ("group_z3", '"phi": [{', "scalar", '"2"'),
+        ("semion", '"coproduct": [[{', "j", "1"),
+        ("z2_triangular", '"shift": {', "weights", "[]"),
+        ("z2_triangular", '"twists": [{', "lambda", '"7"'),
+        ("z2_triangular", '"f": [{', "j", "0"),
+    ], ids=["top", "field", "antipode", "mult-row", "phi-entry", "coproduct-entry",
+            "dynamical.shift", "dynamical.twists", "dynamical.twists.f"])
+    def test_repeated_key_rejected(self, name, anchor, key, value):
+        """A key given twice in one object is refused at any depth: JSON would keep the
+        last value and drop the first without a word."""
+        text = json.dumps(json.loads(serialize_structure(entry(name))))
+        bad = text.replace(anchor, f'{anchor}"{key}": {value}, ', 1)
+        with pytest.raises(SchemaError, match=f"^repeated field '{key}'$"):
+            parse_structure(bad)
+
+    @pytest.mark.parametrize("anchor, key, value", [
+        ("{", "twist", "[]"),
+        ('"twist": [{', "i", "1"),
+    ], ids=["top", "entry"])
+    def test_repeated_key_in_a_twist_file_rejected(self, anchor, key, value):
+        h = entry("semion").structure
+        text = json.dumps(json.loads(serialize_twist(h.algebra.field,
+                                                     random_twist(random.Random(0), h))))
+        bad = text.replace(anchor, f'{anchor}"{key}": {value}, ', 1)
+        with pytest.raises(SchemaError, match=f"^repeated field '{key}'$"):
+            parse_twist(bad, h)
+
     def test_nonassociative_mult_names_triple(self):
         doc = json.loads(serialize_structure(entry("group_z3")))
         # g * g = g instead of g^2 breaks associativity of the cyclic table

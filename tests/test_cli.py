@@ -277,3 +277,30 @@ class TestTwist:
         code, _, err = run(capsys, "twist", "z2_triangular", "--twist", str(tw_file))
         assert code == 2
         assert "counit" in err
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "{bad}", "--suite", "axioms"),
+        ("compute", "{bad}", "v"),
+        ("twist", "semion", "--twist", "{bad}"),
+    ], ids=["verify", "compute", "twist"])
+    def test_a_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, argv):
+        """A structure or twist file that does not decode is refused by name with exit 2,
+        not a traceback with exit 1, which would read as a failed check."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+    def test_a_repeated_key_exits_2(self, capsys, tmp_path):
+        """A bogus "phi" ahead of the real one would be dropped without a word: the file
+        would verify on the later value alone."""
+        path = tmp_path / "twisted.json"
+        assert run(capsys, "twist", "semion", "--generate-seed", "3", "--output", str(path))[0] == 0
+        text = path.read_text()
+        path.write_text('{"phi": [],' + text[1:])
+        code, out, err = run(capsys, "verify", str(path), "--suite", "axioms")
+        assert code == 2 and out == ""
+        assert err == "error: repeated field 'phi'\n"

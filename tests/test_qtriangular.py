@@ -1,11 +1,12 @@
 """Quasi-triangular operators: canonical elements, u and u~, the compatible A."""
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
-from qhakit import qtriangular, structures, suites
+from qhakit import drinfeld, qtriangular, structures, suites, twists
 from qhakit.antipode import compute_v
 from qhakit.catalog import builtin
 from qhakit.dynamical import check_opposite_qdqybe, constant_family
@@ -14,12 +15,12 @@ from qhakit.qtriangular import (altschuler_coste_operator, canonical_r_elements,
                                 compute_u, opposite_by_r_vs_cop, r_tilde)
 from qhakit.randgen import random_twist
 from qhakit.errors import ConsistencyError
-from qhakit.structures import (QuasiAntipode, QuasiBialgebra, Transported, _opposite,
+from qhakit.structures import (QuasiAntipode, Transported, _opposite,
                                opposite_structure, verify_quasi_antipode, verify_rmatrix)
 from qhakit.twists import Twist, is_compatible, twist_structure, twisted_antipode
 
 from conftest import (QT_NAMES, assert_verified, counting_memo, drinfeld_data, entry, hopf,
-                      stores_of, where)
+                      rebind, stores_of, where)
 
 
 class TestCanonicalElements:
@@ -160,6 +161,24 @@ class TestUEvaluatedOnce:
         assert len(targets) == 4  # the twisted bundle evaluates its own
 
 
+@pytest.mark.parametrize("name", QT_NAMES)
+def test_each_r_triple_is_computed_once(name, monkeypatch):
+    """No R-twisted bundle is built: a lone compute_u twists no bundle and computes the
+    triples of R and (R^T)^{-1} once each; a qtriangular suite at seed 0 (five trials)
+    twists only uni-u's bundles, and computes 2 triples for u, 5 for the invariants
+    at m = 0, +-1, +-2 and 3 on each of uni-u's bundles."""
+    calls = collections.Counter()
+    for real in (twists.twist_structure, twists.twisted_antipode):
+        rebind(monkeypatch, real, lambda *args, _real=real, **kwargs: (
+            calls.update([_real.__name__]) or _real(*args, **kwargs)))
+    compute_u(builtin(name).structure)
+    assert [calls[f] for f in ("twist_structure", "twisted_antipode")] == [0, 2]
+    calls.clear()
+    (rep,) = suites.run_suites(builtin(name), "qtriangular", seed=0)
+    assert rep.ok
+    assert [calls[f] for f in ("twist_structure", "twisted_antipode")] == [5, 22]
+
+
 class TestOppositeOnce:
     def test_opposite_computed_once_per_bundle(self):
         """P1, P1', u and u~ with both R-twist landing proofs (their triple checks among
@@ -198,40 +217,37 @@ class TestOppositeOnce:
         assert verified == []
 
 
-def _r_twisted_mutant(monkeypatch, parts):
-    """Hand ``canonical_r_elements`` the R-twisted bundle with ``parts(b)`` replaced."""
-    real = qtriangular._r_twisted
-
-    def mutant(t, which):
-        b = real(t, which)
-        kept = dict(coproduct=b.coproduct, phi=b.phi, phi_inv=b.phi_inv, antipode=b.antipode)
-        return QuasiBialgebra(b.algebra, counit=b.counit, verify=False, **{**kept, **parts(b)})
-
-    monkeypatch.setattr(qtriangular, "_r_twisted", mutant)
+def _landing_mutant(monkeypatch, helper, mutate):
+    """Pass each result of the twisting helper ``helper``, as ``qtriangular`` binds it,
+    through ``mutate``: only the R-twisted side of the landing proof calls that binding."""
+    real = getattr(qtriangular, helper)
+    monkeypatch.setattr(qtriangular, helper, lambda *args: mutate(real(*args)))
 
 
-def _unswapped(b):
-    return dict(coproduct=b.coproduct.swapped())
+def _unswapped(monkeypatch):
+    _landing_mutant(monkeypatch, "_twisted_coproduct", lambda delta: delta.swapped())
 
 
-def _doubled_phi(b):
-    return dict(phi=b.phi.scale(2), phi_inv=b.phi_inv.scale(2))
+def _doubled_phi(monkeypatch):
+    _landing_mutant(monkeypatch, "twisted_coassociator", lambda phi: phi.scale(2))
+    _doubled_phi_inv(monkeypatch)
 
 
-def _doubled_phi_inv(b):
-    return dict(phi_inv=b.phi_inv.scale(2))
+def _doubled_phi_inv(monkeypatch):
+    _landing_mutant(monkeypatch, "twisted_coassociator_inv", lambda phi_inv: phi_inv.scale(2))
 
 
-@pytest.mark.parametrize("parts, name, text", [
+@pytest.mark.parametrize("mutant, name, text", [
     (_unswapped, "sweedler_h4", "twisting by the R-matrix does not reverse the coproduct"),
     (_doubled_phi, "sweedler_h4", "twisting by the R-matrix does not reverse the coassociator"),
     (_doubled_phi, "semion", "twisting by the R-matrix does not reverse the coassociator"),
     (_doubled_phi_inv, "semion", "twisting by the R-matrix does not reverse the coassociator"),
 ], ids=["coproduct", "phi-sweedler_h4", "phi-semion", "phi-inv-semion"])
-def test_an_r_twist_landing_mutant_fails_its_checks(monkeypatch, parts, name, text):
-    """The R-twisted bundle moved off H^cop: ``canonical_r_elements`` raises the landing
-    check's text, and the qtriangular suite fails P6+E17 and the u battery with it."""
-    _r_twisted_mutant(monkeypatch, parts)
+def test_an_r_twist_landing_mutant_fails_its_checks(monkeypatch, mutant, name, text):
+    """The R-twisted parts moved off H^cop: ``canonical_r_elements`` raises the landing
+    check's text, the qtriangular suite fails P6+E17 and the u battery with it, and FdR's
+    structure, built only on a passed proof, raises it too."""
+    mutant(monkeypatch)
     with pytest.raises(ConsistencyError) as exc:
         canonical_r_elements(builtin(name).structure)
     assert str(exc.value) == text
@@ -239,6 +255,8 @@ def test_an_r_twist_landing_mutant_fails_its_checks(monkeypatch, parts, name, te
     (rep,) = suites.run_suites(builtin(name), "qtriangular", seed=0, trials=1)
     assert [(c.check_id, where(c)) for c in rep.failures()] == [
         ("P6+E17", failed), ("E18+E19+E20+L1+L2", failed)]
+    with pytest.raises(ConsistencyError, match=f"^{text}$"):
+        qtriangular._r_landing(builtin(name).structure)
 
 
 def test_a_wrong_r_tilde_triple_fails_the_u_battery(monkeypatch):
@@ -280,16 +298,30 @@ class TestUOrigin:
         assert [(c.check_id, c.witness) for c in rep.failures()] == [
             ("u-as-v", "alternative quasi-antipode fails: Sphi, Sphi-inv, eps-alpha-beta")]
 
-    @pytest.mark.parametrize("which", ("r", "r_tilde"))
     @pytest.mark.parametrize("name", QT_NAMES)
-    def test_the_r_twisted_bundle_carries_the_verified_triple(self, name, which):
-        """FdR reads the R-twisted bundle's triple and ``canonical_r_elements`` verifies the
-        one ``_canonical`` computes: the two computations agree."""
-        s = entry(name).structure
-        bundle = qtriangular._r_twisted(s, which).antipode
-        anti = qtriangular._canonical(s, which)[1]
-        assert (bundle.s, bundle.s_inv, bundle.alpha, bundle.beta) == (
-            anti.s, anti.s_inv, anti.alpha, anti.beta)
+    def test_fdr_reads_the_verified_triple(self, name, monkeypatch):
+        """FdR twists by ``_canonical``'s R-twist onto H^cop's coproduct and coassociator
+        with the very triple object ``canonical_r_elements`` verified, after that proof."""
+        e = builtin(name)
+        s = suites.setting(e)[0].structure
+        seen = []
+        real = drinfeld.drinfeld_under_twist
+
+        def recording(h, g, twisted):
+            proved = (canonical_r_elements.__wrapped__, "r") in h._memo
+            seen.append((h, g, twisted, proved))
+            return real(h, g, twisted)
+
+        monkeypatch.setattr(drinfeld, "drinfeld_under_twist", recording)
+        (rep,) = suites.run_suites(e, "qtriangular", seed=0, trials=1)
+        assert rep.ok
+        (h, g, landed, proved), = seen
+        twist, anti = qtriangular._canonical(s, "r")
+        cop = _opposite(s)
+        assert h is s and g is twist and proved
+        assert landed.antipode is anti and landed.r is None
+        assert all(a is b for a, b in zip((landed.coproduct, landed.phi, landed.phi_inv),
+                                          (cop.coproduct, cop.phi, cop.phi_inv)))
 
     @pytest.mark.parametrize("name", QT_NAMES)
     def test_u_tilde_is_v_on_the_opposite_pair(self, name):
