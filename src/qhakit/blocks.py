@@ -124,8 +124,10 @@ def transport(s, basis: BlockBasis) -> Transported:
     The basis must invert exactly (P^{-1} P = 1); the coproduct, counit,
     coassociator and its inverse, the antipode and its inverse, alpha,
     beta, and R and its inverse are carried over, and ``up`` maps back onto
-    ``s``'s own algebra (``original`` is None).  Raises StructureError if
-    the basis does not invert or the carried bundle fails a verifier.
+    ``s``'s own algebra (``original`` is None).  Raises a QhaError if the
+    basis or the carried Phi does not invert, or the carried bundle fails a
+    verifier.  A bundle being built, which has no Phi^{-1} yet, is given the
+    carried one mapped back, so that it inverts Phi once even if refused here.
     """
     alg, down = _block_algebra(basis, s.algebra.field)
     up = LinearMap.from_matrix(s.algebra, basis.matrix)
@@ -137,14 +139,17 @@ def transport(s, basis: BlockBasis) -> Transported:
     def carried(t):
         return None if t is None else down.map_tensor(t)
 
+    phi, phi_inv = carried(s.phi), carried(s.phi_inv)
+    if phi_inv is None:
+        phi_inv = phi.invert()
+        s.phi_inv = up.map_tensor(phi_inv)
     anti = None
     if s.antipode is not None:
         anti = QuasiAntipode(mapped(s.s), carried(s.alpha), carried(s.beta),
                              s_inv=mapped(s.s_inv))
     out = QuasiBialgebra(alg, mapped(s.coproduct),
                          LinearMap.scalar_map(alg, [s.counit(v) for v in vectors]),
-                         carried(s.phi), carried(s.phi_inv), anti,
-                         carried(s.r), carried(s.r_inv))
+                         phi, phi_inv, anti, carried(s.r), carried(s.r_inv))
     return Transported(None, out, down, up)
 
 

@@ -13,12 +13,14 @@ The integer matrix is factored once modulo a word-size prime p (from
 ``_PRIMES``) with first-nonzero pivoting.  The factorization solves every
 right-hand side mod p, and each lifting step replaces the residual r by
 (r - M x_i) / p, an exact division, so that x_0 + x_1 p + ... solves the
-system mod p^s.  After every step the rationals are rebuilt from the
-p-adic digits by rational reconstruction (Wang, Guy and Davenport, *SIGSAM
-Bull.* 16 (1982) 2-3) over one running common denominator; a failed
-attempt usually stops at its first entry.  The cost follows the size of
-the answer, not the size of the minors.  A Hadamard bound on the answer
-caps the number of steps.
+system mod p^s.  The rationals are rebuilt from the p-adic digits by
+rational reconstruction (Wang, Guy and Davenport, *SIGSAM Bull.* 16 (1982)
+2-3) over one running common denominator.  A failed attempt can cost the
+length of the modulus times the number of entries, so the attempts follow
+a fixed geometric schedule: after step s the next is at s + max(1, s // 8),
+and the last step is always tried.  The cost follows the size of the
+answer, not the size of the minors.  A Hadamard bound on the answer caps
+the number of steps.
 
 Nothing is guessed; two exact certificates back every outcome:
 
@@ -201,17 +203,19 @@ def _lift(a, factored, p, columns):
     bits = sum(max(sum(map(mul, col, col)), rhs).bit_length() for col in zip(*block))
     steps = -(-(bits + 1) // (p.bit_length() - 1))
     digits = [[0] * k for _ in columns]
-    modulus = 1
-    for _ in range(steps):
+    modulus, attempt = 1, 1
+    for step in range(1, steps + 1):
         xs = [_solve_mod(lu, inverses, p, r) for r in residuals]
         digits = [[u + modulus * v for u, v in zip(d, x)] for d, x in zip(digits, xs)]
         modulus *= p
-        candidate = _reconstruct(digits, modulus)
-        if candidate is not None:
-            den, nums = candidate
-            if all(sum(map(mul, row, x)) == den * b[i]
-                   for x, b in zip(nums, columns) for i, row in enumerate(a)):
-                return candidate
+        if step == attempt or step == steps:
+            attempt = step + max(1, step // 8)
+            candidate = _reconstruct(digits, modulus)
+            if candidate is not None:
+                den, nums = candidate
+                if all(sum(map(mul, row, x)) == den * b[i]
+                       for x, b in zip(nums, columns) for i, row in enumerate(a)):
+                    return candidate
         residuals = [[(v - sum(map(mul, row, x))) // p for row, v in zip(block, r)]
                      for r, x in zip(residuals, xs)]
     return None

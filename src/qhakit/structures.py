@@ -161,8 +161,9 @@ class QuasiBialgebra:
     runs in the rational block basis where :mod:`qhakit.blocks` picks the
     bundle, and the inverses not given are then taken from there.
     Otherwise, or where the carried bundle fails, it runs here in a fixed
-    order: invertibility of the coassociator, the quasi-bialgebra axioms,
-    the quasi-antipode, invertibility of R, the R-matrix identities.
+    order: invertibility of the coassociator (with the inverse found in
+    the block basis, if any), the quasi-bialgebra axioms, the
+    quasi-antipode, invertibility of R, the R-matrix identities.
     """
 
     def __init__(self, algebra, coproduct, counit, phi, phi_inv=None, antipode=None,
@@ -174,14 +175,12 @@ class QuasiBialgebra:
         self.antipode = antipode
         self.r, self.r_inv = r, r_inv
         self._memo = {}
-        carried = _block_form(self) if verify else None
+        carried = _block_form(self) if verify else None  # sets phi_inv if Phi inverts there
         if carried is not None:
-            if phi_inv is None:
-                self.phi_inv = carried.back(carried.s.phi_inv)
             if r is not None and r_inv is None:
                 self.r_inv = carried.back(carried.s.r_inv)
             return
-        if phi_inv is None:
+        if self.phi_inv is None:
             self.phi_inv = _inverse(phi, "qba", "phi-invertible", "coassociator is not invertible")
         if verify:
             _require(verify_qba(self), "quasi-bialgebra axioms fail")
@@ -191,11 +190,6 @@ class QuasiBialgebra:
             self.r_inv = _inverse(r, "rmatrix", "R-invertible", "R-matrix is not invertible")
         if verify and r is not None:
             _require(verify_rmatrix(self), "R-matrix axioms fail")
-
-    def without_r(self) -> "QuasiBialgebra":
-        """This bundle without its R-matrix, taken as it is."""
-        return QuasiBialgebra(self.algebra, self.coproduct, self.counit, self.phi,
-                              self.phi_inv, self.antipode, verify=False)
 
     @property
     @_memoized

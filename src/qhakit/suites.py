@@ -6,8 +6,7 @@ so reports are byte-identical for a fixed (input, seed) pair.  Every
 check goes through :meth:`Report.check` and computes inside it every value
 it reads, a value two checks share by a ``functools.cache`` thunk, so a
 kernel error fails each check that needs the value and no other.  Only the
-draws, the drinfeld suite's bundle without its R-matrix and the family that
-``_dynamical_r_checks`` is handed come first.
+draws and the family that ``_dynamical_r_checks`` is handed come first.
 
 A suite runs once, in the rational block basis where the rule stated in
 :mod:`qhakit.blocks` applies (``setting``).  Its random twists and
@@ -121,7 +120,7 @@ def suite_drinfeld(entry: CatalogEntry, draw: Transported, seed, trials) -> Repo
                            gamma_bar_under_twist, opposite_drinfeld)
     from .twists import twist_structure
     rep = Report("drinfeld")
-    h = entry.structure.without_r()  # the opposite and twisted bundles need no R-matrix
+    h = entry.structure
     rng = _rng(seed, "drinfeld", entry.name)
 
     rep.check("E9+E10+E11+P2+P3", lambda: compute_drinfeld_data(h))

@@ -153,15 +153,9 @@ def is_quasi_cocycle(f: Twist, q) -> bool:
     return lhs == rhs
 
 
-def commutes_with_coproduct(f: TensorElement, q) -> bool:
-    alg = q.algebra
-    return all(f * q.coproduct.col(i) == q.coproduct.col(i) * f
-               for i in range(alg.dim))
-
-
 def is_compatible(c: Twist, q) -> bool:
     """A compatible twist commutes with the coproduct and is a quasi-cocycle."""
-    return commutes_with_coproduct(c.f, q) and is_quasi_cocycle(c, q)
+    return all(c.f * d == d * c.f for d in q.coproduct.columns) and is_quasi_cocycle(c, q)
 
 
 def central_to_compatible(z, q) -> Twist:

@@ -44,6 +44,12 @@ def where(failure):
     return failure.witness.rsplit(": ", 1)[0]
 
 
+def without_r(s):
+    """The bundle ``s`` without its R-matrix, taken as it is (not verified again)."""
+    return structures.QuasiBialgebra(s.algebra, s.coproduct, s.counit, s.phi, s.phi_inv,
+                                     s.antipode, verify=False)
+
+
 def drinfeld_data(name):
     return compute_drinfeld_data(hopf(name))
 

@@ -34,7 +34,7 @@ from qhakit.twists import (Twist, central_to_compatible, compatible_to_central,
                            compose_twists, is_compatible, quadratic_invariants,
                            quasi_cocycle_sides, twist_structure)
 
-from conftest import drinfeld_data, entry, hopf
+from conftest import drinfeld_data, entry, hopf, without_r
 
 SEEDS = 25
 ENTRIES = default_entries()
@@ -186,7 +186,7 @@ def test_criterion_7_qqybe():
         s = entry(name).structure
         data = drinfeld_data(name)
         r_twist = Twist(s.r, s.counit, s.r_inv, check=False)
-        out = drinfeld_under_twist(s, r_twist, twist_structure(s.without_r(), r_twist,
+        out = drinfeld_under_twist(s, r_twist, twist_structure(without_r(s), r_twist,
                                                                verify=False))
         assert out.f == data.f_delta.f.transpose() * (s.r_inv.transpose() * s.r_inv)
     report(7, "quasi-QYBE exact on all entries; R-twisted transport closed form exact")

@@ -25,7 +25,7 @@ from qhakit.randgen import random_twist
 from qhakit.scalars import RATIONAL, Cyclo
 from qhakit.serial import parse_structure, serialize_structure
 from qhakit.structures import _block_form, opposite_structure
-from qhakit.tensor import tensor_of
+from qhakit.tensor import TensorElement, tensor_of
 from qhakit.twists import Twist, twist_structure
 
 from conftest import VERIFIERS, counting_memo, counting_verifiers, rebind, stores_of
@@ -249,7 +249,8 @@ def test_a_dynamical_family_is_checked_in_the_original_basis(monkeypatch):
 
 
 def test_refusal_text_is_the_group_basis_one(capsys, tmp_path, monkeypatch):
-    """A file that fails in the block basis is refused with the group-basis error."""
+    """A file that fails in the block basis is refused with the group-basis error, and
+    Phi is inverted once: the group-basis verification reads the block inverse."""
     doc = json.loads(serialize_structure(_twisted_file(4)))
     doc["phi"][0]["scalar"] = str(2 * Fraction(doc["phi"][0]["scalar"]))
     path = tmp_path / "corrupt.json"
@@ -260,8 +261,13 @@ def test_refusal_text_is_the_group_basis_one(capsys, tmp_path, monkeypatch):
         err = capsys.readouterr().err
         return code, [line for line in err.splitlines() if not line.startswith("elapsed")]
 
+    inverted = []
+    invert = TensorElement.invert
+    monkeypatch.setattr(TensorElement, "invert",
+                        lambda t: inverted.append(t.arity) or invert(t))
     carried = refusal()
     assert carried[0] == 2 and "failed check" in "\n".join(carried[1])
+    assert inverted.count(3) == 1
     _without_blocks(monkeypatch)
     assert refusal() == carried
 
@@ -355,7 +361,7 @@ def test_no_r_twisted_bundle_is_built(monkeypatch, name):
 @pytest.mark.parametrize("name", ["semion", "sweedler_h4", "z2_triangular"])
 def test_an_all_run_verifies_the_primed_structure_once(monkeypatch, name):
     """P2 and P5 share one verified primed structure: after load, the five suites run
-    verify_qba, verify_quasi_antipode and verify_rmatrix 15, 22 and 15 times."""
+    verify_qba, verify_quasi_antipode and verify_rmatrix 14, 21 and 15 times."""
     e = builtin(name)
     built = []
     real = structures._verified
@@ -365,4 +371,4 @@ def test_an_all_run_verifies_the_primed_structure_once(monkeypatch, name):
     assert all(r.ok for r in reports)
     primed = structures._mapped_structure(suites.setting(e)[0].structure, True)
     assert sum(b is primed for b in built) == 1
-    assert [counts[v] for v in VERIFIERS] == [15, 22, 15]
+    assert [counts[v] for v in VERIFIERS] == [14, 21, 15]

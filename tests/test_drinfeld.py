@@ -23,7 +23,8 @@ from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _block_form, _mapp
 from qhakit.tensor import LinearMap, tensor_of
 from qhakit.twists import Twist, central_to_compatible, twist_structure
 
-from conftest import ENTRY_NAMES, counting_memo, drinfeld_data, entry, hopf, stores_of, where
+from conftest import (ENTRY_NAMES, QT_NAMES, counting_memo, drinfeld_data, entry, hopf, rebind,
+                      stores_of, where, without_r)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from harness import group_twist  # noqa: E402
@@ -190,11 +191,29 @@ class TestBundleMemo:
 
     @pytest.mark.parametrize("derive", (
         opposite_structure, primed_structure, zero_structure,
-        lambda h: h.without_r(), lambda h: twist_structure(h, Twist.identity(h))))
+        without_r, lambda h: twist_structure(h, Twist.identity(h))))
     def test_derived_bundle_computes_its_own(self, derive):
         h = hopf("semion")
         f_delta = compute_drinfeld_twist(h)
         assert compute_drinfeld_twist(derive(h)) is not f_delta
+
+    @pytest.mark.parametrize("name", QT_NAMES)
+    def test_one_drinfeld_computation_per_bundle_in_a_full_run(self, name, monkeypatch):
+        """A ``--suite all`` run computes the Drinfeld data of the bundle it runs on once:
+        the drinfeld suite reads that bundle itself, and the qtriangular suite's E16,
+        FdR and E24AC find the data in its memo.  Any bundle on the same coproduct, such
+        as a copy without R, would count as that bundle here."""
+        e = builtin(name)
+        run = suites.setting(e)[0].structure
+        key, computed = (compute_drinfeld_data.__wrapped__,), []
+
+        def counted(h):
+            if h.coproduct is run.coproduct and key not in h._memo:
+                computed.append(h)
+            return compute_drinfeld_data(h)
+        rebind(monkeypatch, compute_drinfeld_data, counted)
+        assert all(rep.ok for rep in suites.run_suites(e, "all", seed=0, trials=1))
+        assert computed == [run]
 
 
 # -- the closed forms against the per-entry sums they factor ---------------------

@@ -312,7 +312,7 @@ GOLDEN_FAILURES = {
                                            'basis element x',
     'non_cocycle_family/dynamical': '64493f01b9f5f0412b30486f54cf2ccce9f96286272db49f8960d067427146f1',
     'perturbed_r/axioms': '2a2565e9d638ff099450a4b1b8232d3e0265959680f8963ff6f748f757e97d6d',
-    'perturbed_r/drinfeld': 'd8b107af8371db1529e2ac8bd9aba55ca412f200f9f8726e54fa4c92773aca6c',
+    'perturbed_r/drinfeld': '8613de1d026a9254e7e52c9cda2a923203f62483a1458063467ed887e94e20e1',
     'perturbed_r/dynamical': '45addcb767786208a229a0c40326b3a6d96e20e5e0b1c922c5bbfe69cdd1c5e5',
     'perturbed_r/qtriangular': 'cd88cef53fcec2ac989547be37980d0434a221ade368340b36f772f2d18134fd',
     'perturbed_r/twist': '1b2826c01bc996b722dfa8251c36c61d5f6db1a7125d197bd67e5149ebd7a203',

@@ -20,7 +20,7 @@ from qhakit.structures import (QuasiAntipode, Transported, _opposite,
 from qhakit.twists import Twist, is_compatible, twist_structure, twisted_antipode
 
 from conftest import (QT_NAMES, assert_verified, counting_memo, drinfeld_data, entry, hopf,
-                      rebind, stores_of, where)
+                      rebind, stores_of, where, without_r)
 
 
 class TestCanonicalElements:
@@ -194,15 +194,14 @@ class TestOppositeOnce:
 
     @pytest.mark.parametrize("name", ("semion", "sweedler_h4", "z2_triangular"))
     def test_one_verified_opposite_per_bundle(self, name, monkeypatch):
-        """P1 and P1'-E14 share one verified H^cop; P4 verifies its own, without R:
-        all five suites build ``opposite_structure`` twice."""
+        """P1, P1'-E14 and P4 share one verified H^cop, with R^T: all five suites build
+        ``opposite_structure`` once."""
         built = []
         real = structures._opposite
         monkeypatch.setattr(structures, "_opposite", lambda h: built.append(h) or real(h))
         reports = suites.run_suites(builtin(name), "all", seed=0, trials=1)
         assert all(r.ok for r in reports)
-        assert len(built) == 2
-        assert built[0].r is not None and built[1].r is None
+        assert len(built) == 1 and built[0].r is not None
 
     @pytest.mark.parametrize("name", ("semion", "sweedler_h4"))
     def test_u_origin_verifies_no_bundle(self, name, monkeypatch):
@@ -329,7 +328,7 @@ class TestUOrigin:
         s = entry(name).structure
         rt, rt_inv = r_tilde(s)
         anti = twisted_antipode(s, Twist(rt, s.counit, rt_inv))
-        op = opposite_structure(s.without_r())
+        op = opposite_structure(without_r(s))
         assert verify_quasi_antipode(op, anti).ok
         assert compute_u(s).u_tilde == compute_v(op, anti)
 
@@ -392,7 +391,7 @@ class TestFdeltaUnderR:
         s = entry(name).structure
         data = drinfeld_data(name)
         r_twist = Twist(s.r, s.counit, s.r_inv, check=False)
-        out = drinfeld_under_twist(s, r_twist, twist_structure(s.without_r(), r_twist,
+        out = drinfeld_under_twist(s, r_twist, twist_structure(without_r(s), r_twist,
                                                                verify=False))
         rrt_inv = s.r_inv.transpose() * s.r_inv
         assert out.f == data.f_delta.f.transpose() * rrt_inv

@@ -15,7 +15,8 @@ from qhakit.structures import (QuasiAntipode, QuasiBialgebra, _require, _require
                                zero_structure)
 from qhakit.tensor import LinearMap, contract, tensor_of
 
-from conftest import ENTRY_NAMES, assert_verified, counting_memo, entry, hopf, stores_of
+from conftest import (ENTRY_NAMES, assert_verified, counting_memo, entry, hopf, stores_of,
+                      without_r)
 
 
 class TestVerifiers:
@@ -290,7 +291,7 @@ class TestDerivedStructures:
 
     def test_hopf_z2_self_opposite(self):
         s = entry("z2_triangular").structure
-        h = s.without_r()
+        h = without_r(s)
         op = opposite_structure(h)
         assert structures_equal(op, h)
 
