@@ -82,6 +82,9 @@ class DynamicalTwist:
         self.domain = tuple(sorted(RATIONAL.coerce(x) for x in domain))
         self.twists = {RATIONAL.coerce(k): v for k, v in twists.items()}
         self.shift = shift
+        for lam, nxt in zip(self.domain, self.domain[1:]):
+            if lam == nxt:  # each check would run twice at a repeated grid point
+                raise StructureError(f"domain value {lam} is repeated")
         if set(self.domain) != set(self.twists):
             raise StructureError("twist table keys must equal the domain")
         for lam, tw in self.twists.items():

@@ -19,7 +19,10 @@ Parsing reports three distinct error classes: SchemaError for malformed
 JSON or schema violations (with a field path), AlgebraError for invalid
 structure constants, and StructureError when a well-formed structure
 fails its axiom verification (a singular antipode or a dynamical entry
-that is no twist included).  Load-time verification is mandatory.
+that is no twist included; a dynamical refusal names its section).
+Load-time verification is mandatory.  Every field path is formed by
+``_at`` from the parent's path and a key or list index: ``_expect`` and
+``_items`` hand each field and list item on with its path.
 Cyclotomic orders above MAX_CYCLOTOMIC_ORDER are refused: the n-th
 cyclotomic polynomial alone takes seconds to build past a few hundred.
 
@@ -134,7 +137,8 @@ def _unique_keys(pairs):
     return doc
 
 
-def _load_json(text):
+def _load_json(text, keys):
+    """The top-level object of ``text``, whose fields must be among ``keys``."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -142,40 +146,56 @@ def _load_json(text):
                           f"{exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-    return doc
+    return _object(doc, None, keys, "top level must be an object")
 
 
-def _only(doc, keys, path=None):
-    """Refuse a key of the object ``doc`` (at ``path``) that is not in ``keys``."""
-    for key in doc:
+def _at(path, key):
+    """The path of field or list index ``key`` below ``path`` (None at the top level)."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _items(rows, path):
+    """The items of the list ``rows`` at ``path``, each with its path."""
+    return [(row, _at(path, n)) for n, row in enumerate(rows)]
+
+
+def _object(obj, path, keys, message="expected an object"):
+    """``obj``, refused at ``path`` unless it is an object with no field outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(message, path)
+    for key in obj:
         if key not in keys:
-            raise SchemaError("unknown field", f"{path}.{key}" if path else key)
+            raise SchemaError("unknown field", _at(path, key))
+    return obj
 
 
-def _expect(doc, key, kind, path):
+def _expect(doc, key, kind=None, path=None, keys=None):
+    """Field ``key`` of the object ``doc`` at ``path``, and the field's path; refused when
+    missing, not a ``kind``, or, given ``keys``, an object with a field outside them."""
+    at = _at(path, key)
     if key not in doc:
-        raise SchemaError(f"missing required field {key!r}", path)
+        raise SchemaError(f"missing required field {key!r}", at)
     val = doc[key]
     # bool is a subclass of int, but a JSON true/false is never an index or a size
     if kind is not None and (not isinstance(val, kind) or (kind is int and isinstance(val, bool))):
-        raise SchemaError(f"field {key!r} has wrong type {type(val).__name__}", path)
-    return val
+        raise SchemaError(f"field {key!r} has wrong type {type(val).__name__}", at)
+    if keys is not None:
+        _object(val, at, keys)
+    return val, at
 
 
 def _dec_field(doc) -> Field:
-    spec = _expect(doc, "field", dict, "field")
-    _only(spec, ("kind", "order"), "field")
-    kind = _expect(spec, "kind", str, "field.kind")
-    order = _expect(spec, "order", int, "field.order")
+    spec, path = _expect(doc, "field", dict, keys=("kind", "order"))
+    kind, _ = _expect(spec, "kind", str, path)
+    order, order_path = _expect(spec, "order", int, path)
     try:
         field = Field(kind, order)
     except ValueError as exc:
-        raise SchemaError(str(exc), "field") from exc
+        raise SchemaError(str(exc), path) from exc
     if order > MAX_CYCLOTOMIC_ORDER:
-        raise SchemaError(f"cyclotomic order must be at most {MAX_CYCLOTOMIC_ORDER}",
-                          "field.order")
+        raise SchemaError(f"cyclotomic order must be at most {MAX_CYCLOTOMIC_ORDER}", order_path)
     return field
 
 
@@ -186,101 +206,80 @@ def _dec_scalar(field, obj, path):
         raise SchemaError(f"bad scalar {obj!r}: {exc}", path) from exc
 
 
-def _dec_vector(field, obj, dim, path):
+def _dec_vector(field, obj, path, dim):
     if not isinstance(obj, list) or len(obj) != dim:
         raise SchemaError(f"expected a list of {dim} scalars", path)
-    return [_dec_scalar(field, v, f"{path}[{i}]") for i, v in enumerate(obj)]
+    return [_dec_scalar(field, v, at) for v, at in _items(obj, path)]
 
 
-def _dec_sparse(field, alg, rows, arity, path):
+def _dec_sparse(field, alg, rows, path, arity):
     if not isinstance(rows, list):
         raise SchemaError("expected a list of index objects", path)
     keys = _INDEX_KEYS[:arity]
     entries = {}
-    for n, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise SchemaError("expected an object with index fields", f"{path}[{n}]")
-        _only(row, keys + ("scalar",), f"{path}[{n}]")
-        idx = tuple(_expect(row, k, int, f"{path}[{n}].{k}") for k in keys)
+    for row, at in _items(rows, path):
+        _object(row, at, keys + ("scalar",), "expected an object with index fields")
+        idx = tuple(_expect(row, k, int, at)[0] for k in keys)
         if any(not 0 <= v < alg.dim for v in idx):
-            raise SchemaError(f"index {idx} out of range", f"{path}[{n}]")
+            raise SchemaError(f"index {idx} out of range", at)
         if idx in entries:
-            raise SchemaError(f"duplicate index {idx}", f"{path}[{n}]")
-        entries[idx] = _dec_scalar(field, _expect(row, "scalar", None, f"{path}[{n}].scalar"),
-                                   f"{path}[{n}].scalar")
+            raise SchemaError(f"duplicate index {idx}", at)
+        entries[idx] = _dec_scalar(field, *_expect(row, "scalar", None, at))
     return TensorElement(alg, arity, entries)
 
 
-def _dec_map(field, alg, obj, path):
-    _only(obj, ("matrix",), path)
-    mat = _expect(obj, "matrix", list, f"{path}.matrix")
+def _dec_map(field, alg, doc, key):
+    obj, path = _expect(doc, key, dict, keys=("matrix",))
+    mat, path = _expect(obj, "matrix", list, path)
     if len(mat) != alg.dim:
-        raise SchemaError(f"matrix must have {alg.dim} rows", f"{path}.matrix")
-    rows = [_dec_vector(field, row, alg.dim, f"{path}.matrix[{r}]")
-            for r, row in enumerate(mat)]
-    return LinearMap.from_matrix(alg, rows)
+        raise SchemaError(f"matrix must have {alg.dim} rows", path)
+    return LinearMap.from_matrix(alg, [_dec_vector(field, row, at, alg.dim)
+                                       for row, at in _items(mat, path)])
 
 
 def parse_structure(text: str) -> CatalogEntry:
     """Parse and fully verify a structure file; verification is not bypassable."""
-    doc = _load_json(text)
-    _only(doc, _TOP_KEYS)
+    doc = _load_json(text, _TOP_KEYS)
     field = _dec_field(doc)
-    dim = _expect(doc, "dimension", int, "dimension")
+    dim, path = _expect(doc, "dimension", int)
     if dim < 1:
-        raise SchemaError("dimension must be positive", "dimension")
+        raise SchemaError("dimension must be positive", path)
     if dim > MAX_GROUP_ORDER:  # the algebra allocates a dim x dim table before any check
-        raise SchemaError(f"dimension must be at most {MAX_GROUP_ORDER}", "dimension")
+        raise SchemaError(f"dimension must be at most {MAX_GROUP_ORDER}", path)
 
-    mult_rows = _expect(doc, "mult", list, "mult")
     mult = {}
-    for n, row in enumerate(mult_rows):
-        if not isinstance(row, dict):
-            raise SchemaError("expected an object", f"mult[{n}]")
-        _only(row, ("i", "j", "coeffs"), f"mult[{n}]")
-        i = _expect(row, "i", int, f"mult[{n}].i")
-        j = _expect(row, "j", int, f"mult[{n}].j")
-        if (i, j) in mult:
-            raise SchemaError(f"duplicate index {(i, j)}", f"mult[{n}]")
-        coeffs = _dec_vector(field, _expect(row, "coeffs", list, f"mult[{n}].coeffs"),
-                             dim, f"mult[{n}].coeffs")
-        mult[(i, j)] = {k: v for k, v in enumerate(coeffs)}
-    unit = _dec_vector(field, _expect(doc, "unit", list, "unit"), dim, "unit")
+    for row, at in _items(*_expect(doc, "mult", list)):
+        _object(row, at, ("i", "j", "coeffs"))
+        idx = tuple(_expect(row, k, int, at)[0] for k in ("i", "j"))
+        if idx in mult:
+            raise SchemaError(f"duplicate index {idx}", at)
+        mult[idx] = dict(enumerate(_dec_vector(field, *_expect(row, "coeffs", list, at), dim)))
+    unit = _dec_vector(field, *_expect(doc, "unit", list), dim)
     basis = doc.get("basis")
     if basis is not None and (not isinstance(basis, list) or len(basis) != dim
                               or not all(isinstance(b, str) for b in basis)):
         raise SchemaError(f"expected a list of {dim} basis names", "basis")
     for n, b in enumerate(basis or ()):
         if basis.index(b) < n:  # a witness names an element by its basis name
-            raise SchemaError(f"duplicate name {b!r}", f"basis[{n}]")
+            raise SchemaError(f"duplicate name {b!r}", _at("basis", n))
     name = doc.get("name", "unnamed")
     if not isinstance(name, str):
         raise SchemaError("expected a string", "name")
     # Algebra construction checks associativity and the unit laws
     alg = Algebra(field, dim, mult, unit, basis=basis)
 
-    cop_rows = _expect(doc, "coproduct", list, "coproduct")
+    cop_rows, path = _expect(doc, "coproduct", list)
     if len(cop_rows) != dim:
-        raise SchemaError(f"coproduct must list {dim} columns", "coproduct")
-    coproduct = LinearMap(alg, [_dec_sparse(field, alg, rows, 2, f"coproduct[{i}]")
-                                for i, rows in enumerate(cop_rows)])
-    counit = LinearMap.scalar_map(
-        alg, _dec_vector(field, _expect(doc, "counit", list, "counit"), dim, "counit"))
-    s = _dec_map(field, alg, _expect(doc, "antipode", dict, "antipode"), "antipode")
-    s_inv = None
-    if "antipode_inv" in doc:
-        s_inv = _dec_map(field, alg, _expect(doc, "antipode_inv", dict, "antipode_inv"),
-                         "antipode_inv")
-    alpha = alg.element(_dec_vector(field, _expect(doc, "alpha", list, "alpha"),
-                                    dim, "alpha"))
-    beta = alg.element(_dec_vector(field, _expect(doc, "beta", list, "beta"),
-                                   dim, "beta"))
-    phi = _dec_sparse(field, alg, _expect(doc, "phi", list, "phi"), 3, "phi")
-
-    r = None
-    if "r_matrix" in doc:
-        r = _dec_sparse(field, alg, _expect(doc, "r_matrix", list, "r_matrix"),
-                        2, "r_matrix")
+        raise SchemaError(f"coproduct must list {dim} columns", path)
+    coproduct = LinearMap(alg, [_dec_sparse(field, alg, rows, at, 2)
+                                for rows, at in _items(cop_rows, path)])
+    counit = LinearMap.scalar_map(alg, _dec_vector(field, *_expect(doc, "counit", list), dim))
+    s = _dec_map(field, alg, doc, "antipode")
+    s_inv = _dec_map(field, alg, doc, "antipode_inv") if "antipode_inv" in doc else None
+    alpha = alg.element(_dec_vector(field, *_expect(doc, "alpha", list), dim))
+    beta = alg.element(_dec_vector(field, *_expect(doc, "beta", list), dim))
+    phi = _dec_sparse(field, alg, *_expect(doc, "phi", list), 3)
+    r = _dec_sparse(field, alg, *_expect(doc, "r_matrix", list), 2) if "r_matrix" in doc else None
     try:
         antipode = QuasiAntipode(s, alpha, beta, s_inv)
     except StructureError:   # a failing coassociator is reported before a singular antipode
@@ -289,51 +288,48 @@ def parse_structure(text: str) -> CatalogEntry:
     # verified here; StructureError propagates with its report
     structure = QuasiBialgebra(alg, coproduct, counit, phi, antipode=antipode, r=r)
 
-    dynamical = None
-    if "dynamical" in doc:
-        dynamical = _dec_dynamical(field, alg, structure, doc["dynamical"])
-
+    dynamical = _dec_dynamical(field, alg, structure, doc) if "dynamical" in doc else None
     return CatalogEntry(name, structure, dynamical=dynamical)
 
 
 def _dec_dynamical(field, alg, structure, doc):
     from .dynamical import DynamicalTwist, ShiftSystem
     path = "dynamical"
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object", path)
-    _only(doc, ("domain", "shift", "twists"), path)
+    dyn = _object(doc[path], path, ("domain", "shift", "twists"))
     domain = set()
-    for n, x in enumerate(_expect(doc, "domain", list, f"{path}.domain")):
-        lam = _dec_fraction(x, f"{path}.domain[{n}]")
+    for x, at in _items(*_expect(dyn, "domain", list, path)):
+        lam = _dec_fraction(x, at)
         if lam in domain:
-            raise SchemaError(f"duplicate value {lam}", f"{path}.domain[{n}]")
+            raise SchemaError(f"duplicate value {lam}", at)
         domain.add(lam)
-    shift_doc = _expect(doc, "shift", dict, f"{path}.shift")
-    _only(shift_doc, ("idempotents", "weights"), f"{path}.shift")
-    idem = [alg.element(_dec_vector(field, row, alg.dim, f"{path}.shift.idempotents[{n}]"))
-            for n, row in enumerate(_expect(shift_doc, "idempotents", list,
-                                            f"{path}.shift.idempotents"))]
-    if not idem:
-        raise SchemaError("expected at least one idempotent", f"{path}.shift.idempotents")
-    weights = [_dec_fraction(x, f"{path}.shift.weights[{n}]") for n, x in
-               enumerate(_expect(shift_doc, "weights", list, f"{path}.shift.weights"))]
-    shift = ShiftSystem(idem, weights)
+    spec, spec_path = _expect(dyn, "shift", dict, path, ("idempotents", "weights"))
+    rows, rows_path = _expect(spec, "idempotents", list, spec_path)
+    if not rows:
+        raise SchemaError("expected at least one idempotent", rows_path)
+    idem = [alg.element(_dec_vector(field, row, at, alg.dim))
+            for row, at in _items(rows, rows_path)]
+    weights = [_dec_fraction(x, at)
+               for x, at in _items(*_expect(spec, "weights", list, spec_path))]
+    try:
+        shift = ShiftSystem(idem, weights)
+    except StructureError as exc:
+        raise StructureError(f"{spec_path}: {exc}") from exc
     twists = {}
-    for n, row in enumerate(_expect(doc, "twists", list, f"{path}.twists")):
-        if not isinstance(row, dict):
-            raise SchemaError("expected an object", f"{path}.twists[{n}]")
-        _only(row, ("lambda", "f"), f"{path}.twists[{n}]")
-        lam = _dec_fraction(_expect(row, "lambda", str, f"{path}.twists[{n}].lambda"),
-                            f"{path}.twists[{n}].lambda")
+    for row, at in _items(*_expect(dyn, "twists", list, path)):
+        _object(row, at, ("lambda", "f"))
+        lam_doc, lam_path = _expect(row, "lambda", str, at)
+        lam = _dec_fraction(lam_doc, lam_path)
         if lam in twists:
-            raise SchemaError(f"duplicate lambda {lam}", f"{path}.twists[{n}].lambda")
-        f = _dec_sparse(field, alg, _expect(row, "f", list, f"{path}.twists[{n}].f"),
-                        2, f"{path}.twists[{n}].f")
+            raise SchemaError(f"duplicate lambda {lam}", lam_path)
+        f, at = _expect(row, "f", list, at)
         try:
-            twists[lam] = Twist(f, structure.counit)
+            twists[lam] = Twist(_dec_sparse(field, alg, f, at, 2), structure.counit)
         except TwistError as exc:
-            raise StructureError(f"{path}.twists[{n}].f: {exc}") from exc
-    return DynamicalTwist(domain, twists, shift)
+            raise StructureError(f"{at}: {exc}") from exc
+    try:
+        return DynamicalTwist(domain, twists, shift)
+    except StructureError as exc:
+        raise StructureError(f"{path}: {exc}") from exc
 
 
 def _dec_fraction(obj, path) -> Fraction:
@@ -347,8 +343,6 @@ def _dec_fraction(obj, path) -> Fraction:
 
 def parse_twist(text: str, structure) -> Twist:
     """Parse a twist file against an already-loaded structure."""
-    doc = _load_json(text)
-    _only(doc, ("twist",))
+    doc = _load_json(text, ("twist",))
     alg = structure.algebra
-    f = _dec_sparse(alg.field, alg, _expect(doc, "twist", list, "twist"), 2, "twist")
-    return Twist(f, structure.counit)
+    return Twist(_dec_sparse(alg.field, alg, *_expect(doc, "twist", list), 2), structure.counit)

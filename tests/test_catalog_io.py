@@ -192,6 +192,19 @@ class TestParseErrors:
         with pytest.raises(SchemaError, match=rf"^{text}$"):
             parse_structure(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit, text", [
+        (lambda d: d["shift"]["weights"].pop(), r"dynamical\.shift: one weight per idempotent"),
+        (lambda d: d["twists"].pop(), "dynamical: twist table keys must equal the domain"),
+        (lambda d: d["shift"].update(weights=["0", "100"]),
+         "dynamical: no grid point has all its shifted parameters inside the domain"),
+    ], ids=["weights", "twist-keys", "checkable"])
+    def test_dynamical_refusal_names_its_section(self, edit, text):
+        """A shift system or a family refused at load time names the section it refuses."""
+        doc = json.loads(serialize_structure(entry("z2_triangular")))
+        edit(doc["dynamical"])
+        with pytest.raises(StructureError, match=rf"^{text}$"):
+            parse_structure(json.dumps(doc))
+
     def test_unexpected_error_in_scalar_parsing_propagates(self, monkeypatch):
         """Only the errors parse_scalar documents become SchemaError; a bug stays visible."""
         def broken(self, obj):

@@ -319,6 +319,13 @@ class TestDomainValidation:
         z2 = entry("z2_triangular")
         assert z2.dynamical.checkable() == [Fraction(0), Fraction(1, 2), Fraction(1)]
 
+    @pytest.mark.parametrize("domain", [(0, 0, 1), (Fraction(1, 2), 1, Fraction(2, 4))])
+    def test_repeated_domain_value_rejected(self, domain):
+        """A repeated grid point would repeat its checks, each failure reported twice."""
+        t = entry("z2_triangular").structure
+        with pytest.raises(StructureError, match=r"^domain value (0|1/2) is repeated$"):
+            constant_family(t, Twist.identity(t), domain=domain)
+
     def test_empty_checkable_rejected(self):
         # weights (0, 1) with domain {0} leave no checkable point
         t = entry("z2_triangular").structure

@@ -4,11 +4,13 @@ Each example takes the canonical serialisation of a catalog entry, applies
 one to three mutations (drop a key, swap a value's type, put an index out
 of range, put in a boolean, put in a huge value) and parses the result.
 ``parse_structure`` may accept it or raise SchemaError, AlgebraError or
-StructureError; any other exception, or a hang, is a parser bug.
+StructureError; any other exception, or a hang, is a parser bug.  A
+SchemaError's field path must lead through the file to what it refuses.
 """
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -77,7 +79,40 @@ def test_text_the_json_module_refuses_is_a_schema_error(text):
         parse_structure(text)
 
 
-@pytest.mark.parametrize("edit, error, match", [
+def has(node, key):
+    if isinstance(key, int):
+        return isinstance(node, list) and 0 <= key < len(node)
+    return isinstance(node, dict) and key in node
+
+
+def assert_path_is_real(exc, doc):
+    """Each key and index of the refusal's path exists in ``doc``, but the last one of a
+    missing field: that one names a field its object lacks."""
+    *parents, last = [key or int(index) for key, index in
+                      re.findall(r"([^.\[\]]+)|\[(\d+)\]", exc.path)]
+    node = doc
+    for key in parents:
+        assert has(node, key), f"{exc}: no {key!r} on the way"
+        node = node[key]
+    missing = str(exc).startswith(f"{exc.path}: missing required field")
+    assert has(node, last) != missing, f"{exc}: {last!r} {'is there' if missing else 'is not'}"
+
+
+def assert_refused_at_real_path(text):
+    try:
+        parse_structure(text)
+    except DOCUMENTED as exc:
+        if getattr(exc, "path", None):
+            assert_path_is_real(exc, json.loads(text))
+
+
+@given(text=mutated())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_files_are_refused_at_real_paths(text):
+    assert_refused_at_real_path(text)
+
+
+FINDINGS = pytest.mark.parametrize("edit, error, match", [
     (lambda doc: doc["field"].update(kind="cyclotomic", order=10 ** 400), SchemaError,
      r"^field\.order: cyclotomic order must be at most 256"),
     (lambda doc: doc["field"].update(order=5), SchemaError, "rational field has order 1"),
@@ -94,9 +129,19 @@ def test_text_the_json_module_refuses_is_a_schema_error(text):
      r"dynamical\.twists\[0\]\.f: twist is not invertible"),
 ], ids=["huge-order", "rational-order", "unknown-kind", "basis-type", "name-type", "antipode-inv-type",
         "coproduct-column-type", "singular-antipode", "no-idempotent", "dynamical-non-twist"])
+
+
+@FINDINGS
 def test_fuzz_findings(edit, error, match):
     """Inputs that used to escape as TypeError, IndexError, SingularError or TwistError, or hang."""
     doc = json.loads(CANONICAL["z2_triangular"])
     edit(doc)
     with pytest.raises(error, match=match):
         parse_structure(json.dumps(doc))
+
+
+@FINDINGS
+def test_fuzz_findings_are_refused_at_real_paths(edit, error, match):
+    doc = json.loads(CANONICAL["z2_triangular"])
+    edit(doc)
+    assert_refused_at_real_path(json.dumps(doc))
